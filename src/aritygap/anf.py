@@ -2,15 +2,15 @@
 
 A polynomial is a set of monomials, each monomial the set of 1-based
 variable indices it multiplies; the empty monomial is the constant 1.
-Conversion both ways uses the in-place butterfly Moebius transform over
-GF(2), which is its own inverse.
+Conversion both ways uses the butterfly Moebius transform over GF(2),
+which is its own inverse, run on the packed table int.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteFunction
+from .core import FiniteFunction, _layout, pack
 from .errors import IndexOutOfRange, NotBoolean, SameIndex, ValueOutOfRange
 
 Monomial = frozenset[int]
@@ -40,22 +40,24 @@ def make_polynomial(arity: int, monomials) -> ZhegalkinPolynomial:
     return ZhegalkinPolynomial(arity, normalized)
 
 
-def _butterfly(values: list[int]) -> list[int]:
-    """In-place subset XOR transform, O(n * 2**n); self-inverse over GF(2)."""
-    size = len(values)
-    half = 1
-    while half < size:
-        step = half * 2
-        for block in range(0, size, step):
-            for p in range(block, block + half):
-                values[p + half] ^= values[p]
-        half = step
-    return values
+def _moebius(bits: int, n: int) -> int:
+    """Subset XOR transform of a packed Boolean table, n masked shift-XORs;
+    self-inverse over GF(2).  Bit r of the result (row order) is the
+    coefficient of the monomial whose index is r."""
+    masks, strides, _ = _layout(2, 1, n)
+    for t in range(n):
+        bits ^= (bits >> strides[t]) & masks[t][1]
+    return bits
 
 
-def _index_to_monomial(idx: int, n: int) -> Monomial:
-    # Bit (n - t) of a table index carries variable t.
-    return frozenset(t for t in range(1, n + 1) if (idx >> (n - t)) & 1)
+def _variables(idx: int, n: int) -> tuple[int, ...]:
+    """Variables of a monomial index, ascending: bit n - t carries x_t."""
+    return tuple(t for t in range(1, n + 1) if (idx >> (n - t)) & 1)
+
+
+def _monomial_indices(coef: int, n: int) -> list[int]:
+    """Indices of the monomials whose coefficient bit is set, ascending."""
+    return [idx for idx, bit in enumerate(format(coef, f"0{1 << n}b")) if bit == "1"]
 
 
 def _monomial_to_index(mono: Monomial, n: int) -> int:
@@ -69,11 +71,8 @@ def to_anf(f: FiniteFunction) -> ZhegalkinPolynomial:
     """The unique polynomial over GF(2) whose evaluation matches f."""
     if f.k != 2 or f.b != 2:
         raise NotBoolean(f"ANF needs k = b = 2, got k={f.k} b={f.b}")
-    coef = _butterfly(list(f.table))
-    n = f.n
-    return ZhegalkinPolynomial(
-        n, frozenset(_index_to_monomial(idx, n) for idx, c in enumerate(coef) if c)
-    )
+    indices = _monomial_indices(_moebius(f.bits, f.n), f.n)
+    return ZhegalkinPolynomial(f.n, frozenset(frozenset(_variables(i, f.n)) for i in indices))
 
 
 def from_anf(p: ZhegalkinPolynomial) -> FiniteFunction:
@@ -82,7 +81,7 @@ def from_anf(p: ZhegalkinPolynomial) -> FiniteFunction:
     coef = [0] * (1 << n)
     for mono in p.monomials:
         coef[_monomial_to_index(mono, n)] = 1
-    return FiniteFunction(2, 2, n, tuple(_butterfly(coef)))
+    return FiniteFunction(2, 2, n, _moebius(pack(coef, 1), n))
 
 
 def degree(p: ZhegalkinPolynomial) -> int:

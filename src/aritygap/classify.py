@@ -4,7 +4,8 @@ A Boolean function has gap 2 exactly when its polynomial, restricted to
 the variables that occur in it, is a parity x_i1 + ... + x_im + c, the
 form x_i*x_j + x_i + c, the majority triangle x_i*x_j + x_i*x_k + x_j*x_k + c,
 or the triangle plus two linear terms x_i + x_j; every other function has
-gap 1.  No brute force involved.
+gap 1.  No brute force involved: gap_via_classifier matches the shapes on
+the packed coefficient int of the Moebius transform.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .anf import ZhegalkinPolynomial, to_anf
+from .anf import ZhegalkinPolynomial, _moebius, _monomial_indices, _monomial_to_index, _variables
 from .core import FiniteFunction
 from .errors import EssentialArityTooSmall, NotBoolean
 
@@ -47,42 +48,48 @@ NOT_SPECIAL = SpecialForm(FormTag.NOT_SPECIAL, (), None)
 def classify(p: ZhegalkinPolynomial) -> SpecialForm:
     """Match p, restricted to its occurring variables, against the four
     gap-2 shapes; inessential variables of the ambient arity are ignored."""
-    occ = sorted({v for mono in p.monomials for v in mono})
-    if len(occ) < 2:
-        raise EssentialArityTooSmall(
-            f"classification needs at least 2 occurring variables, got {len(occ)}"
-        )
     c = 1 if frozenset() in p.monomials else 0
-    body = {m for m in p.monomials if m}
+    return _match([_monomial_to_index(m, p.arity) for m in p.monomials if m], p.arity, c)
 
-    if body == {frozenset((v,)) for v in occ}:
-        return SpecialForm(FormTag.LINEAR_PARITY, tuple(occ), c)
 
-    if len(occ) == 2:
-        i, j = occ
-        pair = frozenset((i, j))
-        if body == {pair, frozenset((i,))}:
-            return SpecialForm(FormTag.AND_PLUS_VAR, (i, j), c)
-        if body == {pair, frozenset((j,))}:
-            return SpecialForm(FormTag.AND_PLUS_VAR, (j, i), c)
-
-    if len(occ) == 3:
-        i, j, k = occ
-        triangle = {frozenset((i, j)), frozenset((i, k)), frozenset((j, k))}
-        if body == triangle:
-            return SpecialForm(FormTag.TRIANGLE_MAJ, (i, j, k), c)
-        if len(body) == 5 and triangle <= body:
-            linear = body - triangle
-            if all(len(m) == 1 for m in linear):
-                a, b = sorted(v for m in linear for v in m)
-                (rest,) = set(occ) - {a, b}
-                return SpecialForm(FormTag.TRIANGLE_MAJ_PLUS_TWO, (a, b, rest), c)
-
+def _match(body: list[int], n: int, c: int) -> SpecialForm:
+    """classify on the nonconstant monomials as indices (bit n - t is x_t)."""
+    occ = 0
+    for m in body:
+        occ |= m
+    occ_vars = _variables(occ, n)
+    if len(occ_vars) < 2:
+        raise EssentialArityTooSmall(
+            f"classification needs at least 2 occurring variables, got {len(occ_vars)}"
+        )
+    singles = sorted(n + 1 - m.bit_length() for m in body if m.bit_count() == 1)
+    if len(singles) == len(body):
+        return SpecialForm(FormTag.LINEAR_PARITY, occ_vars, c)
+    if len(occ_vars) == 2 and len(body) == 2 and occ in body:
+        (i,) = singles
+        return SpecialForm(FormTag.AND_PLUS_VAR, (i, sum(occ_vars) - i), c)
+    if len(occ_vars) == 3 and all(occ ^ (1 << (n - t)) in body for t in occ_vars):
+        if len(body) == 3:
+            return SpecialForm(FormTag.TRIANGLE_MAJ, occ_vars, c)
+        if len(body) == 5 and len(singles) == 2:
+            rest = sum(occ_vars) - sum(singles)
+            return SpecialForm(FormTag.TRIANGLE_MAJ_PLUS_TWO, (*singles, rest), c)
     return NOT_SPECIAL
+
+
+def _special_form(f: FiniteFunction) -> SpecialForm:
+    """classify(to_anf(f)), read off the packed coefficient int of the
+    Moebius transform without building the polynomial."""
+    if f.k != 2 or f.b != 2:
+        raise NotBoolean(f"classifier needs k = b = 2, got k={f.k} b={f.b}")
+    coef = _moebius(f.bits, f.n)
+    # No shape has more than max(n, 5) monomials besides the constant.
+    if coef.bit_count() > max(f.n, 5) + 1:
+        return NOT_SPECIAL
+    c = coef >> ((1 << f.n) - 1)
+    return _match(_monomial_indices(coef, f.n)[c:], f.n, c)
 
 
 def gap_via_classifier(f: FiniteFunction) -> int:
     """Arity gap of a Boolean f with ess >= 2, decided in closed form."""
-    if f.k != 2 or f.b != 2:
-        raise NotBoolean(f"classifier needs k = b = 2, got k={f.k} b={f.b}")
-    return 1 if classify(to_anf(f)).tag is FormTag.NOT_SPECIAL else 2
+    return 1 if _special_form(f) is NOT_SPECIAL else 2

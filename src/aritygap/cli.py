@@ -13,7 +13,8 @@ big-endian hexadecimal, row 0 being the most significant bit.
 
 JSON outputs all carry {"schema": "aritygap/1"}.  Exit codes: 0 success
 (for sweeps: no violations), 1 sweep violations, 2 bad input, 3 budget
-exceeded.
+exceeded, 4 nothing checked (a sweep whose population held no function
+satisfying the theorem's hypothesis).
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import os
 import sys
 
 from .anf import polynomial_str, to_anf
-from .classify import NOT_SPECIAL, classify
+from .classify import NOT_SPECIAL, _special_form
 from .core import FiniteFunction, essential_vars, gap_report, make_function
-from .errors import ArityGapError, BudgetExceeded, ParseError
+from .errors import ArityGapError, BudgetExceeded, ParseError, ValueOutOfRange
 from .generators import (
     DEFAULT_BUDGET,
     LiftSpec,
@@ -69,9 +70,8 @@ def parse_function_text(text: str) -> FiniteFunction:
         n = nbits.bit_length() - 1
         if 1 << n != nbits:
             raise ParseError(f"hex form needs 2**n bits, got {nbits}")
-        value = int(digits, 16)
-        table = tuple((value >> (nbits - 1 - row)) & 1 for row in range(nbits))
-        return make_function(2, 2, n, table)
+        # Big-endian hex with row 0 first is the packed Boolean table.
+        return FiniteFunction(2, 2, n, int(digits, 16))
     header = lines[0].split()
     if len(header) != 3:
         raise ParseError(f"header must be 'k n b', got {lines[0]!r}")
@@ -130,32 +130,22 @@ def cmd_analyze(args) -> int:
     f = load_function(args.path)
     ev = essential_vars(f)
     ev_line = "essential_vars: " + (" ".join(map(str, ev)) if ev else "-")
-    if len(ev) < 2:
-        payload = {
-            "schema": SCHEMA,
-            "k": f.k,
-            "n": f.n,
-            "b": f.b,
-            "ess": len(ev),
-            "essential_vars": list(ev),
-            "essl": None,
-            "gap": None,
-            "witness": None,
-        }
-        _emit(args, payload, [ev_line, f"ess={len(ev)} gap: undefined"])
-        return 0
-    r = gap_report(f)
     payload = {
         "schema": SCHEMA,
         "k": f.k,
         "n": f.n,
         "b": f.b,
-        "ess": r.ess,
+        "ess": len(ev),
         "essential_vars": list(ev),
-        "essl": r.essl,
-        "gap": r.gap,
-        "witness": list(r.witness),
+        "essl": None,
+        "gap": None,
+        "witness": None,
     }
+    if len(ev) < 2:
+        _emit(args, payload, [ev_line, f"ess={len(ev)} gap: undefined"])
+        return 0
+    r = gap_report(f)
+    payload.update(essl=r.essl, gap=r.gap, witness=list(r.witness))
     summary = f"ess={r.ess} essl={r.essl} gap={r.gap} witness=({r.witness[0]},{r.witness[1]})"
     _emit(args, payload, [ev_line, summary])
     return 0
@@ -168,7 +158,7 @@ def cmd_anf(args) -> int:
 
 def cmd_classify(args) -> int:
     f = load_function(args.path)
-    form = classify(to_anf(f))
+    form = _special_form(f)
     gap = 1 if form is NOT_SPECIAL else 2
     payload = {
         "schema": SCHEMA,
@@ -208,9 +198,9 @@ def cmd_sweep(args) -> int:
             print(f"  violation: k={f.k} n={f.n} b={f.b} table={' '.join(map(str, f.table))}")
         for f in report.witnesses:
             print(f"witness: k={f.k} n={f.n} b={f.b} table={' '.join(map(str, f.table))}")
-        state = "pass" if report.passed else "FAIL"
+        state = "pass" if report.passed else "FAIL" if report.violation_count else "nothing checked"
         print(f"result: {state} (elapsed {report.elapsed_s:.2f}s)")
-    return 0 if report.passed else 1
+    return 1 if report.violation_count else 0 if report.passed else 4
 
 
 def cmd_search(args) -> int:
@@ -226,6 +216,8 @@ def cmd_search(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.count < 1:
+        raise ValueOutOfRange(f"--count must be >= 1, got {args.count}")
     budget = _budget()
     hits = []
     for i in range(args.count):
@@ -238,8 +230,7 @@ def cmd_search(args) -> int:
             raise ArityGapError("could not sample a function with ess >= k+1")
         r = gap_report(f)
         if r.gap >= 3:
-            confirm = gap_report(make_function(f.k, f.b, f.n, f.table))
-            hits.append((f, confirm))
+            hits.append((f, r))
     payload = {
         "schema": SCHEMA,
         "k": args.k,

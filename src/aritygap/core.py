@@ -1,8 +1,13 @@
-"""Functions on finite sets as explicit value tables.
+"""Functions on finite sets as packed value tables.
 
 Provides the minor machinery: essential variables, simple variable
 substitution, variable identification, the quasi-order induced by
 substitution, and the arity gap.
+
+A table is one Python int (Knuth, TAOCP 4A, 7.1): each row holds its value
+in a field of w = max(1, ceil(log2 b)) bits, row 0 in the most significant
+field.  Every primitive is a few shifts and masks over that int, built from
+the digit masks D_t(c), the all-ones fields of the rows whose digit t is c.
 """
 
 from __future__ import annotations
@@ -22,19 +27,50 @@ from .errors import (
 )
 
 
+def field_width(b: int) -> int:
+    """Bits per table entry: max(1, ceil(log2 b))."""
+    return (b - 1).bit_length() or 1
+
+
+_FIELDS = tuple(tuple(format(v, f"0{w}b") for v in range(1 << w)) for w in range(9))
+
+
+def pack(values, w: int) -> int:
+    """Packed int of in-range values, the first in the most significant field."""
+    if w < len(_FIELDS):
+        text = "".join(map(_FIELDS[w].__getitem__, values))
+    else:
+        text = "".join([format(v, f"0{w}b") for v in values])
+    return int(text or "0", 2)
+
+
+def unpack(bits: int, w: int, size: int) -> tuple[int, ...]:
+    """Inverse of pack for a table of size fields."""
+    text = format(bits, f"0{size * w}b")
+    if w == 1:
+        return tuple(map(int, text))
+    return tuple(int(text[p : p + w], 2) for p in range(0, size * w, w))
+
+
 @dataclass(frozen=True)
 class FiniteFunction:
-    """f: {0..k-1}^n -> {0..b-1} stored as a flat value table.
+    """f: {0..k-1}^n -> {0..b-1} stored as a packed value table.
 
     Row order: x1 is the most significant mixed-radix digit, so the tuple
-    (x1, ..., xn) sits at index sum(x_t * k**(n - t)).  Instances are
-    immutable and safe to share between threads.
+    (x1, ..., xn) is row sum(x_t * k**(n - t)).  bits holds row r in the
+    field_width(b)-bit field that starts k**n - 1 - r fields from the
+    bottom.  Instances are immutable and safe to share between threads.
     """
 
     k: int
     b: int
     n: int
-    table: tuple[int, ...]
+    bits: int
+
+    @property
+    def table(self) -> tuple[int, ...]:
+        """The value table as a tuple, row 0 first."""
+        return unpack(self.bits, field_width(self.b), self.k**self.n)
 
 
 @dataclass(frozen=True)
@@ -82,7 +118,15 @@ def make_function(k: int, b: int, n: int, table) -> FiniteFunction:
     for v in entries:
         if not 0 <= v < b:
             raise ValueOutOfRange(f"table entry {v} not in range(0, {b})")
-    return FiniteFunction(k, b, n, entries)
+    return FiniteFunction(k, b, n, pack(entries, field_width(b)))
+
+
+def from_code(k: int, b: int, n: int, code: int) -> FiniteFunction:
+    """The function whose table, read as a base-b numeral with row 0 most
+    significant, is code; for b a power of two the code is the packed int."""
+    if b & (b - 1) == 0:
+        return FiniteFunction(k, b, n, code)
+    return FiniteFunction(k, b, n, pack(decode_index(code, b, k**n), field_width(b)))
 
 
 def encode_point(point, k: int) -> int:
@@ -94,7 +138,8 @@ def encode_point(point, k: int) -> int:
 
 
 def decode_index(idx: int, k: int, n: int) -> tuple[int, ...]:
-    """Inverse of encode_point."""
+    """Inverse of encode_point: the n base-k digits of idx, most significant
+    first.  Also the decoder of table codes whose base is no power of two."""
     digits = [0] * n
     for t in range(n - 1, -1, -1):
         idx, digits[t] = divmod(idx, k)
@@ -109,43 +154,80 @@ def evaluate(f: FiniteFunction, point) -> int:
     for x in pt:
         if not 0 <= x < f.k:
             raise ValueOutOfRange(f"coordinate {x} not in range(0, {f.k})")
-    return f.table[encode_point(pt, f.k)]
+    w = field_width(f.b)
+    return (f.bits >> (f.k**f.n - 1 - encode_point(pt, f.k)) * w) & ((1 << w) - 1)
 
 
-@lru_cache(maxsize=None)
-def _base_offsets(k: int, n: int, i: int):
-    """Column bases along coordinate i plus the in-column offsets.
+@lru_cache(maxsize=8)
+def _layout(k: int, w: int, n: int):
+    """Digit masks of one table shape, variables 0-based.
 
-    A column is the set of k points that agree everywhere except in
-    coordinate i; its base is the point with coordinate i equal to 0.
+    masks[t][c] is D_{t+1}(c); strides[t] is the bit distance between rows
+    that differ by one in digit t+1; lower[t] marks the rows whose digit
+    t+1 is below k-1.  Each mask repeats one block of k * k**(n-t-1) rows
+    and is built by doubling a bit string, O(k**n * w) per mask.
     """
-    stride = k ** (n - i)
-    block = stride * k
-    bases = tuple(hi * block + lo for hi in range(k ** (i - 1)) for lo in range(stride))
-    offsets = tuple(range(stride, block, stride))
-    return bases, offsets
+    total = k**n * w
+    full = (1 << total) - 1
+    masks = []
+    for t in range(n):
+        run = k ** (n - 1 - t) * w
+        row = []
+        for c in range(k):
+            pattern, length = ((1 << run) - 1) << ((k - 1 - c) * run), k * run
+            while length < total:
+                pattern |= pattern << length
+                length *= 2
+            row.append(pattern & full)
+        masks.append(tuple(row))
+    strides = tuple(k ** (n - 1 - t) * w for t in range(n))
+    return tuple(masks), strides, tuple(full ^ m[-1] for m in masks)
 
 
-def _table_depends_on(table, k: int, n: int, i: int) -> bool:
-    bases, offsets = _base_offsets(k, n, i)
-    for base in bases:
-        v = table[base]
-        for off in offsets:
-            if table[base + off] != v:
-                return True
-    return False
+def _essential(bits: int, strides, lower, candidates) -> list[int]:
+    """The candidate variables (0-based) the packed table depends on: t is
+    inessential iff every row whose digit t is below k-1 equals the row one
+    stride further, so one masked shift-XOR per variable decides it."""
+    out = []
+    for t in candidates:
+        if ((bits << strides[t]) ^ bits) & lower[t]:
+            out.append(t)
+    return out
+
+
+def _identified(bits: int, masks, stride: int, i: int, j: int) -> int:
+    """Packed table with x_j substituted for x_i (0-based indices): the
+    rows with x_i = a and x_j = c read the table shifted by (c - a) strides,
+    k**2 masked shifts."""
+    di, dj = masks[i], masks[j]
+    if len(di) == 2:
+        # The Boolean case in three terms, unrolled: it dominates sweeps.
+        (i0, i1), (j0, j1) = di, dj
+        return (
+            (bits & ((i0 & j0) | (i1 & j1)))
+            | ((bits << stride) & i0 & j1)
+            | ((bits >> stride) & i1 & j0)
+        )
+    out = 0
+    for a, on_a in enumerate(di):
+        for c, on_c in enumerate(dj):
+            d = (c - a) * stride
+            out |= (bits << d if d >= 0 else bits >> -d) & on_a & on_c
+    return out
 
 
 def is_essential(f: FiniteFunction, i: int) -> bool:
     """Whether changing only the i-th argument can change the value of f."""
     if not 1 <= i <= f.n:
         raise IndexOutOfRange(f"variable index {i} not in 1..{f.n}")
-    return _table_depends_on(f.table, f.k, f.n, i)
+    _, strides, lower = _layout(f.k, field_width(f.b), f.n)
+    return bool(_essential(f.bits, strides, lower, (i - 1,)))
 
 
 def essential_vars(f: FiniteFunction) -> tuple[int, ...]:
     """Indices of the essential variables of f, ascending."""
-    return tuple(i for i in range(1, f.n + 1) if _table_depends_on(f.table, f.k, f.n, i))
+    _, strides, lower = _layout(f.k, field_width(f.b), f.n)
+    return tuple(t + 1 for t in _essential(f.bits, strides, lower, range(f.n)))
 
 
 def ess(f: FiniteFunction) -> int:
@@ -168,19 +250,9 @@ def substitute(f: FiniteFunction, s: Substitution) -> FiniteFunction:
     if s.source_arity != f.n:
         raise ArityMismatch(f"substitution source arity {s.source_arity} != function arity {f.n}")
     remap = _substitution_remap(f.k, s.target_arity, s.mapping)
-    return FiniteFunction(f.k, f.b, s.target_arity, tuple(map(f.table.__getitem__, remap)))
-
-
-@lru_cache(maxsize=None)
-def _identify_remap(k: int, n: int, i: int, j: int) -> tuple[int, ...]:
-    si = k ** (n - i)
-    sj = k ** (n - j)
-    remap = []
-    for idx in range(k**n):
-        xi = (idx // si) % k
-        xj = (idx // sj) % k
-        remap.append(idx + (xj - xi) * si)
-    return tuple(remap)
+    values = f.table
+    bits = pack(map(values.__getitem__, remap), field_width(f.b))
+    return FiniteFunction(f.k, f.b, s.target_arity, bits)
 
 
 def identify(f: FiniteFunction, i: int, j: int) -> FiniteFunction:
@@ -195,8 +267,8 @@ def identify(f: FiniteFunction, i: int, j: int) -> FiniteFunction:
             raise IndexOutOfRange(f"variable index {v} not in 1..{f.n}")
     if i == j:
         raise SameIndex(f"identification needs two distinct indices, got i = j = {i}")
-    remap = _identify_remap(f.k, f.n, i, j)
-    return FiniteFunction(f.k, f.b, f.n, tuple(map(f.table.__getitem__, remap)))
+    masks, strides, _ = _layout(f.k, field_width(f.b), f.n)
+    return FiniteFunction(f.k, f.b, f.n, _identified(f.bits, masks, strides[i - 1], i - 1, j - 1))
 
 
 def gap_report(f: FiniteFunction) -> GapReport:
@@ -208,28 +280,27 @@ def gap_report(f: FiniteFunction) -> GapReport:
     scanned; essl can never exceed ess - 1, so the scan stops early once a
     minor attains that.
     """
-    ev = essential_vars(f)
+    masks, strides, lower = _layout(f.k, field_width(f.b), f.n)
+    bits = f.bits
+    ev = _essential(bits, strides, lower, range(f.n))
     e = len(ev)
     if e < 2:
         raise EssentialArityTooSmall(f"arity gap needs ess >= 2, got ess = {e}")
-    table, k, n = f.table, f.k, f.n
     best = -1
     witness = (0, 0)
     for a, i in enumerate(ev):
+        # Variables inessential in f stay inessential in any minor, and
+        # x_i is inessential by construction: only the rest can count.
+        rest = ev[:a] + ev[a + 1 :]
         for j in ev[a + 1 :]:
-            minor = tuple(map(table.__getitem__, _identify_remap(k, n, i, j)))
-            # Variables inessential in f stay inessential in any minor, and
-            # x_i is inessential by construction: only the rest can count.
-            count = 0
-            for t in ev:
-                if t != i and _table_depends_on(minor, k, n, t):
-                    count += 1
+            minor = _identified(bits, masks, strides[i], i, j)
+            count = len(_essential(minor, strides, lower, rest))
             if count > best:
                 best = count
-                witness = (i, j)
+                witness = (i + 1, j + 1)
             if best == e - 1:
-                return GapReport(ess=e, essl=best, gap=1, witness=witness)
-    return GapReport(ess=e, essl=best, gap=e - best, witness=witness)
+                return GapReport(e, best, 1, witness)
+    return GapReport(e, best, e - best, witness)
 
 
 def essl(f: FiniteFunction) -> int:

@@ -12,7 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import FiniteFunction, essential_vars
+from .core import (
+    FiniteFunction,
+    decode_index,
+    encode_point,
+    essential_vars,
+    field_width,
+    from_code,
+    pack,
+)
 from .errors import (
     BudgetExceeded,
     GammaNotSurjective,
@@ -74,8 +82,20 @@ def random_function(
     size = k**n
     if size > budget:
         raise BudgetExceeded(f"table size {size} exceeds budget {budget}")
-    rng = SplitMix64(seed)
-    return FiniteFunction(k, b, n, tuple(rng.below(b) for _ in range(size)))
+    if b & (b - 1):
+        rng = SplitMix64(seed)
+        return FiniteFunction(k, b, n, pack([rng.below(b) for _ in range(size)], field_width(b)))
+    # below(b) never rejects when b divides 2**64, so each entry is the low
+    # bits of the next output; the stream is SplitMix64.next_u64 unrolled.
+    low = b - 1
+    state = seed & _MASK64
+    values = []
+    for _ in range(size):
+        state = (state + GOLDEN) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        values.append((z ^ (z >> 31)) & low)
+    return FiniteFunction(k, b, n, pack(values, field_width(b)))
 
 
 @dataclass(frozen=True)
@@ -106,7 +126,7 @@ def quasi_linear(spec: QuasiLinearSpec) -> FiniteFunction:
         for h, x in zip(spec.h_maps, point):
             acc ^= h[x]
         table.append(spec.g_map[acc])
-    return FiniteFunction(k, k, n, tuple(table))
+    return FiniteFunction(k, k, n, pack(table, field_width(k)))
 
 
 @dataclass(frozen=True)
@@ -120,13 +140,6 @@ class LiftSpec:
     base: FiniteFunction
     gamma: tuple[int, ...]
     phi: tuple[int, ...]
-
-
-def _evaluate_unchecked(f: FiniteFunction, point: tuple[int, ...]) -> int:
-    idx = 0
-    for x in point:
-        idx = idx * f.k + x
-    return f.table[idx]
 
 
 def lift(spec: LiftSpec) -> FiniteFunction:
@@ -149,11 +162,12 @@ def lift(spec: LiftSpec) -> FiniteFunction:
         raise SpecInvalid(f"phi must send 0..{f.k - 1} into 0..{size_b - 1}")
     if len(set(spec.phi)) != f.k:
         raise PhiNotInjective(f"phi is not injective: {spec.phi}")
+    base = f.table
     table = []
     for point in product(range(size_b), repeat=f.n):
         base_point = tuple(spec.gamma[x] for x in point)
-        table.append(spec.phi[_evaluate_unchecked(f, base_point)])
-    return FiniteFunction(size_b, size_b, f.n, tuple(table))
+        table.append(spec.phi[base[encode_point(base_point, f.k)]])
+    return FiniteFunction(size_b, size_b, f.n, pack(table, field_width(size_b)))
 
 
 @dataclass(frozen=True)
@@ -182,14 +196,12 @@ def _rainbow_indices(k: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _is_total_collapse(table: tuple[int, ...], k: int, n: int, rainbow: frozenset[int]) -> bool:
-    # All identification minors of f are constant iff f is constant on the
-    # points with a repeated coordinate, and then ess f = n must hold.
-    it = (v for idx, v in enumerate(table) if idx not in rainbow)
-    first = next(it, None)
-    if first is not None and any(v != first for v in it):
-        return False
-    return len(essential_vars(FiniteFunction(k, k, n, table))) == n
+def power_exceeds(base: int, exp: int, budget: int) -> bool:
+    """Whether base**exp > budget, decided without building a huge power:
+    for base >= 2, exp >= budget.bit_length() already exceeds it."""
+    if base >= 2 and exp >= budget.bit_length():
+        return True
+    return base**exp > budget
 
 
 def find_total_collapse_witnesses(
@@ -220,57 +232,42 @@ def find_total_collapse_witnesses(
     rainbow = _rainbow_indices(k, n)
     rainbow_set = frozenset(rainbow)
 
-    full_space = k**size
-    if full_space <= budget:
-        found: list[FiniteFunction] = []
-        total = 0
-        for code in range(full_space):
-            table = _decode_table(code, k, size)
-            if _is_total_collapse(table, k, n, rainbow_set):
-                total += 1
-                if len(found) < limit:
-                    found.append(FiniteFunction(k, k, n, table))
-        return WitnessSearch(tuple(found), True, full_space, full_space, total, "full")
+    if not power_exceeds(k, size, budget):
+        space = examined = k**size
+        functions = (from_code(k, k, n, code) for code in range(space))
+        exhaustive, mode = True, "full"
+    else:
+        space = k ** (len(rainbow) + 1)
+        if space <= budget:
+            codes, examined, exhaustive, mode = range(space), space, True, "diagonal"
+        else:
+            rng = SplitMix64(seed)
+            codes = (rng.below(space) for _ in range(samples))
+            examined, exhaustive, mode = samples, False, "diagonal-sampled"
+        functions = (_diagonal_function(code, k, n, rainbow) for code in codes)
 
-    reduced_space = k ** (len(rainbow) + 1)
-    if reduced_space <= budget:
-        found = []
-        total = 0
-        for code in range(reduced_space):
-            table = _diagonal_table(code, k, size, rainbow)
-            if len(essential_vars(FiniteFunction(k, k, n, table))) == n:
-                total += 1
-                if len(found) < limit:
-                    found.append(FiniteFunction(k, k, n, table))
-        return WitnessSearch(tuple(found), True, reduced_space, reduced_space, total, "diagonal")
-
-    rng = SplitMix64(seed)
-    found = []
+    # All identification minors of f are constant iff f is constant on the
+    # points with a repeated coordinate (row 0 has one whenever any point
+    # does), and then ess f = n must hold.  ones has a 1 in every field, so
+    # multiplying it by a value repeats that value in every row.
+    w = field_width(k)
+    repeated = pack([0 if idx in rainbow_set else (1 << w) - 1 for idx in range(size)], w)
+    ones = pack([1] * size, w)
+    top = (size - 1) * w
+    found: list[FiniteFunction] = []
     total = 0
-    for _ in range(samples):
-        code = rng.below(reduced_space)
-        table = _diagonal_table(code, k, size, rainbow)
-        if len(essential_vars(FiniteFunction(k, k, n, table))) == n:
+    for f in functions:
+        if f.bits & repeated == ((f.bits >> top) * ones) & repeated and len(essential_vars(f)) == n:
             total += 1
             if len(found) < limit:
-                found.append(FiniteFunction(k, k, n, table))
-    return WitnessSearch(tuple(found), False, samples, reduced_space, total, "diagonal-sampled")
+                found.append(f)
+    return WitnessSearch(tuple(found), exhaustive, examined, space, total, mode)
 
 
-def _decode_table(code: int, k: int, size: int) -> tuple[int, ...]:
-    # Entry 0 is the most significant base-k digit of the code.
-    digits = [0] * size
-    for pos in range(size - 1, -1, -1):
-        code, digits[pos] = divmod(code, k)
-    return tuple(digits)
-
-
-def _diagonal_table(code: int, k: int, size: int, rainbow: tuple[int, ...]) -> tuple[int, ...]:
-    # code = (constant, rainbow values) in mixed radix, constant most significant.
-    values = [0] * (len(rainbow) + 1)
-    for pos in range(len(values) - 1, -1, -1):
-        code, values[pos] = divmod(code, k)
-    table = [values[0]] * size
-    for pos, idx in enumerate(rainbow):
-        table[idx] = values[pos + 1]
-    return tuple(table)
+def _diagonal_function(code: int, k: int, n: int, rainbow: tuple[int, ...]) -> FiniteFunction:
+    # code = (constant, rainbow values) in base k, constant most significant.
+    const, *values = decode_index(code, k, len(rainbow) + 1)
+    table = [const] * k**n
+    for idx, v in zip(rainbow, values):
+        table[idx] = v
+    return FiniteFunction(k, k, n, pack(table, field_width(k)))

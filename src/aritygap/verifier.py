@@ -16,24 +16,24 @@ import os
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
-from .anf import degree, to_anf
 from .classify import gap_via_classifier
 from .core import (
     FiniteFunction,
-    _identify_remap,
-    _table_depends_on,
-    decode_index,
-    encode_point,
+    _essential,
+    _identified,
+    _layout,
     ess,
     essential_vars,
+    field_width,
+    from_code,
     gap_report,
 )
 from .errors import BudgetExceeded, HypothesisNotMet, NotBoolean, NotTotallyEssential, SpecInvalid
 from .generators import (
     DEFAULT_BUDGET,
     find_total_collapse_witnesses,
+    power_exceeds,
     random_function,
     substream_seed,
 )
@@ -127,15 +127,6 @@ def check_boolean_bound(f: FiniteFunction) -> bool:
     return gap_report(f).gap <= 2
 
 
-@lru_cache(maxsize=None)
-def _restriction_remap(k: int, n: int, j: int, c: int) -> tuple[int, ...]:
-    remap = []
-    for idx in range(k ** (n - 1)):
-        digits = decode_index(idx, k, n - 1)
-        remap.append(encode_point(digits[: j - 1] + (c,) + digits[j - 1 :], k))
-    return tuple(remap)
-
-
 def find_restriction_witness(f: FiniteFunction) -> tuple[int, int] | None:
     """First (j, c), j then c ascending, such that fixing variable j to c
     leaves a function depending on all remaining n - 1 variables.
@@ -147,11 +138,14 @@ def find_restriction_witness(f: FiniteFunction) -> tuple[int, int] | None:
         raise NotTotallyEssential(
             f"need a function of arity >= 2 depending on all variables, ess={ess(f)} n={f.n}"
         )
-    for j in range(1, f.n + 1):
+    masks, strides, lower = _layout(f.k, field_width(f.b), f.n)
+    for j in range(f.n):
+        rest = [t for t in range(f.n) if t != j]
         for c in range(f.k):
-            rest = tuple(map(f.table.__getitem__, _restriction_remap(f.k, f.n, j, c)))
-            if all(_table_depends_on(rest, f.k, f.n - 1, t) for t in range(1, f.n)):
-                return (j, c)
+            # Fixing x_j = c keeps x_t iff a row of D_t(0) & D_j(c) differs
+            # from the row raising x_t: the table masked to D_j(c) shows that.
+            if len(_essential(f.bits & masks[j][c], strides, lower, rest)) == f.n - 1:
+                return (j + 1, c)
     return None
 
 
@@ -162,12 +156,12 @@ def check_kplus1_lemma(f: FiniteFunction) -> tuple[int, int] | None:
         raise HypothesisNotMet(
             f"need ess f = arity n > k, got ess={ess(f)} n={f.n} k={f.k}"
         )
+    masks, strides, lower = _layout(f.k, field_width(f.b), f.n)
     top = f.k + 1
-    for i in range(1, top + 1):
-        for j in range(i + 1, top + 1):
-            minor = tuple(map(f.table.__getitem__, _identify_remap(f.k, f.n, i, j)))
-            if any(_table_depends_on(minor, f.k, f.n, t) for t in range(1, top + 1)):
-                return (i, j)
+    for i in range(top):
+        for j in range(i + 1, top):
+            if _essential(_identified(f.bits, masks, strides[i], i, j), strides, lower, range(top)):
+                return (i + 1, j + 1)
     return None
 
 
@@ -198,24 +192,7 @@ def _check_one(theorem: TheoremId, f: FiniteFunction) -> int:
         if f.n <= f.k or len(essential_vars(f)) != f.n:
             return _SKIP
         return _OK if check_kplus1_lemma(f) is not None else _VIOL
-    if theorem is TheoremId.LEM_DEG2:
-        p = to_anf(f)
-        if degree(p) != 2 or len(essential_vars(f)) < 4:
-            return _SKIP
-        return _OK if gap_report(f).gap == 1 else _VIOL
     raise SpecInvalid(f"no per-function check for {theorem}")
-
-
-def _hypothesis_holds(theorem: TheoremId, f: FiniteFunction) -> bool:
-    if theorem in (TheoremId.THM_STR, TheoremId.THM_SALOMAA_MAIN):
-        return len(essential_vars(f)) >= 2
-    if theorem is TheoremId.THM_GEN:
-        return ess(f) > f.k
-    if theorem is TheoremId.THM_SALOMAA_AUX:
-        return f.n >= 2 and len(essential_vars(f)) == f.n
-    if theorem is TheoremId.LEM_KPLUS1:
-        return f.n > f.k and len(essential_vars(f)) == f.n
-    raise SpecInvalid(f"no hypothesis predicate for {theorem}")
 
 
 # ---------------------------------------------------------------------------
@@ -223,64 +200,27 @@ def _hypothesis_holds(theorem: TheoremId, f: FiniteFunction) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _decode_table_code(code: int, b: int, size: int) -> tuple[int, ...]:
-    # Entry 0 is the most significant base-b digit of the code.
-    digits = [0] * size
-    for pos in range(size - 1, -1, -1):
-        code, digits[pos] = divmod(code, b)
-    return tuple(digits)
-
-
 def _exhaustive_total(pop: Exhaustive, budget: int) -> int:
     size = pop.k**pop.n
     if size > budget:
         raise BudgetExceeded(f"table size {size} exceeds budget {budget}")
-    total = pop.b**size
-    if total > budget:
-        raise BudgetExceeded(f"{total} tables exceed budget {budget}; use a sampled sweep")
-    return total
+    if power_exceeds(pop.b, size, budget):
+        raise BudgetExceeded(f"{pop.b}**{size} tables exceed budget {budget}; use a sampled sweep")
+    return pop.b**size
 
 
-@lru_cache(maxsize=None)
 def _var_masks(n: int) -> tuple[int, ...]:
-    """For each variable t, the table-int whose row bits mark x_t = 1."""
-    masks = []
-    for t in range(1, n + 1):
-        m = 0
-        for idx in range(1 << n):
-            if (idx >> (n - t)) & 1:
-                m |= 1 << idx
-        masks.append(m)
-    return tuple(masks)
-
-
-@lru_cache(maxsize=None)
-def _pair_monomials(n: int) -> tuple[tuple[int, int], ...]:
-    """(table mask, variable bitset) per quadratic monomial, lex order."""
-    vm = _var_masks(n)
-    out = []
-    for s in range(1, n + 1):
-        for t in range(s + 1, n + 1):
-            out.append((vm[s - 1] & vm[t - 1], (1 << (s - 1)) | (1 << (t - 1))))
-    return tuple(out)
-
-
-_BITS8 = tuple(tuple((byte >> i) & 1 for i in range(8)) for byte in range(256))
-
-
-def _unpack_table(value: int, size: int) -> tuple[int, ...]:
-    if size < 8:
-        return _BITS8[value & 0xFF][:size]
-    out: list[int] = []
-    for shift in range(0, size, 8):
-        out.extend(_BITS8[(value >> shift) & 0xFF])
-    return tuple(out)
+    """For each variable t, the packed Boolean table of x_t."""
+    return tuple(m[1] for m in _layout(2, 1, n)[0])
 
 
 def _deg2_total(pop: Exhaustive, budget: int) -> int:
     if pop.k != 2 or pop.b != 2:
         raise NotBoolean("degree-2 polynomial sweeps need k = b = 2")
     npairs = pop.n * (pop.n - 1) // 2
+    # At least 2**(npairs + n) candidates whenever there is a pair.
+    if npairs and power_exceeds(2, npairs + pop.n, budget):
+        raise BudgetExceeded(f"degree-2 polynomials on n={pop.n} variables exceed budget {budget}")
     total = ((1 << npairs) - 1) << (pop.n + 1)
     if total > budget:
         raise BudgetExceeded(f"{total} polynomials exceed budget {budget}")
@@ -290,20 +230,14 @@ def _deg2_total(pop: Exhaustive, budget: int) -> int:
 def _run_deg2_range(n: int, lo: int, hi: int, max_recorded: int):
     """Walk degree-2 polynomials (quadratic part, linear part, constant)
     by linear candidate index; quadratic part changes slowest."""
-    pairs = _pair_monomials(n)
     vm = _var_masks(n)
+    # (table, variable bitset) per quadratic monomial x_s*x_t, lex order.
+    pairs = [(vm[s] & vm[t], (1 << s) | (1 << t)) for s in range(n) for t in range(s + 1, n)]
     size = 1 << n
     all_ones = (1 << size) - 1
-    lmasks = []
-    for lset in range(1 << n):
-        m = 0
-        rem, t = lset, 0
-        while rem:
-            if rem & 1:
-                m ^= vm[t]
-            rem >>= 1
-            t += 1
-        lmasks.append(m)
+    lmasks = [0]  # lmasks[lset]: XOR of x_{t+1} over the bits t of lset
+    for m in vm:
+        lmasks += [x ^ m for x in lmasks]
     inner = 1 << (n + 1)
     checked = skipped = vcount = 0
     violations: list[FiniteFunction] = []
@@ -331,7 +265,7 @@ def _run_deg2_range(n: int, lo: int, hi: int, max_recorded: int):
         tbl = q_mask ^ lmasks[l_idx]
         if c:
             tbl ^= all_ones
-        f = FiniteFunction(2, 2, n, _unpack_table(tbl, size))
+        f = FiniteFunction(2, 2, n, tbl)
         checked += 1
         if gap_report(f).gap != 1:
             vcount += 1
@@ -340,14 +274,31 @@ def _run_deg2_range(n: int, lo: int, hi: int, max_recorded: int):
     return checked, skipped, vcount, violations
 
 
-def _draw_sample(pop: Sampled, theorem: TheoremId, index: int) -> FiniteFunction:
+def _require_feasible(theorem: TheoremId, pop: Sampled) -> None:
+    """Refuse a shape on which the theorem's hypothesis never holds, before
+    rejection sampling burns draws on it.  Every hypothesis needs ess f >= 2,
+    ThmGen and LemKplus1 need ess f > k, and with k, b >= 2 each is met."""
+    need = pop.k + 1 if theorem in (TheoremId.THM_GEN, TheoremId.LEM_KPLUS1) else 2
+    if pop.k < 2 or pop.b < 2 or pop.n < need:
+        shape = f"k={pop.k} b={pop.b} n={pop.n}"
+        raise HypothesisNotMet(f"{theorem.value} hypothesis holds for no function with {shape}")
+
+
+def _member(theorem: TheoremId, pop, index: int) -> tuple[FiniteFunction, int]:
+    """Population member index and its check outcome; with rejection, attempt
+    a of sample i draws from substream_seed(base, a) until it is not skipped."""
+    if isinstance(pop, Exhaustive):
+        f = from_code(pop.k, pop.b, pop.n, index)
+        return f, _check_one(theorem, f)
     base = substream_seed(pop.seed, index)
     if not pop.reject_until_hypothesis:
-        return random_function(pop.k, pop.b, pop.n, base)
+        f = random_function(pop.k, pop.b, pop.n, base)
+        return f, _check_one(theorem, f)
     for attempt in range(10000):
         f = random_function(pop.k, pop.b, pop.n, substream_seed(base, attempt))
-        if _hypothesis_holds(theorem, f):
-            return f
+        outcome = _check_one(theorem, f)
+        if outcome != _SKIP:
+            return f, outcome
     raise HypothesisNotMet(
         f"rejection sampling found no function satisfying {theorem.value} in 10000 draws"
     )
@@ -359,19 +310,8 @@ def _run_range(args):
         return _run_deg2_range(pop.n, lo, hi, max_recorded)
     checked = skipped = vcount = 0
     violations: list[FiniteFunction] = []
-    if isinstance(pop, Exhaustive):
-        size = pop.k**pop.n
-
-        def make(i):
-            return FiniteFunction(pop.k, pop.b, pop.n, _decode_table_code(i, pop.b, size))
-
-    else:
-
-        def make(i):
-            return _draw_sample(pop, theorem, i)
-
     for i in range(lo, hi):
-        outcome = _check_one(theorem, make(i))
+        f, outcome = _member(theorem, pop, i)
         if outcome == _SKIP:
             skipped += 1
             continue
@@ -379,7 +319,7 @@ def _run_range(args):
         if outcome == _VIOL:
             vcount += 1
             if len(violations) < max_recorded:
-                violations.append(make(i))
+                violations.append(f)
     return checked, skipped, vcount, violations
 
 
@@ -404,6 +344,8 @@ def sweep(
     results are merged in chunk order.
     """
     start = time.perf_counter()
+    if isinstance(population, Sampled) and population.count < 1:
+        raise SpecInvalid(f"sample count must be >= 1, got {population.count}")
     if theorem is TheoremId.THM1:
         report = _sweep_thm1(population, budget, max_recorded)
         return _with_elapsed(report, time.perf_counter() - start)
@@ -424,6 +366,8 @@ def sweep(
             raise BudgetExceeded(f"sample count {total} exceeds budget {budget}")
         if population.k**population.n > budget:
             raise BudgetExceeded(f"table size {population.k**population.n} exceeds budget {budget}")
+        if population.reject_until_hypothesis:
+            _require_feasible(theorem, population)
         desc = (
             f"sampled k={population.k} b={population.b} n={population.n} "
             f"count={population.count} seed={population.seed} "
@@ -457,7 +401,7 @@ def sweep(
         violations=tuple(violations),
         witnesses=(),
         exhaustive=exhaustive,
-        passed=vcount == 0,
+        passed=vcount == 0 and checked > 0,
         elapsed_s=0.0,
     )
     return _with_elapsed(report, time.perf_counter() - start)
@@ -473,27 +417,18 @@ def _with_elapsed(report: SweepReport, elapsed: float) -> SweepReport:
 
 
 def _sweep_thm1(population, budget: int, max_recorded: int) -> SweepReport:
+    if not isinstance(population, (Exhaustive, Sampled)):
+        raise SpecInvalid(f"unknown population spec {population!r}")
+    if population.b != population.k:
+        raise SpecInvalid("total-collapse witnesses are operations: need b = k")
+    k, n = population.k, population.n
     if isinstance(population, Exhaustive):
-        if population.b != population.k:
-            raise SpecInvalid("total-collapse witnesses are operations: need b = k")
+        ws = find_total_collapse_witnesses(k, n, limit=max_recorded, budget=budget)
+    else:
         ws = find_total_collapse_witnesses(
-            population.k, population.n, limit=max_recorded, budget=budget
-        )
-        k, n = population.k, population.n
-    elif isinstance(population, Sampled):
-        if population.b != population.k:
-            raise SpecInvalid("total-collapse witnesses are operations: need b = k")
-        ws = find_total_collapse_witnesses(
-            population.k,
-            population.n,
-            limit=max_recorded,
-            seed=population.seed,
-            budget=budget,
+            k, n, limit=max_recorded, seed=population.seed, budget=budget,
             samples=population.count,
         )
-        k, n = population.k, population.n
-    else:
-        raise SpecInvalid(f"unknown population spec {population!r}")
     # The theorem guarantees a witness for n <= k; a complete search that
     # finds none would disprove it.
     failed = ws.exhaustive and n <= k and ws.total_found == 0

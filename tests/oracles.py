@@ -1,14 +1,24 @@
 """Independent brute-force oracles the library is checked against.
 
 Everything here recomputes results from the definitions, deliberately
-avoiding the code paths under test: essential variables by scanning
-point pairs, ANF coefficients by subset sums, essl by enumerating every
-simple variable substitution.
+avoiding the code paths under test: only f.k, f.b, f.n and the tuple view
+f.table are read.  Essential variables come from scanning point pairs, ANF
+coefficients from subset sums, minors from explicit point maps, and essl
+from enumerating every simple variable substitution.
 """
 
+from collections import namedtuple
 from itertools import product
 
-from aritygap import Substitution, ess, evaluate, leq, substitute
+# A bare value table with the FiniteFunction attributes the oracles read.
+Table = namedtuple("Table", "k b n table")
+
+
+def _value(f, point):
+    idx = 0
+    for x in point:
+        idx = idx * f.k + x
+    return f.table[idx]
 
 
 def naive_essential(f, i):
@@ -16,13 +26,35 @@ def naive_essential(f, i):
     for point in product(range(f.k), repeat=f.n):
         for other in range(f.k):
             changed = point[: i - 1] + (other,) + point[i:]
-            if evaluate(f, point) != evaluate(f, changed):
+            if _value(f, point) != _value(f, changed):
                 return True
     return False
 
 
 def naive_ess(f):
     return sum(1 for i in range(1, f.n + 1) if naive_essential(f, i))
+
+
+def naive_identify(f, i, j):
+    """Table of f with x_j substituted for x_i, point by point."""
+    return tuple(
+        _value(f, point[: i - 1] + (point[j - 1],) + point[i:])
+        for point in product(range(f.k), repeat=f.n)
+    )
+
+
+def naive_gap_report(f):
+    """(ess, essl, gap, witness) from the definitions: essl is the largest
+    ess of an identification minor over essential pairs i < j, the witness
+    the lexicographically least pair attaining it."""
+    ev = [i for i in range(1, f.n + 1) if naive_essential(f, i)]
+    best, witness = -1, None
+    for a, i in enumerate(ev):
+        for j in ev[a + 1 :]:
+            count = naive_ess(Table(f.k, f.b, f.n, naive_identify(f, i, j)))
+            if count > best:
+                best, witness = count, (i, j)
+    return len(ev), best, len(ev) - best, witness
 
 
 def naive_anf_monomials(f):
@@ -37,7 +69,7 @@ def naive_anf_monomials(f):
             point = [0] * n
             for pos, bit in zip(positions, bits):
                 point[pos] = bit
-            acc ^= evaluate(f, point)
+            acc ^= _value(f, point)
         if acc:
             monomials.add(frozenset(pos + 1 for pos in positions))
     return frozenset(monomials)
@@ -49,12 +81,13 @@ def naive_anf_monomials_packed(f):
     index of S.  Fast enough for exhaustive arity-4 sweeps, and checked
     against the explicit-point oracle above."""
     n = f.n
+    table = f.table
     monomials = set()
     for smask in range(1 << n):
         acc = 0
         sub = smask
         while True:
-            acc ^= f.table[sub]
+            acc ^= table[sub]
             if sub == 0:
                 break
             sub = (sub - 1) & smask
@@ -67,9 +100,19 @@ def max_ess_over_strict_minors(f):
     """essl by the original definition: enumerate every sigma with target
     arity n, keep the strict minors (g <= f but not f <= g) and maximize
     their essential arity."""
+    points = list(product(range(f.k), repeat=f.n))
+    index = {point: idx for idx, point in enumerate(points)}
+    # remaps[s][idx]: the row of the source that row idx of the minor reads.
+    remaps = [
+        [index[tuple(point[v] for v in sigma)] for point in points]
+        for sigma in product(range(f.n), repeat=f.n)
+    ]
+
+    def minors(table):
+        return {tuple(table[r] for r in remap) for remap in remaps}
+
     best = 0
-    for mapping in product(range(1, f.n + 1), repeat=f.n):
-        g = substitute(f, Substitution(f.n, f.n, mapping))
-        if not leq(f, g):
-            best = max(best, ess(g))
+    for g in minors(f.table):
+        if f.table not in minors(g):
+            best = max(best, naive_ess(Table(f.k, f.b, f.n, g)))
     return best

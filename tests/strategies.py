@@ -6,9 +6,9 @@ from aritygap import make_function
 
 
 @st.composite
-def finite_functions(draw, max_k=3, max_b=3, max_n=4, max_table=128):
-    k = draw(st.integers(min_value=1, max_value=max_k))
-    b = draw(st.integers(min_value=1, max_value=max_b))
+def finite_functions(draw, max_k=3, max_b=3, max_n=4, max_table=128, min_k=1, min_b=1):
+    k = draw(st.integers(min_value=min_k, max_value=max_k))
+    b = draw(st.integers(min_value=min_b, max_value=max_b))
     top_n = max_n
     while k**top_n > max_table:
         top_n -= 1

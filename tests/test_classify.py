@@ -120,6 +120,9 @@ class TestGapViaClassifier:
     def test_ess_too_small(self):
         with pytest.raises(EssentialArityTooSmall):
             gap_via_classifier(make_function(2, 2, 2, [0, 0, 1, 1]))
+        for value in (0, 1):
+            with pytest.raises(EssentialArityTooSmall):
+                gap_via_classifier(make_function(2, 2, 3, [value] * 8))
 
     @given(boolean_functions(min_n=2, max_n=4))
     @settings(deadline=None)

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -176,6 +177,39 @@ class TestSweepCommand:
         assert main(["sweep", "--theorem", "lemdeg2", "--n", "4"]) == 0
         assert "violations: 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "shape",
+        [["thmgen", "--k", "2", "--n", "14"], ["thmgen", "--k", "3", "--n", "14"],
+         ["lemdeg2", "--n", "200"]],
+    )
+    def test_huge_exhaustive_population_exits_3(self, shape, capsys):
+        # The population size has thousands of digits: decided without
+        # building or printing it.
+        assert main(["sweep", "--theorem", *shape]) == 3
+        err = capsys.readouterr().err
+        assert "exceed budget" in err and len(err) < 200
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_nonpositive_count_exits_2(self, count, capsys):
+        assert main(["sweep", "--theorem", "thmstr", "--n", "3", "--count", count]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_nothing_checked_exits_4(self, capsys):
+        # Every two-variable Boolean table has ess <= 2 = k: all 16 skipped.
+        assert main(["sweep", "--theorem", "thmgen", "--k", "2", "--n", "2"]) == 4
+        out = capsys.readouterr().out
+        assert "checked: 0  skipped: 16" in out and "result: nothing checked" in out
+
+    @pytest.mark.parametrize(
+        "theorem,k,n",
+        [("lemkplus1", "2", "2"), ("thmgen", "3", "3"), ("salomaaaux", "2", "1")],
+    )
+    def test_infeasible_hypothesis_exits_2(self, theorem, k, n, capsys):
+        argv = ["sweep", "--theorem", theorem, "--k", k, "--n", n, "--count", "5",
+                "--reject-hypothesis"]
+        assert main(argv) == 2
+        assert "hypothesis holds for no function" in capsys.readouterr().err
+
 
 class TestSearchCommand:
     def test_boolean_rejected(self, capsys):
@@ -184,6 +218,10 @@ class TestSearchCommand:
 
     def test_arity_too_small_rejected(self, capsys):
         assert main(["search", "--k", "3", "--n", "3"]) == 2
+
+    def test_negative_count_rejected(self, capsys):
+        assert main(["search", "--k", "3", "--n", "4", "--count", "-1"]) == 2
+        assert "--count" in capsys.readouterr().err
 
     def test_small_run_reports_none(self, capsys):
         assert main(["search", "--k", "3", "--n", "4", "--count", "30", "--seed", "1"]) == 0
@@ -250,3 +288,31 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "gap=2" in result.stdout
+
+
+def _parity_hex(n):
+    # Thue-Morse: row r of the parity table is popcount(r) mod 2.
+    rows = "0"
+    while len(rows) < 1 << n:
+        rows += rows.translate(str.maketrans("01", "10"))
+    return "hex:" + format(int(rows, 2), f"0{(1 << n) // 4}x")
+
+
+def test_parity_18_analyze_in_bounded_memory(tmp_path):
+    path = tmp_path / "parity18.fn"
+    path.write_text(_parity_hex(18), encoding="utf-8")
+
+    def limit_address_space():
+        # Applies in the child only, between fork and exec.
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "aritygap", "analyze", str(path), "--json"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert (payload["ess"], payload["essl"], payload["gap"]) == (18, 16, 2)

@@ -23,7 +23,8 @@ from aritygap.errors import (
     NotTotallyEssential,
     SpecInvalid,
 )
-from aritygap.verifier import _deg2_total, _unpack_table, _var_masks
+from aritygap.core import FiniteFunction
+from aritygap.verifier import _deg2_total, _var_masks
 
 XOR = make_function(2, 2, 2, [0, 1, 1, 0])
 AND = make_function(2, 2, 2, [0, 0, 0, 1])
@@ -181,6 +182,33 @@ class TestSweep:
         assert r.checked + r.skipped == 3**9
         assert r.checked > 0
 
+    def test_nothing_checked_does_not_pass(self):
+        r = sweep(TheoremId.THM_GEN, Exhaustive(2, 2, 2), workers=1)
+        assert (r.checked, r.skipped, r.violation_count) == (0, 16, 0)
+        assert not r.passed
+
+    def test_nonpositive_count_rejected(self):
+        for count in (0, -5):
+            with pytest.raises(SpecInvalid):
+                sweep(TheoremId.THM_STR, Sampled(2, 2, 3, count, 0), workers=1)
+
+    @pytest.mark.parametrize(
+        "theorem,shape",
+        [
+            (TheoremId.LEM_KPLUS1, (2, 2, 2)),
+            (TheoremId.THM_GEN, (3, 3, 3)),
+            (TheoremId.THM_SALOMAA_AUX, (2, 2, 1)),
+            (TheoremId.THM_STR, (2, 1, 4)),
+        ],
+    )
+    def test_infeasible_hypothesis_fails_before_drawing(self, theorem, shape, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a sample for an infeasible hypothesis")
+
+        monkeypatch.setattr(verifier, "random_function", no_draws)
+        with pytest.raises(HypothesisNotMet):
+            sweep(theorem, Sampled(*shape, 5, 0, reject_until_hypothesis=True), workers=1)
+
     def test_sampled_without_rejection_counts_skips(self):
         r = sweep(TheoremId.THM_SALOMAA_AUX, Sampled(2, 2, 2, 200, seed=13), workers=1)
         assert r.checked + r.skipped == 200
@@ -204,7 +232,7 @@ class TestDeg2MaskEngine:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_var_masks_match_from_anf(self, n):
         for t in range(1, n + 1):
-            table = _unpack_table(_var_masks(n)[t - 1], 1 << n)
+            table = FiniteFunction(2, 2, n, _var_masks(n)[t - 1]).table
             assert table == from_anf(make_polynomial(n, [{t}])).table
 
     def test_composite_polynomial_masks(self):
@@ -213,4 +241,4 @@ class TestDeg2MaskEngine:
         # x1*x2 + x3 + 1
         tbl = (vm[0] & vm[1]) ^ vm[2] ^ ((1 << (1 << n)) - 1)
         expected = from_anf(make_polynomial(n, [{1, 2}, {3}, set()])).table
-        assert _unpack_table(tbl, 1 << n) == expected
+        assert FiniteFunction(2, 2, n, tbl).table == expected
