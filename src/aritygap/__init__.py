@@ -48,8 +48,7 @@ from .verifier import (
     Sampled,
     SweepReport,
     TheoremId,
-    check_boolean_bound,
-    check_gap_bound,
+    check,
     check_kplus1_lemma,
     find_restriction_witness,
     sweep,

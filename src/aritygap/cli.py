@@ -35,9 +35,8 @@ from .generators import (
     lift,
     quasi_linear,
     random_function,
-    substream_seed,
 )
-from .verifier import Exhaustive, Sampled, TheoremId, sweep
+from .verifier import Exhaustive, Sampled, TheoremId, _function_dict, _Search, sweep
 
 SCHEMA = "aritygap/1"
 
@@ -205,32 +204,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_search(args) -> int:
     if args.k < 3:
-        print(
-            "error: gap >= 3 search needs k >= 3; Boolean functions have gap at most 2",
-            file=sys.stderr,
-        )
-        return 2
-    if args.n < args.k + 1:
-        print(
-            f"error: need n >= k+1 = {args.k + 1} so that ess f >= k+1 is attainable",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueOutOfRange("gap >= 3 search needs k >= 3; Boolean functions have gap at most 2")
     if args.count < 1:
         raise ValueOutOfRange(f"--count must be >= 1, got {args.count}")
-    budget = _budget()
-    hits = []
-    for i in range(args.count):
-        base = substream_seed(args.seed, i)
-        for attempt in range(10000):
-            f = random_function(args.k, args.k, args.n, substream_seed(base, attempt), budget)
-            if len(essential_vars(f)) >= args.k + 1:
-                break
-        else:
-            raise ArityGapError("could not sample a function with ess >= k+1")
-        r = gap_report(f)
-        if r.gap >= 3:
-            hits.append((f, r))
+    # A sampled sweep under ThmGen's hypothesis (ess f > k) whose recorded
+    # "violations" are the functions with gap >= 3.
+    population = Sampled(args.k, args.k, args.n, args.count, args.seed, True)
+    report = sweep(_Search.GAP3, population, budget=_budget(), max_recorded=args.count)
+    hits = [(f, gap_report(f)) for f in report.violations]
     payload = {
         "schema": SCHEMA,
         "k": args.k,
@@ -238,23 +219,14 @@ def cmd_search(args) -> int:
         "count": args.count,
         "seed": args.seed,
         "found": [
-            {
-                "k": f.k,
-                "n": f.n,
-                "b": f.b,
-                "table": list(f.table),
-                "ess": r.ess,
-                "essl": r.essl,
-                "gap": r.gap,
-                "witness": list(r.witness),
-            }
+            {**_function_dict(f), "ess": r.ess, "essl": r.essl, "gap": r.gap, "witness": list(r.witness)}
             for f, r in hits
         ],
     }
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     elif not hits:
-        print(f"none found: {args.count} samples at k={args.k} n={args.n} all have gap <= {args.k}")
+        print(f"none found: {args.count} samples at k={args.k} n={args.n} all have gap <= 2")
     else:
         for f, r in hits:
             print(

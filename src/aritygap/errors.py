@@ -33,10 +33,6 @@ class EssentialArityTooSmall(ArityGapError, ValueError):
     """Operation needs at least two essential variables."""
 
 
-class NotBoolean(ArityGapError, ValueError):
-    """Operation is only defined for k = b = 2."""
-
-
 class SpecInvalid(ArityGapError, ValueError):
     """A generator spec violates its structural constraints."""
 
@@ -55,6 +51,10 @@ class HypothesisNotMet(ArityGapError, ValueError):
 
 class NotTotallyEssential(HypothesisNotMet):
     """Function must depend on all of its variables."""
+
+
+class NotBoolean(HypothesisNotMet):
+    """Operation is only defined for k = b = 2."""
 
 
 class BudgetExceeded(ArityGapError):

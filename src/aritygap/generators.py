@@ -10,7 +10,7 @@ outputs are frozen in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 
 from .core import (
     FiniteFunction,
@@ -79,9 +79,7 @@ def random_function(
     """Uniform i.i.d. table entries drawn from SplitMix64(seed)."""
     if k < 1 or b < 1 or n < 1:
         raise ValueOutOfRange(f"k, b and n must be >= 1, got k={k} b={b} n={n}")
-    size = k**n
-    if size > budget:
-        raise BudgetExceeded(f"table size {size} exceeds budget {budget}")
+    size = table_size(k, n, budget)
     if b & (b - 1):
         rng = SplitMix64(seed)
         return FiniteFunction(k, b, n, pack([rng.below(b) for _ in range(size)], field_width(b)))
@@ -187,21 +185,20 @@ class WitnessSearch:
     mode: str
 
 
-def _rainbow_indices(k: int, n: int) -> tuple[int, ...]:
-    """Table indices of the points with pairwise distinct coordinates."""
-    out = []
-    for idx, point in enumerate(product(range(k), repeat=n)):
-        if len(set(point)) == n:
-            out.append(idx)
-    return tuple(out)
-
-
 def power_exceeds(base: int, exp: int, budget: int) -> bool:
     """Whether base**exp > budget, decided without building a huge power:
     for base >= 2, exp >= budget.bit_length() already exceeds it."""
     if base >= 2 and exp >= budget.bit_length():
         return True
     return base**exp > budget
+
+
+def table_size(k: int, n: int, budget: int) -> int:
+    """Row count k**n of a table on n variables over k elements; raises
+    BudgetExceeded, naming the size as k**n, when it exceeds the budget."""
+    if power_exceeds(k, n, budget):
+        raise BudgetExceeded(f"tables of {k}**{n} rows exceed budget {budget}")
+    return k**n
 
 
 def find_total_collapse_witnesses(
@@ -226,48 +223,51 @@ def find_total_collapse_witnesses(
         raise ValueOutOfRange(f"k and n must be >= 1, got k={k} n={n}")
     if limit < 1:
         raise ValueOutOfRange(f"limit must be >= 1, got {limit}")
-    size = k**n
-    if size > budget:
-        raise BudgetExceeded(f"table size {size} exceeds budget {budget}")
-    rainbow = _rainbow_indices(k, n)
-    rainbow_set = frozenset(rainbow)
+    size = table_size(k, n, budget)
+    # ones has a 1 in every field, so multiplying it by a value repeats that
+    # value in every row.  shifts are the bit offsets of the rainbow rows, the
+    # points with pairwise distinct coordinates, ascending: permutations
+    # yields them in lexicographic order.  repeated covers the other rows.
+    w = field_width(k)
+    top = (size - 1) * w
+    full = (1 << size * w) - 1
+    ones = full // ((1 << w) - 1)
+    shifts = tuple(top - encode_point(point, k) * w for point in permutations(range(k), n))
+    repeated = full ^ sum(((1 << w) - 1) << s for s in shifts)
 
     if not power_exceeds(k, size, budget):
         space = examined = k**size
         functions = (from_code(k, k, n, code) for code in range(space))
         exhaustive, mode = True, "full"
     else:
-        space = k ** (len(rainbow) + 1)
+        space = k ** (len(shifts) + 1)
         if space <= budget:
             codes, examined, exhaustive, mode = range(space), space, True, "diagonal"
         else:
             rng = SplitMix64(seed)
             codes = (rng.below(space) for _ in range(samples))
             examined, exhaustive, mode = samples, False, "diagonal-sampled"
-        functions = (_diagonal_function(code, k, n, rainbow) for code in codes)
+        functions = (_diagonal_function(code, k, n, shifts, ones) for code in codes)
 
     # All identification minors of f are constant iff f is constant on the
     # points with a repeated coordinate (row 0 has one whenever any point
-    # does), and then ess f = n must hold.  ones has a 1 in every field, so
-    # multiplying it by a value repeats that value in every row.
-    w = field_width(k)
-    repeated = pack([0 if idx in rainbow_set else (1 << w) - 1 for idx in range(size)], w)
-    ones = pack([1] * size, w)
-    top = (size - 1) * w
+    # does), and then ess f = n must hold, which a constant f misses.
     found: list[FiniteFunction] = []
     total = 0
     for f in functions:
-        if f.bits & repeated == ((f.bits >> top) * ones) & repeated and len(essential_vars(f)) == n:
+        filled = (f.bits >> top) * ones
+        collapses = f.bits & repeated == filled & repeated
+        if collapses and f.bits != filled and len(essential_vars(f)) == n:
             total += 1
             if len(found) < limit:
                 found.append(f)
     return WitnessSearch(tuple(found), exhaustive, examined, space, total, mode)
 
 
-def _diagonal_function(code: int, k: int, n: int, rainbow: tuple[int, ...]) -> FiniteFunction:
+def _diagonal_function(code: int, k: int, n: int, shifts, ones: int) -> FiniteFunction:
     # code = (constant, rainbow values) in base k, constant most significant.
-    const, *values = decode_index(code, k, len(rainbow) + 1)
-    table = [const] * k**n
-    for idx, v in zip(rainbow, values):
-        table[idx] = v
-    return FiniteFunction(k, k, n, pack(table, field_width(k)))
+    const, *values = decode_index(code, k, len(shifts) + 1)
+    bits = const * ones
+    for s, v in zip(shifts, values):
+        bits ^= (v ^ const) << s
+    return FiniteFunction(k, k, n, bits)

@@ -14,9 +14,11 @@ import dataclasses
 import multiprocessing
 import os
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
+from .anf import degree, to_anf
 from .classify import gap_via_classifier
 from .core import (
     FiniteFunction,
@@ -36,6 +38,7 @@ from .generators import (
     power_exceeds,
     random_function,
     substream_seed,
+    table_size,
 )
 
 
@@ -88,19 +91,11 @@ class SweepReport:
     elapsed_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "aritygap/1",
-            "theorem": self.theorem.value,
-            "population": self.population,
-            "checked": self.checked,
-            "skipped": self.skipped,
-            "violation_count": self.violation_count,
-            "violations": [_function_dict(f) for f in self.violations],
-            "witnesses": [_function_dict(f) for f in self.witnesses],
-            "exhaustive": self.exhaustive,
-            "passed": self.passed,
-            "elapsed_s": self.elapsed_s,
-        }
+        d = {"schema": "aritygap/1"}
+        d.update((fd.name, getattr(self, fd.name)) for fd in dataclasses.fields(self))
+        d.update(theorem=self.theorem.value, violations=[_function_dict(f) for f in self.violations],
+                 witnesses=[_function_dict(f) for f in self.witnesses])
+        return d
 
 
 def _function_dict(f: FiniteFunction) -> dict:
@@ -108,23 +103,88 @@ def _function_dict(f: FiniteFunction) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# per-function checks
+# theorem records
 # ---------------------------------------------------------------------------
 
 
-def check_gap_bound(f: FiniteFunction) -> bool:
-    """gap <= k for any function whose essential arity exceeds k."""
-    e = ess(f)
-    if e <= f.k:
-        raise HypothesisNotMet(f"need ess f > k, got ess={e} k={f.k}")
-    return gap_report(f).essl >= e - f.k
+@dataclass(frozen=True)
+class _Theorem:
+    """One statement: a hypothesis on f and the claim it makes about such f.
+
+    The hypothesis is ess f >= 2, or ess f > k when above_k, plus ess f = n
+    when total and k = b = 2 when boolean.  The feasibility of a shape
+    follows from it: with k, b >= 2 some f depends on all n variables.
+    """
+
+    above_k: bool
+    total: bool
+    boolean: bool
+    claim: Callable[[FiniteFunction], bool] | None
+
+    def min_ess(self, k: int) -> int:
+        return k + 1 if self.above_k else 2
+
+    def need(self) -> str:
+        return "ess f" + (" = n" if self.total else "") + (" > k" if self.above_k else " >= 2")
+
+    def require_shape(self, name: str, k: int, b: int) -> None:
+        if self.boolean and (k != 2 or b != 2):
+            raise NotBoolean(f"{name} needs k = b = 2, got k={k} b={b}")
+
+    def holds(self, f: FiniteFunction) -> bool:
+        """Whether f meets the hypothesis, its shape already accepted."""
+        e = len(essential_vars(f))
+        return e >= self.min_ess(f.k) and (not self.total or e == f.n)
+
+    def feasible(self, k: int, b: int, n: int) -> bool:
+        return k >= 2 and b >= 2 and n >= self.min_ess(k)
 
 
-def check_boolean_bound(f: FiniteFunction) -> bool:
-    """gap <= 2 for Boolean functions with ess >= 2."""
-    if f.k != 2 or f.b != 2:
-        raise NotBoolean(f"needs k = b = 2, got k={f.k} b={f.b}")
-    return gap_report(f).gap <= 2
+def _deg2_claim(f: FiniteFunction) -> bool:
+    """LemDeg2: a polynomial of degree 2 with at least four occurring, that
+    is essential, variables has gap 1; other functions meet it vacuously."""
+    r = gap_report(f)
+    return r.gap == 1 or r.ess < 4 or degree(to_anf(f)) != 2
+
+
+# _Theorem(above_k, total, boolean, claim) per statement.  Thm1 is existential
+# and checked by its witness search.
+_THEOREMS = {
+    TheoremId.THM1: _Theorem(False, True, False, None),
+    TheoremId.THM_SALOMAA_MAIN: _Theorem(False, False, True, lambda f: gap_report(f).gap <= 2),
+    TheoremId.THM_GEN: _Theorem(True, False, False, lambda f: gap_report(f).gap <= f.k),
+    TheoremId.THM_SALOMAA_AUX: _Theorem(False, True, False, lambda f: _restriction_witness(f) is not None),
+    TheoremId.LEM_KPLUS1: _Theorem(True, True, False, lambda f: _kplus1_pair(f) is not None),
+    TheoremId.THM_STR: _Theorem(False, False, True, lambda f: gap_via_classifier(f) == gap_report(f).gap),
+    TheoremId.LEM_DEG2: _Theorem(False, False, True, _deg2_claim),
+}
+# The gap >= 3 search, keyed apart from the theorems: ThmGen's hypothesis,
+# and its hits are the functions that fail the claim.
+_Search = Enum("_Search", {"GAP3": "Gap3Search"})
+_THEOREMS[_Search.GAP3] = dataclasses.replace(
+    _THEOREMS[TheoremId.THM_GEN], claim=lambda f: gap_report(f).gap < 3
+)
+
+
+def _require(key, f: FiniteFunction) -> _Theorem:
+    """The record of key, after checking that f meets its hypothesis."""
+    spec = _THEOREMS[key]
+    spec.require_shape(key.value, f.k, f.b)
+    if not spec.holds(f):
+        error = NotTotallyEssential if spec.total else HypothesisNotMet
+        raise error(f"{key.value} needs {spec.need()}, got ess={ess(f)} n={f.n} k={f.k}")
+    return spec
+
+
+def check(theorem: TheoremId, f: FiniteFunction) -> bool:
+    """Whether the theorem's claim holds for f.
+
+    Raises HypothesisNotMet (NotBoolean, NotTotallyEssential) when f misses
+    the hypothesis, and SpecInvalid for Thm1, which has no per-function claim.
+    """
+    if _THEOREMS[theorem].claim is None:
+        raise SpecInvalid(f"{theorem.value} has no per-function check; sweep it")
+    return _require(theorem, f).claim(f)
 
 
 def find_restriction_witness(f: FiniteFunction) -> tuple[int, int] | None:
@@ -134,10 +194,11 @@ def find_restriction_witness(f: FiniteFunction) -> tuple[int, int] | None:
     None means every restriction was tried without a hit, which would
     contradict the theory; sweeps record that as a violation.
     """
-    if f.n < 2 or len(essential_vars(f)) != f.n:
-        raise NotTotallyEssential(
-            f"need a function of arity >= 2 depending on all variables, ess={ess(f)} n={f.n}"
-        )
+    _require(TheoremId.THM_SALOMAA_AUX, f)
+    return _restriction_witness(f)
+
+
+def _restriction_witness(f: FiniteFunction) -> tuple[int, int] | None:
     masks, strides, lower = _layout(f.k, field_width(f.b), f.n)
     for j in range(f.n):
         rest = [t for t in range(f.n) if t != j]
@@ -152,10 +213,11 @@ def find_restriction_witness(f: FiniteFunction) -> tuple[int, int] | None:
 def check_kplus1_lemma(f: FiniteFunction) -> tuple[int, int] | None:
     """First pair 1 <= i < j <= k+1 whose identification minor keeps one of
     the first k+1 variables essential; None would contradict the lemma."""
-    if f.n <= f.k or len(essential_vars(f)) != f.n:
-        raise HypothesisNotMet(
-            f"need ess f = arity n > k, got ess={ess(f)} n={f.n} k={f.k}"
-        )
+    _require(TheoremId.LEM_KPLUS1, f)
+    return _kplus1_pair(f)
+
+
+def _kplus1_pair(f: FiniteFunction) -> tuple[int, int] | None:
     masks, strides, lower = _layout(f.k, field_width(f.b), f.n)
     top = f.k + 1
     for i in range(top):
@@ -168,42 +230,13 @@ def check_kplus1_lemma(f: FiniteFunction) -> tuple[int, int] | None:
 _OK, _SKIP, _VIOL = 0, 1, 2
 
 
-def _check_one(theorem: TheoremId, f: FiniteFunction) -> int:
-    if theorem is TheoremId.THM_STR:
-        if len(essential_vars(f)) < 2:
-            return _SKIP
-        return _OK if gap_via_classifier(f) == gap_report(f).gap else _VIOL
-    if theorem is TheoremId.THM_SALOMAA_MAIN:
-        if f.k != 2 or f.b != 2:
-            raise NotBoolean(f"needs k = b = 2, got k={f.k} b={f.b}")
-        if len(essential_vars(f)) < 2:
-            return _SKIP
-        return _OK if gap_report(f).gap <= 2 else _VIOL
-    if theorem is TheoremId.THM_GEN:
-        e = ess(f)
-        if e <= f.k:
-            return _SKIP
-        return _OK if gap_report(f).essl >= e - f.k else _VIOL
-    if theorem is TheoremId.THM_SALOMAA_AUX:
-        if f.n < 2 or len(essential_vars(f)) != f.n:
-            return _SKIP
-        return _OK if find_restriction_witness(f) is not None else _VIOL
-    if theorem is TheoremId.LEM_KPLUS1:
-        if f.n <= f.k or len(essential_vars(f)) != f.n:
-            return _SKIP
-        return _OK if check_kplus1_lemma(f) is not None else _VIOL
-    raise SpecInvalid(f"no per-function check for {theorem}")
-
-
 # ---------------------------------------------------------------------------
 # populations
 # ---------------------------------------------------------------------------
 
 
 def _exhaustive_total(pop: Exhaustive, budget: int) -> int:
-    size = pop.k**pop.n
-    if size > budget:
-        raise BudgetExceeded(f"table size {size} exceeds budget {budget}")
+    size = table_size(pop.k, pop.n, budget)
     if power_exceeds(pop.b, size, budget):
         raise BudgetExceeded(f"{pop.b}**{size} tables exceed budget {budget}; use a sampled sweep")
     return pop.b**size
@@ -215,8 +248,6 @@ def _var_masks(n: int) -> tuple[int, ...]:
 
 
 def _deg2_total(pop: Exhaustive, budget: int) -> int:
-    if pop.k != 2 or pop.b != 2:
-        raise NotBoolean("degree-2 polynomial sweeps need k = b = 2")
     npairs = pop.n * (pop.n - 1) // 2
     # At least 2**(npairs + n) candidates whenever there is a pair.
     if npairs and power_exceeds(2, npairs + pop.n, budget):
@@ -227,9 +258,11 @@ def _deg2_total(pop: Exhaustive, budget: int) -> int:
     return total
 
 
-def _run_deg2_range(n: int, lo: int, hi: int, max_recorded: int):
+def _run_deg2_range(claim, n: int, lo: int, hi: int, max_recorded: int):
     """Walk degree-2 polynomials (quadratic part, linear part, constant)
-    by linear candidate index; quadratic part changes slowest."""
+    by linear candidate index; quadratic part changes slowest.  Those with
+    fewer than four occurring variables are skipped; the occurring
+    variables are the essential ones, so the rest meet LemDeg2's hypothesis."""
     vm = _var_masks(n)
     # (table, variable bitset) per quadratic monomial x_s*x_t, lex order.
     pairs = [(vm[s] & vm[t], (1 << s) | (1 << t)) for s in range(n) for t in range(s + 1, n)]
@@ -267,51 +300,48 @@ def _run_deg2_range(n: int, lo: int, hi: int, max_recorded: int):
             tbl ^= all_ones
         f = FiniteFunction(2, 2, n, tbl)
         checked += 1
-        if gap_report(f).gap != 1:
+        if not claim(f):
             vcount += 1
             if len(violations) < max_recorded:
                 violations.append(f)
     return checked, skipped, vcount, violations
 
 
-def _require_feasible(theorem: TheoremId, pop: Sampled) -> None:
-    """Refuse a shape on which the theorem's hypothesis never holds, before
-    rejection sampling burns draws on it.  Every hypothesis needs ess f >= 2,
-    ThmGen and LemKplus1 need ess f > k, and with k, b >= 2 each is met."""
-    need = pop.k + 1 if theorem in (TheoremId.THM_GEN, TheoremId.LEM_KPLUS1) else 2
-    if pop.k < 2 or pop.b < 2 or pop.n < need:
-        shape = f"k={pop.k} b={pop.b} n={pop.n}"
-        raise HypothesisNotMet(f"{theorem.value} hypothesis holds for no function with {shape}")
-
-
-def _member(theorem: TheoremId, pop, index: int) -> tuple[FiniteFunction, int]:
+def _member(key, pop, index: int) -> tuple[FiniteFunction, int]:
     """Population member index and its check outcome; with rejection, attempt
     a of sample i draws from substream_seed(base, a) until it is not skipped."""
+    spec = _THEOREMS[key]
     if isinstance(pop, Exhaustive):
         f = from_code(pop.k, pop.b, pop.n, index)
-        return f, _check_one(theorem, f)
-    base = substream_seed(pop.seed, index)
-    if not pop.reject_until_hypothesis:
-        f = random_function(pop.k, pop.b, pop.n, base)
-        return f, _check_one(theorem, f)
-    for attempt in range(10000):
-        f = random_function(pop.k, pop.b, pop.n, substream_seed(base, attempt))
-        outcome = _check_one(theorem, f)
-        if outcome != _SKIP:
-            return f, outcome
-    raise HypothesisNotMet(
-        f"rejection sampling found no function satisfying {theorem.value} in 10000 draws"
-    )
+    elif not pop.reject_until_hypothesis:
+        f = random_function(pop.k, pop.b, pop.n, substream_seed(pop.seed, index))
+    else:
+        base = substream_seed(pop.seed, index)
+        for attempt in range(10000):
+            f = random_function(pop.k, pop.b, pop.n, substream_seed(base, attempt))
+            outcome = _outcome(spec, f)
+            if outcome != _SKIP:
+                return f, outcome
+        raise HypothesisNotMet(
+            f"rejection sampling found no function satisfying {key.value} in 10000 draws"
+        )
+    return f, _outcome(spec, f)
+
+
+def _outcome(spec: _Theorem, f: FiniteFunction) -> int:
+    if not spec.holds(f):
+        return _SKIP
+    return _OK if spec.claim(f) else _VIOL
 
 
 def _run_range(args):
-    theorem, pop, lo, hi, max_recorded = args
-    if theorem is TheoremId.LEM_DEG2:
-        return _run_deg2_range(pop.n, lo, hi, max_recorded)
+    key, pop, lo, hi, max_recorded = args
+    if key is TheoremId.LEM_DEG2:
+        return _run_deg2_range(_THEOREMS[key].claim, pop.n, lo, hi, max_recorded)
     checked = skipped = vcount = 0
     violations: list[FiniteFunction] = []
     for i in range(lo, hi):
-        f, outcome = _member(theorem, pop, i)
+        f, outcome = _member(key, pop, i)
         if outcome == _SKIP:
             skipped += 1
             continue
@@ -341,14 +371,19 @@ def sweep(
 
     Deterministic up to elapsed_s: exhaustive populations are walked in
     table-code order, sampled ones by sample index, and chunked worker
-    results are merged in chunk order.
+    results are merged in chunk order.  Each member that meets the
+    theorem's hypothesis is checked against its claim; the rest are skipped.
     """
     start = time.perf_counter()
+    if not isinstance(population, (Exhaustive, Sampled)):
+        raise SpecInvalid(f"unknown population spec {population!r}")
     if isinstance(population, Sampled) and population.count < 1:
         raise SpecInvalid(f"sample count must be >= 1, got {population.count}")
+    spec = _THEOREMS[theorem]
+    spec.require_shape(theorem.value, population.k, population.b)
     if theorem is TheoremId.THM1:
         report = _sweep_thm1(population, budget, max_recorded)
-        return _with_elapsed(report, time.perf_counter() - start)
+        return dataclasses.replace(report, elapsed_s=time.perf_counter() - start)
 
     if isinstance(population, Exhaustive):
         if theorem is TheoremId.LEM_DEG2:
@@ -358,24 +393,26 @@ def sweep(
             total = _exhaustive_total(population, budget)
             desc = f"exhaustive k={population.k} b={population.b} n={population.n} ({total} tables)"
         exhaustive = True
-    elif isinstance(population, Sampled):
+    else:
         if theorem is TheoremId.LEM_DEG2:
             raise SpecInvalid("LemDeg2 sweeps enumerate polynomials; use Exhaustive")
+        k, b, n = population.k, population.b, population.n
         total = population.count
         if total > budget:
             raise BudgetExceeded(f"sample count {total} exceeds budget {budget}")
-        if population.k**population.n > budget:
-            raise BudgetExceeded(f"table size {population.k**population.n} exceeds budget {budget}")
-        if population.reject_until_hypothesis:
-            _require_feasible(theorem, population)
+        table_size(k, n, budget)
+        # Refuse a shape where rejection sampling could never stop.
+        if population.reject_until_hypothesis and not spec.feasible(k, b, n):
+            raise HypothesisNotMet(
+                f"{theorem.value} hypothesis holds for no function with k={k} b={b} n={n}"
+                f" (needs {spec.need()})"
+            )
         desc = (
-            f"sampled k={population.k} b={population.b} n={population.n} "
+            f"sampled k={k} b={b} n={n} "
             f"count={population.count} seed={population.seed} "
             f"reject_until_hypothesis={population.reject_until_hypothesis}"
         )
         exhaustive = False
-    else:
-        raise SpecInvalid(f"unknown population spec {population!r}")
 
     nworkers = workers if workers is not None else max(1, min(os.cpu_count() or 1, 8))
     if total >= _PARALLEL_THRESHOLD and nworkers > 1:
@@ -404,7 +441,7 @@ def sweep(
         passed=vcount == 0 and checked > 0,
         elapsed_s=0.0,
     )
-    return _with_elapsed(report, time.perf_counter() - start)
+    return dataclasses.replace(report, elapsed_s=time.perf_counter() - start)
 
 
 def _chunk_bounds(total: int, chunks: int) -> list[tuple[int, int]]:
@@ -412,23 +449,14 @@ def _chunk_bounds(total: int, chunks: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _with_elapsed(report: SweepReport, elapsed: float) -> SweepReport:
-    return dataclasses.replace(report, elapsed_s=elapsed)
-
-
 def _sweep_thm1(population, budget: int, max_recorded: int) -> SweepReport:
-    if not isinstance(population, (Exhaustive, Sampled)):
-        raise SpecInvalid(f"unknown population spec {population!r}")
     if population.b != population.k:
         raise SpecInvalid("total-collapse witnesses are operations: need b = k")
     k, n = population.k, population.n
-    if isinstance(population, Exhaustive):
-        ws = find_total_collapse_witnesses(k, n, limit=max_recorded, budget=budget)
-    else:
-        ws = find_total_collapse_witnesses(
-            k, n, limit=max_recorded, seed=population.seed, budget=budget,
-            samples=population.count,
-        )
+    sampling = {}
+    if isinstance(population, Sampled):
+        sampling = {"seed": population.seed, "samples": population.count}
+    ws = find_total_collapse_witnesses(k, n, limit=max_recorded, budget=budget, **sampling)
     # The theorem guarantees a witness for n <= k; a complete search that
     # finds none would disprove it.
     failed = ws.exhaustive and n <= k and ws.total_found == 0

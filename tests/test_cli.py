@@ -1,11 +1,15 @@
+import dataclasses
 import json
+import multiprocessing
+import os
 import resource
 import subprocess
 import sys
 
 import pytest
 
-from aritygap import make_function
+import aritygap.verifier as verifier
+from aritygap import essential_vars, gap_report, make_function, random_function, substream_seed
 from aritygap.cli import function_file_text, main, parse_function_text
 from aritygap.errors import ParseError
 
@@ -180,11 +184,13 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "shape",
         [["thmgen", "--k", "2", "--n", "14"], ["thmgen", "--k", "3", "--n", "14"],
-         ["lemdeg2", "--n", "200"]],
+         ["lemdeg2", "--n", "200"], ["thmgen", "--k", "3", "--n", "10000"],
+         ["thmgen", "--k", "3", "--n", "10000", "--count", "1"],
+         ["thm1", "--k", "3", "--n", "10000"]],
     )
     def test_huge_exhaustive_population_exits_3(self, shape, capsys):
-        # The population size has thousands of digits: decided without
-        # building or printing it.
+        # The population or the table size has thousands of digits: decided
+        # without building or printing it.
         assert main(["sweep", "--theorem", *shape]) == 3
         err = capsys.readouterr().err
         assert "exceed budget" in err and len(err) < 200
@@ -233,6 +239,44 @@ class TestSearchCommand:
         assert payload["found"] == []
         assert payload["count"] == 20
 
+    def test_count_above_budget_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("ARITYGAP_BUDGET", "100")
+        assert main(["search", "--k", "3", "--n", "4", "--count", "101"]) == 3
+        assert "sample count 101 exceeds budget 100" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("through_pool", [False, True])
+    def test_hits_are_reported_in_sample_order(self, through_pool, capsys, monkeypatch):
+        # Random searches find no gap >= 3, so the search record is patched
+        # to ess f >= 2 and gap >= 2 hits, which k=3 n=2 samples often have.
+        record = verifier._THEOREMS[verifier._Search.GAP3]
+        patched = dataclasses.replace(record, above_k=False, claim=lambda f: gap_report(f).gap < 2)
+        monkeypatch.setitem(verifier._THEOREMS, verifier._Search.GAP3, patched)
+        pools = []
+        if through_pool:
+            monkeypatch.setattr(verifier, "_PARALLEL_THRESHOLD", 100)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            real_pool = multiprocessing.Pool
+            monkeypatch.setattr(multiprocessing, "Pool", lambda n: pools.append(n) or real_pool(n))
+        argv = ["search", "--k", "3", "--n", "2", "--count", "300", "--seed", "4", "--json"]
+        assert main(argv) == 0
+        found = json.loads(capsys.readouterr().out)["found"]
+        assert pools == ([2] if through_pool else [])
+
+        expected = []
+        for i in range(300):
+            base = substream_seed(4, i)
+            attempt = 0
+            f = random_function(3, 3, 2, substream_seed(base, attempt))
+            while len(essential_vars(f)) < 2:
+                attempt += 1
+                f = random_function(3, 3, 2, substream_seed(base, attempt))
+            r = gap_report(f)
+            if r.gap >= 2:
+                expected.append({"k": 3, "b": 3, "n": 2, "table": list(f.table), "ess": r.ess,
+                                 "essl": r.essl, "gap": r.gap, "witness": list(r.witness)})
+        assert len(expected) > 10
+        assert found == expected
+
 
 class TestGenerateCommand:
     def test_random_golden(self, tmp_path, capsys):
@@ -268,6 +312,11 @@ class TestGenerateCommand:
         assert main(["generate", "--random", "2", "2", "2", "7"]) == 0
         f = parse_function_text(capsys.readouterr().out)
         assert (f.k, f.n) == (2, 2)
+
+    def test_huge_random_table_exits_3(self, capsys):
+        assert main(["generate", "--random", "3", "3", "10000", "0"]) == 3
+        err = capsys.readouterr().err
+        assert "3**10000" in err and "exceed budget" in err and len(err) < 200
 
     def test_invalid_spec_exits_2(self, tmp_path, capsys):
         spec_path = write(tmp_path, "bad.json", json.dumps({"k": 2}))
@@ -316,3 +365,22 @@ def test_parity_18_analyze_in_bounded_memory(tmp_path):
     assert result.returncode == 0, result.stderr
     payload = json.loads(result.stdout)
     assert (payload["ess"], payload["essl"], payload["gap"]) == (18, 16, 2)
+
+
+def test_thm1_k3_n15_in_bounded_memory():
+    # No point of 15 coordinates over 3 elements has distinct coordinates,
+    # so the diagonal family is the 3 constants, rejected before any
+    # essential-variable scan of the 3**15-row table.
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "aritygap", "sweep", "--theorem", "thm1", "--k", "3", "--n", "15",
+         "--json"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["population"] == "diagonal search k=3 n=15 space=3"

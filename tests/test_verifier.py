@@ -5,8 +5,7 @@ from aritygap import (
     Exhaustive,
     Sampled,
     TheoremId,
-    check_boolean_bound,
-    check_gap_bound,
+    check,
     check_kplus1_lemma,
     find_restriction_witness,
     from_anf,
@@ -17,7 +16,6 @@ from aritygap import (
 )
 from aritygap.errors import (
     BudgetExceeded,
-    EssentialArityTooSmall,
     HypothesisNotMet,
     NotBoolean,
     NotTotallyEssential,
@@ -33,12 +31,14 @@ XOR3 = make_function(2, 2, 3, [0, 1, 1, 0, 1, 0, 0, 1])
 
 
 class TestCheckGapBound:
+    """ThmGen through check: gap <= k once ess f > k."""
+
     def test_xor3_within_bound(self):
-        assert check_gap_bound(XOR3)
+        assert check(TheoremId.THM_GEN, XOR3)
 
     def test_hypothesis_needs_ess_above_k(self):
         with pytest.raises(HypothesisNotMet):
-            check_gap_bound(XOR)  # ess = 2 = k
+            check(TheoremId.THM_GEN, XOR)  # ess = 2 = k
 
     def test_ternary_random_samples(self):
         # Random k=3 n=4 tables nearly always have ess = 4 > k; the bound
@@ -46,24 +46,58 @@ class TestCheckGapBound:
         for seed in range(30):
             f = random_function(3, 3, 4, seed=seed)
             try:
-                assert check_gap_bound(f)
+                assert check(TheoremId.THM_GEN, f)
             except HypothesisNotMet:
                 pass
 
 
 class TestCheckBooleanBound:
+    """ThmSalomaaMain through check: Boolean gap <= 2 once ess f >= 2."""
+
     def test_examples(self):
-        assert check_boolean_bound(XOR)
-        assert check_boolean_bound(AND)
-        assert check_boolean_bound(MAJ3)
+        assert check(TheoremId.THM_SALOMAA_MAIN, XOR)
+        assert check(TheoremId.THM_SALOMAA_MAIN, AND)
+        assert check(TheoremId.THM_SALOMAA_MAIN, MAJ3)
 
     def test_requires_boolean(self):
         with pytest.raises(NotBoolean):
-            check_boolean_bound(make_function(3, 3, 2, [0] * 9))
+            check(TheoremId.THM_SALOMAA_MAIN, make_function(3, 3, 2, [0] * 9))
 
     def test_requires_two_essential(self):
-        with pytest.raises(EssentialArityTooSmall):
-            check_boolean_bound(make_function(2, 2, 2, [0, 0, 0, 0]))
+        # A constant misses the hypothesis ess f >= 2.
+        with pytest.raises(HypothesisNotMet):
+            check(TheoremId.THM_SALOMAA_MAIN, make_function(2, 2, 2, [0, 0, 0, 0]))
+
+
+class TestCheck:
+    """One check per theorem record, each reading the same hypothesis the
+    sweeps skip on."""
+
+    @pytest.mark.parametrize("theorem", [t for t in TheoremId if t is not TheoremId.THM1])
+    def test_check_agrees_with_exhaustive_sweep(self, theorem):
+        # Every Boolean table of arity 3: check raises exactly on the
+        # members the sweep skips, and holds on all the others.
+        checked = 0
+        for code in range(256):
+            f = FiniteFunction(2, 2, 3, code)
+            try:
+                assert check(theorem, f)
+            except HypothesisNotMet:
+                continue
+            checked += 1
+        if theorem is not TheoremId.LEM_DEG2:
+            r = sweep(theorem, Exhaustive(2, 2, 3), workers=1)
+            assert (r.checked, r.violation_count) == (checked, 0)
+
+    def test_thm1_has_no_per_function_check(self):
+        with pytest.raises(SpecInvalid):
+            check(TheoremId.THM1, XOR)
+
+    def test_hypothesis_errors_name_the_theorem(self):
+        with pytest.raises(NotTotallyEssential, match="LemKplus1 needs ess f = n > k"):
+            check(TheoremId.LEM_KPLUS1, XOR)
+        with pytest.raises(NotBoolean, match="ThmStr needs k = b = 2"):
+            check(TheoremId.THM_STR, make_function(3, 3, 2, [0, 1, 2] * 3))
 
 
 class TestRestrictionWitness:
