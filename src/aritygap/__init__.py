@@ -35,8 +35,6 @@ from .generators import (
     LiftSpec,
     QuasiLinearSpec,
     SplitMix64,
-    WitnessSearch,
-    find_total_collapse_witnesses,
     lift,
     mix64,
     quasi_linear,

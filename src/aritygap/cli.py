@@ -99,8 +99,9 @@ def function_file_text(f: FiniteFunction, comment: str | None = None) -> str:
     if comment:
         lines.append(f"# {comment}")
     lines.append(f"{f.k} {f.n} {f.b}")
-    for start in range(0, len(f.table), 32):
-        lines.append(" ".join(str(v) for v in f.table[start : start + 32]))
+    table = f.table  # unpacked on each access
+    for start in range(0, len(table), 32):
+        lines.append(" ".join(map(str, table[start : start + 32])))
     return "\n".join(lines) + "\n"
 
 
@@ -352,9 +353,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

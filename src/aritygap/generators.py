@@ -10,15 +10,12 @@ outputs are frozen in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 
 from .core import (
     FiniteFunction,
-    decode_index,
     encode_point,
-    essential_vars,
     field_width,
-    from_code,
     pack,
 )
 from .errors import (
@@ -58,11 +55,18 @@ class SplitMix64:
         return mix64(self._state)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by threshold rejection."""
-        span = _MASK64 + 1
+        """Uniform integer in [0, bound) by threshold rejection.  Each
+        candidate is read from as many outputs as bound - 1 has 64-bit
+        words (one at least), the first most significant."""
+        words = max(1, -(-(bound - 1).bit_length() // 64))
+        span = 1 << 64 * words
         limit = span - span % bound
         while True:
-            z = self.next_u64()
+            if words == 1:
+                z = self.next_u64()
+            else:
+                chunks = [self.next_u64().to_bytes(8, "big") for _ in range(words)]
+                z = int.from_bytes(b"".join(chunks), "big")
             if z < limit:
                 return z % bound
 
@@ -168,23 +172,6 @@ def lift(spec: LiftSpec) -> FiniteFunction:
     return FiniteFunction(size_b, size_b, f.n, pack(table, field_width(size_b)))
 
 
-@dataclass(frozen=True)
-class WitnessSearch:
-    """Outcome of a total-collapse witness search.
-
-    exhaustive is True when the search provably saw every witness in the
-    requested space (full table enumeration, or complete enumeration of
-    the diagonal-constant family that all witnesses must belong to).
-    """
-
-    witnesses: tuple[FiniteFunction, ...]
-    exhaustive: bool
-    examined: int
-    space: int
-    total_found: int
-    mode: str
-
-
 def power_exceeds(base: int, exp: int, budget: int) -> bool:
     """Whether base**exp > budget, decided without building a huge power:
     for base >= 2, exp >= budget.bit_length() already exceeds it."""
@@ -199,75 +186,3 @@ def table_size(k: int, n: int, budget: int) -> int:
     if power_exceeds(k, n, budget):
         raise BudgetExceeded(f"tables of {k}**{n} rows exceed budget {budget}")
     return k**n
-
-
-def find_total_collapse_witnesses(
-    k: int,
-    n: int,
-    limit: int,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
-    samples: int = 20000,
-) -> WitnessSearch:
-    """Search for operations with ess = n whose every identification minor
-    is constant.
-
-    Enumerates all k**(k**n) tables when that fits the budget.  Otherwise
-    it walks the diagonal-constant family (one constant on every point
-    with a repeated coordinate, free values on the rest), which every
-    witness belongs to; if even that family exceeds the budget, it is
-    sampled from SplitMix64(seed) instead and the result is flagged
-    non-exhaustive.
-    """
-    if k < 1 or n < 1:
-        raise ValueOutOfRange(f"k and n must be >= 1, got k={k} n={n}")
-    if limit < 1:
-        raise ValueOutOfRange(f"limit must be >= 1, got {limit}")
-    size = table_size(k, n, budget)
-    # ones has a 1 in every field, so multiplying it by a value repeats that
-    # value in every row.  shifts are the bit offsets of the rainbow rows, the
-    # points with pairwise distinct coordinates, ascending: permutations
-    # yields them in lexicographic order.  repeated covers the other rows.
-    w = field_width(k)
-    top = (size - 1) * w
-    full = (1 << size * w) - 1
-    ones = full // ((1 << w) - 1)
-    shifts = tuple(top - encode_point(point, k) * w for point in permutations(range(k), n))
-    repeated = full ^ sum(((1 << w) - 1) << s for s in shifts)
-
-    if not power_exceeds(k, size, budget):
-        space = examined = k**size
-        functions = (from_code(k, k, n, code) for code in range(space))
-        exhaustive, mode = True, "full"
-    else:
-        space = k ** (len(shifts) + 1)
-        if space <= budget:
-            codes, examined, exhaustive, mode = range(space), space, True, "diagonal"
-        else:
-            rng = SplitMix64(seed)
-            codes = (rng.below(space) for _ in range(samples))
-            examined, exhaustive, mode = samples, False, "diagonal-sampled"
-        functions = (_diagonal_function(code, k, n, shifts, ones) for code in codes)
-
-    # All identification minors of f are constant iff f is constant on the
-    # points with a repeated coordinate (row 0 has one whenever any point
-    # does), and then ess f = n must hold, which a constant f misses.
-    found: list[FiniteFunction] = []
-    total = 0
-    for f in functions:
-        filled = (f.bits >> top) * ones
-        collapses = f.bits & repeated == filled & repeated
-        if collapses and f.bits != filled and len(essential_vars(f)) == n:
-            total += 1
-            if len(found) < limit:
-                found.append(f)
-    return WitnessSearch(tuple(found), exhaustive, examined, space, total, mode)
-
-
-def _diagonal_function(code: int, k: int, n: int, shifts, ones: int) -> FiniteFunction:
-    # code = (constant, rainbow values) in base k, constant most significant.
-    const, *values = decode_index(code, k, len(shifts) + 1)
-    bits = const * ones
-    for s, v in zip(shifts, values):
-        bits ^= (v ^ const) << s
-    return FiniteFunction(k, k, n, bits)

@@ -11,12 +11,15 @@ elapsed time.
 from __future__ import annotations
 
 import dataclasses
+import math
 import multiprocessing
 import os
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from itertools import permutations
 
 from .anf import degree, to_anf
 from .classify import gap_via_classifier
@@ -25,16 +28,26 @@ from .core import (
     _essential,
     _identified,
     _layout,
+    decode_index,
+    encode_point,
     ess,
     essential_vars,
     field_width,
     from_code,
     gap_report,
+    pack,
 )
-from .errors import BudgetExceeded, HypothesisNotMet, NotBoolean, NotTotallyEssential, SpecInvalid
+from .errors import (
+    BudgetExceeded,
+    HypothesisNotMet,
+    NotBoolean,
+    NotTotallyEssential,
+    SpecInvalid,
+    ValueOutOfRange,
+)
 from .generators import (
     DEFAULT_BUDGET,
-    find_total_collapse_witnesses,
+    SplitMix64,
     power_exceeds,
     random_function,
     substream_seed,
@@ -55,7 +68,8 @@ class TheoremId(Enum):
 @dataclass(frozen=True)
 class Exhaustive:
     """Every table of shape (k, b, n); for LemDeg2, every degree-2
-    polynomial on n variables instead."""
+    polynomial on n variables instead, and for Thm1 every table or, when
+    those exceed the budget, every diagonal code."""
 
     k: int
     b: int
@@ -65,9 +79,9 @@ class Exhaustive:
 @dataclass(frozen=True)
 class Sampled:
     """count seeded samples of shape (k, b, n); sample i is drawn from the
-    derived stream substream_seed(seed, i).  With reject_until_hypothesis,
-    each sample is redrawn until it satisfies the theorem's hypothesis, so
-    nothing is skipped."""
+    derived stream substream_seed(seed, i), for Thm1 as a diagonal code.
+    With reject_until_hypothesis, each sample is redrawn until it satisfies
+    the theorem's hypothesis, so nothing is skipped."""
 
     k: int
     b: int
@@ -227,7 +241,8 @@ def _kplus1_pair(f: FiniteFunction) -> tuple[int, int] | None:
     return None
 
 
-_OK, _SKIP, _VIOL = 0, 1, 2
+# A hit is a member failing the claim, or for Thm1 a witness.
+_OK, _SKIP, _HIT = 0, 1, 2
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +273,11 @@ def _deg2_total(pop: Exhaustive, budget: int) -> int:
     return total
 
 
-def _run_deg2_range(claim, n: int, lo: int, hi: int, max_recorded: int):
-    """Walk degree-2 polynomials (quadratic part, linear part, constant)
-    by linear candidate index; quadratic part changes slowest.  Those with
-    fewer than four occurring variables are skipped; the occurring
-    variables are the essential ones, so the rest meet LemDeg2's hypothesis."""
+def _deg2_members(n: int, lo: int, hi: int):
+    """Degree-2 polynomials (quadratic part, linear part, constant) by linear
+    candidate index; quadratic part changes slowest.  Those with fewer than
+    four occurring variables are skipped unbuilt; the occurring variables
+    are the essential ones, so the rest meet LemDeg2's hypothesis."""
     vm = _var_masks(n)
     # (table, variable bitset) per quadratic monomial x_s*x_t, lex order.
     pairs = [(vm[s] & vm[t], (1 << s) | (1 << t)) for s in range(n) for t in range(s + 1, n)]
@@ -272,8 +287,7 @@ def _run_deg2_range(claim, n: int, lo: int, hi: int, max_recorded: int):
     for m in vm:
         lmasks += [x ^ m for x in lmasks]
     inner = 1 << (n + 1)
-    checked = skipped = vcount = 0
-    violations: list[FiniteFunction] = []
+    skip = (None, _SKIP)
     cur_q = -1
     q_mask = q_sup = 0
     for lin in range(lo, hi):
@@ -293,18 +307,13 @@ def _run_deg2_range(claim, n: int, lo: int, hi: int, max_recorded: int):
                 qq >>= 1
                 p += 1
         if (q_sup | l_idx).bit_count() < 4:
-            skipped += 1
+            yield skip
             continue
         tbl = q_mask ^ lmasks[l_idx]
         if c:
             tbl ^= all_ones
         f = FiniteFunction(2, 2, n, tbl)
-        checked += 1
-        if not claim(f):
-            vcount += 1
-            if len(violations) < max_recorded:
-                violations.append(f)
-    return checked, skipped, vcount, violations
+        yield f, _OK if _deg2_claim(f) else _HIT
 
 
 def _member(key, pop, index: int) -> tuple[FiniteFunction, int]:
@@ -331,26 +340,91 @@ def _member(key, pop, index: int) -> tuple[FiniteFunction, int]:
 def _outcome(spec: _Theorem, f: FiniteFunction) -> int:
     if not spec.holds(f):
         return _SKIP
-    return _OK if spec.claim(f) else _VIOL
+    return _OK if spec.claim(f) else _HIT
+
+
+# Thm1 asks for operations with ess f = n whose identification minors are all
+# constant.  Those minors are constant iff f is constant on the points with a
+# repeated coordinate, so every witness lies in the diagonal family: one
+# constant there and free values on the rainbow points, whose coordinates are
+# pairwise distinct.  Diagonal code i holds (constant, rainbow values) as base-k
+# digits, constant most significant, rainbow points in ascending row order.
+
+
+def _thm1_mode(pop, budget: int) -> tuple[str, int]:
+    """Thm1's search mode for the population and the number of base-k digits
+    of its codes: member i is table code i in a full search, diagonal code i
+    in a diagonal one and a drawn diagonal code in a diagonal-sampled one."""
+    k, n = pop.k, pop.n
+    if pop.b != k:
+        raise SpecInvalid("total-collapse witnesses are operations: need b = k")
+    if k < 1 or n < 1:
+        raise ValueOutOfRange(f"k and n must be >= 1, got k={k} n={n}")
+    size = table_size(k, n, budget)
+    digits = math.perm(k, n) + 1
+    if isinstance(pop, Sampled):
+        return "diagonal-sampled", digits
+    if not power_exceeds(k, size, budget):
+        return "full", size
+    if not power_exceeds(k, digits, budget):
+        return "diagonal", digits
+    raise BudgetExceeded(
+        f"{k}**{size} tables and {k}**{digits} diagonal codes exceed budget {budget};"
+        " use a sampled sweep"
+    )
+
+
+def _thm1_members(pop, budget: int, lo: int, hi: int):
+    """Thm1's members lo..hi-1; the hits are the total-collapse witnesses."""
+    k, n = pop.k, pop.n
+    mode, digits = _thm1_mode(pop, budget)
+    size, w = k**n, field_width(k)
+    top = (size - 1) * w
+    field = (1 << w) - 1
+    ones = ((1 << size * w) - 1) // field  # a 1 in every field
+    rainbow = [encode_point(p, k) for p in permutations(range(k), n)]
+
+    def fill(const: int, values) -> int:
+        """The table holding const on the rows with a repeated coordinate
+        and values on the rainbow rows, in time linear in its size."""
+        if not rainbow:
+            return const * ones
+        table = [const] * size
+        for row, v in zip(rainbow, values):
+            table[row] = v
+        return pack(table, w)
+
+    def diagonal(code: int) -> FiniteFunction:
+        const, *values = decode_index(code, k, digits)
+        return FiniteFunction(k, k, n, fill(const, values))
+
+    repeated = fill(field, [0] * len(rainbow))  # all-ones fields off the rainbow rows
+    build = partial(from_code, k, k, n) if mode == "full" else diagonal
+    sampled, space = isinstance(pop, Sampled), k**digits
+    for i in range(lo, hi):
+        f = build(SplitMix64(substream_seed(pop.seed, i)).below(space) if sampled else i)
+        # Row 0 has a repeated coordinate whenever any row does.
+        filled = (f.bits >> top) * ones
+        collapses = f.bits & repeated == filled & repeated
+        witness = collapses and f.bits != filled and len(essential_vars(f)) == n
+        yield f, _HIT if witness else _OK
 
 
 def _run_range(args):
-    key, pop, lo, hi, max_recorded = args
-    if key is TheoremId.LEM_DEG2:
-        return _run_deg2_range(_THEOREMS[key].claim, pop.n, lo, hi, max_recorded)
-    checked = skipped = vcount = 0
-    violations: list[FiniteFunction] = []
-    for i in range(lo, hi):
-        f, outcome = _member(key, pop, i)
-        if outcome == _SKIP:
-            skipped += 1
-            continue
-        checked += 1
-        if outcome == _VIOL:
-            vcount += 1
-            if len(violations) < max_recorded:
-                violations.append(f)
-    return checked, skipped, vcount, violations
+    key, pop, budget, lo, hi, max_recorded = args
+    if key is TheoremId.THM1:
+        members = _thm1_members(pop, budget, lo, hi)
+    elif key is TheoremId.LEM_DEG2:
+        members = _deg2_members(pop.n, lo, hi)
+    else:
+        members = (_member(key, pop, i) for i in range(lo, hi))
+    counts = [0, 0, 0]  # per outcome
+    recorded: list[FiniteFunction] = []
+    for f, outcome in members:
+        counts[outcome] += 1
+        if outcome == _HIT and len(recorded) < max_recorded:
+            recorded.append(f)
+    return counts[_OK] + counts[_HIT], counts[_SKIP], counts[_HIT], recorded
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +447,7 @@ def sweep(
     table-code order, sampled ones by sample index, and chunked worker
     results are merged in chunk order.  Each member that meets the
     theorem's hypothesis is checked against its claim; the rest are skipped.
+    Thm1 checks every member and records its witnesses instead.
     """
     start = time.perf_counter()
     if not isinstance(population, (Exhaustive, Sampled)):
@@ -380,23 +455,14 @@ def sweep(
     if isinstance(population, Sampled) and population.count < 1:
         raise SpecInvalid(f"sample count must be >= 1, got {population.count}")
     spec = _THEOREMS[theorem]
-    spec.require_shape(theorem.value, population.k, population.b)
-    if theorem is TheoremId.THM1:
-        report = _sweep_thm1(population, budget, max_recorded)
-        return dataclasses.replace(report, elapsed_s=time.perf_counter() - start)
-
-    if isinstance(population, Exhaustive):
-        if theorem is TheoremId.LEM_DEG2:
-            total = _deg2_total(population, budget)
-            desc = f"exhaustive degree-2 polynomials on n={population.n} variables ({total} candidates)"
-        else:
-            total = _exhaustive_total(population, budget)
-            desc = f"exhaustive k={population.k} b={population.b} n={population.n} ({total} tables)"
-        exhaustive = True
-    else:
+    k, b, n = population.k, population.b, population.n
+    spec.require_shape(theorem.value, k, b)
+    exhaustive = isinstance(population, Exhaustive)
+    if not exhaustive:
         if theorem is TheoremId.LEM_DEG2:
             raise SpecInvalid("LemDeg2 sweeps enumerate polynomials; use Exhaustive")
-        k, b, n = population.k, population.b, population.n
+        if theorem is TheoremId.THM1 and population.reject_until_hypothesis:
+            raise SpecInvalid("Thm1 searches for witnesses; it has no hypothesis to resample")
         total = population.count
         if total > budget:
             raise BudgetExceeded(f"sample count {total} exceeds budget {budget}")
@@ -407,68 +473,60 @@ def sweep(
                 f"{theorem.value} hypothesis holds for no function with k={k} b={b} n={n}"
                 f" (needs {spec.need()})"
             )
+    if theorem is TheoremId.THM1:
+        mode, digits = _thm1_mode(population, budget)
+        if exhaustive:
+            total = k**digits
+        desc = f"{mode} search k={k} n={n} space={total if exhaustive else f'{k}**{digits}'}"
+    elif theorem is TheoremId.LEM_DEG2:
+        total = _deg2_total(population, budget)
+        desc = f"exhaustive degree-2 polynomials on n={n} variables ({total} candidates)"
+    elif exhaustive:
+        total = _exhaustive_total(population, budget)
+        desc = f"exhaustive k={k} b={b} n={n} ({total} tables)"
+    else:
         desc = (
             f"sampled k={k} b={b} n={n} "
             f"count={population.count} seed={population.seed} "
             f"reject_until_hypothesis={population.reject_until_hypothesis}"
         )
-        exhaustive = False
 
     nworkers = workers if workers is not None else max(1, min(os.cpu_count() or 1, 8))
     if total >= _PARALLEL_THRESHOLD and nworkers > 1:
         bounds = _chunk_bounds(total, nworkers * 4)
-        tasks = [(theorem, population, lo, hi, max_recorded) for lo, hi in bounds]
+        tasks = [(theorem, population, budget, lo, hi, max_recorded) for lo, hi in bounds]
         with multiprocessing.Pool(nworkers) as pool:
             parts = pool.map(_run_range, tasks)
     else:
-        parts = [_run_range((theorem, population, 0, total, max_recorded))]
+        parts = [_run_range((theorem, population, budget, 0, total, max_recorded))]
 
     checked = sum(p[0] for p in parts)
-    skipped = sum(p[1] for p in parts)
-    vcount = sum(p[2] for p in parts)
-    violations: list[FiniteFunction] = []
+    hits = sum(p[2] for p in parts)
+    recorded: list[FiniteFunction] = []
     for p in parts:
-        violations.extend(p[3][: max_recorded - len(violations)])
-    report = SweepReport(
+        recorded.extend(p[3][: max_recorded - len(recorded)])
+    if theorem is TheoremId.THM1:
+        # Thm1 guarantees a witness for n <= k; a complete search that finds
+        # none would disprove it.
+        passed = not (exhaustive and n <= k and hits == 0)
+        vcount, violations, witnesses = 0, (), tuple(recorded)
+    else:
+        passed = hits == 0 and checked > 0
+        vcount, violations, witnesses = hits, tuple(recorded), ()
+    return SweepReport(
         theorem=theorem,
         population=desc,
         checked=checked,
-        skipped=skipped,
+        skipped=sum(p[1] for p in parts),
         violation_count=vcount,
-        violations=tuple(violations),
-        witnesses=(),
+        violations=violations,
+        witnesses=witnesses,
         exhaustive=exhaustive,
-        passed=vcount == 0 and checked > 0,
-        elapsed_s=0.0,
+        passed=passed,
+        elapsed_s=time.perf_counter() - start,
     )
-    return dataclasses.replace(report, elapsed_s=time.perf_counter() - start)
 
 
 def _chunk_bounds(total: int, chunks: int) -> list[tuple[int, int]]:
     step = (total + chunks - 1) // chunks
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _sweep_thm1(population, budget: int, max_recorded: int) -> SweepReport:
-    if population.b != population.k:
-        raise SpecInvalid("total-collapse witnesses are operations: need b = k")
-    k, n = population.k, population.n
-    sampling = {}
-    if isinstance(population, Sampled):
-        sampling = {"seed": population.seed, "samples": population.count}
-    ws = find_total_collapse_witnesses(k, n, limit=max_recorded, budget=budget, **sampling)
-    # The theorem guarantees a witness for n <= k; a complete search that
-    # finds none would disprove it.
-    failed = ws.exhaustive and n <= k and ws.total_found == 0
-    return SweepReport(
-        theorem=TheoremId.THM1,
-        population=f"{ws.mode} search k={k} n={n} space={ws.space}",
-        checked=ws.examined,
-        skipped=max(ws.space - ws.examined, 0) if ws.exhaustive else 0,
-        violation_count=0,
-        violations=(),
-        witnesses=ws.witnesses,
-        exhaustive=ws.exhaustive,
-        passed=not failed,
-        elapsed_s=0.0,
-    )

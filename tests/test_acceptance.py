@@ -133,22 +133,21 @@ def _minors_all_constant(f):
 
 @criterion(8, "total-collapse witnesses exist at (2,2), (3,2) and (3,3)")
 def test_criterion_08_total_collapse_witnesses():
-    from aritygap import find_total_collapse_witnesses
-
-    ws = find_total_collapse_witnesses(2, 2, limit=16)
-    tables = {f.table for f in ws.witnesses}
-    assert ws.exhaustive
+    r = sweep(TheoremId.THM1, Exhaustive(2, 2, 2), max_recorded=16)
+    tables = {f.table for f in r.witnesses}
+    assert r.exhaustive
     assert (0, 1, 1, 0) in tables, "xor missing"
     assert (1, 0, 0, 1) in tables, "xnor missing"
 
     counts = {}
     for k, n in ((3, 2), (3, 3)):
-        ws = find_total_collapse_witnesses(k, n, limit=4)
-        assert ws.total_found >= 1
-        for f in ws.witnesses:
+        # Recording up to the whole space records every witness.
+        r = sweep(TheoremId.THM1, Exhaustive(k, k, n), max_recorded=3**9)
+        assert len(r.witnesses) >= 1
+        for f in r.witnesses:
             assert ess(f) == n
             assert _minors_all_constant(f)
-        counts[(k, n)] = ws.total_found
+        counts[(k, n)] = len(r.witnesses)
     return f"(3,2): {counts[(3, 2)]} witnesses, (3,3): {counts[(3, 3)]} witnesses"
 
 

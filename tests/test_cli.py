@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -154,6 +155,42 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "0 1 1 0" in out  # xor
         assert "1 0 0 1" in out  # xnor
+
+    def test_thm1_sample_honours_count_and_seed(self, capsys):
+        argv = ["sweep", "--theorem", "thm1", "--k", "2", "--n", "2", "--count", "5", "--seed", "3",
+                "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["checked"], payload["exhaustive"]) == (5, False)
+        assert payload["population"] == "diagonal-sampled search k=2 n=2 space=2**3"
+
+    def test_thm1_reject_hypothesis_exits_2(self, capsys):
+        argv = ["sweep", "--theorem", "thm1", "--k", "2", "--n", "2", "--count", "5",
+                "--reject-hypothesis"]
+        assert main(argv) == 2
+        assert "no hypothesis to resample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [["--k", "4", "--n", "2"], ["--k", "5", "--n", "3"]])
+    def test_thm1_exhaustive_over_budget_exits_3_at_once(self, shape, capsys):
+        start = time.perf_counter()
+        assert main(["sweep", "--theorem", "thm1", *shape]) == 3
+        assert time.perf_counter() - start < 1
+        assert "use a sampled sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "shape", [["--k", "5", "--n", "3", "--count", "7"], ["--k", "8", "--n", "6", "--count", "2"]]
+    )
+    def test_thm1_samples_of_wide_diagonal_codes_finish(self, shape):
+        # 5**61 and 8**20161 diagonal codes: each draw spans several outputs.
+        result = subprocess.run(
+            [sys.executable, "-m", "aritygap", "sweep", "--theorem", "thm1", *shape, "--json"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(result.stdout)
+        assert (payload["checked"], payload["exhaustive"]) == (int(shape[-1]), False)
 
     def test_json_report(self, capsys):
         code = main(["sweep", "--theorem", "salomaamain", "--n", "2", "--json"])
@@ -312,6 +349,22 @@ class TestGenerateCommand:
         assert main(["generate", "--random", "2", "2", "2", "7"]) == 0
         f = parse_function_text(capsys.readouterr().out)
         assert (f.k, f.n) == (2, 2)
+
+    def test_large_random_table_round_trips(self, tmp_path):
+        # An 18-variable table is written in linear time and read back.
+        out = str(tmp_path / "r18.fn")
+        generate = [sys.executable, "-m", "aritygap", "generate", "--random", "2", "2", "18", "0",
+                    "--out", out]
+        result = subprocess.run(generate, capture_output=True, text=True, timeout=30)
+        assert result.returncode == 0, result.stderr
+        with open(out, encoding="utf-8") as fh:
+            f = parse_function_text(fh.read())
+        assert f == random_function(2, 2, 18, 0)
+        result = subprocess.run([sys.executable, "-m", "aritygap", "analyze", out, "--json"],
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(result.stdout)
+        assert (payload["n"], payload["essential_vars"]) == (18, list(essential_vars(f)))
 
     def test_huge_random_table_exits_3(self, capsys):
         assert main(["generate", "--random", "3", "3", "10000", "0"]) == 3

@@ -1,14 +1,18 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from aritygap import (
+    Exhaustive,
     LiftSpec,
     QuasiLinearSpec,
+    Sampled,
     SplitMix64,
+    TheoremId,
     ess,
     essential_vars,
-    find_total_collapse_witnesses,
     gap_report,
     identify,
     lift,
@@ -16,6 +20,7 @@ from aritygap import (
     quasi_linear,
     random_function,
     substream_seed,
+    sweep,
 )
 from aritygap.errors import (
     BudgetExceeded,
@@ -53,11 +58,19 @@ class TestSplitMix64:
     def test_below_range_and_determinism(self):
         a = SplitMix64(5)
         b = SplitMix64(5)
-        for bound in (2, 3, 7, 100):
+        for bound in (2, 3, 7, 100, 2**64 + 1, 5**61):
             va = [a.below(bound) for _ in range(50)]
             vb = [b.below(bound) for _ in range(50)]
             assert va == vb
             assert all(0 <= v < bound for v in va)
+        assert any(v >= 1 << 64 for v in va)
+
+    def test_below_reads_wide_candidates_most_significant_first(self):
+        # 5**61 - 1 has 142 bits, so a candidate is three outputs; the
+        # threshold rejects with probability below 2**-50.
+        words = SplitMix64(8)
+        z = (words.next_u64() << 128) | (words.next_u64() << 64) | words.next_u64()
+        assert SplitMix64(8).below(5**61) == z % 5**61
 
 
 class TestRandomFunction:
@@ -212,43 +225,45 @@ def _all_minors_constant(f):
 
 
 class TestTotalCollapseWitnesses:
+    """Thm1 sweeps: the search mode is the population's first word."""
+
     def test_boolean_pair_includes_xor_and_xnor(self):
-        ws = find_total_collapse_witnesses(2, 2, limit=16)
-        assert ws.exhaustive and ws.mode == "full"
-        tables = {f.table for f in ws.witnesses}
+        r = sweep(TheoremId.THM1, Exhaustive(2, 2, 2), max_recorded=16)
+        assert r.exhaustive and r.population.startswith("full search")
+        tables = {f.table for f in r.witnesses}
         assert (0, 1, 1, 0) in tables
         assert (1, 0, 0, 1) in tables
 
     def test_three_elements_binary(self):
-        ws = find_total_collapse_witnesses(3, 2, limit=3)
-        assert ws.exhaustive
-        assert ws.total_found >= 1
-        for f in ws.witnesses:
+        r = sweep(TheoremId.THM1, Exhaustive(3, 3, 2), max_recorded=3)
+        assert r.exhaustive
+        assert len(r.witnesses) >= 1
+        for f in r.witnesses:
             assert ess(f) == 2
             assert _all_minors_constant(f)
 
     def test_three_elements_ternary_uses_diagonal_family(self):
-        ws = find_total_collapse_witnesses(3, 3, limit=3)
-        assert ws.exhaustive and ws.mode == "diagonal"
-        assert ws.total_found >= 1
-        for f in ws.witnesses:
+        r = sweep(TheoremId.THM1, Exhaustive(3, 3, 3), max_recorded=3)
+        assert r.exhaustive and r.population.startswith("diagonal search")
+        assert len(r.witnesses) >= 1
+        for f in r.witnesses:
             assert ess(f) == 3
             assert _all_minors_constant(f)
 
     def test_boolean_ternary_is_empty(self):
-        ws = find_total_collapse_witnesses(2, 3, limit=5)
-        assert ws.exhaustive
-        assert ws.total_found == 0
+        r = sweep(TheoremId.THM1, Exhaustive(2, 2, 3), max_recorded=5)
+        assert r.exhaustive
+        assert r.witnesses == ()
 
     def test_sampled_mode_deterministic(self):
-        a = find_total_collapse_witnesses(4, 2, limit=2, seed=11, samples=300)
-        b = find_total_collapse_witnesses(4, 2, limit=2, seed=11, samples=300)
+        pop = Sampled(4, 4, 2, count=300, seed=11)
+        a, b = (replace(sweep(TheoremId.THM1, pop, max_recorded=2), elapsed_s=0.0) for _ in range(2))
         assert a == b
-        assert not a.exhaustive and a.mode == "diagonal-sampled"
+        assert not a.exhaustive and a.population.startswith("diagonal-sampled search")
         for f in a.witnesses:
             assert ess(f) == 2
             assert _all_minors_constant(f)
 
     def test_table_budget(self):
         with pytest.raises(BudgetExceeded):
-            find_total_collapse_witnesses(2, 30, limit=1)
+            sweep(TheoremId.THM1, Exhaustive(2, 2, 30))

@@ -127,6 +127,26 @@ SWEEP_PINS = [
             '"violation_count": 0, "violations": [], "witnesses": []}'
         ),
     ),
+    # Captured when Thm1 samples became per-index diagonal codes; every other
+    # pin predates that change.
+    (
+        TheoremId.THM1,
+        Sampled(k=3, b=3, n=2, count=12, seed=21),
+        (
+            '{"checked": 12, "exhaustive": false, "passed": true, "population": '
+            '"diagonal-sampled search k=3 n=2 space=3**7", "schema": "aritygap/1", '
+            '"skipped": 0, "theorem": "Thm1", "violation_count": 0, "violations": [], '
+            '"witnesses": [{"b": 3, "k": 3, "n": 2, "table": [2, 2, 2, 1, 2, 2, 2, 2, 2]}, '
+            '{"b": 3, "k": 3, "n": 2, "table": [1, 1, 1, 2, 1, 2, 2, 0, 1]}, {"b": 3, '
+            '"k": 3, "n": 2, "table": [0, 1, 2, 0, 0, 1, 0, 0, 0]}, {"b": 3, "k": 3, "n": '
+            '2, "table": [0, 1, 0, 2, 0, 0, 2, 0, 0]}, {"b": 3, "k": 3, "n": 2, "table": '
+            '[1, 1, 0, 1, 1, 2, 0, 2, 1]}, {"b": 3, "k": 3, "n": 2, "table": [0, 1, 2, 0, '
+            '0, 2, 0, 2, 0]}, {"b": 3, "k": 3, "n": 2, "table": [1, 2, 0, 1, 1, 2, 2, 1, '
+            '1]}, {"b": 3, "k": 3, "n": 2, "table": [1, 2, 2, 1, 1, 2, 1, 0, 1]}, {"b": 3, '
+            '"k": 3, "n": 2, "table": [1, 1, 0, 1, 1, 2, 1, 0, 1]}, {"b": 3, "k": 3, "n": '
+            '2, "table": [0, 1, 0, 0, 0, 1, 1, 2, 0]}]}'
+        ),
+    ),
 ]
 
 

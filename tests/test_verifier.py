@@ -4,14 +4,18 @@ import aritygap.verifier as verifier
 from aritygap import (
     Exhaustive,
     Sampled,
+    SplitMix64,
     TheoremId,
     check,
     check_kplus1_lemma,
+    decode_index,
+    ess,
     find_restriction_witness,
     from_anf,
     make_function,
     make_polynomial,
     random_function,
+    substream_seed,
     sweep,
 )
 from aritygap.errors import (
@@ -190,6 +194,43 @@ class TestSweep:
     def test_thm1_requires_operation(self):
         with pytest.raises(SpecInvalid):
             sweep(TheoremId.THM1, Exhaustive(2, 3, 2))
+
+    def test_thm1_samples_are_drawn_diagonal_codes(self):
+        # Sample i is the base-3 code (constant, values on the rainbow rows
+        # 1, 2, 3, 5, 6, 7) drawn from SplitMix64(substream_seed(seed, i)).
+        r = sweep(TheoremId.THM1, Sampled(3, 3, 2, 40, seed=6), workers=1, max_recorded=40)
+        expected = []
+        for i in range(40):
+            const, *values = decode_index(SplitMix64(substream_seed(6, i)).below(3**7), 3, 7)
+            table = [const] * 9
+            for row, v in zip((1, 2, 3, 5, 6, 7), values):
+                table[row] = v
+            f = make_function(3, 3, 2, table)
+            if ess(f) == 2:
+                expected.append(f)
+        assert (r.checked, r.skipped, r.exhaustive) == (40, 0, False)
+        assert r.population == "diagonal-sampled search k=3 n=2 space=3**7"
+        assert r.witnesses == tuple(expected) and expected
+
+    def test_thm1_sampled_parallel_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(verifier, "_PARALLEL_THRESHOLD", 100)
+        pop = Sampled(3, 3, 3, 300, seed=5)
+        serial = sweep(TheoremId.THM1, pop, workers=1, max_recorded=50).to_dict()
+        parallel = sweep(TheoremId.THM1, pop, workers=2, max_recorded=50).to_dict()
+        serial.pop("elapsed_s"), parallel.pop("elapsed_s")
+        assert serial == parallel and serial["checked"] == 300 and serial["witnesses"]
+
+    def test_thm1_rejects_hypothesis_sampling(self):
+        with pytest.raises(SpecInvalid):
+            sweep(TheoremId.THM1, Sampled(2, 2, 2, 5, 3, reject_until_hypothesis=True))
+
+    def test_thm1_exhaustive_over_budget(self):
+        # Neither the 3**9 tables nor the 3**7 diagonal codes fit.
+        with pytest.raises(BudgetExceeded, match="use a sampled sweep"):
+            sweep(TheoremId.THM1, Exhaustive(3, 3, 2), budget=2000)
+        assert sweep(TheoremId.THM1, Exhaustive(3, 3, 2), budget=3**7).population == (
+            "diagonal search k=3 n=2 space=2187"
+        )
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
