@@ -113,8 +113,9 @@ def make_function(k: int, b: int, n: int, table) -> FiniteFunction:
     if k < 1 or b < 1 or n < 1:
         raise ValueOutOfRange(f"k, b and n must be >= 1, got k={k} b={b} n={n}")
     entries = tuple(table)
-    if len(entries) != k**n:
-        raise LengthMismatch(f"table has {len(entries)} entries, expected k**n = {k**n}")
+    # For k >= 2, k**n > len(entries) once n reaches its bit length: no huge power.
+    if (k > 1 and n >= len(entries).bit_length()) or k**n != len(entries):
+        raise LengthMismatch(f"table has {len(entries)} entries, expected k**n = {k}**{n}")
     for v in entries:
         if not 0 <= v < b:
             raise ValueOutOfRange(f"table entry {v} not in range(0, {b})")
@@ -139,7 +140,11 @@ def encode_point(point, k: int) -> int:
 
 def decode_index(idx: int, k: int, n: int) -> tuple[int, ...]:
     """Inverse of encode_point: the n base-k digits of idx, most significant
-    first.  Also the decoder of table codes whose base is no power of two."""
+    first; also the decoder of table codes whose base is no power of two.
+    Above 64 digits it splits on k**(n//2): no big division per digit."""
+    if n > 64:
+        high, low = divmod(idx, k ** (n // 2))
+        return decode_index(high, k, n - n // 2) + decode_index(low, k, n // 2)
     digits = [0] * n
     for t in range(n - 1, -1, -1):
         idx, digits[t] = divmod(idx, k)
@@ -235,21 +240,17 @@ def ess(f: FiniteFunction) -> int:
     return len(essential_vars(f))
 
 
-@lru_cache(maxsize=65536)
-def _substitution_remap(k: int, m: int, mapping: tuple[int, ...]) -> tuple[int, ...]:
-    """For each target index, the source index it reads from."""
-    remap = []
-    for idx in range(k**m):
-        y = decode_index(idx, k, m)
-        remap.append(encode_point(tuple(y[v - 1] for v in mapping), k))
-    return tuple(remap)
-
-
 def substitute(f: FiniteFunction, s: Substitution) -> FiniteFunction:
     """g(x1..xm) = f(x_sigma(1), ..., x_sigma(n)) for sigma = s.mapping."""
     if s.source_arity != f.n:
         raise ArityMismatch(f"substitution source arity {s.source_arity} != function arity {f.n}")
-    remap = _substitution_remap(f.k, s.target_arity, s.mapping)
+    # remap[r], the source row of target row r, weighs digit u by its sources.
+    weights = [0] * s.target_arity
+    for t, u in enumerate(s.mapping):
+        weights[u - 1] += f.k ** (f.n - 1 - t)
+    remap = [0]
+    for weight in weights:
+        remap = [r + c * weight for r in remap for c in range(f.k)]
     values = f.table
     bits = pack(map(values.__getitem__, remap), field_width(f.b))
     return FiniteFunction(f.k, f.b, s.target_arity, bits)

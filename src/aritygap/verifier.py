@@ -123,7 +123,9 @@ def _function_dict(f: FiniteFunction) -> dict:
 
 @dataclass(frozen=True)
 class _Theorem:
-    """One statement: a hypothesis on f and the claim it makes about such f.
+    """One statement: a hypothesis on f, the claim it makes about such f, and
+    walk(key, population, budget) -> (member count, the report's population,
+    members(lo, hi) yielding (f, outcome)), which refuses what it cannot walk.
 
     The hypothesis is ess f >= 2, or ess f > k when above_k, plus ess f = n
     when total and k = b = 2 when boolean.  The feasibility of a shape
@@ -134,6 +136,7 @@ class _Theorem:
     total: bool
     boolean: bool
     claim: Callable[[FiniteFunction], bool] | None
+    walk: Callable
 
     def min_ess(self, k: int) -> int:
         return k + 1 if self.above_k else 2
@@ -159,25 +162,6 @@ def _deg2_claim(f: FiniteFunction) -> bool:
     is essential, variables has gap 1; other functions meet it vacuously."""
     r = gap_report(f)
     return r.gap == 1 or r.ess < 4 or degree(to_anf(f)) != 2
-
-
-# _Theorem(above_k, total, boolean, claim) per statement.  Thm1 is existential
-# and checked by its witness search.
-_THEOREMS = {
-    TheoremId.THM1: _Theorem(False, True, False, None),
-    TheoremId.THM_SALOMAA_MAIN: _Theorem(False, False, True, lambda f: gap_report(f).gap <= 2),
-    TheoremId.THM_GEN: _Theorem(True, False, False, lambda f: gap_report(f).gap <= f.k),
-    TheoremId.THM_SALOMAA_AUX: _Theorem(False, True, False, lambda f: _restriction_witness(f) is not None),
-    TheoremId.LEM_KPLUS1: _Theorem(True, True, False, lambda f: _kplus1_pair(f) is not None),
-    TheoremId.THM_STR: _Theorem(False, False, True, lambda f: gap_via_classifier(f) == gap_report(f).gap),
-    TheoremId.LEM_DEG2: _Theorem(False, False, True, _deg2_claim),
-}
-# The gap >= 3 search, keyed apart from the theorems: ThmGen's hypothesis,
-# and its hits are the functions that fail the claim.
-_Search = Enum("_Search", {"GAP3": "Gap3Search"})
-_THEOREMS[_Search.GAP3] = dataclasses.replace(
-    _THEOREMS[TheoremId.THM_GEN], claim=lambda f: gap_report(f).gap < 3
-)
 
 
 def _require(key, f: FiniteFunction) -> _Theorem:
@@ -250,11 +234,62 @@ _OK, _SKIP, _HIT = 0, 1, 2
 # ---------------------------------------------------------------------------
 
 
-def _exhaustive_total(pop: Exhaustive, budget: int) -> int:
-    size = table_size(pop.k, pop.n, budget)
-    if power_exceeds(pop.b, size, budget):
-        raise BudgetExceeded(f"{pop.b}**{size} tables exceed budget {budget}; use a sampled sweep")
-    return pop.b**size
+def _sampled_total(pop: Sampled, budget: int) -> int:
+    """The sample count, after checking it and the table size against the budget."""
+    if pop.count > budget:
+        raise BudgetExceeded(f"sample count {pop.count} exceeds budget {budget}")
+    table_size(pop.k, pop.n, budget)
+    return pop.count
+
+
+def _table_walk(key, pop, budget: int):
+    """Every table of the shape by code, or the samples by index."""
+    k, b, n = pop.k, pop.b, pop.n
+    if isinstance(pop, Exhaustive):
+        size = table_size(k, n, budget)
+        if power_exceeds(b, size, budget):
+            raise BudgetExceeded(f"{b}**{size} tables exceed budget {budget}; use a sampled sweep")
+        total = b**size
+        desc = f"exhaustive k={k} b={b} n={n} ({total} tables)"
+    else:
+        total = _sampled_total(pop, budget)
+        spec = _THEOREMS[key]
+        # Refuse a shape where rejection sampling could never stop.
+        if pop.reject_until_hypothesis and not spec.feasible(k, b, n):
+            raise HypothesisNotMet(
+                f"{key.value} hypothesis holds for no function with k={k} b={b} n={n}"
+                f" (needs {spec.need()})"
+            )
+        desc = (f"sampled k={k} b={b} n={n} count={pop.count} seed={pop.seed} "
+                f"reject_until_hypothesis={pop.reject_until_hypothesis}")
+    return total, desc, lambda lo, hi: (_member(key, pop, i, budget) for i in range(lo, hi))
+
+
+def _member(key, pop, index: int, budget: int) -> tuple[FiniteFunction, int]:
+    """Population member index and its check outcome; with rejection, attempt
+    a of sample i draws from substream_seed(base, a) until it is not skipped."""
+    spec = _THEOREMS[key]
+    if isinstance(pop, Exhaustive):
+        f = from_code(pop.k, pop.b, pop.n, index)
+    elif not pop.reject_until_hypothesis:
+        f = random_function(pop.k, pop.b, pop.n, substream_seed(pop.seed, index), budget)
+    else:
+        base = substream_seed(pop.seed, index)
+        for attempt in range(10000):
+            f = random_function(pop.k, pop.b, pop.n, substream_seed(base, attempt), budget)
+            outcome = _outcome(spec, f)
+            if outcome != _SKIP:
+                return f, outcome
+        raise HypothesisNotMet(
+            f"rejection sampling found no function satisfying {key.value} in 10000 draws"
+        )
+    return f, _outcome(spec, f)
+
+
+def _outcome(spec: _Theorem, f: FiniteFunction) -> int:
+    if not spec.holds(f):
+        return _SKIP
+    return _OK if spec.claim(f) else _HIT
 
 
 def _var_masks(n: int) -> tuple[int, ...]:
@@ -262,15 +297,20 @@ def _var_masks(n: int) -> tuple[int, ...]:
     return tuple(m[1] for m in _layout(2, 1, n)[0])
 
 
-def _deg2_total(pop: Exhaustive, budget: int) -> int:
-    npairs = pop.n * (pop.n - 1) // 2
+def _deg2_walk(key, pop, budget: int):
+    """Every degree-2 polynomial on n variables by candidate index."""
+    if isinstance(pop, Sampled):
+        raise SpecInvalid("LemDeg2 sweeps enumerate polynomials; use Exhaustive")
+    n = pop.n
+    npairs = n * (n - 1) // 2
     # At least 2**(npairs + n) candidates whenever there is a pair.
-    if npairs and power_exceeds(2, npairs + pop.n, budget):
-        raise BudgetExceeded(f"degree-2 polynomials on n={pop.n} variables exceed budget {budget}")
-    total = ((1 << npairs) - 1) << (pop.n + 1)
+    if npairs and power_exceeds(2, npairs + n, budget):
+        raise BudgetExceeded(f"degree-2 polynomials on n={n} variables exceed budget {budget}")
+    total = ((1 << npairs) - 1) << (n + 1)
     if total > budget:
         raise BudgetExceeded(f"{total} polynomials exceed budget {budget}")
-    return total
+    desc = f"exhaustive degree-2 polynomials on n={n} variables ({total} candidates)"
+    return total, desc, partial(_deg2_members, n)
 
 
 def _deg2_members(n: int, lo: int, hi: int):
@@ -316,33 +356,6 @@ def _deg2_members(n: int, lo: int, hi: int):
         yield f, _OK if _deg2_claim(f) else _HIT
 
 
-def _member(key, pop, index: int) -> tuple[FiniteFunction, int]:
-    """Population member index and its check outcome; with rejection, attempt
-    a of sample i draws from substream_seed(base, a) until it is not skipped."""
-    spec = _THEOREMS[key]
-    if isinstance(pop, Exhaustive):
-        f = from_code(pop.k, pop.b, pop.n, index)
-    elif not pop.reject_until_hypothesis:
-        f = random_function(pop.k, pop.b, pop.n, substream_seed(pop.seed, index))
-    else:
-        base = substream_seed(pop.seed, index)
-        for attempt in range(10000):
-            f = random_function(pop.k, pop.b, pop.n, substream_seed(base, attempt))
-            outcome = _outcome(spec, f)
-            if outcome != _SKIP:
-                return f, outcome
-        raise HypothesisNotMet(
-            f"rejection sampling found no function satisfying {key.value} in 10000 draws"
-        )
-    return f, _outcome(spec, f)
-
-
-def _outcome(spec: _Theorem, f: FiniteFunction) -> int:
-    if not spec.holds(f):
-        return _SKIP
-    return _OK if spec.claim(f) else _HIT
-
-
 # Thm1 asks for operations with ess f = n whose identification minors are all
 # constant.  Those minors are constant iff f is constant on the points with a
 # repeated coordinate, so every witness lies in the diagonal family: one
@@ -351,33 +364,37 @@ def _outcome(spec: _Theorem, f: FiniteFunction) -> int:
 # digits, constant most significant, rainbow points in ascending row order.
 
 
-def _thm1_mode(pop, budget: int) -> tuple[str, int]:
-    """Thm1's search mode for the population and the number of base-k digits
-    of its codes: member i is table code i in a full search, diagonal code i
-    in a diagonal one and a drawn diagonal code in a diagonal-sampled one."""
+def _thm1_walk(key, pop, budget: int):
+    """Thm1's codes, each of `digits` base-k digits: member i is table code i
+    in a full search, diagonal code i in a diagonal one and a drawn diagonal
+    code in a diagonal-sampled one."""
     k, n = pop.k, pop.n
+    sampled = isinstance(pop, Sampled)
+    if sampled:
+        if pop.reject_until_hypothesis:
+            raise SpecInvalid("Thm1 searches for witnesses; it has no hypothesis to resample")
+        _sampled_total(pop, budget)
     if pop.b != k:
         raise SpecInvalid("total-collapse witnesses are operations: need b = k")
-    if k < 1 or n < 1:
-        raise ValueOutOfRange(f"k and n must be >= 1, got k={k} n={n}")
     size = table_size(k, n, budget)
     digits = math.perm(k, n) + 1
-    if isinstance(pop, Sampled):
-        return "diagonal-sampled", digits
-    if not power_exceeds(k, size, budget):
-        return "full", size
-    if not power_exceeds(k, digits, budget):
-        return "diagonal", digits
-    raise BudgetExceeded(
-        f"{k}**{size} tables and {k}**{digits} diagonal codes exceed budget {budget};"
-        " use a sampled sweep"
-    )
+    if sampled:
+        mode = "diagonal-sampled"
+    elif not power_exceeds(k, size, budget):
+        mode, digits = "full", size
+    elif not power_exceeds(k, digits, budget):
+        mode = "diagonal"
+    else:
+        raise BudgetExceeded(f"{k}**{size} tables and {k}**{digits} diagonal codes exceed"
+                             f" budget {budget}; use a sampled sweep")
+    total = pop.count if sampled else k**digits
+    desc = f"{mode} search k={k} n={n} space={f'{k}**{digits}' if sampled else total}"
+    return total, desc, partial(_thm1_members, pop, mode, digits)
 
 
-def _thm1_members(pop, budget: int, lo: int, hi: int):
+def _thm1_members(pop, mode: str, digits: int, lo: int, hi: int):
     """Thm1's members lo..hi-1; the hits are the total-collapse witnesses."""
     k, n = pop.k, pop.n
-    mode, digits = _thm1_mode(pop, budget)
     size, w = k**n, field_width(k)
     top = (size - 1) * w
     field = (1 << w) - 1
@@ -410,17 +427,34 @@ def _thm1_members(pop, budget: int, lo: int, hi: int):
         yield f, _HIT if witness else _OK
 
 
+# _Theorem(above_k, total, boolean, claim, walk) per statement.  Thm1 is
+# existential and checked by its witness search.
+_THEOREMS = {
+    TheoremId.THM1: _Theorem(False, True, False, None, _thm1_walk),
+    TheoremId.THM_SALOMAA_MAIN: _Theorem(False, False, True, lambda f: gap_report(f).gap <= 2, _table_walk),
+    TheoremId.THM_GEN: _Theorem(True, False, False, lambda f: gap_report(f).gap <= f.k, _table_walk),
+    TheoremId.THM_SALOMAA_AUX: _Theorem(
+        False, True, False, lambda f: _restriction_witness(f) is not None, _table_walk
+    ),
+    TheoremId.LEM_KPLUS1: _Theorem(True, True, False, lambda f: _kplus1_pair(f) is not None, _table_walk),
+    TheoremId.THM_STR: _Theorem(
+        False, False, True, lambda f: gap_via_classifier(f) == gap_report(f).gap, _table_walk
+    ),
+    TheoremId.LEM_DEG2: _Theorem(False, False, True, _deg2_claim, _deg2_walk),
+}
+# The gap >= 3 search, keyed apart from the theorems: ThmGen's hypothesis,
+# and its hits are the functions that fail the claim.
+_Search = Enum("_Search", {"GAP3": "Gap3Search"})
+_THEOREMS[_Search.GAP3] = dataclasses.replace(
+    _THEOREMS[TheoremId.THM_GEN], claim=lambda f: gap_report(f).gap < 3
+)
+
+
 def _run_range(args):
     key, pop, budget, lo, hi, max_recorded = args
-    if key is TheoremId.THM1:
-        members = _thm1_members(pop, budget, lo, hi)
-    elif key is TheoremId.LEM_DEG2:
-        members = _deg2_members(pop.n, lo, hi)
-    else:
-        members = (_member(key, pop, i) for i in range(lo, hi))
     counts = [0, 0, 0]  # per outcome
     recorded: list[FiniteFunction] = []
-    for f, outcome in members:
+    for f, outcome in _THEOREMS[key].walk(key, pop, budget)[2](lo, hi):
         counts[outcome] += 1
         if outcome == _HIT and len(recorded) < max_recorded:
             recorded.append(f)
@@ -452,44 +486,17 @@ def sweep(
     start = time.perf_counter()
     if not isinstance(population, (Exhaustive, Sampled)):
         raise SpecInvalid(f"unknown population spec {population!r}")
-    if isinstance(population, Sampled) and population.count < 1:
-        raise SpecInvalid(f"sample count must be >= 1, got {population.count}")
-    spec = _THEOREMS[theorem]
     k, b, n = population.k, population.b, population.n
-    spec.require_shape(theorem.value, k, b)
+    if min(k, b, n) < 1:
+        raise ValueOutOfRange(f"k, b and n must be >= 1, got k={k} b={b} n={n}")
     exhaustive = isinstance(population, Exhaustive)
-    if not exhaustive:
-        if theorem is TheoremId.LEM_DEG2:
-            raise SpecInvalid("LemDeg2 sweeps enumerate polynomials; use Exhaustive")
-        if theorem is TheoremId.THM1 and population.reject_until_hypothesis:
-            raise SpecInvalid("Thm1 searches for witnesses; it has no hypothesis to resample")
-        total = population.count
-        if total > budget:
-            raise BudgetExceeded(f"sample count {total} exceeds budget {budget}")
-        table_size(k, n, budget)
-        # Refuse a shape where rejection sampling could never stop.
-        if population.reject_until_hypothesis and not spec.feasible(k, b, n):
-            raise HypothesisNotMet(
-                f"{theorem.value} hypothesis holds for no function with k={k} b={b} n={n}"
-                f" (needs {spec.need()})"
-            )
-    if theorem is TheoremId.THM1:
-        mode, digits = _thm1_mode(population, budget)
-        if exhaustive:
-            total = k**digits
-        desc = f"{mode} search k={k} n={n} space={total if exhaustive else f'{k}**{digits}'}"
-    elif theorem is TheoremId.LEM_DEG2:
-        total = _deg2_total(population, budget)
-        desc = f"exhaustive degree-2 polynomials on n={n} variables ({total} candidates)"
-    elif exhaustive:
-        total = _exhaustive_total(population, budget)
-        desc = f"exhaustive k={k} b={b} n={n} ({total} tables)"
-    else:
-        desc = (
-            f"sampled k={k} b={b} n={n} "
-            f"count={population.count} seed={population.seed} "
-            f"reject_until_hypothesis={population.reject_until_hypothesis}"
-        )
+    if not exhaustive and population.count < 1:
+        raise SpecInvalid(f"sample count must be >= 1, got {population.count}")
+    if workers is not None and workers < 1:
+        raise SpecInvalid(f"workers must be >= 1, got {workers}")
+    spec = _THEOREMS[theorem]
+    spec.require_shape(theorem.value, k, b)
+    total, desc, _ = spec.walk(theorem, population, budget)
 
     nworkers = workers if workers is not None else max(1, min(os.cpu_count() or 1, 8))
     if total >= _PARALLEL_THRESHOLD and nworkers > 1:
@@ -502,28 +509,19 @@ def sweep(
 
     checked = sum(p[0] for p in parts)
     hits = sum(p[2] for p in parts)
-    recorded: list[FiniteFunction] = []
-    for p in parts:
-        recorded.extend(p[3][: max_recorded - len(recorded)])
-    if theorem is TheoremId.THM1:
+    recorded = tuple(f for p in parts for f in p[3])[:max_recorded]
+    if spec.claim is None:
         # Thm1 guarantees a witness for n <= k; a complete search that finds
         # none would disprove it.
         passed = not (exhaustive and n <= k and hits == 0)
-        vcount, violations, witnesses = 0, (), tuple(recorded)
+        vcount, violations, witnesses = 0, (), recorded
     else:
         passed = hits == 0 and checked > 0
-        vcount, violations, witnesses = hits, tuple(recorded), ()
+        vcount, violations, witnesses = hits, recorded, ()
     return SweepReport(
-        theorem=theorem,
-        population=desc,
-        checked=checked,
-        skipped=sum(p[1] for p in parts),
-        violation_count=vcount,
-        violations=violations,
-        witnesses=witnesses,
-        exhaustive=exhaustive,
-        passed=passed,
-        elapsed_s=time.perf_counter() - start,
+        theorem=theorem, population=desc, checked=checked, skipped=sum(p[1] for p in parts),
+        violation_count=vcount, violations=violations, witnesses=witnesses,
+        exhaustive=exhaustive, passed=passed, elapsed_s=time.perf_counter() - start,
     )
 
 

@@ -43,6 +43,13 @@ def naive_identify(f, i, j):
     )
 
 
+def naive_substitute(f, m, mapping):
+    """Table of g(y1..ym) = f(y_mapping[0], ..., y_mapping[n-1]), point by point."""
+    return tuple(
+        _value(f, tuple(y[v - 1] for v in mapping)) for y in product(range(f.k), repeat=m)
+    )
+
+
 def naive_gap_report(f):
     """(ess, essl, gap, witness) from the definitions: essl is the largest
     ess of an identification minor over essential pairs i < j, the witness

@@ -96,6 +96,13 @@ class TestAnalyze:
     def test_missing_file_exits_2(self, capsys):
         assert main(["analyze", "/nonexistent/f.fn"]) == 2
 
+    def test_huge_header_exits_2(self, tmp_path, capsys):
+        # 10**10000 rows: decided and reported without printing the power.
+        path = write(tmp_path, "huge.fn", "10 10000 2\n0 1\n")
+        assert main(["analyze", path]) == 2
+        err = capsys.readouterr().err
+        assert "expected k**n = 10**10000" in err and len(err) < 200
+
 
 class TestAnf:
     def test_and(self, tmp_path, capsys):
@@ -232,10 +239,26 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "exceed budget" in err and len(err) < 200
 
-    @pytest.mark.parametrize("count", ["0", "-5"])
-    def test_nonpositive_count_exits_2(self, count, capsys):
-        assert main(["sweep", "--theorem", "thmstr", "--n", "3", "--count", count]) == 2
+    @pytest.mark.parametrize(
+        "option",
+        [pytest.param(["--count", "0"], id="0"), pytest.param(["--count", "-5"], id="-5"),
+         pytest.param(["--workers", "0"], id="workers=0"),
+         pytest.param(["--workers", "-3"], id="workers=-3")],
+    )
+    def test_nonpositive_count_exits_2(self, option, capsys):
+        assert main(["sweep", "--theorem", "thmstr", "--n", "3", *option]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "shape",
+        [["thmgen", "--k", "0", "--n", "3"], ["thmgen", "--n", "-1"], ["lemdeg2", "--n", "-2"],
+         ["thmgen", "--n", "0"], ["thmgen", "--b", "0", "--n", "3"], ["thm1", "--k", "0", "--n", "2"],
+         ["thmstr", "--n", "0", "--count", "5"]],
+    )
+    def test_nonpositive_shape_exits_2(self, shape, capsys):
+        # These crashed with exit 1 or reported "nothing checked" (exit 4).
+        assert main(["sweep", "--theorem", *shape]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_nothing_checked_exits_4(self, capsys):
         # Every two-variable Boolean table has ess <= 2 = k: all 16 skipped.

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -6,6 +9,7 @@ import hypothesis.strategies as st
 
 from aritygap import (
     GapReport,
+    SplitMix64,
     Substitution,
     decode_index,
     encode_point,
@@ -29,7 +33,7 @@ from aritygap.errors import (
     ValueOutOfRange,
 )
 
-from oracles import max_ess_over_strict_minors, naive_ess, naive_essential
+from oracles import max_ess_over_strict_minors, naive_ess, naive_essential, naive_substitute
 from strategies import finite_functions
 
 XOR = make_function(2, 2, 2, [0, 1, 1, 0])
@@ -77,6 +81,37 @@ class TestEvaluate:
         for k, n in [(2, 3), (3, 2), (4, 2), (2, 1)]:
             for idx in range(k**n):
                 assert encode_point(decode_index(idx, k, n), k) == idx
+
+
+class TestDecodeIndex:
+    @staticmethod
+    def digit_loop(idx, k, n):
+        digits = []
+        for _ in range(n):
+            idx, d = divmod(idx, k)
+            digits.append(d)
+        return tuple(reversed(digits))
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_long_codes_match_digit_loop(self, k):
+        # Codes above 64 digits are split; codes with more than n digits
+        # keep their n lowest, as the digit loop does.
+        rng = SplitMix64(k)
+        for n in (65, 66, 100, 127, 128, 129, 257, 999, 1000):
+            for code in (rng.below(k**n), k**n - 1, k ** (n + 3) - 2, k ** (n // 2)):
+                assert decode_index(code, k, n) == self.digit_loop(code, k, n)
+
+    def test_long_code_decodes_in_a_child_under_20s(self):
+        # 302,401 base-10 digits: one division of the whole code per digit
+        # runs past this timeout; split, the decode takes about two seconds.
+        code = (
+            "from aritygap.core import decode_index\n"
+            "d = decode_index((10**302401 - 1) // 7, 10, 302401)\n"
+            "assert d == (1, 4, 2, 8, 5, 7) * 50400 + (1,)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=20)
+        assert result.returncode == 0, result.stderr
 
 
 class TestEssential:
@@ -130,6 +165,14 @@ class TestSubstitute:
             Substitution(2, 2, (1, 3))
         with pytest.raises(ArityMismatch):
             Substitution(3, 2, (1, 2))
+
+    @given(finite_functions(max_n=3, max_table=32), st.data())
+    def test_matches_pointwise_oracle(self, f, data):
+        m = data.draw(st.integers(1, 3), label="target arity")
+        mapping = tuple(data.draw(st.integers(1, m)) for _ in range(f.n))
+        g = substitute(f, Substitution(f.n, m, mapping))
+        assert (g.k, g.b, g.n) == (f.k, f.b, m)
+        assert g.table == naive_substitute(f, m, mapping)
 
     @given(finite_functions(max_n=3, max_table=32), st.data())
     def test_composition(self, f, data):
@@ -255,6 +298,18 @@ class TestLeq:
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatch):
             leq(make_function(3, 3, 1, [0, 1, 2]), XOR)
+
+    def test_keeps_no_substitution_tables(self):
+        # All 6**5 maps are tried (no minor of 5-variable parity has ess 6),
+        # and none of their 64-row remaps outlives its substitution.
+        f, g = (make_function(2, 2, n, [bin(r).count("1") % 2 for r in range(2**n)]) for n in (6, 5))
+        tracemalloc.start()
+        try:
+            assert not leq(f, g)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024
 
     @given(finite_functions(max_n=3, max_table=27), st.data())
     @settings(deadline=None, max_examples=50)

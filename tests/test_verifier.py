@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import aritygap.verifier as verifier
@@ -24,9 +26,10 @@ from aritygap.errors import (
     NotBoolean,
     NotTotallyEssential,
     SpecInvalid,
+    ValueOutOfRange,
 )
 from aritygap.core import FiniteFunction
-from aritygap.verifier import _deg2_total, _var_masks
+from aritygap.verifier import _var_masks
 
 XOR = make_function(2, 2, 2, [0, 1, 1, 0])
 AND = make_function(2, 2, 2, [0, 0, 0, 1])
@@ -178,7 +181,8 @@ class TestSweep:
 
     def test_deg2_accounting(self):
         r = sweep(TheoremId.LEM_DEG2, Exhaustive(2, 2, 4), workers=1)
-        assert r.checked + r.skipped == _deg2_total(Exhaustive(2, 2, 4), 1 << 24)
+        # Nonzero quadratic parts times linear parts times constants.
+        assert r.checked + r.skipped == (2 ** math.comb(4, 2) - 1) * 2 ** 5
         assert r.violation_count == 0
 
     def test_deg2_rejects_sampled(self):
@@ -266,6 +270,33 @@ class TestSweep:
         for count in (0, -5):
             with pytest.raises(SpecInvalid):
                 sweep(TheoremId.THM_STR, Sampled(2, 2, 3, count, 0), workers=1)
+        for workers in (0, -3):
+            with pytest.raises(SpecInvalid):
+                sweep(TheoremId.THM_STR, Exhaustive(2, 2, 3), workers=workers)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3), (2, 2, 0), (2, 2, -1), (-3, 2, 2)])
+    @pytest.mark.parametrize("key", list(verifier._THEOREMS), ids=lambda key: key.value)
+    def test_nonpositive_shape_fails_before_drawing(self, key, shape, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("built a member of a malformed shape")
+
+        monkeypatch.setattr(verifier, "random_function", no_draws)
+        monkeypatch.setattr(verifier, "from_code", no_draws)
+        for pop in (Exhaustive(*shape), Sampled(*shape, 5, 0), Sampled(*shape, 5, 0, True)):
+            with pytest.raises(ValueOutOfRange, match="must be >= 1"):
+                sweep(key, pop, workers=1)
+
+    def test_samples_are_drawn_under_the_sweep_budget(self, monkeypatch):
+        budgets = []
+
+        def spy(k, b, n, seed, budget=None):
+            budgets.append(budget)
+            return random_function(k, b, n, seed, budget)
+
+        monkeypatch.setattr(verifier, "random_function", spy)
+        for reject in (False, True):
+            sweep(TheoremId.THM_STR, Sampled(2, 2, 3, 4, 0, reject), budget=1 << 30, workers=1)
+        assert len(budgets) >= 8 and set(budgets) == {1 << 30}
 
     @pytest.mark.parametrize(
         "theorem,shape",
