@@ -14,7 +14,8 @@ big-endian hexadecimal, row 0 being the most significant bit.
 JSON outputs all carry {"schema": "aritygap/1"}.  Exit codes: 0 success
 (for sweeps: no violations), 1 sweep violations, 2 bad input, 3 budget
 exceeded, 4 nothing checked (a sweep whose population held no function
-satisfying the theorem's hypothesis).
+satisfying the theorem's hypothesis).  A reader that closes standard output
+early (`| head`) also gives status 1, without a traceback.
 """
 
 from __future__ import annotations
@@ -359,6 +360,10 @@ def main(argv=None) -> int:
     except ArityGapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at shutdown cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

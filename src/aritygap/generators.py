@@ -5,11 +5,18 @@ generator whose c-th output for seed s is mix64(s + (c + 1) * GOLDEN),
 all mod 2**64.  It is implemented here directly so tables are
 bit-identical across platforms and interpreter versions; reference
 outputs are frozen in the test suite.
+
+random_function fills row r from output r by SplitMix64.below(b).  For b a
+power of two up to 2**64 below never rejects, so the entry is the output's
+low bits: rows are drawn in blocks of 1,024, one 128-bit lane of an int per
+row, with mix64 run on all lanes at once.  Other b draw row by row.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .core import (
@@ -28,6 +35,8 @@ from .errors import (
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+_BLOCK = 1024  # rows mixed per pass: 128 Kibit ints at any table size
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 #: Largest table/enumeration size walked by default; ARITYGAP_BUDGET
 #: overrides it on the command line.
@@ -84,20 +93,35 @@ def random_function(
     if k < 1 or b < 1 or n < 1:
         raise ValueOutOfRange(f"k, b and n must be >= 1, got k={k} b={b} n={n}")
     size = table_size(k, n, budget)
-    if b & (b - 1):
+    w = field_width(b)
+    if b & (b - 1) or b > 1 << 64:
         rng = SplitMix64(seed)
-        return FiniteFunction(k, b, n, pack([rng.below(b) for _ in range(size)], field_width(b)))
-    # below(b) never rejects when b divides 2**64, so each entry is the low
-    # bits of the next output; the stream is SplitMix64.next_u64 unrolled.
-    low = b - 1
-    state = seed & _MASK64
-    values = []
-    for _ in range(size):
-        state = (state + GOLDEN) & _MASK64
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        values.append((z ^ (z >> 31)) & low)
-    return FiniteFunction(k, b, n, pack(values, field_width(b)))
+        return FiniteFunction(k, b, n, pack([rng.below(b) for _ in range(size)], w))
+    text = [_block_text(seed + (start + 1) * GOLDEN, min(_BLOCK, size - start), b - 1, w)
+            for start in range(0, size, _BLOCK)]
+    return FiniteFunction(k, b, n, int("".join(text), 2))
+
+
+@lru_cache(maxsize=8)
+def _lanes(rows: int, low: int):
+    """Lane j's 1, j * GOLDEN mod 2**64, 64-bit mask and `low` mask, at bit 128j."""
+    ones = int.from_bytes((b"\1" + bytes(15)) * rows, "little")
+    steps = b"".join((j * GOLDEN & _MASK64).to_bytes(16, "little") for j in range(rows))
+    return ones, int.from_bytes(steps, "little"), _MASK64 * ones, low * ones
+
+
+def _block_text(base: int, rows: int, low: int, w: int) -> str:
+    """Binary text of the low fields of mix64 at counters base + j * GOLDEN,
+    j < rows, one lane each.  A lane holds its 64-bit by 64-bit product;
+    masks after right shifts drop bits from the lane above."""
+    ones, steps, lanes, fields = _lanes(rows, low)
+    z = ((base & _MASK64) * ones + steps) & lanes
+    z = ((z ^ z >> 30 & lanes) * 0xBF58476D1CE4E5B9) & lanes
+    z = ((z ^ z >> 27 & lanes) * 0x94D049BB133111EB) & lanes
+    data = ((z ^ z >> 31) & fields).to_bytes(16 * rows, "little")
+    if w == 1:
+        return data[::16].translate(_DIGITS).decode()
+    return format(pack([v for v, _ in struct.iter_unpack("<QQ", data)], w), f"0{rows * w}b")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Everything here recomputes results from the definitions, deliberately
 avoiding the code paths under test: only f.k, f.b, f.n and the tuple view
 f.table are read.  Essential variables come from scanning point pairs, ANF
 coefficients from subset sums, minors from explicit point maps, and essl
-from enumerating every simple variable substitution.
+from enumerating every simple variable substitution.  Random tables are
+replayed from a sequential SplitMix64 stream, one output at a time.
 """
 
 from collections import namedtuple
@@ -123,3 +124,37 @@ def max_ess_over_strict_minors(f):
         if f.table not in minors(g):
             best = max(best, naive_ess(Table(f.k, f.b, f.n, g)))
     return best
+
+
+class SplitMix64Stream:
+    """SplitMix64 (Steele, Lea and Flood, 2014) stepped one output at a
+    time: add the golden gamma to the state, then apply the finalizer."""
+
+    def __init__(self, seed):
+        self.state = seed % 2**64
+
+    def next(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        z = self.state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        return z ^ (z >> 31)
+
+    def below(self, bound):
+        """Uniform in [0, bound): a candidate is the fewest outputs (one at
+        least) that cover bound - 1, concatenated first-most-significant,
+        rejected at or above the largest multiple of bound that fits."""
+        words = max(1, -(-(bound - 1).bit_length() // 64))
+        limit = 2 ** (64 * words) // bound * bound
+        while True:
+            z = 0
+            for _ in range(words):
+                z = z << 64 | self.next()
+            if z < limit:
+                return z % bound
+
+
+def naive_random_table(k, b, n, seed):
+    """k**n entries drawn by below(b) from one stream, row 0 first."""
+    stream = SplitMix64Stream(seed)
+    return tuple(stream.below(b) for _ in range(k**n))

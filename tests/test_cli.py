@@ -415,6 +415,23 @@ def test_module_entry_point(tmp_path):
     assert "gap=2" in result.stdout
 
 
+def test_closed_stdout_exits_1_without_traceback():
+    # The 0.8 MB report outgrows the pipe buffer, so the write meets the
+    # closed pipe while the child is still printing.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "aritygap", "sweep", "--theorem", "thm1", "--k", "8", "--n", "6",
+         "--count", "1", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(child.stdout.read(10)) == 10
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert err == b""
+
+
 def _parity_hex(n):
     # Thue-Morse: row r of the parity table is popcount(r) mod 2.
     rows = "0"

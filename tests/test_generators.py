@@ -1,3 +1,6 @@
+import resource
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -30,6 +33,9 @@ from aritygap.errors import (
     SpecInvalid,
     ValueOutOfRange,
 )
+from aritygap.generators import _BLOCK
+
+from oracles import naive_random_table
 
 XOR = make_function(2, 2, 2, [0, 1, 1, 0])
 
@@ -105,6 +111,59 @@ class TestRandomFunction:
     def test_validation(self):
         with pytest.raises(ValueOutOfRange):
             random_function(0, 2, 2, seed=0)
+
+    def test_powers_of_two_above_2_64_read_two_words(self):
+        f = random_function(2, 2**65, 3, seed=5)
+        stream = SplitMix64(5)
+        assert f.table == tuple(stream.below(2**65) for _ in range(8))
+        assert max(f.table) >= 2**64
+
+
+# Shapes (k, n): k in {2, 3}, then 1 row, one row under a block, exactly one
+# block, one row over, and several blocks with a partial last one.
+ORACLE_SHAPES = [(2, 3), (3, 2), (1, 1), (_BLOCK - 1, 1), (_BLOCK, 1), (_BLOCK + 1, 1), (3, 7)]
+
+
+class TestRandomFunctionOracle:
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    @pytest.mark.parametrize("b", [1, 2, 4, 8, 256, 2**64, 2**65])
+    def test_table_is_below_b_drawn_row_by_row(self, b, shape):
+        k, n = shape
+        for seed in (0, 2**64 - 1, 2**64 + 5, -1):
+            assert random_function(k, b, n, seed).table == naive_random_table(k, b, n, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        n=st.integers(1, 5),
+        b=st.one_of(st.integers(1, 300), st.integers(0, 70).map(lambda e: 2**e)),
+        seed=st.integers(-(2**70), 2**70),
+    )
+    def test_any_shape_and_seed(self, k, n, b, seed):
+        assert random_function(k, b, n, seed).table == naive_random_table(k, b, n, seed)
+
+
+def test_largest_boolean_draw_in_bounded_memory():
+    # 2**24 rows is the most the default budget admits.
+    def limit_address_space():
+        # Applies in the child only, between fork and exec.
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    code = (
+        "from aritygap import random_function\n"
+        "f = random_function(2, 2, 24, 0)\n"
+        "print(f.bits.bit_length(), f.bits.bit_count(), hex(f.bits >> (1 << 24) - 64))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            preexec_fn=limit_address_space, timeout=120)
+    assert result.returncode == 0, result.stderr
+    length, ones, prefix = result.stdout.split()
+    assert int(length) <= 1 << 24
+    assert int(ones) == 8390894
+    # Rows 0..63, the first 64 draws of the seed-0 stream.
+    prefix_rows = format(int(prefix, 16), "064b")
+    assert tuple(map(int, prefix_rows)) == naive_random_table(2, 2, 6, 0)
+    assert prefix == "0xaaaf8cc37f17ad9b"
 
 
 class TestQuasiLinear:
