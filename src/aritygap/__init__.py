@@ -4,7 +4,6 @@ and exhaustive theorem sweeps."""
 
 from .anf import (
     ZhegalkinPolynomial,
-    anf_identify,
     degree,
     from_anf,
     make_polynomial,
@@ -16,7 +15,6 @@ from .classify import NOT_SPECIAL, FormTag, SpecialForm, classify, gap_via_class
 from .core import (
     FiniteFunction,
     GapReport,
-    Substitution,
     encode_point,
     decode_index,
     ess,
@@ -26,9 +24,7 @@ from .core import (
     gap_report,
     identify,
     is_essential,
-    leq,
     make_function,
-    substitute,
 )
 from .generators import (
     DEFAULT_BUDGET,

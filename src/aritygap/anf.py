@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import FiniteFunction, _layout, pack
-from .errors import IndexOutOfRange, NotBoolean, SameIndex, ValueOutOfRange
+from .errors import IndexOutOfRange, NotBoolean, ValueOutOfRange
 
 Monomial = frozenset[int]
 
@@ -44,9 +44,10 @@ def _moebius(bits: int, n: int) -> int:
     """Subset XOR transform of a packed Boolean table, n masked shift-XORs;
     self-inverse over GF(2).  Bit r of the result (row order) is the
     coefficient of the monomial whose index is r."""
-    masks, strides, _ = _layout(2, 1, n)
-    for t in range(n):
-        bits ^= (bits >> strides[t]) & masks[t][1]
+    zeros, strides, _ = _layout(2, 1, n)
+    for z, s in zip(zeros, strides):
+        # Each row with x_t = 0 adds its value to the row with x_t = 1.
+        bits ^= (bits & z) >> s
     return bits
 
 
@@ -94,24 +95,6 @@ def occurs(p: ZhegalkinPolynomial, i: int) -> bool:
     if not 1 <= i <= p.arity:
         raise IndexOutOfRange(f"variable index {i} not in 1..{p.arity}")
     return any(i in m for m in p.monomials)
-
-
-def anf_identify(p: ZhegalkinPolynomial, i: int, j: int) -> ZhegalkinPolynomial:
-    """Substitute x_j for x_i in every monomial, cancelling pairs over GF(2).
-
-    Equals to_anf(identify(from_anf(p), i, j)).
-    """
-    for v in (i, j):
-        if not 1 <= v <= p.arity:
-            raise IndexOutOfRange(f"variable index {v} not in 1..{p.arity}")
-    if i == j:
-        raise SameIndex(f"identification needs two distinct indices, got i = j = {i}")
-    result: set[Monomial] = set()
-    for mono in p.monomials:
-        if i in mono:
-            mono = (mono - {i}) | {j}
-        result.symmetric_difference_update((mono,))
-    return ZhegalkinPolynomial(p.arity, frozenset(result))
 
 
 def polynomial_str(p: ZhegalkinPolynomial) -> str:

@@ -1,24 +1,23 @@
 """Functions on finite sets as packed value tables.
 
-Provides the minor machinery: essential variables, simple variable
-substitution, variable identification, the quasi-order induced by
-substitution, and the arity gap.
+Provides essential variables, variable identification minors and the
+arity gap.
 
 A table is one Python int (Knuth, TAOCP 4A, 7.1): each row holds its value
 in a field of w = max(1, ceil(log2 b)) bits, row 0 in the most significant
 field.  Every primitive is a few shifts and masks over that int, built from
 the digit masks D_t(c), the all-ones fields of the rows whose digit t is c.
+Only D_t(0) and the rows whose digit t is below k-1 are stored per
+variable; D_t(c) = D_t(0) >> c * stride_t is derived where it is used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .errors import (
     ArityMismatch,
-    DomainMismatch,
     EssentialArityTooSmall,
     IndexOutOfRange,
     LengthMismatch,
@@ -71,27 +70,6 @@ class FiniteFunction:
     def table(self) -> tuple[int, ...]:
         """The value table as a tuple, row 0 first."""
         return unpack(self.bits, field_width(self.b), self.k**self.n)
-
-
-@dataclass(frozen=True)
-class Substitution:
-    """A total map sigma: {1..source_arity} -> {1..target_arity}, 1-based.
-
-    mapping[t - 1] is the image of variable t.
-    """
-
-    source_arity: int
-    target_arity: int
-    mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.mapping) != self.source_arity:
-            raise ArityMismatch(
-                f"mapping has {len(self.mapping)} entries, source arity is {self.source_arity}"
-            )
-        for v in self.mapping:
-            if not 1 <= v <= self.target_arity:
-                raise IndexOutOfRange(f"sigma value {v} not in 1..{self.target_arity}")
 
 
 @dataclass(frozen=True)
@@ -165,28 +143,28 @@ def evaluate(f: FiniteFunction, point) -> int:
 
 @lru_cache(maxsize=8)
 def _layout(k: int, w: int, n: int):
-    """Digit masks of one table shape, variables 0-based.
+    """Masks of one table shape, variables 0-based: two per variable.
 
-    masks[t][c] is D_{t+1}(c); strides[t] is the bit distance between rows
-    that differ by one in digit t+1; lower[t] marks the rows whose digit
-    t+1 is below k-1.  Each mask repeats one block of k * k**(n-t-1) rows
-    and is built by doubling a bit string, O(k**n * w) per mask.
+    strides[t] is the bit distance between rows that differ by one in digit
+    t+1.  zeros[t] is D_{t+1}(0); every other digit mask is a shift of it,
+    D_{t+1}(c) = zeros[t] >> c * strides[t], since within each block of
+    k * strides[t] bits the run of digit c lies c runs below that of digit
+    0.  lower[t] = full ^ D_{t+1}(k-1) marks the rows whose digit t+1 is
+    below k-1.  zeros[t] repeats one block and is built by doubling a bit
+    string, O(k**n * w).
     """
     total = k**n * w
     full = (1 << total) - 1
-    masks = []
-    for t in range(n):
-        run = k ** (n - 1 - t) * w
-        row = []
-        for c in range(k):
-            pattern, length = ((1 << run) - 1) << ((k - 1 - c) * run), k * run
-            while length < total:
-                pattern |= pattern << length
-                length *= 2
-            row.append(pattern & full)
-        masks.append(tuple(row))
     strides = tuple(k ** (n - 1 - t) * w for t in range(n))
-    return tuple(masks), strides, tuple(full ^ m[-1] for m in masks)
+    zeros = []
+    for run in strides:
+        pattern, length = ((1 << run) - 1) << ((k - 1) * run), k * run
+        while length < total:
+            pattern |= pattern << length
+            length *= 2
+        zeros.append(pattern & full)
+    lower = tuple(full ^ (z >> (k - 1) * run) for z, run in zip(zeros, strides))
+    return tuple(zeros), strides, lower
 
 
 def _essential(bits: int, strides, lower, candidates) -> list[int]:
@@ -200,24 +178,25 @@ def _essential(bits: int, strides, lower, candidates) -> list[int]:
     return out
 
 
-def _identified(bits: int, masks, stride: int, i: int, j: int) -> int:
-    """Packed table with x_j substituted for x_i (0-based indices): the
-    rows with x_i = a and x_j = c read the table shifted by (c - a) strides,
-    k**2 masked shifts."""
-    di, dj = masks[i], masks[j]
-    if len(di) == 2:
-        # The Boolean case in three terms, unrolled: it dominates sweeps.
-        (i0, i1), (j0, j1) = di, dj
-        return (
-            (bits & ((i0 & j0) | (i1 & j1)))
-            | ((bits << stride) & i0 & j1)
-            | ((bits >> stride) & i1 & j0)
-        )
+def _identified(bits: int, k: int, zeros, strides, i: int, j: int) -> int:
+    """Packed table with x_j substituted for x_i (0-based indices).
+
+    A row with x_j = c reads the row that also has x_i = c.  Those rows are
+    D_i(0) & D_j(0) shifted by c strides of both variables, and a shift by
+    c - a strides of x_i moves their values to the rows with x_i = a: k
+    masks and k**2 shifts.
+    """
+    si, both = strides[i], zeros[i] & zeros[j]
+    if k == 2:
+        # The Boolean case unrolled: it dominates sweeps.
+        on0, on1 = bits & both, bits & (both >> si + strides[j])
+        return on0 | on1 | (on0 >> si) | (on1 << si)
     out = 0
-    for a, on_a in enumerate(di):
-        for c, on_c in enumerate(dj):
-            d = (c - a) * stride
-            out |= (bits << d if d >= 0 else bits >> -d) & on_a & on_c
+    for c in range(k):
+        on_c = bits & (both >> c * (si + strides[j]))
+        for a in range(k):
+            d = (c - a) * si
+            out |= on_c << d if d >= 0 else on_c >> -d
     return out
 
 
@@ -240,22 +219,6 @@ def ess(f: FiniteFunction) -> int:
     return len(essential_vars(f))
 
 
-def substitute(f: FiniteFunction, s: Substitution) -> FiniteFunction:
-    """g(x1..xm) = f(x_sigma(1), ..., x_sigma(n)) for sigma = s.mapping."""
-    if s.source_arity != f.n:
-        raise ArityMismatch(f"substitution source arity {s.source_arity} != function arity {f.n}")
-    # remap[r], the source row of target row r, weighs digit u by its sources.
-    weights = [0] * s.target_arity
-    for t, u in enumerate(s.mapping):
-        weights[u - 1] += f.k ** (f.n - 1 - t)
-    remap = [0]
-    for weight in weights:
-        remap = [r + c * weight for r in remap for c in range(f.k)]
-    values = f.table
-    bits = pack(map(values.__getitem__, remap), field_width(f.b))
-    return FiniteFunction(f.k, f.b, s.target_arity, bits)
-
-
 def identify(f: FiniteFunction, i: int, j: int) -> FiniteFunction:
     """The variable identification minor obtained by substituting x_j for x_i.
 
@@ -268,8 +231,8 @@ def identify(f: FiniteFunction, i: int, j: int) -> FiniteFunction:
             raise IndexOutOfRange(f"variable index {v} not in 1..{f.n}")
     if i == j:
         raise SameIndex(f"identification needs two distinct indices, got i = j = {i}")
-    masks, strides, _ = _layout(f.k, field_width(f.b), f.n)
-    return FiniteFunction(f.k, f.b, f.n, _identified(f.bits, masks, strides[i - 1], i - 1, j - 1))
+    zeros, strides, _ = _layout(f.k, field_width(f.b), f.n)
+    return FiniteFunction(f.k, f.b, f.n, _identified(f.bits, f.k, zeros, strides, i - 1, j - 1))
 
 
 def gap_report(f: FiniteFunction) -> GapReport:
@@ -281,8 +244,8 @@ def gap_report(f: FiniteFunction) -> GapReport:
     scanned; essl can never exceed ess - 1, so the scan stops early once a
     minor attains that.
     """
-    masks, strides, lower = _layout(f.k, field_width(f.b), f.n)
-    bits = f.bits
+    zeros, strides, lower = _layout(f.k, field_width(f.b), f.n)
+    bits, k = f.bits, f.k
     ev = _essential(bits, strides, lower, range(f.n))
     e = len(ev)
     if e < 2:
@@ -294,7 +257,7 @@ def gap_report(f: FiniteFunction) -> GapReport:
         # x_i is inessential by construction: only the rest can count.
         rest = ev[:a] + ev[a + 1 :]
         for j in ev[a + 1 :]:
-            minor = _identified(bits, masks, strides[i], i, j)
+            minor = _identified(bits, k, zeros, strides, i, j)
             count = len(_essential(minor, strides, lower, rest))
             if count > best:
                 best = count
@@ -307,19 +270,3 @@ def gap_report(f: FiniteFunction) -> GapReport:
 def essl(f: FiniteFunction) -> int:
     """Maximum essential arity of a variable identification minor of f."""
     return gap_report(f).essl
-
-
-def leq(f: FiniteFunction, g: FiniteFunction) -> bool:
-    """Whether f is obtained from g by simple variable substitution.
-
-    Tries every sigma: {1..arity g} -> {1..arity f}, so the cost is
-    arity_f ** arity_g substitutions; meant for small arities.
-    """
-    if f.k != g.k or f.b != g.b:
-        raise DomainMismatch(
-            f"domain/codomain mismatch: ({f.k},{f.b}) vs ({g.k},{g.b})"
-        )
-    for mapping in product(range(1, f.n + 1), repeat=g.n):
-        if substitute(g, Substitution(g.n, f.n, mapping)) == f:
-            return True
-    return False

@@ -22,11 +22,7 @@ class SameIndex(ArityGapError, ValueError):
 
 
 class ArityMismatch(ArityGapError, ValueError):
-    """A substitution's source arity differs from the function's arity."""
-
-
-class DomainMismatch(ArityGapError, ValueError):
-    """Two functions do not share domain and codomain sizes."""
+    """A point's length differs from the function's arity."""
 
 
 class EssentialArityTooSmall(ArityGapError, ValueError):

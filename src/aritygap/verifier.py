@@ -35,7 +35,6 @@ from .core import (
     field_width,
     from_code,
     gap_report,
-    pack,
 )
 from .errors import (
     BudgetExceeded,
@@ -197,13 +196,13 @@ def find_restriction_witness(f: FiniteFunction) -> tuple[int, int] | None:
 
 
 def _restriction_witness(f: FiniteFunction) -> tuple[int, int] | None:
-    masks, strides, lower = _layout(f.k, field_width(f.b), f.n)
+    zeros, strides, lower = _layout(f.k, field_width(f.b), f.n)
     for j in range(f.n):
         rest = [t for t in range(f.n) if t != j]
         for c in range(f.k):
             # Fixing x_j = c keeps x_t iff a row of D_t(0) & D_j(c) differs
             # from the row raising x_t: the table masked to D_j(c) shows that.
-            if len(_essential(f.bits & masks[j][c], strides, lower, rest)) == f.n - 1:
+            if len(_essential(f.bits & (zeros[j] >> c * strides[j]), strides, lower, rest)) == f.n - 1:
                 return (j + 1, c)
     return None
 
@@ -216,11 +215,11 @@ def check_kplus1_lemma(f: FiniteFunction) -> tuple[int, int] | None:
 
 
 def _kplus1_pair(f: FiniteFunction) -> tuple[int, int] | None:
-    masks, strides, lower = _layout(f.k, field_width(f.b), f.n)
+    zeros, strides, lower = _layout(f.k, field_width(f.b), f.n)
     top = f.k + 1
     for i in range(top):
         for j in range(i + 1, top):
-            if _essential(_identified(f.bits, masks, strides[i], i, j), strides, lower, range(top)):
+            if _essential(_identified(f.bits, f.k, zeros, strides, i, j), strides, lower, range(top)):
                 return (i + 1, j + 1)
     return None
 
@@ -293,8 +292,9 @@ def _outcome(spec: _Theorem, f: FiniteFunction) -> int:
 
 
 def _var_masks(n: int) -> tuple[int, ...]:
-    """For each variable t, the packed Boolean table of x_t."""
-    return tuple(m[1] for m in _layout(2, 1, n)[0])
+    """For each variable t, the packed Boolean table of x_t: D_t(1)."""
+    zeros, strides, _ = _layout(2, 1, n)
+    return tuple(z >> s for z, s in zip(zeros, strides))
 
 
 def _deg2_walk(key, pop, budget: int):
@@ -399,17 +399,20 @@ def _thm1_members(pop, mode: str, digits: int, lo: int, hi: int):
     top = (size - 1) * w
     field = (1 << w) - 1
     ones = ((1 << size * w) - 1) // field  # a 1 in every field
-    rainbow = [encode_point(p, k) for p in permutations(range(k), n)]
+    # The rainbow rows' offsets in the table's binary text, and each value's field.
+    rainbow = [encode_point(p, k) * w for p in permutations(range(k), n)]
+    text = [format(v, f"0{w}b").encode() for v in range(k)]
 
     def fill(const: int, values) -> int:
         """The table holding const on the rows with a repeated coordinate
-        and values on the rainbow rows, in time linear in its size."""
+        and values on the rainbow rows, written as binary text of size * w
+        digits, in time linear in its size."""
         if not rainbow:
             return const * ones
-        table = [const] * size
-        for row, v in zip(rainbow, values):
-            table[row] = v
-        return pack(table, w)
+        line = bytearray(format(const, f"0{w}b").encode()) * size
+        for at, v in zip(rainbow, values):
+            line[at : at + w] = text[v]
+        return int(line, 2)
 
     def diagonal(code: int) -> FiniteFunction:
         const, *values = decode_index(code, k, digits)

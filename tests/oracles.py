@@ -15,6 +15,11 @@ from itertools import product
 Table = namedtuple("Table", "k b n table")
 
 
+def _tabled(f):
+    """f with its tuple view read once, for oracles that read many rows."""
+    return Table(f.k, f.b, f.n, f.table)
+
+
 def _value(f, point):
     idx = 0
     for x in point:
@@ -24,6 +29,7 @@ def _value(f, point):
 
 def naive_essential(f, i):
     """Definition-level scan: two points differing only in coordinate i."""
+    f = _tabled(f)
     for point in product(range(f.k), repeat=f.n):
         for other in range(f.k):
             changed = point[: i - 1] + (other,) + point[i:]
@@ -38,6 +44,7 @@ def naive_ess(f):
 
 def naive_identify(f, i, j):
     """Table of f with x_j substituted for x_i, point by point."""
+    f = _tabled(f)
     return tuple(
         _value(f, point[: i - 1] + (point[j - 1],) + point[i:])
         for point in product(range(f.k), repeat=f.n)
@@ -49,6 +56,34 @@ def naive_substitute(f, m, mapping):
     return tuple(
         _value(f, tuple(y[v - 1] for v in mapping)) for y in product(range(f.k), repeat=m)
     )
+
+
+def naive_restriction_witness(f):
+    """First (j, c), j then c ascending, such that fixing x_j = c leaves a
+    function of the other n - 1 variables depending on all of them."""
+    f = _tabled(f)
+    for j in range(1, f.n + 1):
+        for c in range(f.k):
+            table = tuple(
+                _value(f, y[: j - 1] + (c,) + y[j - 1 :])
+                for y in product(range(f.k), repeat=f.n - 1)
+            )
+            if naive_ess(Table(f.k, f.b, f.n - 1, table)) == f.n - 1:
+                return j, c
+    return None
+
+
+def naive_kplus1_pair(f):
+    """First pair 1 <= i < j <= k+1 whose identification minor keeps one of
+    x_1, ..., x_{k+1} essential."""
+    f = _tabled(f)
+    top = f.k + 1
+    for i in range(1, top + 1):
+        for j in range(i + 1, top + 1):
+            minor = Table(f.k, f.b, f.n, naive_identify(f, i, j))
+            if any(naive_essential(minor, t) for t in range(1, top + 1)):
+                return i, j
+    return None
 
 
 def naive_gap_report(f):

@@ -2,14 +2,11 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
-import hypothesis.strategies as st
 
 from aritygap import (
-    anf_identify,
     degree,
     ess,
     from_anf,
-    identify,
     is_essential,
     make_function,
     make_polynomial,
@@ -17,7 +14,7 @@ from aritygap import (
     polynomial_str,
     to_anf,
 )
-from aritygap.errors import IndexOutOfRange, NotBoolean, SameIndex
+from aritygap.errors import IndexOutOfRange, NotBoolean
 
 from oracles import naive_anf_monomials
 from strategies import boolean_functions
@@ -126,31 +123,6 @@ class TestOccurs:
         p = to_anf(f)
         for i in range(1, f.n + 1):
             assert occurs(p, i) == is_essential(f, i)
-
-
-class TestAnfIdentify:
-    def test_and_plus_var_collapses(self):
-        p = make_polynomial(2, [{1, 2}, {1}])
-        assert anf_identify(p, 2, 1).monomials == frozenset()
-
-    def test_majority_minor(self):
-        p = to_anf(MAJ3)
-        assert anf_identify(p, 2, 1).monomials == mono({1})
-
-    def test_parity_collapse(self):
-        p = make_polynomial(2, [{1}, {2}])
-        assert anf_identify(p, 2, 1).monomials == frozenset()
-
-    def test_same_index(self):
-        with pytest.raises(SameIndex):
-            anf_identify(make_polynomial(2, [{1}]), 1, 1)
-
-    @given(boolean_functions(min_n=2, max_n=5), st.data())
-    @settings(deadline=None)
-    def test_commutes_with_table_identify(self, f, data):
-        i = data.draw(st.integers(1, f.n), label="i")
-        j = data.draw(st.integers(1, f.n).filter(lambda v: v != i), label="j")
-        assert anf_identify(to_anf(f), i, j) == to_anf(identify(f, i, j))
 
 
 class TestPolynomialStr:

@@ -22,9 +22,9 @@ from aritygap.verifier import _var_masks
 from oracles import naive_anf_monomials, naive_essential, naive_gap_report, naive_identify
 from strategies import boolean_functions, finite_functions
 
-# k in {2, 3, 4} and b in {2, 3, 4, 5}: field widths 1 to 3, and codomains
-# that are not powers of two.
-packed_functions = finite_functions(min_k=2, max_k=4, min_b=2, max_b=5, max_table=64)
+# k in {2, ..., 5} and b in {2, ..., 16}: field widths 1 to 4, codomains that
+# are not powers of two, and k > 2, where identify takes its general branch.
+packed_functions = finite_functions(min_k=2, max_k=5, min_b=2, max_b=16, max_table=125)
 
 
 class TestAgainstOracles:

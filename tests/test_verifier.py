@@ -1,6 +1,12 @@
 import math
+import resource
+import subprocess
+import sys
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import aritygap.verifier as verifier
 from aritygap import (
@@ -31,10 +37,42 @@ from aritygap.errors import (
 from aritygap.core import FiniteFunction
 from aritygap.verifier import _var_masks
 
+from oracles import naive_ess, naive_kplus1_pair, naive_restriction_witness
+
 XOR = make_function(2, 2, 2, [0, 1, 1, 0])
 AND = make_function(2, 2, 2, [0, 0, 0, 1])
 MAJ3 = make_function(2, 2, 3, [0, 0, 0, 1, 0, 1, 1, 1])
 XOR3 = make_function(2, 2, 3, [0, 1, 1, 0, 1, 0, 0, 1])
+
+
+@st.composite
+def witness_functions(draw, above_k, max_table):
+    """Tables with k in {2, 3, 4}, b in {2, 3, 5} and at most max_table rows,
+    n >= 2 or, when above_k, n > k.  A dense random table nearly always has
+    the first witness, so draw one of two families instead:
+    - a constant with up to eight rows changed: one changed row already
+      depends on every variable, and the witnesses spread over c and pairs;
+    - unless above_k, a selector: x_1 = c reads a table of its own over
+      all but at least one of the other variables, so fixing x_1 loses one
+      and restriction witnesses have j > 1, some of them c > 0."""
+    k = draw(st.sampled_from((2, 3, 4)))
+    b = draw(st.sampled_from((2, 3, 5)))
+    low = top = k + 1 if above_k else 2
+    while k ** (top + 1) <= max_table:
+        top += 1
+    n = draw(st.integers(low, top))
+    values = st.integers(0, b - 1)
+    if not above_k and n > 2 and draw(st.booleans()):
+        reads = [sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=n - 2)))
+                 for _ in range(k)]
+        maps = [draw(st.lists(values, min_size=k ** len(r), max_size=k ** len(r))) for r in reads]
+        table = [maps[x[0]][sum(x[t] * k**a for a, t in enumerate(reads[x[0]]))]
+                 for x in product(range(k), repeat=n)]
+    else:
+        table = [draw(values)] * k**n
+        for row, v in draw(st.lists(st.tuples(st.integers(0, k**n - 1), values), max_size=8)):
+            table[row] = v
+    return make_function(k, b, n, table)
 
 
 class TestCheckGapBound:
@@ -123,6 +161,13 @@ class TestRestrictionWitness:
         with pytest.raises(NotTotallyEssential):
             find_restriction_witness(make_function(2, 2, 1, [0, 1]))
 
+    @given(witness_functions(above_k=False, max_table=256))
+    @settings(deadline=None)
+    def test_matches_oracle(self, f):
+        if naive_ess(f) != f.n:
+            return
+        assert find_restriction_witness(f) == naive_restriction_witness(f)
+
 
 class TestKplus1Lemma:
     def test_xor3(self):
@@ -147,6 +192,13 @@ class TestKplus1Lemma:
             assert pair is not None
             i, j = pair
             assert 1 <= i < j <= 4
+
+    @given(witness_functions(above_k=True, max_table=1024))
+    @settings(deadline=None)
+    def test_matches_oracle(self, f):
+        if naive_ess(f) != f.n:
+            return
+        assert check_kplus1_lemma(f) == naive_kplus1_pair(f)
 
 
 class TestSweep:
@@ -223,6 +275,23 @@ class TestSweep:
         parallel = sweep(TheoremId.THM1, pop, workers=2, max_recorded=50).to_dict()
         serial.pop("elapsed_s"), parallel.pop("elapsed_s")
         assert serial == parallel and serial["checked"] == 300 and serial["witnesses"]
+
+    def test_thm1_wide_k_sample_in_bounded_memory(self):
+        # 10**7 rows of 4 bits and 604,800 rainbow rows: the table is written
+        # as binary text, and the masks are two per variable.
+        def limit_address_space():
+            # Applies in the child only, between fork and exec.
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        code = (
+            "from aritygap import Sampled, TheoremId, sweep\n"
+            "r = sweep(TheoremId.THM1, Sampled(10, 10, 7, 1, 0))\n"
+            "print(r.checked, r.passed)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                preexec_fn=limit_address_space, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["1", "True"]
 
     def test_thm1_rejects_hypothesis_sampling(self):
         with pytest.raises(SpecInvalid):
