@@ -118,6 +118,16 @@ def naive_anf_monomials(f):
     return frozenset(monomials)
 
 
+def naive_anf_identify(monomials, i, j):
+    """ANF of the minor with x_j substituted for x_i, by the monomial rule:
+    rename x_i to x_j in every monomial (x_j * x_j = x_j), then cancel the
+    monomials that now occur an even number of times."""
+    out = set()
+    for m in monomials:
+        out ^= {frozenset(j if v == i else v for v in m)}
+    return frozenset(out)
+
+
 def naive_anf_monomials_packed(f):
     """Same subset-sum definition, folded over table indices: a point's
     support is contained in S exactly when its index is a submask of the

@@ -2,11 +2,13 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from aritygap import (
     degree,
     ess,
     from_anf,
+    identify,
     is_essential,
     make_function,
     make_polynomial,
@@ -16,7 +18,7 @@ from aritygap import (
 )
 from aritygap.errors import IndexOutOfRange, NotBoolean
 
-from oracles import naive_anf_monomials
+from oracles import naive_anf_identify, naive_anf_monomials
 from strategies import boolean_functions
 
 AND = make_function(2, 2, 2, [0, 0, 0, 1])
@@ -123,6 +125,35 @@ class TestOccurs:
         p = to_anf(f)
         for i in range(1, f.n + 1):
             assert occurs(p, i) == is_essential(f, i)
+
+
+class TestAnfIdentify:
+    """ANF of identification minors: x_i becomes x_j in every monomial."""
+
+    def test_and_plus_var_collapses(self):
+        f = from_anf(make_polynomial(2, [{1, 2}, {1}]))
+        assert to_anf(identify(f, 2, 1)).monomials == frozenset()
+
+    def test_majority_minor(self):
+        assert to_anf(identify(MAJ3, 2, 1)).monomials == mono({1})
+
+    def test_parity_collapse(self):
+        assert to_anf(identify(XOR, 2, 1)).monomials == frozenset()
+
+    @given(boolean_functions(min_n=2, max_n=5), st.data())
+    @settings(deadline=None)
+    def test_commutes_with_table_identify(self, f, data):
+        i = data.draw(st.integers(1, f.n), label="i")
+        j = data.draw(st.integers(1, f.n).filter(lambda v: v != i), label="j")
+        expected = naive_anf_identify(naive_anf_monomials(f), i, j)
+        assert to_anf(identify(f, i, j)).monomials == expected
+
+    @given(boolean_functions(min_n=2, max_n=5), st.data())
+    @settings(deadline=None)
+    def test_degree_never_rises(self, f, data):
+        i = data.draw(st.integers(1, f.n), label="i")
+        j = data.draw(st.integers(1, f.n).filter(lambda v: v != i), label="j")
+        assert degree(to_anf(identify(f, i, j))) <= degree(to_anf(f))
 
 
 class TestPolynomialStr:

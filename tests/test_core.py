@@ -29,7 +29,14 @@ from aritygap.errors import (
     ValueOutOfRange,
 )
 
-from oracles import max_ess_over_strict_minors, naive_ess, naive_essential, naive_substitute
+from oracles import (
+    max_ess_over_strict_minors,
+    naive_ess,
+    naive_essential,
+    naive_identify,
+    naive_random_table,
+    naive_substitute,
+)
 from strategies import finite_functions
 
 XOR = make_function(2, 2, 2, [0, 1, 1, 0])
@@ -158,6 +165,15 @@ class TestIdentify:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             identify(XOR, 1, 3)
+
+    @pytest.mark.parametrize("k,b,n", [(2, 2, 4), (3, 5, 3), (4, 3, 3), (7, 16, 2), (10, 16, 2)])
+    def test_every_pair_matches_point_oracle(self, k, b, n):
+        # k > 2 reads every digit mask D_t(c) as a shift of D_t(0).
+        f = make_function(k, b, n, naive_random_table(k, b, n, seed=k))
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    assert identify(f, i, j).table == naive_identify(f, i, j)
 
     @given(finite_functions(max_n=4), st.data())
     def test_identified_variable_inessential(self, f, data):

@@ -1,6 +1,7 @@
 """The packed-int table engine against the definition-level oracles, and
 the packed layout itself pinned on known tables."""
 
+import pytest
 from hypothesis import given, settings
 
 from aritygap import (
@@ -16,7 +17,7 @@ from aritygap import (
 )
 from aritygap.classify import _special_form
 from aritygap.cli import parse_function_text
-from aritygap.core import from_code
+from aritygap.core import _layout, from_code
 from aritygap.verifier import _var_masks
 
 from oracles import naive_anf_monomials, naive_essential, naive_gap_report, naive_identify
@@ -98,3 +99,19 @@ class TestLayout:
         assert _var_masks(3) == (0b00001111, 0b00110011, 0b01010101)
         x1x2 = _var_masks(3)[0] & _var_masks(3)[1]
         assert x1x2 == from_anf(make_polynomial(3, [{1, 2}])).bits == 0b00000011
+
+    @pytest.mark.parametrize("k,w,n", [(2, 1, 4), (3, 2, 3), (4, 2, 3), (5, 4, 2), (10, 4, 2), (3, 3, 1)])
+    def test_digit_masks_are_shifts_of_the_first(self, k, w, n):
+        # D_t(c) from its definition: the all-ones fields of the rows whose
+        # digit t is c, row 0 in the most significant field.
+        size, ones = k**n, (1 << w) - 1
+
+        def digit_mask(t, c):
+            return sum(ones << (size - 1 - r) * w for r in range(size) if r // k ** (n - 1 - t) % k == c)
+
+        zeros, strides, lower = _layout(k, w, n)
+        assert len(zeros) == len(strides) == len(lower) == n
+        for t in range(n):
+            for c in range(k):
+                assert zeros[t] >> c * strides[t] == digit_mask(t, c)
+            assert lower[t] == sum(digit_mask(t, c) for c in range(k - 1))
