@@ -1,43 +1,56 @@
 """Zhegalkin polynomials (algebraic normal form) of Boolean value tables.
 
-A polynomial is a set of monomials, each monomial the set of 1-based
-variable indices it multiplies; the empty monomial is the constant 1.
-Conversion both ways uses the butterfly Moebius transform over GF(2),
-which is its own inverse, run on the packed table int.
+A polynomial is held as its coefficient table, laid out as the packed
+table of a Boolean FiniteFunction: the bit of row r is the coefficient of
+the monomial whose variables are the digits of r that equal 1, row 0 (the
+constant monomial) in the most significant bit.  The butterfly Moebius
+transform over GF(2), which is its own inverse, turns a value table into
+its coefficient table and back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteFunction, _layout, pack
+from .core import FiniteFunction, _layout
 from .errors import IndexOutOfRange, NotBoolean, ValueOutOfRange
-
-Monomial = frozenset[int]
+from .generators import DEFAULT_BUDGET, table_size
 
 
 @dataclass(frozen=True)
 class ZhegalkinPolynomial:
     """Multilinear polynomial over the two-element field.
 
-    monomials holds the subsets of {1..arity} with coefficient 1; absent
-    subsets have coefficient 0, so the representation is unique.
+    coef is the packed coefficient table over the 2**arity subsets of
+    {1..arity}, so the representation is unique.  The monomials view, built
+    from coef on each access, is the set of subsets with coefficient 1, each
+    the set of its 1-based variable indices; the empty one is the constant 1.
     """
 
     arity: int
-    monomials: frozenset[Monomial]
+    coef: int
+
+    @property
+    def monomials(self) -> frozenset[frozenset[int]]:
+        n = self.arity
+        return frozenset(frozenset(_variables(i, n)) for i in _monomial_indices(self.coef, n))
 
 
 def make_polynomial(arity: int, monomials) -> ZhegalkinPolynomial:
-    """Validate and build a polynomial from any iterable of index iterables."""
+    """Validate and build a polynomial from any iterable of index iterables,
+    a repeated monomial or variable counting once; 2**arity is budgeted."""
     if arity < 1:
         raise ValueOutOfRange(f"arity must be >= 1, got {arity}")
-    normalized = frozenset(frozenset(m) for m in monomials)
-    for mono in normalized:
+    top = table_size(2, arity, DEFAULT_BUDGET) - 1
+    coef = 0
+    for mono in monomials:
+        row = 0
         for v in mono:
             if not 1 <= v <= arity:
                 raise IndexOutOfRange(f"variable index {v} not in 1..{arity}")
-    return ZhegalkinPolynomial(arity, normalized)
+            row |= 1 << (arity - v)
+        coef |= 1 << (top - row)
+    return ZhegalkinPolynomial(arity, coef)
 
 
 def _moebius(bits: int, n: int) -> int:
@@ -61,48 +74,36 @@ def _monomial_indices(coef: int, n: int) -> list[int]:
     return [idx for idx, bit in enumerate(format(coef, f"0{1 << n}b")) if bit == "1"]
 
 
-def _monomial_to_index(mono: Monomial, n: int) -> int:
-    idx = 0
-    for t in mono:
-        idx |= 1 << (n - t)
-    return idx
-
-
 def to_anf(f: FiniteFunction) -> ZhegalkinPolynomial:
     """The unique polynomial over GF(2) whose evaluation matches f."""
     if f.k != 2 or f.b != 2:
         raise NotBoolean(f"ANF needs k = b = 2, got k={f.k} b={f.b}")
-    indices = _monomial_indices(_moebius(f.bits, f.n), f.n)
-    return ZhegalkinPolynomial(f.n, frozenset(frozenset(_variables(i, f.n)) for i in indices))
+    return ZhegalkinPolynomial(f.n, _moebius(f.bits, f.n))
 
 
 def from_anf(p: ZhegalkinPolynomial) -> FiniteFunction:
     """Value table of a polynomial; inverse of to_anf."""
-    n = p.arity
-    coef = [0] * (1 << n)
-    for mono in p.monomials:
-        coef[_monomial_to_index(mono, n)] = 1
-    return FiniteFunction(2, 2, n, _moebius(pack(coef, 1), n))
+    return FiniteFunction(2, 2, p.arity, _moebius(p.coef, p.arity))
 
 
 def degree(p: ZhegalkinPolynomial) -> int:
     """Largest monomial size; 0 for the constants, including the zero polynomial."""
-    return max((len(m) for m in p.monomials), default=0)
+    return max((idx.bit_count() for idx in _monomial_indices(p.coef, p.arity)), default=0)
 
 
 def occurs(p: ZhegalkinPolynomial, i: int) -> bool:
-    """Whether variable i appears in some monomial (iff it is essential)."""
+    """Whether variable i appears in some monomial (iff it is essential):
+    whether a set coefficient lies on a row of the table of x_i."""
     if not 1 <= i <= p.arity:
         raise IndexOutOfRange(f"variable index {i} not in 1..{p.arity}")
-    return any(i in m for m in p.monomials)
+    zeros, strides, _ = _layout(2, 1, p.arity)
+    return bool(p.coef & (zeros[i - 1] >> strides[i - 1]))
 
 
 def polynomial_str(p: ZhegalkinPolynomial) -> str:
     """Canonical rendering: monomials by descending size then ascending
     variable indices, variables printed as x1, x2, ...; "0" and "1" for
     the constants."""
-    if not p.monomials:
-        return "0"
-    ordered = sorted(p.monomials, key=lambda m: (-len(m), sorted(m)))
-    parts = ["*".join(f"x{v}" for v in sorted(m)) if m else "1" for m in ordered]
-    return " + ".join(parts)
+    terms = [_variables(idx, p.arity) for idx in _monomial_indices(p.coef, p.arity)]
+    terms.sort(key=lambda m: (-len(m), m))
+    return " + ".join("*".join(f"x{v}" for v in m) or "1" for m in terms) or "0"

@@ -4,8 +4,9 @@ A Boolean function has gap 2 exactly when its polynomial, restricted to
 the variables that occur in it, is a parity x_i1 + ... + x_im + c, the
 form x_i*x_j + x_i + c, the majority triangle x_i*x_j + x_i*x_k + x_j*x_k + c,
 or the triangle plus two linear terms x_i + x_j; every other function has
-gap 1.  No brute force involved: gap_via_classifier matches the shapes on
-the packed coefficient int of the Moebius transform.
+gap 1.  No brute force involved: classify matches the shapes on the
+polynomial's packed coefficient table, and gap_via_classifier on the
+Moebius transform of the value table, which is the same int.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .anf import ZhegalkinPolynomial, _moebius, _monomial_indices, _monomial_to_index, _variables
+from .anf import ZhegalkinPolynomial, _moebius, _monomial_indices, _variables
 from .core import FiniteFunction
 from .errors import EssentialArityTooSmall, NotBoolean
 
@@ -48,12 +49,16 @@ NOT_SPECIAL = SpecialForm(FormTag.NOT_SPECIAL, (), None)
 def classify(p: ZhegalkinPolynomial) -> SpecialForm:
     """Match p, restricted to its occurring variables, against the four
     gap-2 shapes; inessential variables of the ambient arity are ignored."""
-    c = 1 if frozenset() in p.monomials else 0
-    return _match([_monomial_to_index(m, p.arity) for m in p.monomials if m], p.arity, c)
+    return _match(p.coef, p.arity)
 
 
-def _match(body: list[int], n: int, c: int) -> SpecialForm:
-    """classify on the nonconstant monomials as indices (bit n - t is x_t)."""
+def _match(coef: int, n: int) -> SpecialForm:
+    """classify on a packed coefficient table of arity n."""
+    # Shapes, and polynomials with < 2 occurring variables, have <= max(n, 5) + 1 monomials.
+    if coef.bit_count() > max(n, 5) + 1:
+        return NOT_SPECIAL
+    c = coef >> ((1 << n) - 1)
+    body = _monomial_indices(coef, n)[c:]  # the nonconstant monomials; bit n - t is x_t
     occ = 0
     for m in body:
         occ |= m
@@ -77,19 +82,9 @@ def _match(body: list[int], n: int, c: int) -> SpecialForm:
     return NOT_SPECIAL
 
 
-def _special_form(f: FiniteFunction) -> SpecialForm:
-    """classify(to_anf(f)), read off the packed coefficient int of the
-    Moebius transform without building the polynomial."""
+def gap_via_classifier(f: FiniteFunction) -> int:
+    """Arity gap of a Boolean f with ess >= 2, decided in closed form from
+    its coefficient table without building the polynomial."""
     if f.k != 2 or f.b != 2:
         raise NotBoolean(f"classifier needs k = b = 2, got k={f.k} b={f.b}")
-    coef = _moebius(f.bits, f.n)
-    # No shape has more than max(n, 5) monomials besides the constant.
-    if coef.bit_count() > max(f.n, 5) + 1:
-        return NOT_SPECIAL
-    c = coef >> ((1 << f.n) - 1)
-    return _match(_monomial_indices(coef, f.n)[c:], f.n, c)
-
-
-def gap_via_classifier(f: FiniteFunction) -> int:
-    """Arity gap of a Boolean f with ess >= 2, decided in closed form."""
-    return 1 if _special_form(f) is NOT_SPECIAL else 2
+    return 1 if _match(_moebius(f.bits, f.n), f.n) is NOT_SPECIAL else 2

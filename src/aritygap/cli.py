@@ -26,7 +26,7 @@ import os
 import sys
 
 from .anf import polynomial_str, to_anf
-from .classify import NOT_SPECIAL, _special_form
+from .classify import NOT_SPECIAL, classify
 from .core import FiniteFunction, essential_vars, gap_report, make_function
 from .errors import ArityGapError, BudgetExceeded, ParseError, ValueOutOfRange
 from .generators import (
@@ -159,7 +159,7 @@ def cmd_anf(args) -> int:
 
 def cmd_classify(args) -> int:
     f = load_function(args.path)
-    form = _special_form(f)
+    form = classify(to_anf(f))
     gap = 1 if form is NOT_SPECIAL else 2
     payload = {
         "schema": SCHEMA,
@@ -207,8 +207,6 @@ def cmd_sweep(args) -> int:
 def cmd_search(args) -> int:
     if args.k < 3:
         raise ValueOutOfRange("gap >= 3 search needs k >= 3; Boolean functions have gap at most 2")
-    if args.count < 1:
-        raise ValueOutOfRange(f"--count must be >= 1, got {args.count}")
     # A sampled sweep under ThmGen's hypothesis (ess f > k) whose recorded
     # "violations" are the functions with gap >= 3.
     population = Sampled(args.k, args.k, args.n, args.count, args.seed, True)
@@ -249,35 +247,30 @@ def _load_json_spec(path: str) -> dict:
 
 
 def cmd_generate(args) -> int:
+    # Values are converted in the try, so a generator's SpecInvalid keeps its message.
     if args.quasilinear:
         spec = _load_json_spec(args.quasilinear)
         try:
-            f = quasi_linear(
-                QuasiLinearSpec(
-                    k=int(spec["k"]),
-                    n=int(spec["n"]),
-                    h_maps=tuple(tuple(int(v) for v in h) for h in spec["h_maps"]),
-                    g_map=tuple(int(v) for v in spec["g_map"]),
-                )
+            ql = QuasiLinearSpec(
+                k=int(spec["k"]),
+                n=int(spec["n"]),
+                h_maps=tuple(tuple(int(v) for v in h) for h in spec["h_maps"]),
+                g_map=tuple(int(v) for v in spec["g_map"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"quasilinear spec needs k, n, h_maps, g_map: {exc}") from exc
+        f = quasi_linear(ql)
         comment = "quasi-linear"
     elif args.lift:
         spec = _load_json_spec(args.lift)
         try:
             base = spec["base"]
-            f = lift(
-                LiftSpec(
-                    base=make_function(
-                        int(base["k"]), int(base["b"]), int(base["n"]), [int(v) for v in base["table"]]
-                    ),
-                    gamma=tuple(int(v) for v in spec["gamma"]),
-                    phi=tuple(int(v) for v in spec["phi"]),
-                )
-            )
-        except (KeyError, TypeError) as exc:
+            base_args = (int(base["k"]), int(base["b"]), int(base["n"]), [int(v) for v in base["table"]])
+            gamma = tuple(int(v) for v in spec["gamma"])
+            phi = tuple(int(v) for v in spec["phi"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"lift spec needs base, gamma, phi: {exc}") from exc
+        f = lift(LiftSpec(base=make_function(*base_args), gamma=gamma, phi=phi))
         comment = "lift"
     else:
         k, b, n, seed = args.random

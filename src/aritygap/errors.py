@@ -30,7 +30,10 @@ class EssentialArityTooSmall(ArityGapError, ValueError):
 
 
 class SpecInvalid(ArityGapError, ValueError):
-    """A generator spec violates its structural constraints."""
+    """A request is malformed: a generator spec that violates its structural
+    constraints, or a sweep or check the verifier refuses (an unknown
+    population, a count or worker number below 1, a sampled LemDeg2, a
+    resampled Thm1 or one with b != k, a per-function check of Thm1)."""
 
 
 class GammaNotSurjective(SpecInvalid):

@@ -126,9 +126,11 @@ class _Theorem:
     walk(key, population, budget) -> (member count, the report's population,
     members(lo, hi) yielding (f, outcome)), which refuses what it cannot walk.
 
-    The hypothesis is ess f >= 2, or ess f > k when above_k, plus ess f = n
-    when total and k = b = 2 when boolean.  The feasibility of a shape
-    follows from it: with k, b >= 2 some f depends on all n variables.
+    The hypothesis is ess f >= least, or ess f > k when above_k, plus
+    ess f = n when total, k = b = 2 when boolean, and a polynomial of that
+    degree when degree is set.  The feasibility of a shape follows from it:
+    with k, b >= 2 some f depends on all n variables, and for n >= 2 one of
+    degree 2 does, x1*x2 + x3 + ... + xn.
     """
 
     above_k: bool
@@ -136,12 +138,15 @@ class _Theorem:
     boolean: bool
     claim: Callable[[FiniteFunction], bool] | None
     walk: Callable
+    least: int = 2
+    degree: int | None = None
 
     def min_ess(self, k: int) -> int:
-        return k + 1 if self.above_k else 2
+        return k + 1 if self.above_k else self.least
 
     def need(self) -> str:
-        return "ess f" + (" = n" if self.total else "") + (" > k" if self.above_k else " >= 2")
+        return ((f"degree {self.degree}, " if self.degree else "") + "ess f" + (" = n" if self.total else "")
+                + (" > k" if self.above_k else f" >= {self.least}"))
 
     def require_shape(self, name: str, k: int, b: int) -> None:
         if self.boolean and (k != 2 or b != 2):
@@ -150,17 +155,11 @@ class _Theorem:
     def holds(self, f: FiniteFunction) -> bool:
         """Whether f meets the hypothesis, its shape already accepted."""
         e = len(essential_vars(f))
-        return e >= self.min_ess(f.k) and (not self.total or e == f.n)
+        return (e >= self.min_ess(f.k) and (not self.total or e == f.n)
+                and (self.degree is None or degree(to_anf(f)) == self.degree))
 
     def feasible(self, k: int, b: int, n: int) -> bool:
         return k >= 2 and b >= 2 and n >= self.min_ess(k)
-
-
-def _deg2_claim(f: FiniteFunction) -> bool:
-    """LemDeg2: a polynomial of degree 2 with at least four occurring, that
-    is essential, variables has gap 1; other functions meet it vacuously."""
-    r = gap_report(f)
-    return r.gap == 1 or r.ess < 4 or degree(to_anf(f)) != 2
 
 
 def _require(key, f: FiniteFunction) -> _Theorem:
@@ -169,7 +168,8 @@ def _require(key, f: FiniteFunction) -> _Theorem:
     spec.require_shape(key.value, f.k, f.b)
     if not spec.holds(f):
         error = NotTotallyEssential if spec.total else HypothesisNotMet
-        raise error(f"{key.value} needs {spec.need()}, got ess={ess(f)} n={f.n} k={f.k}")
+        got = f"ess={ess(f)} n={f.n} k={f.k}" + (f" degree={degree(to_anf(f))}" if spec.degree else "")
+        raise error(f"{key.value} needs {spec.need()}, got {got}")
     return spec
 
 
@@ -310,14 +310,15 @@ def _deg2_walk(key, pop, budget: int):
     if total > budget:
         raise BudgetExceeded(f"{total} polynomials exceed budget {budget}")
     desc = f"exhaustive degree-2 polynomials on n={n} variables ({total} candidates)"
-    return total, desc, partial(_deg2_members, n)
+    return total, desc, partial(_deg2_members, _THEOREMS[key].claim, n)
 
 
-def _deg2_members(n: int, lo: int, hi: int):
+def _deg2_members(claim, n: int, lo: int, hi: int):
     """Degree-2 polynomials (quadratic part, linear part, constant) by linear
     candidate index; quadratic part changes slowest.  Those with fewer than
     four occurring variables are skipped unbuilt; the occurring variables
-    are the essential ones, so the rest meet LemDeg2's hypothesis."""
+    are the essential ones, so the rest meet LemDeg2's hypothesis and go
+    straight to its claim."""
     vm = _var_masks(n)
     # (table, variable bitset) per quadratic monomial x_s*x_t, lex order.
     pairs = [(vm[s] & vm[t], (1 << s) | (1 << t)) for s in range(n) for t in range(s + 1, n)]
@@ -353,7 +354,7 @@ def _deg2_members(n: int, lo: int, hi: int):
         if c:
             tbl ^= all_ones
         f = FiniteFunction(2, 2, n, tbl)
-        yield f, _OK if _deg2_claim(f) else _HIT
+        yield f, _OK if claim(f) else _HIT
 
 
 # Thm1 asks for operations with ess f = n whose identification minors are all
@@ -430,8 +431,8 @@ def _thm1_members(pop, mode: str, digits: int, lo: int, hi: int):
         yield f, _HIT if witness else _OK
 
 
-# _Theorem(above_k, total, boolean, claim, walk) per statement.  Thm1 is
-# existential and checked by its witness search.
+# _Theorem(above_k, total, boolean, claim, walk[, least, degree]) per
+# statement.  Thm1 is existential and checked by its witness search.
 _THEOREMS = {
     TheoremId.THM1: _Theorem(False, True, False, None, _thm1_walk),
     TheoremId.THM_SALOMAA_MAIN: _Theorem(False, False, True, lambda f: gap_report(f).gap <= 2, _table_walk),
@@ -443,7 +444,11 @@ _THEOREMS = {
     TheoremId.THM_STR: _Theorem(
         False, False, True, lambda f: gap_via_classifier(f) == gap_report(f).gap, _table_walk
     ),
-    TheoremId.LEM_DEG2: _Theorem(False, False, True, _deg2_claim, _deg2_walk),
+    # A polynomial of degree 2 with at least four occurring, that is
+    # essential, variables has gap 1.
+    TheoremId.LEM_DEG2: _Theorem(
+        False, False, True, lambda f: gap_report(f).gap == 1, _deg2_walk, least=4, degree=2
+    ),
 }
 # The gap >= 3 search, keyed apart from the theorems: ThmGen's hypothesis,
 # and its hits are the functions that fail the claim.

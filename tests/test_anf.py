@@ -16,7 +16,7 @@ from aritygap import (
     polynomial_str,
     to_anf,
 )
-from aritygap.errors import IndexOutOfRange, NotBoolean
+from aritygap.errors import BudgetExceeded, IndexOutOfRange, NotBoolean
 
 from oracles import naive_anf_identify, naive_anf_monomials
 from strategies import boolean_functions
@@ -171,3 +171,46 @@ class TestPolynomialStr:
     def test_sorted_by_size_then_lex(self):
         p = make_polynomial(3, [{2}, {1, 3}, {1, 2}, set(), {3}])
         assert polynomial_str(p) == "x1*x2 + x1*x3 + x2 + x3 + 1"
+
+
+@st.composite
+def monomial_lists(draw):
+    """(n, monomials) with n <= 6: lists of variable indices, repeats allowed."""
+    n = draw(st.integers(1, 6))
+    return n, draw(st.lists(st.lists(st.integers(1, n), max_size=n), max_size=12))
+
+
+class TestCoefficientTable:
+    """The packed coefficient table against the subset-sum oracle."""
+
+    @given(boolean_functions(max_n=6))
+    @settings(max_examples=60, deadline=None)
+    def test_degree_and_occurs_read_the_oracle_monomials(self, f):
+        expected = naive_anf_monomials(f)
+        p = to_anf(f)
+        assert degree(p) == max(map(len, expected), default=0)
+        for i in range(1, f.n + 1):
+            assert occurs(p, i) == any(i in m for m in expected)
+
+    @given(monomial_lists(), st.data())
+    @settings(deadline=None)
+    def test_order_and_repeats_do_not_matter(self, drawn, data):
+        n, monomials = drawn
+        p = make_polynomial(n, monomials)
+        assert p.monomials == frozenset(frozenset(m) for m in monomials)
+        reordered = data.draw(st.permutations([m[::-1] for m in monomials] * 2), label="reordered")
+        q = make_polynomial(n, reordered)
+        assert q == p and hash(q) == hash(p)
+
+    def test_arity_beyond_the_budget_is_refused(self):
+        # 2**25 coefficients exceed the default budget of 2**24.
+        with pytest.raises(BudgetExceeded, match="2\\*\\*25"):
+            make_polynomial(25, [{1}])
+
+    @given(monomial_lists())
+    @settings(deadline=None)
+    def test_round_trip_from_drawn_monomials(self, drawn):
+        p = make_polynomial(*drawn)
+        f = from_anf(p)
+        assert naive_anf_monomials(f) == p.monomials
+        assert to_anf(f) == p

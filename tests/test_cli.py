@@ -287,7 +287,7 @@ class TestSearchCommand:
 
     def test_negative_count_rejected(self, capsys):
         assert main(["search", "--k", "3", "--n", "4", "--count", "-1"]) == 2
-        assert "--count" in capsys.readouterr().err
+        assert "sample count must be >= 1, got -1" in capsys.readouterr().err
 
     def test_small_run_reports_none(self, capsys):
         assert main(["search", "--k", "3", "--n", "4", "--count", "30", "--seed", "1"]) == 0
@@ -397,6 +397,23 @@ class TestGenerateCommand:
     def test_invalid_spec_exits_2(self, tmp_path, capsys):
         spec_path = write(tmp_path, "bad.json", json.dumps({"k": 2}))
         assert main(["generate", "--quasilinear", spec_path]) == 2
+
+    @pytest.mark.parametrize("flag,spec", [
+        ("--quasilinear", {"k": "abc", "n": 2, "h_maps": [[0, 1]] * 2, "g_map": [0, 1]}),
+        ("--lift", {"base": {"k": 2, "b": 2, "n": 2, "table": [0, 1, 1, "x"]}, "gamma": [0, 1, 0],
+                    "phi": [0, 1]}),
+    ])
+    def test_non_integer_spec_value_exits_2(self, flag, spec, tmp_path, capsys):
+        spec_path = write(tmp_path, "bad.json", json.dumps(spec))
+        assert main(["generate", flag, spec_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "spec needs" in err and "Traceback" not in err
+
+    def test_generator_refusal_keeps_its_message(self, tmp_path, capsys):
+        spec = {"k": 2, "n": 2, "h_maps": [[0, 1]], "g_map": [0, 1]}
+        spec_path = write(tmp_path, "short.json", json.dumps(spec))
+        assert main(["generate", "--quasilinear", spec_path]) == 2
+        assert capsys.readouterr().err == "error: need 2 h maps, got 1\n"
 
     def test_bad_json_exits_2(self, tmp_path, capsys):
         spec_path = write(tmp_path, "bad.json", "{not json")

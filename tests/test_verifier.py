@@ -130,9 +130,25 @@ class TestCheck:
             except HypothesisNotMet:
                 continue
             checked += 1
-        if theorem is not TheoremId.LEM_DEG2:
-            r = sweep(theorem, Exhaustive(2, 2, 3), workers=1)
-            assert (r.checked, r.violation_count) == (checked, 0)
+        r = sweep(theorem, Exhaustive(2, 2, 3), workers=1)
+        assert (r.checked, r.violation_count) == (checked, 0)
+
+    def test_deg2_check_reads_the_degree_hypothesis(self):
+        # Over every arity-4 table, check holds on exactly the degree-2
+        # polynomials with ess 4, which the degree-2 sweep also counts.
+        checked = 0
+        for code in range(1 << 16):
+            try:
+                assert check(TheoremId.LEM_DEG2, FiniteFunction(2, 2, 4, code))
+            except HypothesisNotMet:
+                continue
+            checked += 1
+        assert checked == 1616 == sweep(TheoremId.LEM_DEG2, Exhaustive(2, 2, 4), workers=1).checked
+        # The 4-ary parity has gap 2, x1*x2*x3 + x4 gap 1; neither has degree 2.
+        for monomials, deg in (([{1}, {2}, {3}, {4}], 1), ([{1, 2, 3}, {4}], 3)):
+            f = from_anf(make_polynomial(4, monomials))
+            with pytest.raises(HypothesisNotMet, match=f"LemDeg2 needs degree 2, ess f >= 4, .* degree={deg}"):
+                check(TheoremId.LEM_DEG2, f)
 
     def test_thm1_has_no_per_function_check(self):
         with pytest.raises(SpecInvalid):
