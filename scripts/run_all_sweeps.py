@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run every theorem sweep at desk scale and print the reports.
 
-Mirrors the acceptance suite but as a plain script with progress output;
-expect a couple of minutes, dominated by the degree-2 enumeration.
+Mirrors the acceptance suite but as a plain script with progress output.
+With one worker expect about 15 s on a 2-vCPU host with Python 3.11, most
+of it in the degree-2 enumeration and the two sampled ThmStr sweeps.
 """
 
 import argparse

@@ -246,18 +246,25 @@ def _load_json_spec(path: str) -> dict:
         raise ParseError(f"bad JSON in {path}: {exc}") from exc
 
 
+def _int(value) -> int:
+    """A JSON integer as it is: no float, string or bool is truncated to one."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def cmd_generate(args) -> int:
-    # Values are converted in the try, so a generator's SpecInvalid keeps its message.
+    # Values are checked in the try, so a generator's SpecInvalid keeps its message.
     if args.quasilinear:
         spec = _load_json_spec(args.quasilinear)
         try:
             ql = QuasiLinearSpec(
-                k=int(spec["k"]),
-                n=int(spec["n"]),
-                h_maps=tuple(tuple(int(v) for v in h) for h in spec["h_maps"]),
-                g_map=tuple(int(v) for v in spec["g_map"]),
+                k=_int(spec["k"]),
+                n=_int(spec["n"]),
+                h_maps=tuple(tuple(map(_int, h)) for h in spec["h_maps"]),
+                g_map=tuple(map(_int, spec["g_map"])),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"quasilinear spec needs k, n, h_maps, g_map: {exc}") from exc
         f = quasi_linear(ql)
         comment = "quasi-linear"
@@ -265,10 +272,10 @@ def cmd_generate(args) -> int:
         spec = _load_json_spec(args.lift)
         try:
             base = spec["base"]
-            base_args = (int(base["k"]), int(base["b"]), int(base["n"]), [int(v) for v in base["table"]])
-            gamma = tuple(int(v) for v in spec["gamma"])
-            phi = tuple(int(v) for v in spec["phi"])
-        except (KeyError, TypeError, ValueError) as exc:
+            base_args = (_int(base["k"]), _int(base["b"]), _int(base["n"]), list(map(_int, base["table"])))
+            gamma = tuple(map(_int, spec["gamma"]))
+            phi = tuple(map(_int, spec["phi"]))
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"lift spec needs base, gamma, phi: {exc}") from exc
         f = lift(LiftSpec(base=make_function(*base_args), gamma=gamma, phi=phi))
         comment = "lift"

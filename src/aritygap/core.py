@@ -200,6 +200,50 @@ def _identified(bits: int, k: int, zeros, strides, i: int, j: int) -> int:
     return out
 
 
+@lru_cache(maxsize=8)
+def _lane_layout(n: int, lanes: int):
+    """Boolean tables of arity n in `lanes` lanes of 2 * 2**n bits, lane 0
+    lowest, each table in the low half of its lane: a 1 and 2**n - 1 in
+    every lane, and _layout(2, 1, n) with its masks in every lane.  A
+    stride shift keeps each table bit in its lane's rows or padding."""
+    width = 2 << n
+    ones = ((1 << lanes * width) - 1) // ((1 << width) - 1)
+    zeros, strides, lower = _layout(2, 1, n)
+    return (ones, ((1 << (1 << n)) - 1) * ones, tuple(z * ones for z in zeros), strides,
+            tuple(m * ones for m in lower))
+
+
+def _gap1_lanes(block: int, n: int, lanes: int, want: int) -> int:
+    """The lanes of want (bottom bits of lanes, as in _lane_layout) whose
+    table has gap 1: some pair i < j of essential variables gives a minor
+    keeping every essential t other than i, as a minor gains none.  A flag
+    per lane is one masked shift-XOR, plus 2**n - 1 to carry a nonzero lane
+    into bit 2**n.  Lanes with ess < 2 are never returned."""
+    ones, fill, zeros, strides, lower = _lane_layout(n, lanes)
+    size = 1 << n
+
+    def flags(x: int, t: int) -> int:
+        return ((((x << strides[t]) ^ x) & lower[t]) + fill) >> size & ones
+
+    e = [flags(block, t) for t in range(n)]
+    good = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            pending = e[i] & e[j] & want & ~good
+            if not pending:
+                continue
+            minor = _identified(block, 2, zeros, strides, i, j)
+            for t in range(n):
+                if t != i and e[t] & pending:
+                    pending &= ~e[t] | flags(minor, t)
+                    if not pending:
+                        break
+            good |= pending
+            if good == want:
+                return good
+    return good
+
+
 def is_essential(f: FiniteFunction, i: int) -> bool:
     """Whether changing only the i-th argument can change the value of f."""
     if not 1 <= i <= f.n:

@@ -6,10 +6,12 @@ all mod 2**64.  It is implemented here directly so tables are
 bit-identical across platforms and interpreter versions; reference
 outputs are frozen in the test suite.
 
-random_function fills row r from output r by SplitMix64.below(b).  For b a
-power of two up to 2**64 below never rejects, so the entry is the output's
-low bits: rows are drawn in blocks of 1,024, one 128-bit lane of an int per
-row, with mix64 run on all lanes at once.  Other b draw row by row.
+random_function fills the rows in order by SplitMix64.below(b).  Up to
+b = 2**64, below reads one output per candidate, so outputs are mixed in
+blocks of 1,024, one 128-bit lane of an int per output, with mix64 run on
+all lanes at once.  For b a power of two below never rejects and the entry
+is the output's low bits; for other b the outputs under below's threshold
+are kept in order and reduced mod b.  Larger b draw row by row.
 """
 
 from __future__ import annotations
@@ -94,11 +96,16 @@ def random_function(
         raise ValueOutOfRange(f"k, b and n must be >= 1, got k={k} b={b} n={n}")
     size = table_size(k, n, budget)
     w = field_width(b)
-    if b & (b - 1) or b > 1 << 64:
+    if b > 1 << 64:
         rng = SplitMix64(seed)
         return FiniteFunction(k, b, n, pack([rng.below(b) for _ in range(size)], w))
-    text = [_block_text(seed + (start + 1) * GOLDEN, min(_BLOCK, size - start), b - 1, w)
-            for start in range(0, size, _BLOCK)]
+    text, rows, drawn = [], 0, 0
+    while rows < size:
+        block = min(_BLOCK, size - rows)
+        line, kept = _block_text(seed + (drawn + 1) * GOLDEN, block, b, w)
+        text.append(line)
+        rows += kept
+        drawn += block
     return FiniteFunction(k, b, n, int("".join(text), 2))
 
 
@@ -110,18 +117,25 @@ def _lanes(rows: int, low: int):
     return ones, int.from_bytes(steps, "little"), _MASK64 * ones, low * ones
 
 
-def _block_text(base: int, rows: int, low: int, w: int) -> str:
-    """Binary text of the low fields of mix64 at counters base + j * GOLDEN,
-    j < rows, one lane each.  A lane holds its 64-bit by 64-bit product;
+def _block_text(base: int, rows: int, b: int, w: int) -> tuple[str, int]:
+    """Binary text of the entries below(b) reads from mix64 at counters
+    base + j * GOLDEN, j < rows, and their count: the outputs under its
+    threshold, in order, mod b.  For b a power of two none is rejected, and
+    a mask keeps the low bits.  A lane holds its 64-bit by 64-bit product;
     masks after right shifts drop bits from the lane above."""
-    ones, steps, lanes, fields = _lanes(rows, low)
+    limit = (1 << 64) - (1 << 64) % b
+    ones, steps, lanes, fields = _lanes(rows, b - 1 if limit >> 64 else _MASK64)
     z = ((base & _MASK64) * ones + steps) & lanes
     z = ((z ^ z >> 30 & lanes) * 0xBF58476D1CE4E5B9) & lanes
     z = ((z ^ z >> 27 & lanes) * 0x94D049BB133111EB) & lanes
     data = ((z ^ z >> 31) & fields).to_bytes(16 * rows, "little")
     if w == 1:
-        return data[::16].translate(_DIGITS).decode()
-    return format(pack([v for v, _ in struct.iter_unpack("<QQ", data)], w), f"0{rows * w}b")
+        return data[::16].translate(_DIGITS).decode(), rows
+    if limit >> 64:
+        values = [z for z, _ in struct.iter_unpack("<QQ", data)]
+    else:
+        values = [z % b for z, _ in struct.iter_unpack("<QQ", data) if z < limit]
+    return (format(pack(values, w), f"0{len(values) * w}b") if values else ""), len(values)
 
 
 @dataclass(frozen=True)

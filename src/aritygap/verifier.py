@@ -12,21 +12,22 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import multiprocessing
 import os
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import permutations
+from itertools import permutations, repeat
 
 from .anf import degree, to_anf
 from .classify import gap_via_classifier
 from .core import (
     FiniteFunction,
     _essential,
+    _gap1_lanes,
     _identified,
+    _lane_layout,
     _layout,
     decode_index,
     encode_point,
@@ -310,51 +311,55 @@ def _deg2_walk(key, pop, budget: int):
     if total > budget:
         raise BudgetExceeded(f"{total} polynomials exceed budget {budget}")
     desc = f"exhaustive degree-2 polynomials on n={n} variables ({total} candidates)"
-    return total, desc, partial(_deg2_members, _THEOREMS[key].claim, n)
+    return total, desc, partial(_deg2_members, n)
 
 
-def _deg2_members(claim, n: int, lo: int, hi: int):
+def _deg2_members(n: int, lo: int, hi: int):
     """Degree-2 polynomials (quadratic part, linear part, constant) by linear
-    candidate index; quadratic part changes slowest.  Those with fewer than
-    four occurring variables are skipped unbuilt; the occurring variables
-    are the essential ones, so the rest meet LemDeg2's hypothesis and go
-    straight to its claim."""
+    candidate index; quadratic part changes slowest.  The 2**(n+1)
+    candidates of one quadratic part are the lanes of one int, lane
+    2 * linear part + constant, checked together by the gap-1 kernel.
+    Those with fewer than four occurring variables are skipped; the
+    occurring variables are the essential ones, so the rest meet LemDeg2's
+    hypothesis.  A block with no hit yields its counts as runs, and a
+    function is built only for a hit."""
+    # 2**n linear parts times 2 constants; each lane holds a table and as many padding bits.
+    lanes, width, all_ones = 2 << n, 2 << n, (1 << (1 << n)) - 1
+    ones = _lane_layout(n, lanes)[0]
     vm = _var_masks(n)
     # (table, variable bitset) per quadratic monomial x_s*x_t, lex order.
     pairs = [(vm[s] & vm[t], (1 << s) | (1 << t)) for s in range(n) for t in range(s + 1, n)]
-    size = 1 << n
-    all_ones = (1 << size) - 1
     lmasks = [0]  # lmasks[lset]: XOR of x_{t+1} over the bits t of lset
     for m in vm:
         lmasks += [x ^ m for x in lmasks]
-    inner = 1 << (n + 1)
-    skip = (None, _SKIP)
-    cur_q = -1
-    q_mask = q_sup = 0
-    for lin in range(lo, hi):
-        q_idx = lin // inner + 1
-        rem = lin % inner
-        l_idx = rem >> 1
-        c = rem & 1
-        if q_idx != cur_q:
-            cur_q = q_idx
-            q_mask = q_sup = 0
-            qq, p = q_idx, 0
-            while qq:
-                if qq & 1:
-                    pm, ps = pairs[p]
-                    q_mask ^= pm
-                    q_sup |= ps
-                qq >>= 1
-                p += 1
-        if (q_sup | l_idx).bit_count() < 4:
-            yield skip
+    # Every linear part lset and constant c, in lane 2 * lset + c.
+    lin = sum((x | (x ^ all_ones) << width) << 2 * width * lset for lset, x in enumerate(lmasks))
+    skips = {}  # per quadratic support: the lanes with fewer than four variables
+    ok, skip = (None, _OK), (None, _SKIP)
+    for q_idx in range(lo // lanes + 1, (hi - 1) // lanes + 2):
+        base = (q_idx - 1) * lanes
+        a, b = max(lo - base, 0), min(hi - base, lanes)
+        q_mask = q_sup = 0
+        for p, (pm, ps) in enumerate(pairs):
+            if q_idx >> p & 1:
+                q_mask ^= pm
+                q_sup |= ps
+        if q_sup not in skips:
+            skips[q_sup] = sum(1 << m * width for m in range(lanes) if (q_sup | m >> 1).bit_count() < 4)
+        span = ones >> a * width << a * width & (1 << b * width) - 1
+        want = span & ~skips[q_sup]
+        block = q_mask * ones ^ lin
+        hits = want & ~_gap1_lanes(block, n, lanes, want) if want else 0
+        if not hits:
+            nskip = (span & skips[q_sup]).bit_count()
+            yield from repeat(skip, nskip)
+            yield from repeat(ok, b - a - nskip)
             continue
-        tbl = q_mask ^ lmasks[l_idx]
-        if c:
-            tbl ^= all_ones
-        f = FiniteFunction(2, 2, n, tbl)
-        yield f, _OK if claim(f) else _HIT
+        for m in range(a, b):
+            if hits >> m * width & 1:
+                yield FiniteFunction(2, 2, n, block >> m * width & all_ones), _HIT
+            else:
+                yield ok if want >> m * width & 1 else skip
 
 
 # Thm1 asks for operations with ess f = n whose identification minors are all
@@ -447,7 +452,7 @@ _THEOREMS = {
     # A polynomial of degree 2 with at least four occurring, that is
     # essential, variables has gap 1.
     TheoremId.LEM_DEG2: _Theorem(
-        False, False, True, lambda f: gap_report(f).gap == 1, _deg2_walk, least=4, degree=2
+        False, False, True, lambda f: _gap1_lanes(f.bits, f.n, 1, 1) == 1, _deg2_walk, least=4, degree=2
     ),
 }
 # The gap >= 3 search, keyed apart from the theorems: ThmGen's hypothesis,
@@ -510,6 +515,8 @@ def sweep(
     if total >= _PARALLEL_THRESHOLD and nworkers > 1:
         bounds = _chunk_bounds(total, nworkers * 4)
         tasks = [(theorem, population, budget, lo, hi, max_recorded) for lo, hi in bounds]
+        import multiprocessing  # here only: a serial sweep or CLI call never pays for it
+
         with multiprocessing.Pool(nworkers) as pool:
             parts = pool.map(_run_range, tasks)
     else:

@@ -402,6 +402,17 @@ class TestGenerateCommand:
         ("--quasilinear", {"k": "abc", "n": 2, "h_maps": [[0, 1]] * 2, "g_map": [0, 1]}),
         ("--lift", {"base": {"k": 2, "b": 2, "n": 2, "table": [0, 1, 1, "x"]}, "gamma": [0, 1, 0],
                     "phi": [0, 1]}),
+        # Non-integral numbers and bools are refused, not truncated.
+        ("--quasilinear", {"k": 2.9, "n": 2, "h_maps": [[0, 1]] * 2, "g_map": [0, 1]}),
+        ("--quasilinear", {"k": 2, "n": 2, "h_maps": [[0, 1.7], [0, 1]], "g_map": [0, 1]}),
+        ("--quasilinear", {"k": 2, "n": True, "h_maps": [[0, 1]], "g_map": [0, 1]}),
+        ("--quasilinear", {"k": 2, "n": 2.0, "h_maps": [[0, 1]] * 2, "g_map": [0, 1]}),
+        ("--lift", {"base": {"k": 2, "b": 2, "n": 2, "table": [0, 1, 1, 0]}, "gamma": [0, 1, 0.5],
+                    "phi": [0, 1]}),
+        ("--lift", {"base": {"k": 2, "b": 2, "n": 2, "table": [0, 1, 1, 0]}, "gamma": [0, 1, 0],
+                    "phi": [False, True]}),
+        ("--lift", {"base": {"k": 2.0, "b": 2, "n": 2, "table": [0, 1, 1, 0]}, "gamma": [0, 1, 0],
+                    "phi": [0, 1]}),
     ])
     def test_non_integer_spec_value_exits_2(self, flag, spec, tmp_path, capsys):
         spec_path = write(tmp_path, "bad.json", json.dumps(spec))
@@ -418,6 +429,14 @@ class TestGenerateCommand:
     def test_bad_json_exits_2(self, tmp_path, capsys):
         spec_path = write(tmp_path, "bad.json", "{not json")
         assert main(["generate", "--quasilinear", spec_path]) == 2
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # Only a sweep's worker pool needs it; a CLI call never forks.
+    code = "import sys, aritygap.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
 
 
 def test_module_entry_point(tmp_path):

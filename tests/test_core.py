@@ -1,7 +1,7 @@
 import resource
 import subprocess
 import sys
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from aritygap import (
     is_essential,
     make_function,
 )
+from aritygap.core import _gap1_lanes
 from aritygap.errors import (
     ArityMismatch,
     EssentialArityTooSmall,
@@ -33,6 +34,7 @@ from oracles import (
     max_ess_over_strict_minors,
     naive_ess,
     naive_essential,
+    naive_gap_report,
     naive_identify,
     naive_random_table,
     naive_substitute,
@@ -270,6 +272,70 @@ class TestGapReport:
         assert i < j and i in ev and j in ev
         assert ess(identify(f, i, j)) == r.essl
         assert r.gap == r.ess - r.essl >= 1
+
+
+def _poly_table(n, monomials):
+    """Boolean table of the sum mod 2 of the monomials, each a set of
+    1-based variables (the empty set is the constant 1), row by row."""
+    return [sum(all(point[v - 1] for v in m) for m in monomials) % 2
+            for point in product((0, 1), repeat=n)]
+
+
+def _gap_two_tables(n):
+    """The four gap-2 shapes on the last variables and on spread-out ones,
+    with the other variables inessential, each also with constant 1."""
+    tables = []
+    for a, b, c in {(n - 2, n - 1, n), (1, n // 2 + 1, n)} if n >= 3 else ():
+        for shape in ([{a}, {b}, {c}], [{a, b}, {a, c}, {b, c}], [{a, b}, {a, c}, {b, c}, {a}, {b}]):
+            tables += [_poly_table(n, shape), _poly_table(n, shape + [set()])]
+    tables += [_poly_table(n, [{n - 1}, {n}]), _poly_table(n, [{1, n}, {n}, set()])]
+    tables.append(_poly_table(n, [{t} for t in range(1, n + 1)]))  # parity of all n
+    return tables
+
+
+class TestGap1Lanes:
+    """The lane-parallel gap-1 kernel against the point-by-point oracle."""
+
+    @staticmethod
+    def _run(n, tables, want):
+        width = 2 << n
+        fs = [make_function(2, 2, n, t) for t in tables]
+        block = sum(f.bits << m * width for m, f in enumerate(fs))
+        got = _gap1_lanes(block, n, len(fs), want)
+        expected = 0
+        for m, f in enumerate(fs):
+            e, _, gap, _ = naive_gap_report(f)
+            if want >> m * width & 1 and e >= 2 and gap == 1:
+                expected |= 1 << m * width
+        return got, expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_random_and_gap_two_lanes_match_oracle(self, n):
+        # Random tables, then the gap-2 shapes and constants in the same block.
+        tables = [naive_random_table(2, 2, n, 100 * n + s) for s in range(12)]
+        tables += _gap_two_tables(n) + [[0] * (1 << n), _poly_table(n, [{1}])]
+        width = 2 << n
+        every = sum(1 << m * width for m in range(len(tables)))
+        got, expected = self._run(n, tables, every)
+        assert got == expected
+        assert expected != every  # some wanted lane is not gap 1
+        # A wanted subset: lanes outside it are never returned.
+        half = sum(1 << m * width for m in range(0, len(tables), 2))
+        assert self._run(n, tables, half) == (expected & half, expected & half)
+
+    def test_gap_two_lanes_alone(self):
+        # Only gap-2 lanes: the kernel must scan every pair and return none.
+        for n in (3, 4, 5):
+            tables = _gap_two_tables(n)
+            width = 2 << n
+            got, expected = self._run(n, tables, sum(1 << m * width for m in range(len(tables))))
+            assert got == expected == 0
+
+    def test_one_lane_is_gap_report(self):
+        for code in range(1 << 8):
+            f = make_function(2, 2, 3, [code >> (7 - r) & 1 for r in range(8)])
+            if len(essential_vars(f)) >= 2:
+                assert (_gap1_lanes(f.bits, 3, 1, 1) == 1) == (gap_report(f).gap == 1)
 
 
 class TestMinors:

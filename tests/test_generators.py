@@ -126,7 +126,7 @@ ORACLE_SHAPES = [(2, 3), (3, 2), (1, 1), (_BLOCK - 1, 1), (_BLOCK, 1), (_BLOCK +
 
 class TestRandomFunctionOracle:
     @pytest.mark.parametrize("shape", ORACLE_SHAPES)
-    @pytest.mark.parametrize("b", [1, 2, 4, 8, 256, 2**64, 2**65])
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 8, 10, 256, 2**63 + 1, 2**64, 2**65])
     def test_table_is_below_b_drawn_row_by_row(self, b, shape):
         k, n = shape
         for seed in (0, 2**64 - 1, 2**64 + 5, -1):

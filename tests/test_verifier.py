@@ -2,6 +2,7 @@ import math
 import resource
 import subprocess
 import sys
+from functools import partial
 from itertools import product
 
 import pytest
@@ -20,6 +21,7 @@ from aritygap import (
     ess,
     find_restriction_witness,
     from_anf,
+    gap_report,
     make_function,
     make_polynomial,
     random_function,
@@ -433,3 +435,70 @@ class TestDeg2MaskEngine:
         tbl = (vm[0] & vm[1]) ^ vm[2] ^ ((1 << (1 << n)) - 1)
         expected = from_anf(make_polynomial(n, [{1, 2}, {3}, set()])).table
         assert FiniteFunction(2, 2, n, tbl).table == expected
+
+
+def _deg2_candidate(n, index):
+    """Candidate index of the degree-2 walk from its definition, and the
+    number of variables occurring in it: quadratic part index // 2**(n+1) + 1
+    over the pairs s < t in lex order, then linear part, then constant; the
+    table is evaluated point by point."""
+    pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
+    q, rem = divmod(index, 2 << n)
+    quad = [p for a, p in enumerate(pairs) if (q + 1) >> a & 1]
+    linear = [t for t in range(n) if rem >> 1 + t & 1]
+    table = [(rem & 1) ^ sum(x[s] & x[t] for s, t in quad) % 2 ^ sum(x[t] for t in linear) % 2
+             for x in product((0, 1), repeat=n)]
+    return make_function(2, 2, n, table), len({v for p in quad for v in p} | set(linear))
+
+
+def _deg2_rule(n, index):
+    """The walk's outcome by definition: skipped when fewer than four
+    variables occur, otherwise a hit unless gap_report finds gap 1."""
+    f, occurring = _deg2_candidate(n, index)
+    if occurring < 4:
+        return verifier._SKIP
+    return verifier._OK if gap_report(f).gap == 1 else verifier._HIT
+
+
+# Ranges of the walk crossing block boundaries (2**(n+1) candidates a block).
+DEG2_RANGES = [(5, 3, 77), (5, 40, 41), (5, 100, 400), (6, 3, 77), (6, 40, 41), (6, 250, 700)]
+DEG2_RANGES += [(n, total - 5, total) for n, total in ((5, 1023 << 6), (6, 32767 << 7))]
+
+
+class TestDeg2Walk:
+    """The lane-parallel walk against the per-candidate definition."""
+
+    def test_every_candidate_at_n4(self):
+        for index in range(2016):
+            [(f, outcome)] = verifier._deg2_members(4, index, index + 1)
+            assert outcome == _deg2_rule(4, index)
+
+    @pytest.mark.parametrize("n,lo,hi", DEG2_RANGES)
+    def test_ranges_across_blocks(self, n, lo, hi):
+        expected = [_deg2_rule(n, i) for i in range(lo, hi)]
+        singles = [outcome for i in range(lo, hi) for _, outcome in verifier._deg2_members(n, i, i + 1)]
+        assert singles == expected
+        # A block with no hit yields its counts, not its order.
+        assert sorted(o for _, o in verifier._deg2_members(n, lo, hi)) == sorted(expected)
+
+    @pytest.mark.parametrize("n,lo,hi", DEG2_RANGES)
+    def test_hits_are_built_in_index_order(self, n, lo, hi, monkeypatch):
+        # With a kernel that passes no lane, every candidate checked is a hit.
+        monkeypatch.setattr(verifier, "_gap1_lanes", lambda block, n, lanes, want: 0)
+        got = list(verifier._deg2_members(n, lo, hi))
+        candidates = [_deg2_candidate(n, i) for i in range(lo, hi)]
+        assert [o for _, o in got] == [verifier._SKIP if occ < 4 else verifier._HIT for _, occ in candidates]
+        assert [f for f, o in got if o == verifier._HIT] == [f for f, occ in candidates if occ >= 4]
+
+    def test_recorded_violations_are_the_first_checked(self, monkeypatch):
+        monkeypatch.setattr(verifier, "_gap1_lanes", lambda block, n, lanes, want: 0)
+        r = sweep(TheoremId.LEM_DEG2, Exhaustive(2, 2, 5), workers=1, max_recorded=7)
+        first = [f for f, occ in map(partial(_deg2_candidate, 5), range(300)) if occ >= 4][:7]
+        assert r.violations == tuple(first) and r.violation_count == r.checked == 64512
+        assert not r.passed
+
+    def test_check_runs_the_walks_kernel(self, monkeypatch):
+        f, occurring = _deg2_candidate(5, 5000)
+        assert occurring == 5 and check(TheoremId.LEM_DEG2, f)
+        monkeypatch.setattr(verifier, "_gap1_lanes", lambda block, n, lanes, want: 0)
+        assert not check(TheoremId.LEM_DEG2, f)
