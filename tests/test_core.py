@@ -282,13 +282,15 @@ def _poly_table(n, monomials):
 
 
 def _gap_two_tables(n):
-    """The four gap-2 shapes on the last variables and on spread-out ones,
-    with the other variables inessential, each also with constant 1."""
+    """The four gap-2 shapes, with and without constant 1 and with the
+    other variables inessential: parity, x_i*x_j + x_i, the triangle and
+    the triangle plus two, on the last variables and on spread-out ones."""
     tables = []
     for a, b, c in {(n - 2, n - 1, n), (1, n // 2 + 1, n)} if n >= 3 else ():
         for shape in ([{a}, {b}, {c}], [{a, b}, {a, c}, {b, c}], [{a, b}, {a, c}, {b, c}, {a}, {b}]):
             tables += [_poly_table(n, shape), _poly_table(n, shape + [set()])]
-    tables += [_poly_table(n, [{n - 1}, {n}]), _poly_table(n, [{1, n}, {n}, set()])]
+    tables += [_poly_table(n, [{n - 1}, {n}]), _poly_table(n, [{n - 1, n}, {n - 1}]),
+               _poly_table(n, [{1, n}, {n}, set()])]
     tables.append(_poly_table(n, [{t} for t in range(1, n + 1)]))  # parity of all n
     return tables
 
