@@ -87,4 +87,9 @@ def gap_via_classifier(f: FiniteFunction) -> int:
     its coefficient table without building the polynomial."""
     if f.k != 2 or f.b != 2:
         raise NotBoolean(f"classifier needs k = b = 2, got k={f.k} b={f.b}")
-    return 1 if _match(_moebius(f.bits, f.n), f.n) is NOT_SPECIAL else 2
+    return _coef_gap(_moebius(f.bits, f.n), f.n)
+
+
+def _coef_gap(coef: int, n: int) -> int:
+    """The gap the classifier gives a packed coefficient table of arity n."""
+    return 1 if _match(coef, n) is NOT_SPECIAL else 2

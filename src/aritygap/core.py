@@ -205,27 +205,43 @@ def _lane_layout(n: int, lanes: int):
     """Boolean tables of arity n in `lanes` lanes of 2 * 2**n bits, lane 0
     lowest, each table in the low half of its lane: a 1 and 2**n - 1 in
     every lane, and _layout(2, 1, n) with its masks in every lane.  A
-    stride shift keeps each table bit in its lane's rows or padding."""
+    stride shift keeps each table bit in its lane's rows or padding.  One
+    lane shares the masks of _layout."""
     width = 2 << n
     ones = ((1 << lanes * width) - 1) // ((1 << width) - 1)
     zeros, strides, lower = _layout(2, 1, n)
-    return (ones, ((1 << (1 << n)) - 1) * ones, tuple(z * ones for z in zeros), strides,
-            tuple(m * ones for m in lower))
+    if lanes > 1:
+        zeros, lower = tuple(z * ones for z in zeros), tuple(m * ones for m in lower)
+    return ones, ((1 << (1 << n)) - 1) * ones, zeros, strides, lower
+
+
+def _depends(x: int, size: int, ones: int, fill: int, stride: int, lower: int) -> int:
+    """The lanes of x (bottom bits, as in _lane_layout) whose table depends
+    on the variable of this stride and lower mask: one masked shift-XOR,
+    plus fill = 2**n - 1 per lane to carry a nonzero lane into bit size =
+    2**n."""
+    return ((((x << stride) ^ x) & lower) + fill) >> size & ones
+
+
+def _ess_lanes(block: int, n: int, lanes: int, least: int) -> int:
+    """The lanes whose table has at least `least` essential variables."""
+    ones, fill, _, strides, lower = _lane_layout(n, lanes)
+    reached = [ones] + [0] * least  # reached[c]: lanes with c essential variables so far
+    for s, low in zip(strides, lower):
+        e = _depends(block, 1 << n, ones, fill, s, low)
+        for c in range(least, 0, -1):
+            reached[c] |= reached[c - 1] & e
+    return reached[least]
 
 
 def _gap1_lanes(block: int, n: int, lanes: int, want: int) -> int:
     """The lanes of want (bottom bits of lanes, as in _lane_layout) whose
     table has gap 1: some pair i < j of essential variables gives a minor
-    keeping every essential t other than i, as a minor gains none.  A flag
-    per lane is one masked shift-XOR, plus 2**n - 1 to carry a nonzero lane
-    into bit 2**n.  Lanes with ess < 2 are never returned."""
+    keeping every essential t other than i, as a minor gains none.  Lanes
+    with ess < 2 are never returned."""
     ones, fill, zeros, strides, lower = _lane_layout(n, lanes)
     size = 1 << n
-
-    def flags(x: int, t: int) -> int:
-        return ((((x << strides[t]) ^ x) & lower[t]) + fill) >> size & ones
-
-    e = [flags(block, t) for t in range(n)]
+    e = [_depends(block, size, ones, fill, s, low) for s, low in zip(strides, lower)]
     good = 0
     for i in range(n):
         for j in range(i + 1, n):
@@ -235,7 +251,7 @@ def _gap1_lanes(block: int, n: int, lanes: int, want: int) -> int:
             minor = _identified(block, 2, zeros, strides, i, j)
             for t in range(n):
                 if t != i and e[t] & pending:
-                    pending &= ~e[t] | flags(minor, t)
+                    pending &= ~e[t] | _depends(minor, size, ones, fill, strides[t], lower[t])
                     if not pending:
                         break
             good |= pending

@@ -12,6 +12,11 @@ blocks of 1,024, one 128-bit lane of an int per output, with mix64 run on
 all lanes at once.  For b a power of two below never rejects and the entry
 is the output's low bits; for other b the outputs under below's threshold
 are kept in order and reduced mod b.  Larger b draw row by row.
+
+One mix pass takes a counter base per group of rows, so for b a power of
+two it can draw the rows of several seeds at once: random_lanes draws
+1024 >> n Boolean tables of arity n per pass (16 at n = 6), each the table
+random_function(2, 2, n, seed) draws from that pass's one group.
 """
 
 from __future__ import annotations
@@ -102,35 +107,56 @@ def random_function(
     text, rows, drawn = [], 0, 0
     while rows < size:
         block = min(_BLOCK, size - rows)
-        line, kept = _block_text(seed + (drawn + 1) * GOLDEN, block, b, w)
+        line, kept = _block_text([seed + (drawn + 1) * GOLDEN], block, b, w)
         text.append(line)
         rows += kept
         drawn += block
     return FiniteFunction(k, b, n, int("".join(text), 2))
 
 
+def random_lanes(n: int, seeds, budget: int = DEFAULT_BUDGET) -> int:
+    """The tables random_function(2, 2, n, s) for s in seeds as the lanes of
+    one int, laid out as in core._lane_layout: lane m holds the m-th table
+    in the low half of its 2 * 2**n bits, at bit m * 2**(n+1).  A table
+    of up to 1,024 rows is one group of a mix pass; a larger one takes a
+    pass per 1,024 rows."""
+    if n < 1:
+        raise ValueOutOfRange(f"n must be >= 1, got n={n}")
+    size = table_size(2, n, budget)
+    rows = min(size, _BLOCK)
+    bases = [s + (r + 1) * GOLDEN for s in seeds for r in range(0, size, rows)]
+    per = _BLOCK // rows
+    text = "".join([_block_text(bases[a : a + per], rows, 2, 1)[0] for a in range(0, len(bases), per)])
+    # The last table's text first, so that it ends up in the highest lane.
+    tables = [text[a - size : a] for a in range(len(text), 0, -size)]
+    return int(("0" * size).join(tables) or "0", 2)
+
+
 @lru_cache(maxsize=8)
-def _lanes(rows: int, low: int):
-    """Lane j's 1, j * GOLDEN mod 2**64, 64-bit mask and `low` mask, at bit 128j."""
-    ones = int.from_bytes((b"\1" + bytes(15)) * rows, "little")
+def _lanes(rows: int, groups: int, low: int):
+    """For groups of rows lanes, lane j at bit 128j: j mod rows times GOLDEN
+    mod 2**64, and the 64-bit and `low` masks of every lane."""
+    ones = int.from_bytes((b"\1" + bytes(15)) * (rows * groups), "little")
     steps = b"".join((j * GOLDEN & _MASK64).to_bytes(16, "little") for j in range(rows))
-    return ones, int.from_bytes(steps, "little"), _MASK64 * ones, low * ones
+    return int.from_bytes(steps * groups, "little"), _MASK64 * ones, low * ones
 
 
-def _block_text(base: int, rows: int, b: int, w: int) -> tuple[str, int]:
+def _block_text(bases, rows: int, b: int, w: int) -> tuple[str, int]:
     """Binary text of the entries below(b) reads from mix64 at counters
-    base + j * GOLDEN, j < rows, and their count: the outputs under its
-    threshold, in order, mod b.  For b a power of two none is rejected, and
-    a mask keeps the low bits.  A lane holds its 64-bit by 64-bit product;
-    masks after right shifts drop bits from the lane above."""
+    base + j * GOLDEN, j < rows, for each base in turn, and their count:
+    the outputs under its threshold, in order, mod b.  For b a power of two
+    none is rejected, a mask keeps the low bits, and each base gives rows
+    entries; other b take one base.  A lane holds its 64-bit by 64-bit
+    product; masks after right shifts drop bits from the lane above."""
     limit = (1 << 64) - (1 << 64) % b
-    ones, steps, lanes, fields = _lanes(rows, b - 1 if limit >> 64 else _MASK64)
-    z = ((base & _MASK64) * ones + steps) & lanes
+    steps, lanes, fields = _lanes(rows, len(bases), b - 1 if limit >> 64 else _MASK64)
+    start = b"".join([(base & _MASK64).to_bytes(16, "little") * rows for base in bases])
+    z = (int.from_bytes(start, "little") + steps) & lanes
     z = ((z ^ z >> 30 & lanes) * 0xBF58476D1CE4E5B9) & lanes
     z = ((z ^ z >> 27 & lanes) * 0x94D049BB133111EB) & lanes
-    data = ((z ^ z >> 31) & fields).to_bytes(16 * rows, "little")
+    data = ((z ^ z >> 31) & fields).to_bytes(16 * rows * len(bases), "little")
     if w == 1:
-        return data[::16].translate(_DIGITS).decode(), rows
+        return data[::16].translate(_DIGITS).decode(), rows * len(bases)
     if limit >> 64:
         values = [z for z, _ in struct.iter_unpack("<QQ", data)]
     else:

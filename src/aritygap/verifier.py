@@ -18,12 +18,13 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import permutations, repeat
+from itertools import permutations
 
-from .anf import degree, to_anf
-from .classify import gap_via_classifier
+from .anf import _moebius, degree, to_anf
+from .classify import _coef_gap
 from .core import (
     FiniteFunction,
+    _ess_lanes,
     _essential,
     _gap1_lanes,
     _identified,
@@ -46,10 +47,12 @@ from .errors import (
     ValueOutOfRange,
 )
 from .generators import (
+    _BLOCK,
     DEFAULT_BUDGET,
     SplitMix64,
     power_exceeds,
     random_function,
+    random_lanes,
     substream_seed,
     table_size,
 )
@@ -125,7 +128,14 @@ def _function_dict(f: FiniteFunction) -> dict:
 class _Theorem:
     """One statement: a hypothesis on f, the claim it makes about such f, and
     walk(key, population, budget) -> (member count, the report's population,
-    members(lo, hi) yielding (f, outcome)), which refuses what it cannot walk.
+    members(lo, hi) yielding counted runs (f, outcome, count)), which refuses
+    what it cannot walk.  A hit is yielded alone, with its f and count 1.
+
+    A Boolean statement may state its claim as a lane kernel,
+    lanes(block, n, lanes, want) -> the lanes of want where it holds, for
+    tables laid out as in core._lane_layout and lanes of want meeting the
+    hypothesis ess f >= least.  Its claim on one f is then the kernel on
+    the table of f alone, and sweeps of its tables run the kernel on blocks.
 
     The hypothesis is ess f >= least, or ess f > k when above_k, plus
     ess f = n when total, k = b = 2 when boolean, and a polynomial of that
@@ -141,6 +151,7 @@ class _Theorem:
     walk: Callable
     least: int = 2
     degree: int | None = None
+    lanes: Callable[[int, int, int, int], int] | None = None
 
     def min_ess(self, k: int) -> int:
         return k + 1 if self.above_k else self.least
@@ -245,6 +256,7 @@ def _sampled_total(pop: Sampled, budget: int) -> int:
 def _table_walk(key, pop, budget: int):
     """Every table of the shape by code, or the samples by index."""
     k, b, n = pop.k, pop.b, pop.n
+    spec = _THEOREMS[key]
     if isinstance(pop, Exhaustive):
         size = table_size(k, n, budget)
         if power_exceeds(b, size, budget):
@@ -253,7 +265,6 @@ def _table_walk(key, pop, budget: int):
         desc = f"exhaustive k={k} b={b} n={n} ({total} tables)"
     else:
         total = _sampled_total(pop, budget)
-        spec = _THEOREMS[key]
         # Refuse a shape where rejection sampling could never stop.
         if pop.reject_until_hypothesis and not spec.feasible(k, b, n):
             raise HypothesisNotMet(
@@ -262,7 +273,9 @@ def _table_walk(key, pop, budget: int):
             )
         desc = (f"sampled k={k} b={b} n={n} count={pop.count} seed={pop.seed} "
                 f"reject_until_hypothesis={pop.reject_until_hypothesis}")
-    return total, desc, lambda lo, hi: (_member(key, pop, i, budget) for i in range(lo, hi))
+    if spec.lanes is not None:
+        return total, desc, partial(_lane_members, key, pop, budget)
+    return total, desc, lambda lo, hi: ((*_member(key, pop, i, budget), 1) for i in range(lo, hi))
 
 
 def _member(key, pop, index: int, budget: int) -> tuple[FiniteFunction, int]:
@@ -290,6 +303,72 @@ def _outcome(spec: _Theorem, f: FiniteFunction) -> int:
     if not spec.holds(f):
         return _SKIP
     return _OK if spec.claim(f) else _HIT
+
+
+def _lane_members(key, pop, budget: int, lo: int, hi: int):
+    """Boolean tables lo..hi-1 of a statement with a lane claim, 1024 >> n
+    (at least one) to a block: one lane per member, as in _lane_layout.
+    Exhaustive codes are the lanes' tables; samples (attempt 0 of each
+    rejection stream) are drawn together by random_lanes.  The hypothesis
+    and the claim are decided for every lane at once.  Hits, and samples
+    whose attempt 0 rejection must redraw, are yielded alone in index
+    order; the rest as counted runs."""
+    spec, n = _THEOREMS[key], pop.n
+    lanes, width, table = max(1, _BLOCK >> n), 2 << n, (1 << (1 << n)) - 1
+    ones = _lane_layout(n, lanes)[0]
+    sampled = isinstance(pop, Sampled)
+    reject = sampled and pop.reject_until_hypothesis
+    ramp = 0 if sampled else sum(m << m * width for m in range(lanes))  # lane m holds m
+    for start in range(lo, hi, lanes):
+        count = min(lanes, hi - start)
+        used = (1 << count * width) - 1
+        if sampled:
+            seeds = [substream_seed(pop.seed, i) for i in range(start, start + count)]
+            block = random_lanes(n, [substream_seed(s, 0) for s in seeds] if reject else seeds, budget)
+        else:
+            block = (start * ones + ramp) & used
+        want = _ess_lanes(block, n, lanes, spec.least)
+        holds = spec.lanes(block, n, lanes, want)
+        redraw = ones & used & ~want if reject else 0
+        for m in _set_lanes(want & ~holds | redraw, width):
+            if redraw >> m * width & 1:
+                yield (*_member(key, pop, start + m, budget), 1)
+            else:
+                yield FiniteFunction(2, 2, n, block >> m * width & table), _HIT, 1
+        yield from _runs((_OK, holds.bit_count()), (_SKIP, 0 if reject else count - want.bit_count()))
+
+
+def _runs(*counts):
+    """Counted runs (None, outcome, count) of the (outcome, count) pairs with count > 0."""
+    return ((None, outcome, c) for outcome, c in counts if c)
+
+
+def _set_lanes(x: int, width: int):
+    """The lanes, ascending, whose bottom bit is set in x."""
+    while x:
+        low = x & -x
+        yield (low.bit_length() - 1) // width
+        x ^= low
+
+
+def _gap_statement(claim: Callable[[int, int, int], bool]) -> _Theorem:
+    """The Boolean statement that claim(gap, coefficient table, n) holds for
+    f with ess f >= 2, its claim a lane kernel: a lane's gap is 1 on the
+    lanes the gap-1 kernel returns, and gap_report measures the rest."""
+
+    def holding(block: int, n: int, lanes: int, want: int) -> int:
+        gap1 = _gap1_lanes(block, n, lanes, want)
+        coef = _moebius(block, n, lanes)
+        width, table = 2 << n, (1 << (1 << n)) - 1
+        good = 0
+        for m in _set_lanes(want, width):
+            lane = 1 << m * width
+            gap = 1 if gap1 & lane else gap_report(FiniteFunction(2, 2, n, block >> m * width & table)).gap
+            if claim(gap, coef >> m * width & table, n):
+                good |= lane
+        return good
+
+    return _Theorem(False, False, True, lambda f: holding(f.bits, f.n, 1, 1) == 1, _table_walk, lanes=holding)
 
 
 def _var_masks(n: int) -> tuple[int, ...]:
@@ -321,8 +400,8 @@ def _deg2_members(n: int, lo: int, hi: int):
     2 * linear part + constant, checked together by the gap-1 kernel.
     Those with fewer than four occurring variables are skipped; the
     occurring variables are the essential ones, so the rest meet LemDeg2's
-    hypothesis.  A block with no hit yields its counts as runs, and a
-    function is built only for a hit."""
+    hypothesis.  A block with no hit yields its counts as counted runs,
+    and a function is built only for a hit."""
     # 2**n linear parts times 2 constants; each lane holds a table and as many padding bits.
     lanes, width, all_ones = 2 << n, 2 << n, (1 << (1 << n)) - 1
     ones = _lane_layout(n, lanes)[0]
@@ -335,7 +414,7 @@ def _deg2_members(n: int, lo: int, hi: int):
     # Every linear part lset and constant c, in lane 2 * lset + c.
     lin = sum((x | (x ^ all_ones) << width) << 2 * width * lset for lset, x in enumerate(lmasks))
     skips = {}  # per quadratic support: the lanes with fewer than four variables
-    ok, skip = (None, _OK), (None, _SKIP)
+    ok, skip = (None, _OK, 1), (None, _SKIP, 1)
     for q_idx in range(lo // lanes + 1, (hi - 1) // lanes + 2):
         base = (q_idx - 1) * lanes
         a, b = max(lo - base, 0), min(hi - base, lanes)
@@ -352,12 +431,11 @@ def _deg2_members(n: int, lo: int, hi: int):
         hits = want & ~_gap1_lanes(block, n, lanes, want) if want else 0
         if not hits:
             nskip = (span & skips[q_sup]).bit_count()
-            yield from repeat(skip, nskip)
-            yield from repeat(ok, b - a - nskip)
+            yield from _runs((_SKIP, nskip), (_OK, b - a - nskip))
             continue
         for m in range(a, b):
             if hits >> m * width & 1:
-                yield FiniteFunction(2, 2, n, block >> m * width & all_ones), _HIT
+                yield FiniteFunction(2, 2, n, block >> m * width & all_ones), _HIT, 1
             else:
                 yield ok if want >> m * width & 1 else skip
 
@@ -433,22 +511,21 @@ def _thm1_members(pop, mode: str, digits: int, lo: int, hi: int):
         filled = (f.bits >> top) * ones
         collapses = f.bits & repeated == filled & repeated
         witness = collapses and f.bits != filled and len(essential_vars(f)) == n
-        yield f, _HIT if witness else _OK
+        yield f, _HIT if witness else _OK, 1
 
 
-# _Theorem(above_k, total, boolean, claim, walk[, least, degree]) per
-# statement.  Thm1 is existential and checked by its witness search.
+# _Theorem(above_k, total, boolean, claim, walk[, least, degree, lanes]), or
+# a _gap_statement, per statement.  Thm1 is existential and checked by its witness search.
 _THEOREMS = {
     TheoremId.THM1: _Theorem(False, True, False, None, _thm1_walk),
-    TheoremId.THM_SALOMAA_MAIN: _Theorem(False, False, True, lambda f: gap_report(f).gap <= 2, _table_walk),
+    TheoremId.THM_SALOMAA_MAIN: _gap_statement(lambda gap, coef, n: gap <= 2),
     TheoremId.THM_GEN: _Theorem(True, False, False, lambda f: gap_report(f).gap <= f.k, _table_walk),
     TheoremId.THM_SALOMAA_AUX: _Theorem(
         False, True, False, lambda f: _restriction_witness(f) is not None, _table_walk
     ),
     TheoremId.LEM_KPLUS1: _Theorem(True, True, False, lambda f: _kplus1_pair(f) is not None, _table_walk),
-    TheoremId.THM_STR: _Theorem(
-        False, False, True, lambda f: gap_via_classifier(f) == gap_report(f).gap, _table_walk
-    ),
+    # The classifier's gap, read from the coefficient table, is the gap.
+    TheoremId.THM_STR: _gap_statement(lambda gap, coef, n: _coef_gap(coef, n) == gap),
     # A polynomial of degree 2 with at least four occurring, that is
     # essential, variables has gap 1.
     TheoremId.LEM_DEG2: _Theorem(
@@ -467,8 +544,8 @@ def _run_range(args):
     key, pop, budget, lo, hi, max_recorded = args
     counts = [0, 0, 0]  # per outcome
     recorded: list[FiniteFunction] = []
-    for f, outcome in _THEOREMS[key].walk(key, pop, budget)[2](lo, hi):
-        counts[outcome] += 1
+    for f, outcome, count in _THEOREMS[key].walk(key, pop, budget)[2](lo, hi):
+        counts[outcome] += count
         if outcome == _HIT and len(recorded) < max_recorded:
             recorded.append(f)
     return counts[_OK] + counts[_HIT], counts[_SKIP], counts[_HIT], recorded

@@ -1,4 +1,7 @@
-"""Shared hypothesis strategies for drawing small finite functions."""
+"""Shared hypothesis strategies for drawing small finite functions, and
+families of Boolean tables with known gap."""
+
+from itertools import product
 
 import hypothesis.strategies as st
 
@@ -24,3 +27,24 @@ def boolean_functions(draw, min_n=1, max_n=5):
     size = 2**n
     table = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
     return make_function(2, 2, n, table)
+
+
+def poly_table(n, monomials):
+    """Boolean table of the sum mod 2 of the monomials, each a set of
+    1-based variables (the empty set is the constant 1), row by row."""
+    return [sum(all(point[v - 1] for v in m) for m in monomials) % 2
+            for point in product((0, 1), repeat=n)]
+
+
+def gap_two_tables(n):
+    """The four gap-2 shapes, with and without constant 1 and with the
+    other variables inessential: parity, x_i*x_j + x_i, the triangle and
+    the triangle plus two, on the last variables and on spread-out ones."""
+    tables = []
+    for a, b, c in {(n - 2, n - 1, n), (1, n // 2 + 1, n)} if n >= 3 else ():
+        for shape in ([{a}, {b}, {c}], [{a, b}, {a, c}, {b, c}], [{a, b}, {a, c}, {b, c}, {a}, {b}]):
+            tables += [poly_table(n, shape), poly_table(n, shape + [set()])]
+    tables += [poly_table(n, [{n - 1}, {n}]), poly_table(n, [{n - 1, n}, {n - 1}]),
+               poly_table(n, [{1, n}, {n}, set()])]
+    tables.append(poly_table(n, [{t} for t in range(1, n + 1)]))  # parity of all n
+    return tables

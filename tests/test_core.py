@@ -20,7 +20,7 @@ from aritygap import (
     is_essential,
     make_function,
 )
-from aritygap.core import _gap1_lanes
+from aritygap.core import _ess_lanes, _gap1_lanes
 from aritygap.errors import (
     ArityMismatch,
     EssentialArityTooSmall,
@@ -39,7 +39,7 @@ from oracles import (
     naive_random_table,
     naive_substitute,
 )
-from strategies import finite_functions
+from strategies import finite_functions, gap_two_tables, poly_table
 
 XOR = make_function(2, 2, 2, [0, 1, 1, 0])
 AND = make_function(2, 2, 2, [0, 0, 0, 1])
@@ -274,27 +274,6 @@ class TestGapReport:
         assert r.gap == r.ess - r.essl >= 1
 
 
-def _poly_table(n, monomials):
-    """Boolean table of the sum mod 2 of the monomials, each a set of
-    1-based variables (the empty set is the constant 1), row by row."""
-    return [sum(all(point[v - 1] for v in m) for m in monomials) % 2
-            for point in product((0, 1), repeat=n)]
-
-
-def _gap_two_tables(n):
-    """The four gap-2 shapes, with and without constant 1 and with the
-    other variables inessential: parity, x_i*x_j + x_i, the triangle and
-    the triangle plus two, on the last variables and on spread-out ones."""
-    tables = []
-    for a, b, c in {(n - 2, n - 1, n), (1, n // 2 + 1, n)} if n >= 3 else ():
-        for shape in ([{a}, {b}, {c}], [{a, b}, {a, c}, {b, c}], [{a, b}, {a, c}, {b, c}, {a}, {b}]):
-            tables += [_poly_table(n, shape), _poly_table(n, shape + [set()])]
-    tables += [_poly_table(n, [{n - 1}, {n}]), _poly_table(n, [{n - 1, n}, {n - 1}]),
-               _poly_table(n, [{1, n}, {n}, set()])]
-    tables.append(_poly_table(n, [{t} for t in range(1, n + 1)]))  # parity of all n
-    return tables
-
-
 class TestGap1Lanes:
     """The lane-parallel gap-1 kernel against the point-by-point oracle."""
 
@@ -315,7 +294,7 @@ class TestGap1Lanes:
     def test_random_and_gap_two_lanes_match_oracle(self, n):
         # Random tables, then the gap-2 shapes and constants in the same block.
         tables = [naive_random_table(2, 2, n, 100 * n + s) for s in range(12)]
-        tables += _gap_two_tables(n) + [[0] * (1 << n), _poly_table(n, [{1}])]
+        tables += gap_two_tables(n) + [[0] * (1 << n), poly_table(n, [{1}])]
         width = 2 << n
         every = sum(1 << m * width for m in range(len(tables)))
         got, expected = self._run(n, tables, every)
@@ -328,10 +307,21 @@ class TestGap1Lanes:
     def test_gap_two_lanes_alone(self):
         # Only gap-2 lanes: the kernel must scan every pair and return none.
         for n in (3, 4, 5):
-            tables = _gap_two_tables(n)
+            tables = gap_two_tables(n)
             width = 2 << n
             got, expected = self._run(n, tables, sum(1 << m * width for m in range(len(tables))))
             assert got == expected == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_ess_lanes_count_essential_variables(self, n):
+        tables = [naive_random_table(2, 2, n, 50 * n + s) for s in range(8)]
+        tables += gap_two_tables(n) + [[0] * (1 << n), [1] * (1 << n), poly_table(n, [{n}])]
+        width = 2 << n
+        block = sum(make_function(2, 2, n, t).bits << m * width for m, t in enumerate(tables))
+        counts = [naive_ess(make_function(2, 2, n, t)) for t in tables]
+        for least in (1, 2, 3):
+            expected = sum(1 << m * width for m, e in enumerate(counts) if e >= least)
+            assert _ess_lanes(block, n, len(tables), least) == expected
 
     def test_one_lane_is_gap_report(self):
         for code in range(1 << 8):

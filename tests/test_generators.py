@@ -33,7 +33,7 @@ from aritygap.errors import (
     SpecInvalid,
     ValueOutOfRange,
 )
-from aritygap.generators import _BLOCK
+from aritygap.generators import _BLOCK, random_lanes
 
 from oracles import naive_random_table
 
@@ -141,6 +141,30 @@ class TestRandomFunctionOracle:
     )
     def test_any_shape_and_seed(self, k, n, b, seed):
         assert random_function(k, b, n, seed).table == naive_random_table(k, b, n, seed)
+
+
+class TestRandomLanes:
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_lanes_are_the_tables_random_function_draws(self, n):
+        # Blocks of 1024 >> n tables, or one table over several blocks for
+        # n > 10; the counts leave a partial block.
+        per = max(1, _BLOCK >> n)
+        seeds = [substream_seed(11, i) for i in range(per + 3)] + [2**64, 2**64 + 5, 2**70 + 3, -1]
+        block = random_lanes(n, seeds)
+        width, table = 2 << n, (1 << (1 << n)) - 1
+        for m, seed in enumerate(seeds):
+            lane = block >> m * width & ((1 << width) - 1)
+            assert lane == random_function(2, 2, n, seed).bits  # the high half is padding
+        assert block >> len(seeds) * width == 0
+        if n <= 4:
+            assert block & table == make_function(2, 2, n, naive_random_table(2, 2, n, seeds[0])).bits
+
+    def test_shape_is_checked_before_drawing(self):
+        assert random_lanes(3, []) == 0
+        with pytest.raises(ValueOutOfRange):
+            random_lanes(0, [1])
+        with pytest.raises(BudgetExceeded):
+            random_lanes(12, [1], budget=1 << 11)
 
 
 def test_largest_boolean_draw_in_bounded_memory():

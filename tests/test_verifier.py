@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import resource
 import subprocess
@@ -24,10 +25,12 @@ from aritygap import (
     gap_report,
     make_function,
     make_polynomial,
+    gap_via_classifier,
     random_function,
     substream_seed,
     sweep,
 )
+from aritygap.generators import random_lanes
 from aritygap.errors import (
     BudgetExceeded,
     HypothesisNotMet,
@@ -39,7 +42,8 @@ from aritygap.errors import (
 from aritygap.core import FiniteFunction
 from aritygap.verifier import _var_masks
 
-from oracles import naive_ess, naive_kplus1_pair, naive_restriction_witness
+from oracles import naive_ess, naive_gap_report, naive_kplus1_pair, naive_restriction_witness
+from strategies import gap_two_tables
 
 XOR = make_function(2, 2, 2, [0, 1, 1, 0])
 AND = make_function(2, 2, 2, [0, 0, 0, 1])
@@ -240,14 +244,22 @@ class TestSweep:
         assert da == db
         assert a.checked == 300 and a.skipped == 0
 
-    def test_parallel_matches_serial(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "theorem,pop",
+        [
+            (TheoremId.LEM_DEG2, Exhaustive(2, 2, 4)),
+            # Chunks of 38 samples against blocks of 128 lanes; many arity-3
+            # samples have ess < 2 at attempt 0 and are redrawn.
+            (TheoremId.THM_STR, Sampled(2, 2, 3, 300, 4, reject_until_hypothesis=True)),
+        ],
+    )
+    def test_parallel_matches_serial(self, theorem, pop, monkeypatch):
         monkeypatch.setattr(verifier, "_PARALLEL_THRESHOLD", 100)
-        pop = Exhaustive(2, 2, 4)
-        serial = sweep(TheoremId.LEM_DEG2, pop, workers=1)
-        parallel = sweep(TheoremId.LEM_DEG2, pop, workers=2)
+        serial = sweep(theorem, pop, workers=1)
+        parallel = sweep(theorem, pop, workers=2)
         ds, dp = serial.to_dict(), parallel.to_dict()
         ds.pop("elapsed_s"), dp.pop("elapsed_s")
-        assert ds == dp
+        assert ds == dp and ds["checked"] > 0
 
     def test_deg2_accounting(self):
         r = sweep(TheoremId.LEM_DEG2, Exhaustive(2, 2, 4), workers=1)
@@ -367,23 +379,39 @@ class TestSweep:
         def no_draws(*args, **kwargs):
             raise AssertionError("built a member of a malformed shape")
 
-        monkeypatch.setattr(verifier, "random_function", no_draws)
-        monkeypatch.setattr(verifier, "from_code", no_draws)
+        for name in ("random_function", "random_lanes", "from_code", "_lane_members"):
+            monkeypatch.setattr(verifier, name, no_draws)
         for pop in (Exhaustive(*shape), Sampled(*shape, 5, 0), Sampled(*shape, 5, 0, True)):
             with pytest.raises(ValueOutOfRange, match="must be >= 1"):
                 sweep(key, pop, workers=1)
 
-    def test_samples_are_drawn_under_the_sweep_budget(self, monkeypatch):
-        budgets = []
+    @pytest.mark.parametrize(
+        "theorem,shape", [(TheoremId.THM_STR, (2, 2, 3)), (TheoremId.THM_GEN, (3, 3, 4))]
+    )
+    def test_samples_are_drawn_under_the_sweep_budget(self, theorem, shape, monkeypatch):
+        budgets, seeds = [], []
 
-        def spy(k, b, n, seed, budget=None):
+        def spy_function(k, b, n, seed, budget=None):
             budgets.append(budget)
+            seeds.append(seed)
             return random_function(k, b, n, seed, budget)
 
-        monkeypatch.setattr(verifier, "random_function", spy)
-        for reject in (False, True):
-            sweep(TheoremId.THM_STR, Sampled(2, 2, 3, 4, 0, reject), budget=1 << 30, workers=1)
-        assert len(budgets) >= 8 and set(budgets) == {1 << 30}
+        def spy_lanes(n, lane_seeds, budget=None):
+            budgets.append(budget)
+            seeds.extend(lane_seeds)
+            return random_lanes(n, lane_seeds, budget)
+
+        monkeypatch.setattr(verifier, "random_function", spy_function)
+        monkeypatch.setattr(verifier, "random_lanes", spy_lanes)
+        # 300 Boolean samples of arity 3 fill three blocks of 128 lanes.
+        firsts = [substream_seed(7, i) for i in range(300)]
+        sweep(theorem, Sampled(*shape, 300, 7), budget=1 << 30, workers=1)
+        assert seeds == firsts
+        seeds.clear()
+        # With rejection, sample i starts at attempt 0 of stream firsts[i].
+        sweep(theorem, Sampled(*shape, 300, 7, True), budget=1 << 30, workers=1)
+        assert {substream_seed(s, 0) for s in firsts} <= set(seeds)
+        assert set(budgets) == {1 << 30}
 
     @pytest.mark.parametrize(
         "theorem,shape",
@@ -399,6 +427,7 @@ class TestSweep:
             raise AssertionError("drew a sample for an infeasible hypothesis")
 
         monkeypatch.setattr(verifier, "random_function", no_draws)
+        monkeypatch.setattr(verifier, "random_lanes", no_draws)
         with pytest.raises(HypothesisNotMet):
             sweep(theorem, Sampled(*shape, 5, 0, reject_until_hypothesis=True), workers=1)
 
@@ -407,6 +436,103 @@ class TestSweep:
         assert r.checked + r.skipped == 200
         assert r.skipped > 0  # many 4-row tables are not totally essential
         assert r.violation_count == 0
+
+
+def _lane_claim_functions(n):
+    """The functions with ess >= 2 among every table of arity n <= 4, or
+    among 700 (600 at n = 7) seeded tables of arity 5 to 7 with the gap-2
+    shapes placed among them: 2,000 seeded tables in all."""
+    if n <= 4:
+        fs = [FiniteFunction(2, 2, n, code) for code in range(1 << (1 << n))]
+    else:
+        fs = [random_function(2, 2, n, substream_seed(31 + n, i)) for i in range(700 if n < 7 else 600)]
+        fs[5:5] = [make_function(2, 2, n, t) for t in gap_two_tables(n)]
+    return [f for f in fs if ess(f) >= 2]
+
+
+def _lane_results(kernel, n, fs):
+    """The kernel's verdict per function, fs packed 1024 >> n to a block."""
+    lanes, width = max(1, verifier._BLOCK >> n), 2 << n
+    got = []
+    for a in range(0, len(fs), lanes):
+        part = fs[a : a + lanes]
+        block = sum(f.bits << m * width for m, f in enumerate(part))
+        want = sum(1 << m * width for m in range(len(part)))
+        holds = kernel(block, n, lanes, want)
+        assert holds & ~want == 0
+        got += [bool(holds >> m * width & 1) for m in range(len(part))]
+    return got
+
+
+class TestLaneClaims:
+    """ThmStr's and SalomaaMain's lane kernels, which sweeps and check share,
+    against their claims on one function.  Both claims hold everywhere, so
+    the kernels also run with a broken part: a classifier that always says
+    gap 1, or a gap_report that adds 1, must fail exactly the gap-2 tables;
+    a gap-1 kernel that settles nothing sends every lane to gap_report."""
+
+
+    @staticmethod
+    def _gaps(n, fs):
+        gaps = [gap_report(f).gap for f in fs]
+        assert [gap_via_classifier(f) for f in fs] == gaps
+        # The oracle on every table of arity <= 3, every 100th of arity 4,
+        # every 25th above, and every gap-2 table up to arity 5.
+        for i, f in enumerate(fs):
+            if n <= 3 or i % (100 if n == 4 else 25) == 0 or (gaps[i] == 2 and n <= 5):
+                assert naive_gap_report(f)[2] == gaps[i]
+        return gaps
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_kernels_and_check_follow_the_claims(self, n, monkeypatch):
+        fs = _lane_claim_functions(n)
+        gaps = self._gaps(n, fs)
+        assert 2 in gaps and 1 in gaps
+        gap1 = [g == 1 for g in gaps]
+        broken_gap = lambda f: dataclasses.replace(gap_report(f), gap=gap_report(f).gap + 1)
+        modes = [
+            ({}, [True] * len(fs)),
+            ({"_gap1_lanes": lambda block, n, lanes, want: 0}, [True] * len(fs)),
+            ({"_coef_gap": lambda coef, n: 1}, {TheoremId.THM_STR: gap1}),
+            ({"gap_report": broken_gap}, gap1),
+        ]
+        sample = fs[:: max(1, len(fs) // 60)]
+        for patches, expected in modes:
+            with monkeypatch.context() as mp:
+                for name, fake in patches.items():
+                    mp.setattr(verifier, name, fake)
+                for key in (TheoremId.THM_STR, TheoremId.THM_SALOMAA_MAIN):
+                    want = expected.get(key) if isinstance(expected, dict) else expected
+                    if want is None:
+                        continue
+                    assert _lane_results(verifier._THEOREMS[key].lanes, n, fs) == want, (key, patches)
+                    # check is the same kernel on one lane.
+                    chosen = want[:: max(1, len(fs) // 60)]
+                    assert [check(key, f) for f in sample] == chosen, (key, patches)
+
+    def test_sweep_records_the_failing_samples_in_index_order(self, monkeypatch):
+        # With a classifier that says gap 1, ThmStr fails exactly the
+        # gap-2 samples; rejection redraws ess < 2 samples in between.
+        monkeypatch.setattr(verifier, "_coef_gap", lambda coef, n: 1)
+        expected = []
+        for i in range(300):
+            base = substream_seed(8, i)
+            attempt = 0
+            while ess(f := random_function(2, 2, 3, substream_seed(base, attempt))) < 2:
+                attempt += 1
+            if gap_report(f).gap == 2:
+                expected.append(f)
+        r = sweep(TheoremId.THM_STR, Sampled(2, 2, 3, 300, 8, True), workers=1, max_recorded=300)
+        assert (r.checked, r.skipped) == (300, 0)
+        assert r.violations == tuple(expected) and r.violation_count == len(expected) > 0
+
+    def test_exhaustive_sweep_counts_and_records_in_code_order(self, monkeypatch):
+        monkeypatch.setattr(verifier, "_coef_gap", lambda coef, n: 1)
+        fs = [FiniteFunction(2, 2, 3, code) for code in range(256)]
+        expected = [f for f in fs if ess(f) >= 2 and gap_report(f).gap == 2]
+        r = sweep(TheoremId.THM_STR, Exhaustive(2, 2, 3), workers=1, max_recorded=256)
+        assert (r.checked, r.skipped) == (sum(ess(f) >= 2 for f in fs), sum(ess(f) < 2 for f in fs))
+        assert r.violations == tuple(expected) and r.violation_count == len(expected)
 
 
 def test_chunk_bounds_partition_exactly():
@@ -465,30 +591,47 @@ DEG2_RANGES = [(5, 3, 77), (5, 40, 41), (5, 100, 400), (6, 3, 77), (6, 40, 41), 
 DEG2_RANGES += [(n, total - 5, total) for n, total in ((5, 1023 << 6), (6, 32767 << 7))]
 
 
+def _expand(runs):
+    """A walker's counted runs (f, outcome, count) as one (f, outcome) per
+    member; a hit is a run of its own."""
+    out = []
+    for f, outcome, count in runs:
+        assert count >= 1 and (outcome != verifier._HIT or count == 1)
+        out += [(f, outcome)] * count
+    return out
+
+
 class TestDeg2Walk:
     """The lane-parallel walk against the per-candidate definition."""
 
     def test_every_candidate_at_n4(self):
         for index in range(2016):
-            [(f, outcome)] = verifier._deg2_members(4, index, index + 1)
-            assert outcome == _deg2_rule(4, index)
+            [(f, outcome, count)] = verifier._deg2_members(4, index, index + 1)
+            assert outcome == _deg2_rule(4, index) and count == 1
 
     @pytest.mark.parametrize("n,lo,hi", DEG2_RANGES)
     def test_ranges_across_blocks(self, n, lo, hi):
         expected = [_deg2_rule(n, i) for i in range(lo, hi)]
-        singles = [outcome for i in range(lo, hi) for _, outcome in verifier._deg2_members(n, i, i + 1)]
+        singles = [o for i in range(lo, hi) for _, o in _expand(verifier._deg2_members(n, i, i + 1))]
         assert singles == expected
         # A block with no hit yields its counts, not its order.
-        assert sorted(o for _, o in verifier._deg2_members(n, lo, hi)) == sorted(expected)
+        assert sorted(o for _, o in _expand(verifier._deg2_members(n, lo, hi))) == sorted(expected)
 
     @pytest.mark.parametrize("n,lo,hi", DEG2_RANGES)
     def test_hits_are_built_in_index_order(self, n, lo, hi, monkeypatch):
         # With a kernel that passes no lane, every candidate checked is a hit.
         monkeypatch.setattr(verifier, "_gap1_lanes", lambda block, n, lanes, want: 0)
-        got = list(verifier._deg2_members(n, lo, hi))
+        got = _expand(verifier._deg2_members(n, lo, hi))
         candidates = [_deg2_candidate(n, i) for i in range(lo, hi)]
         assert [o for _, o in got] == [verifier._SKIP if occ < 4 else verifier._HIT for _, occ in candidates]
         assert [f for f, o in got if o == verifier._HIT] == [f for f, occ in candidates if occ >= 4]
+
+    def test_blocks_without_hits_are_counted_runs(self):
+        # 2,016 candidates at n = 4, 32 to a block: none is a hit, so each
+        # block is at most one run of skips and one of passes.
+        runs = list(verifier._deg2_members(4, 0, 2016))
+        assert len(runs) <= 2 * 63 and all(f is None for f, _, _ in runs)
+        assert sum(c for _, o, c in runs if o == verifier._OK) == 1616
 
     def test_recorded_violations_are_the_first_checked(self, monkeypatch):
         monkeypatch.setattr(verifier, "_gap1_lanes", lambda block, n, lanes, want: 0)
