@@ -252,6 +252,7 @@ class TestSweep:
             # samples have ess < 2 at attempt 0 and are redrawn.
             (TheoremId.THM_STR, Sampled(2, 2, 3, 300, 4, reject_until_hypothesis=True)),
         ],
+        ids=["lemdeg2", "thmstr"],
     )
     def test_parallel_matches_serial(self, theorem, pop, monkeypatch):
         monkeypatch.setattr(verifier, "_PARALLEL_THRESHOLD", 100)
@@ -386,7 +387,9 @@ class TestSweep:
                 sweep(key, pop, workers=1)
 
     @pytest.mark.parametrize(
-        "theorem,shape", [(TheoremId.THM_STR, (2, 2, 3)), (TheoremId.THM_GEN, (3, 3, 4))]
+        "theorem,shape",
+        [(TheoremId.THM_STR, (2, 2, 3)), (TheoremId.THM_GEN, (3, 3, 4))],
+        ids=["thmstr", "thmgen"],
     )
     def test_samples_are_drawn_under_the_sweep_budget(self, theorem, shape, monkeypatch):
         budgets, seeds = [], []
@@ -471,7 +474,6 @@ class TestLaneClaims:
     gap 1, or a gap_report that adds 1, must fail exactly the gap-2 tables;
     a gap-1 kernel that settles nothing sends every lane to gap_report."""
 
-
     @staticmethod
     def _gaps(n, fs):
         gaps = [gap_report(f).gap for f in fs]
@@ -496,7 +498,7 @@ class TestLaneClaims:
             ({"_coef_gap": lambda coef, n: 1}, {TheoremId.THM_STR: gap1}),
             ({"gap_report": broken_gap}, gap1),
         ]
-        sample = fs[:: max(1, len(fs) // 60)]
+        step = max(1, len(fs) // 60)  # check runs on every step-th function
         for patches, expected in modes:
             with monkeypatch.context() as mp:
                 for name, fake in patches.items():
@@ -507,8 +509,7 @@ class TestLaneClaims:
                         continue
                     assert _lane_results(verifier._THEOREMS[key].lanes, n, fs) == want, (key, patches)
                     # check is the same kernel on one lane.
-                    chosen = want[:: max(1, len(fs) // 60)]
-                    assert [check(key, f) for f in sample] == chosen, (key, patches)
+                    assert [check(key, f) for f in fs[::step]] == want[::step], (key, patches)
 
     def test_sweep_records_the_failing_samples_in_index_order(self, monkeypatch):
         # With a classifier that says gap 1, ThmStr fails exactly the
