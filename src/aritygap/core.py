@@ -223,29 +223,30 @@ def _depends(x: int, size: int, ones: int, fill: int, stride: int, lower: int) -
     return ((((x << stride) ^ x) & lower) + fill) >> size & ones
 
 
-def _ess_lanes(block: int, n: int, lanes: int, least: int) -> int:
-    """The lanes whose table has at least `least` essential variables."""
-    ones, fill, _, strides, lower = _lane_layout(n, lanes)
-    reached = [ones] + [0] * least  # reached[c]: lanes with c essential variables so far
-    for s, low in zip(strides, lower):
-        e = _depends(block, 1 << n, ones, fill, s, low)
-        for c in range(least, 0, -1):
-            reached[c] |= reached[c - 1] & e
-    return reached[least]
+def _ess_lanes(flags, ones: int, least: int) -> int:
+    """The lanes with at least `least` essential variables, flags[t] being
+    the lanes (bottom bits, as in _lane_layout) that depend on variable t.
+    Sideways addition (Knuth, TAOCP 4A, 7.1.3): each lane's flags plus
+    2**p - least, p = max(n, least).bit_length(), lie in 0 .. 2**(p+1) - 1
+    and set bit p iff the count reaches least; p must stay below the lane
+    width 2**(n+1), or it carries into the next lane."""
+    p = max(len(flags), least).bit_length()
+    return (sum(flags) + ((1 << p) - least) * ones) >> p & ones
 
 
-def _gap1_lanes(block: int, n: int, lanes: int, want: int) -> int:
-    """The lanes of want (bottom bits of lanes, as in _lane_layout) whose
-    table has gap 1: some pair i < j of essential variables gives a minor
-    keeping every essential t other than i, as a minor gains none.  Lanes
-    with ess < 2 are never returned."""
+def _gap1_lanes(block: int, n: int, lanes: int, least: int) -> tuple[int, int]:
+    """(meets, gap1): the lanes (bottom bits, as in _lane_layout) with
+    ess >= least, and those of them whose table has gap 1: some pair i < j
+    of essential variables gives a minor keeping every essential t other
+    than i, as a minor gains none.  Lanes with ess < 2 are never in gap1."""
     ones, fill, zeros, strides, lower = _lane_layout(n, lanes)
     size = 1 << n
     e = [_depends(block, size, ones, fill, s, low) for s, low in zip(strides, lower)]
+    meets = _ess_lanes(e, ones, least)
     good = 0
     for i in range(n):
         for j in range(i + 1, n):
-            pending = e[i] & e[j] & want & ~good
+            pending = e[i] & e[j] & meets & ~good
             if not pending:
                 continue
             minor = _identified(block, 2, zeros, strides, i, j)
@@ -255,9 +256,9 @@ def _gap1_lanes(block: int, n: int, lanes: int, want: int) -> int:
                     if not pending:
                         break
             good |= pending
-            if good == want:
-                return good
-    return good
+            if good == meets:
+                return meets, good
+    return meets, good
 
 
 def is_essential(f: FiniteFunction, i: int) -> bool:

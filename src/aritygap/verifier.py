@@ -1,11 +1,11 @@
 """Exhaustive and sampled sweeps checking each statement of the theory.
 
 Every sweep walks a deterministic population (all tables of a shape, all
-degree-2 polynomials, or seeded samples), applies a per-function check
-and reports counterexamples.  Populations are indexable, so large sweeps
-partition the index range across worker processes and merge chunk
-results in order; reports are bit-identical across runs except for the
-elapsed time.
+degree-2 polynomials, or seeded samples), decides each member's
+hypothesis and claim, Boolean ones as the lanes of one int, and reports
+counterexamples.  Populations are indexable, so large sweeps partition
+the index range across worker processes and merge chunk results in
+order; reports are bit-identical across runs except for the elapsed time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .anf import _moebius, degree, to_anf
 from .classify import _coef_gap
 from .core import (
     FiniteFunction,
-    _ess_lanes,
     _essential,
     _gap1_lanes,
     _identified,
@@ -131,11 +130,11 @@ class _Theorem:
     members(lo, hi) yielding counted runs (f, outcome, count)), which refuses
     what it cannot walk.  A hit is yielded alone, with its f and count 1.
 
-    A Boolean statement may state its claim as a lane kernel,
-    lanes(block, n, lanes, want) -> the lanes of want where it holds, for
-    tables laid out as in core._lane_layout and lanes of want meeting the
-    hypothesis ess f >= least.  Its claim on one f is then the kernel on
-    the table of f alone, and sweeps of its tables run the kernel on blocks.
+    A Boolean statement may be built by _lane_statement from a lane kernel,
+    lanes(block, n, lanes, least) -> (meets, holds) for tables laid out as
+    in core._lane_layout: the lanes with ess f >= least, and those of them
+    where the claim holds.  Its claim on one f is the kernel on one lane,
+    and its walker runs the kernel on blocks.
 
     The hypothesis is ess f >= least, or ess f > k when above_k, plus
     ess f = n when total, k = b = 2 when boolean, and a polynomial of that
@@ -151,7 +150,7 @@ class _Theorem:
     walk: Callable
     least: int = 2
     degree: int | None = None
-    lanes: Callable[[int, int, int, int], int] | None = None
+    lanes: Callable[[int, int, int, int], tuple[int, int]] | None = None
 
     def min_ess(self, k: int) -> int:
         return k + 1 if self.above_k else self.least
@@ -274,7 +273,7 @@ def _table_walk(key, pop, budget: int):
         desc = (f"sampled k={k} b={b} n={n} count={pop.count} seed={pop.seed} "
                 f"reject_until_hypothesis={pop.reject_until_hypothesis}")
     if spec.lanes is not None:
-        return total, desc, partial(_lane_members, key, pop, budget)
+        return total, desc, partial(_lane_members, key, pop, budget, partial(_table_blocks, pop, budget))
     return total, desc, lambda lo, hi: ((*_member(key, pop, i, budget), 1) for i in range(lo, hi))
 
 
@@ -305,42 +304,48 @@ def _outcome(spec: _Theorem, f: FiniteFunction) -> int:
     return _OK if spec.claim(f) else _HIT
 
 
-def _lane_members(key, pop, budget: int, lo: int, hi: int):
-    """Boolean tables lo..hi-1 of a statement with a lane claim, 1024 >> n
-    (at least one) to a block: one lane per member, as in _lane_layout.
-    Exhaustive codes are the lanes' tables; samples (attempt 0 of each
-    rejection stream) are drawn together by random_lanes.  The hypothesis
-    and the claim are decided for every lane at once.  Hits, and samples
-    whose attempt 0 rejection must redraw, are yielded alone in index
-    order; the rest as counted runs."""
-    spec, n = _THEOREMS[key], pop.n
-    lanes, width, table = max(1, _BLOCK >> n), 2 << n, (1 << (1 << n)) - 1
+def _table_blocks(pop, budget: int, lo: int, hi: int):
+    """Boolean tables lo..hi-1 as blocks (start, count, lanes, block) of
+    1024 >> n (at least one) lanes, as in _lane_layout: lane m holds member
+    start + m and lanes from count on are zero.  Exhaustive codes are the
+    lanes' tables; samples (attempt 0 of each rejection stream) are drawn
+    together by random_lanes."""
+    n = pop.n
+    lanes, width = max(1, _BLOCK >> n), 2 << n
     ones = _lane_layout(n, lanes)[0]
     sampled = isinstance(pop, Sampled)
     reject = sampled and pop.reject_until_hypothesis
     ramp = 0 if sampled else sum(m << m * width for m in range(lanes))  # lane m holds m
     for start in range(lo, hi, lanes):
         count = min(lanes, hi - start)
-        used = (1 << count * width) - 1
         if sampled:
             seeds = [substream_seed(pop.seed, i) for i in range(start, start + count)]
             block = random_lanes(n, [substream_seed(s, 0) for s in seeds] if reject else seeds, budget)
         else:
-            block = (start * ones + ramp) & used
-        want = _ess_lanes(block, n, lanes, spec.least)
-        holds = spec.lanes(block, n, lanes, want)
-        redraw = ones & used & ~want if reject else 0
-        for m in _set_lanes(want & ~holds | redraw, width):
+            block = (start * ones + ramp) & (1 << count * width) - 1
+        yield start, count, lanes, block
+
+
+def _lane_members(key, pop, budget: int, blocks, lo: int, hi: int):
+    """Members lo..hi-1 of a statement with a lane kernel, from the blocks
+    (start, count, lanes, block) that blocks(lo, hi) yields.  The kernel
+    decides the hypothesis and the claim for every lane at once.  Hits, and
+    samples whose attempt 0 rejection must redraw, are yielded alone in
+    index order; the rest as counted runs."""
+    spec, n = _THEOREMS[key], pop.n
+    width, table = 2 << n, (1 << (1 << n)) - 1
+    reject = isinstance(pop, Sampled) and pop.reject_until_hypothesis
+    for start, count, lanes, block in blocks(lo, hi):
+        meets, holds = spec.lanes(block, n, lanes, spec.least)
+        redraw = _lane_layout(n, lanes)[0] & (1 << count * width) - 1 & ~meets if reject else 0
+        for m in _set_lanes(meets & ~holds | redraw, width):
             if redraw >> m * width & 1:
                 yield (*_member(key, pop, start + m, budget), 1)
             else:
                 yield FiniteFunction(2, 2, n, block >> m * width & table), _HIT, 1
-        yield from _runs((_OK, holds.bit_count()), (_SKIP, 0 if reject else count - want.bit_count()))
-
-
-def _runs(*counts):
-    """Counted runs (None, outcome, count) of the (outcome, count) pairs with count > 0."""
-    return ((None, outcome, c) for outcome, c in counts if c)
+        for outcome, c in ((_OK, holds.bit_count()), (_SKIP, 0 if reject else count - meets.bit_count())):
+            if c:
+                yield None, outcome, c
 
 
 def _set_lanes(x: int, width: int):
@@ -351,24 +356,31 @@ def _set_lanes(x: int, width: int):
         x ^= low
 
 
+def _lane_statement(kernel, walk, least: int = 2, degree: int | None = None) -> _Theorem:
+    """The Boolean statement of hypothesis ess f >= least (and the degree)
+    whose lane kernel decides it and the claim: on one f, its one lane."""
+    return _Theorem(False, False, True, lambda f: kernel(f.bits, f.n, 1, least)[1] == 1, walk, least, degree,
+                    kernel)
+
+
 def _gap_statement(claim: Callable[[int, int, int], bool]) -> _Theorem:
     """The Boolean statement that claim(gap, coefficient table, n) holds for
-    f with ess f >= 2, its claim a lane kernel: a lane's gap is 1 on the
-    lanes the gap-1 kernel returns, and gap_report measures the rest."""
+    f with ess f >= 2: a lane's gap is 1 on the lanes the gap-1 kernel
+    returns, and gap_report measures the rest."""
 
-    def holding(block: int, n: int, lanes: int, want: int) -> int:
-        gap1 = _gap1_lanes(block, n, lanes, want)
+    def holding(block: int, n: int, lanes: int, least: int) -> tuple[int, int]:
+        meets, gap1 = _gap1_lanes(block, n, lanes, least)
         coef = _moebius(block, n, lanes)
         width, table = 2 << n, (1 << (1 << n)) - 1
         good = 0
-        for m in _set_lanes(want, width):
+        for m in _set_lanes(meets, width):
             lane = 1 << m * width
             gap = 1 if gap1 & lane else gap_report(FiniteFunction(2, 2, n, block >> m * width & table)).gap
             if claim(gap, coef >> m * width & table, n):
                 good |= lane
-        return good
+        return meets, good
 
-    return _Theorem(False, False, True, lambda f: holding(f.bits, f.n, 1, 1) == 1, _table_walk, lanes=holding)
+    return _lane_statement(holding, _table_walk)
 
 
 def _var_masks(n: int) -> tuple[int, ...]:
@@ -390,54 +402,35 @@ def _deg2_walk(key, pop, budget: int):
     if total > budget:
         raise BudgetExceeded(f"{total} polynomials exceed budget {budget}")
     desc = f"exhaustive degree-2 polynomials on n={n} variables ({total} candidates)"
-    return total, desc, partial(_deg2_members, n)
+    return total, desc, partial(_lane_members, key, pop, budget, partial(_deg2_blocks, n))
 
 
-def _deg2_members(n: int, lo: int, hi: int):
-    """Degree-2 polynomials (quadratic part, linear part, constant) by linear
-    candidate index; quadratic part changes slowest.  The 2**(n+1)
-    candidates of one quadratic part are the lanes of one int, lane
-    2 * linear part + constant, checked together by the gap-1 kernel.
-    Those with fewer than four occurring variables are skipped; the
-    occurring variables are the essential ones, so the rest meet LemDeg2's
-    hypothesis.  A block with no hit yields its counts as counted runs,
-    and a function is built only for a hit."""
+def _deg2_blocks(n: int, lo: int, hi: int):
+    """Degree-2 polynomials (quadratic part, linear part, constant) lo..hi-1
+    by candidate index, quadratic part slowest, in blocks as _table_blocks:
+    a quadratic part's 2**(n+1) candidates are one block, lane 2 * linear
+    part + constant, shifted to lane 0 and masked when lo..hi cuts it."""
     # 2**n linear parts times 2 constants; each lane holds a table and as many padding bits.
     lanes, width, all_ones = 2 << n, 2 << n, (1 << (1 << n)) - 1
     ones = _lane_layout(n, lanes)[0]
     vm = _var_masks(n)
-    # (table, variable bitset) per quadratic monomial x_s*x_t, lex order.
-    pairs = [(vm[s] & vm[t], (1 << s) | (1 << t)) for s in range(n) for t in range(s + 1, n)]
+    pairs = [vm[s] & vm[t] for s in range(n) for t in range(s + 1, n)]  # x_s*x_t, lex order
     lmasks = [0]  # lmasks[lset]: XOR of x_{t+1} over the bits t of lset
     for m in vm:
         lmasks += [x ^ m for x in lmasks]
     # Every linear part lset and constant c, in lane 2 * lset + c.
     lin = sum((x | (x ^ all_ones) << width) << 2 * width * lset for lset, x in enumerate(lmasks))
-    skips = {}  # per quadratic support: the lanes with fewer than four variables
-    ok, skip = (None, _OK, 1), (None, _SKIP, 1)
     for q_idx in range(lo // lanes + 1, (hi - 1) // lanes + 2):
         base = (q_idx - 1) * lanes
         a, b = max(lo - base, 0), min(hi - base, lanes)
-        q_mask = q_sup = 0
-        for p, (pm, ps) in enumerate(pairs):
+        q_mask = 0
+        for p, pm in enumerate(pairs):
             if q_idx >> p & 1:
                 q_mask ^= pm
-                q_sup |= ps
-        if q_sup not in skips:
-            skips[q_sup] = sum(1 << m * width for m in range(lanes) if (q_sup | m >> 1).bit_count() < 4)
-        span = ones >> a * width << a * width & (1 << b * width) - 1
-        want = span & ~skips[q_sup]
         block = q_mask * ones ^ lin
-        hits = want & ~_gap1_lanes(block, n, lanes, want) if want else 0
-        if not hits:
-            nskip = (span & skips[q_sup]).bit_count()
-            yield from _runs((_SKIP, nskip), (_OK, b - a - nskip))
-            continue
-        for m in range(a, b):
-            if hits >> m * width & 1:
-                yield FiniteFunction(2, 2, n, block >> m * width & all_ones), _HIT, 1
-            else:
-                yield ok if want >> m * width & 1 else skip
+        if b - a < lanes:
+            block = block >> a * width & (1 << (b - a) * width) - 1
+        yield base + a, b - a, lanes, block
 
 
 # Thm1 asks for operations with ess f = n whose identification minors are all
@@ -514,8 +507,8 @@ def _thm1_members(pop, mode: str, digits: int, lo: int, hi: int):
         yield f, _HIT if witness else _OK, 1
 
 
-# _Theorem(above_k, total, boolean, claim, walk[, least, degree, lanes]), or
-# a _gap_statement, per statement.  Thm1 is existential and checked by its witness search.
+# _Theorem(above_k, total, boolean, claim, walk), or a _lane_statement, per
+# statement.  Thm1 is existential and checked by its witness search.
 _THEOREMS = {
     TheoremId.THM1: _Theorem(False, True, False, None, _thm1_walk),
     TheoremId.THM_SALOMAA_MAIN: _gap_statement(lambda gap, coef, n: gap <= 2),
@@ -526,11 +519,9 @@ _THEOREMS = {
     TheoremId.LEM_KPLUS1: _Theorem(True, True, False, lambda f: _kplus1_pair(f) is not None, _table_walk),
     # The classifier's gap, read from the coefficient table, is the gap.
     TheoremId.THM_STR: _gap_statement(lambda gap, coef, n: _coef_gap(coef, n) == gap),
-    # A polynomial of degree 2 with at least four occurring, that is
-    # essential, variables has gap 1.
-    TheoremId.LEM_DEG2: _Theorem(
-        False, False, True, lambda f: _gap1_lanes(f.bits, f.n, 1, 1) == 1, _deg2_walk, least=4, degree=2
-    ),
+    # A polynomial of degree 2 with at least four essential variables has
+    # gap 1.  The kernel is looked up at each call, so it can be replaced.
+    TheoremId.LEM_DEG2: _lane_statement(lambda *args: _gap1_lanes(*args), _deg2_walk, least=4, degree=2),
 }
 # The gap >= 3 search, keyed apart from the theorems: ThmGen's hypothesis,
 # and its hits are the functions that fail the claim.

@@ -20,7 +20,7 @@ from aritygap import (
     is_essential,
     make_function,
 )
-from aritygap.core import _ess_lanes, _gap1_lanes
+from aritygap.core import _depends, _ess_lanes, _gap1_lanes, _lane_layout
 from aritygap.errors import (
     ArityMismatch,
     EssentialArityTooSmall,
@@ -278,17 +278,20 @@ class TestGap1Lanes:
     """The lane-parallel gap-1 kernel against the point-by-point oracle."""
 
     @staticmethod
-    def _run(n, tables, want):
+    def _run(n, tables, least):
+        """The kernel's (meets, gap1) and the oracle's, at the floor least."""
         width = 2 << n
         fs = [make_function(2, 2, n, t) for t in tables]
         block = sum(f.bits << m * width for m, f in enumerate(fs))
-        got = _gap1_lanes(block, n, len(fs), want)
-        expected = 0
+        got = _gap1_lanes(block, n, len(fs), least)
+        meets = gap1 = 0
         for m, f in enumerate(fs):
-            e, _, gap, _ = naive_gap_report(f)
-            if want >> m * width & 1 and e >= 2 and gap == 1:
-                expected |= 1 << m * width
-        return got, expected
+            e = naive_ess(f)
+            if e >= least:
+                meets |= 1 << m * width
+                if e >= 2 and naive_gap_report(f)[2] == 1:
+                    gap1 |= 1 << m * width
+        return got, (meets, gap1)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_random_and_gap_two_lanes_match_oracle(self, n):
@@ -296,38 +299,43 @@ class TestGap1Lanes:
         tables = [naive_random_table(2, 2, n, 100 * n + s) for s in range(12)]
         tables += gap_two_tables(n) + [[0] * (1 << n), poly_table(n, [{1}])]
         width = 2 << n
-        every = sum(1 << m * width for m in range(len(tables)))
-        got, expected = self._run(n, tables, every)
+        got, expected = self._run(n, tables, 2)
         assert got == expected
-        assert expected != every  # some wanted lane is not gap 1
-        # A wanted subset: lanes outside it are never returned.
-        half = sum(1 << m * width for m in range(0, len(tables), 2))
-        assert self._run(n, tables, half) == (expected & half, expected & half)
+        assert expected[1] != expected[0]  # some lane meeting ess >= 2 is not gap 1
+        # A higher floor: lanes below it are never returned.
+        got3, expected3 = self._run(n, tables, 3)
+        assert got3 == expected3
+        assert expected3[1] == expected[1] & expected3[0]
 
     def test_gap_two_lanes_alone(self):
         # Only gap-2 lanes: the kernel must scan every pair and return none.
         for n in (3, 4, 5):
             tables = gap_two_tables(n)
             width = 2 << n
-            got, expected = self._run(n, tables, sum(1 << m * width for m in range(len(tables))))
-            assert got == expected == 0
+            got, expected = self._run(n, tables, 2)
+            assert got == expected == (sum(1 << m * width for m in range(len(tables))), 0)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_ess_lanes_count_essential_variables(self, n):
+        # Floors above n too: the carry constant must stay nonnegative and
+        # within the lane (a bit position from n alone fails at n = 1, least 3).
         tables = [naive_random_table(2, 2, n, 50 * n + s) for s in range(8)]
         tables += gap_two_tables(n) + [[0] * (1 << n), [1] * (1 << n), poly_table(n, [{n}])]
-        width = 2 << n
+        width, lanes = 2 << n, len(tables)
         block = sum(make_function(2, 2, n, t).bits << m * width for m, t in enumerate(tables))
         counts = [naive_ess(make_function(2, 2, n, t)) for t in tables]
-        for least in (1, 2, 3):
+        ones, fill, _, strides, lower = _lane_layout(n, lanes)
+        flags = [_depends(block, 1 << n, ones, fill, s, low) for s, low in zip(strides, lower)]
+        for least in (1, 2, 3, 4):
             expected = sum(1 << m * width for m, e in enumerate(counts) if e >= least)
-            assert _ess_lanes(block, n, len(tables), least) == expected
+            assert _ess_lanes(flags, ones, least) == expected
+            assert _gap1_lanes(block, n, lanes, least)[0] == expected
 
     def test_one_lane_is_gap_report(self):
         for code in range(1 << 8):
             f = make_function(2, 2, 3, [code >> (7 - r) & 1 for r in range(8)])
             if len(essential_vars(f)) >= 2:
-                assert (_gap1_lanes(f.bits, 3, 1, 1) == 1) == (gap_report(f).gap == 1)
+                assert _gap1_lanes(f.bits, 3, 1, 2) == (1, int(gap_report(f).gap == 1))
 
 
 class TestMinors:

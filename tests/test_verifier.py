@@ -39,7 +39,8 @@ from aritygap.errors import (
     SpecInvalid,
     ValueOutOfRange,
 )
-from aritygap.core import FiniteFunction
+from aritygap.core import FiniteFunction, _gap1_lanes
+from aritygap.generators import DEFAULT_BUDGET
 from aritygap.verifier import _var_masks
 
 from oracles import naive_ess, naive_gap_report, naive_kplus1_pair, naive_restriction_witness
@@ -454,17 +455,23 @@ def _lane_claim_functions(n):
 
 
 def _lane_results(kernel, n, fs):
-    """The kernel's verdict per function, fs packed 1024 >> n to a block."""
+    """The kernel's verdict per function, fs packed 1024 >> n to a block;
+    every function has ess >= 2, so every lane meets the hypothesis."""
     lanes, width = max(1, verifier._BLOCK >> n), 2 << n
     got = []
     for a in range(0, len(fs), lanes):
         part = fs[a : a + lanes]
         block = sum(f.bits << m * width for m, f in enumerate(part))
-        want = sum(1 << m * width for m in range(len(part)))
-        holds = kernel(block, n, lanes, want)
-        assert holds & ~want == 0
+        meets, holds = kernel(block, n, lanes, 2)
+        assert meets == sum(1 << m * width for m in range(len(part)))
+        assert holds & ~meets == 0
         got += [bool(holds >> m * width & 1) for m in range(len(part))]
     return got
+
+
+def _settles_nothing(block, n, lanes, least):
+    """A gap-1 kernel that finds no lane of gap 1 but keeps the real meets."""
+    return _gap1_lanes(block, n, lanes, least)[0], 0
 
 
 class TestLaneClaims:
@@ -479,10 +486,12 @@ class TestLaneClaims:
         gaps = [gap_report(f).gap for f in fs]
         assert [gap_via_classifier(f) for f in fs] == gaps
         # The oracle on every table of arity <= 3, every 100th of arity 4,
-        # every 25th above, and every gap-2 table up to arity 5.
+        # every 25th above, and every gap-2 table up to arity 5; its ess >= 2
+        # is the kernels' meets, which _lane_results expects on every lane.
         for i, f in enumerate(fs):
             if n <= 3 or i % (100 if n == 4 else 25) == 0 or (gaps[i] == 2 and n <= 5):
-                assert naive_gap_report(f)[2] == gaps[i]
+                e, _, gap, _ = naive_gap_report(f)
+                assert e >= 2 and gap == gaps[i]
         return gaps
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -494,7 +503,7 @@ class TestLaneClaims:
         broken_gap = lambda f: dataclasses.replace(gap_report(f), gap=gap_report(f).gap + 1)
         modes = [
             ({}, [True] * len(fs)),
-            ({"_gap1_lanes": lambda block, n, lanes, want: 0}, [True] * len(fs)),
+            ({"_gap1_lanes": _settles_nothing}, [True] * len(fs)),
             ({"_coef_gap": lambda coef, n: 1}, {TheoremId.THM_STR: gap1}),
             ({"gap_report": broken_gap}, gap1),
         ]
@@ -602,40 +611,61 @@ def _expand(runs):
     return out
 
 
+def _deg2_members(n, lo, hi):
+    """LemDeg2's walk of the degree-2 polynomials on n variables, lo..hi-1."""
+    key = TheoremId.LEM_DEG2
+    return verifier._THEOREMS[key].walk(key, Exhaustive(2, 2, n), DEFAULT_BUDGET)[2](lo, hi)
+
+
 class TestDeg2Walk:
     """The lane-parallel walk against the per-candidate definition."""
 
     def test_every_candidate_at_n4(self):
         for index in range(2016):
-            [(f, outcome, count)] = verifier._deg2_members(4, index, index + 1)
+            [(f, outcome, count)] = _deg2_members(4, index, index + 1)
             assert outcome == _deg2_rule(4, index) and count == 1
 
     @pytest.mark.parametrize("n,lo,hi", DEG2_RANGES)
     def test_ranges_across_blocks(self, n, lo, hi):
         expected = [_deg2_rule(n, i) for i in range(lo, hi)]
-        singles = [o for i in range(lo, hi) for _, o in _expand(verifier._deg2_members(n, i, i + 1))]
+        singles = [o for i in range(lo, hi) for _, o in _expand(_deg2_members(n, i, i + 1))]
         assert singles == expected
         # A block with no hit yields its counts, not its order.
-        assert sorted(o for _, o in _expand(verifier._deg2_members(n, lo, hi))) == sorted(expected)
+        assert sorted(o for _, o in _expand(_deg2_members(n, lo, hi))) == sorted(expected)
 
     @pytest.mark.parametrize("n,lo,hi", DEG2_RANGES)
     def test_hits_are_built_in_index_order(self, n, lo, hi, monkeypatch):
-        # With a kernel that passes no lane, every candidate checked is a hit.
-        monkeypatch.setattr(verifier, "_gap1_lanes", lambda block, n, lanes, want: 0)
-        got = _expand(verifier._deg2_members(n, lo, hi))
+        # With a kernel that passes no lane, every candidate checked is a
+        # hit; a block's skips follow its hits as one counted run.
+        monkeypatch.setattr(verifier, "_gap1_lanes", _settles_nothing)
+        got = _expand(_deg2_members(n, lo, hi))
         candidates = [_deg2_candidate(n, i) for i in range(lo, hi)]
-        assert [o for _, o in got] == [verifier._SKIP if occ < 4 else verifier._HIT for _, occ in candidates]
+        expected = [verifier._SKIP if occ < 4 else verifier._HIT for _, occ in candidates]
+        assert sorted(o for _, o in got) == sorted(expected)
         assert [f for f, o in got if o == verifier._HIT] == [f for f, occ in candidates if occ >= 4]
+
+    def test_chunks_cutting_quadratic_parts_merge_to_one_run(self, monkeypatch):
+        # 65,472 candidates at n = 5 in eight chunks of 8,184: every chunk
+        # boundary cuts one of the 64-lane quadratic parts.
+        monkeypatch.setattr(verifier, "_gap1_lanes", _settles_nothing)
+        key, pop = TheoremId.LEM_DEG2, Exhaustive(2, 2, 5)
+        total = verifier._THEOREMS[key].walk(key, pop, DEFAULT_BUDGET)[0]
+        bounds = verifier._chunk_bounds(total, 8)
+        assert total == 65472 and all(lo % 64 for lo, _ in bounds[1:])
+        parts = [verifier._run_range((key, pop, DEFAULT_BUDGET, lo, hi, 50)) for lo, hi in bounds]
+        whole = verifier._run_range((key, pop, DEFAULT_BUDGET, 0, total, 50))
+        assert tuple(sum(p[i] for p in parts) for i in range(3)) == whole[:3] == (64512, 960, 64512)
+        assert [f for p in parts for f in p[3]][:50] == whole[3]
 
     def test_blocks_without_hits_are_counted_runs(self):
         # 2,016 candidates at n = 4, 32 to a block: none is a hit, so each
         # block is at most one run of skips and one of passes.
-        runs = list(verifier._deg2_members(4, 0, 2016))
+        runs = list(_deg2_members(4, 0, 2016))
         assert len(runs) <= 2 * 63 and all(f is None for f, _, _ in runs)
         assert sum(c for _, o, c in runs if o == verifier._OK) == 1616
 
     def test_recorded_violations_are_the_first_checked(self, monkeypatch):
-        monkeypatch.setattr(verifier, "_gap1_lanes", lambda block, n, lanes, want: 0)
+        monkeypatch.setattr(verifier, "_gap1_lanes", _settles_nothing)
         r = sweep(TheoremId.LEM_DEG2, Exhaustive(2, 2, 5), workers=1, max_recorded=7)
         first = [f for f, occ in map(partial(_deg2_candidate, 5), range(300)) if occ >= 4][:7]
         assert r.violations == tuple(first) and r.violation_count == r.checked == 64512
@@ -644,5 +674,5 @@ class TestDeg2Walk:
     def test_check_runs_the_walks_kernel(self, monkeypatch):
         f, occurring = _deg2_candidate(5, 5000)
         assert occurring == 5 and check(TheoremId.LEM_DEG2, f)
-        monkeypatch.setattr(verifier, "_gap1_lanes", lambda block, n, lanes, want: 0)
+        monkeypatch.setattr(verifier, "_gap1_lanes", _settles_nothing)
         assert not check(TheoremId.LEM_DEG2, f)
