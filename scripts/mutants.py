@@ -10,11 +10,10 @@ when its text is not found once or pytest cannot run the selection.
 Before the mutants, every selection runs once on an unmutated copy: a
 selection that already fails there could kill nothing.
 
-    python scripts/mutants.py                    # one line per mutant
-    python scripts/mutants.py --json             # one JSON report
-    python scripts/mutants.py --only NAME [...]  # the named mutants only
+    python scripts/mutants.py          # one line per mutant
+    python scripts/mutants.py --json   # one JSON report
 
-Exit status is 0 when every mutant run is killed.  Standard library only;
+Exit status is 0 when every mutant is killed.  Standard library only;
 it runs outside the tier-1 suite, which checks only that every catalogued
 text still occurs in its file.  Mutation analysis follows DeMillo, Lipton
 and Sayward, "Hints on test data selection", IEEE Computer (1978).
@@ -155,21 +154,18 @@ def run(mutant: Mutant, workdir: Path) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--json", action="store_true", help="print one JSON report")
-    parser.add_argument("--only", nargs="+", metavar="NAME", choices=[m.name for m in MUTANTS],
-                        help="run only these mutants")
     args = parser.parse_args()
-    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
 
     with tempfile.TemporaryDirectory(prefix="aritygap-mutants-") as tmp:
         workdir = Path(tmp)
         clean = workdir / "clean"
         shutil.copytree(ROOT, clean, ignore=_IGNORE)
-        selections = list(dict.fromkeys(s for m in chosen for s in m.selection))
+        selections = list(dict.fromkeys(s for m in MUTANTS for s in m.selection))
         clean_code = _pytest(clean, selections)
         shutil.rmtree(clean, ignore_errors=True)
         results = []
         if clean_code == 0:
-            for m in chosen:
+            for m in MUTANTS:
                 results.append({"name": m.name, "file": m.file, "selection": list(m.selection), **run(m, workdir)})
                 if not args.json:
                     r = results[-1]

@@ -21,5 +21,4 @@ def test_every_catalogued_text_occurs_once_in_its_file():
     assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
     for m in mutants.MUTANTS:
         text = (ROOT / m.file).read_text(encoding="utf-8")
-        assert m.old != m.new and m.selection, m.name
-        assert mutants.mutated(text, m) != text, m.name
+        assert m.selection and mutants.mutated(text, m) != text, m.name
