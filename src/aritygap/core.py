@@ -224,8 +224,8 @@ def _depends(x: int, size: int, ones: int, fill: int, stride: int, lower: int) -
 
 
 def _ess_lanes(flags, ones: int, least: int) -> int:
-    """The lanes with at least `least` essential variables, flags[t] being
-    the lanes (bottom bits, as in _lane_layout) that depend on variable t.
+    """The lanes with at least `least` of n = len(flags) variables essential,
+    flags[t] being the lanes (bottom bits, as in _lane_layout) that depend on t.
     Sideways addition (Knuth, TAOCP 4A, 7.1.3): each lane's flags plus
     2**p - least, p = max(n, least).bit_length(), lie in 0 .. 2**(p+1) - 1
     and set bit p iff the count reaches least; p must stay below the lane
