@@ -100,11 +100,46 @@ MUTANTS = [
         ("tests/test_verifier.py::TestLaneClaims::test_exhaustive_sweep_counts_and_records_in_code_order",),
     ),
     Mutant(
+        "redraw-from-attempt-0",
+        "src/aritygap/verifier.py",
+        "for attempt in range(1, 10000):",
+        "for attempt in range(10000):",
+        ("tests/test_verifier.py::TestLaneClaims::test_rejection_draws_each_attempt_once",),
+    ),
+    Mutant(
         "fallback-gap-fixed-at-2",
         "src/aritygap/verifier.py",
-        "gap = 1 if gap1 & lane else gap_report(FiniteFunction(2, 2, n, block >> m * width & table)).gap",
+        "gap = 1 if gap1 & lane else gap_report(FiniteFunction(k, b, n, block >> m * width & table)).gap",
         "gap = 1 if gap1 & lane else 2",
         ("tests/test_verifier.py::TestLaneClaims::test_kernels_and_check_follow_the_claims",),
+    ),
+    Mutant(
+        "thmgen-claim-gap-below-2",
+        "src/aritygap/verifier.py",
+        "lambda gap, k, *_: gap <= k",
+        "lambda gap, k, *_: gap < 2",
+        ("tests/test_verifier.py::TestTableKernels::test_gap_kernels_match_the_oracle",),
+    ),
+    Mutant(
+        "scan-kernel-returns-meets",
+        "src/aritygap/verifier.py",
+        "return meets, sum(kept for *_, kept in scan(block, k, b, n, lanes, meets))",
+        "return meets, meets",
+        ("tests/test_verifier.py::TestTableKernels",),
+    ),
+    Mutant(
+        "restriction-scan-skips-last-value",
+        "src/aritygap/verifier.py",
+        "for c in range(k):",
+        "for c in range(k - 1):",
+        ("tests/test_verifier.py::TestTableKernels::test_restriction_scan_and_kernel_match_the_oracle",),
+    ),
+    Mutant(
+        "kplus1-scan-reads-first-k-variables",
+        "src/aritygap/verifier.py",
+        "for t in range(k + 1):",
+        "for t in range(k):",
+        ("tests/test_verifier.py::TestTableKernels::test_kplus1_scan_and_kernel_match_the_oracle",),
     ),
     Mutant(
         "oracles-import-the-package",

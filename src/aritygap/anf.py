@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteFunction, _lane_layout, _layout
+from .core import FiniteFunction, _layout
 from .errors import IndexOutOfRange, NotBoolean, ValueOutOfRange
 from .generators import DEFAULT_BUDGET, table_size
 
@@ -57,9 +57,9 @@ def _moebius(bits: int, n: int, lanes: int = 1) -> int:
     """Subset XOR transform of a packed Boolean table, n masked shift-XORs;
     self-inverse over GF(2).  Bit r of the result (row order) is the
     coefficient of the monomial whose index is r.  With lanes > 1, bits is
-    a block laid out as in core._lane_layout, and every lane is transformed
+    a block laid out as in core._layout, and every lane is transformed
     with the masks repeated in every lane."""
-    _, _, zeros, strides, _ = _lane_layout(n, lanes)
+    zeros, strides, _, _, _ = _layout(2, 1, n, lanes)
     for z, s in zip(zeros, strides):
         # Each row with x_t = 0 adds its value to the row with x_t = 1.
         bits ^= (bits & z) >> s
@@ -98,7 +98,7 @@ def occurs(p: ZhegalkinPolynomial, i: int) -> bool:
     whether a set coefficient lies on a row of the table of x_i."""
     if not 1 <= i <= p.arity:
         raise IndexOutOfRange(f"variable index {i} not in 1..{p.arity}")
-    zeros, strides, _ = _layout(2, 1, p.arity)
+    zeros, strides, _, _, _ = _layout(2, 1, p.arity, 1)
     return bool(p.coef & (zeros[i - 1] >> strides[i - 1]))
 
 

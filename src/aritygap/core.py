@@ -142,7 +142,7 @@ def evaluate(f: FiniteFunction, point) -> int:
 
 
 @lru_cache(maxsize=8)
-def _layout(k: int, w: int, n: int):
+def _layout(k: int, w: int, n: int, lanes: int):
     """Masks of one table shape, variables 0-based: two per variable.
 
     strides[t] is the bit distance between rows that differ by one in digit
@@ -152,7 +152,18 @@ def _layout(k: int, w: int, n: int):
     0.  lower[t] = full ^ D_{t+1}(k-1) marks the rows whose digit t+1 is
     below k-1.  zeros[t] repeats one block and is built by doubling a bit
     string, O(k**n * w).
+
+    Returns (zeros, strides, lower, ones, fill), repeated in `lanes` lanes of
+    2 * k**n * w bits, lane 0 lowest and each table in its low half, where
+    ones and fill are 1 and 2**(k**n * w) - 1 per lane.  A stride shift keeps
+    each table bit in its lane's rows or padding.  lanes has no default, so a
+    shape has one cache entry, and a block multiplies its masks by ones.
     """
+    if lanes > 1:
+        zeros, strides, lower, _, full = _layout(k, w, n, 1)
+        width = 2 * k**n * w
+        ones = ((1 << lanes * width) - 1) // ((1 << width) - 1)
+        return tuple(z * ones for z in zeros), strides, tuple(m * ones for m in lower), ones, full * ones
     total = k**n * w
     full = (1 << total) - 1
     strides = tuple(k ** (n - 1 - t) * w for t in range(n))
@@ -164,7 +175,7 @@ def _layout(k: int, w: int, n: int):
             length *= 2
         zeros.append(pattern & full)
     lower = tuple(full ^ (z >> (k - 1) * run) for z, run in zip(zeros, strides))
-    return tuple(zeros), strides, lower
+    return tuple(zeros), strides, lower, 1, full
 
 
 def _essential(bits: int, strides, lower, candidates) -> list[int]:
@@ -200,47 +211,32 @@ def _identified(bits: int, k: int, zeros, strides, i: int, j: int) -> int:
     return out
 
 
-@lru_cache(maxsize=8)
-def _lane_layout(n: int, lanes: int):
-    """Boolean tables of arity n in `lanes` lanes of 2 * 2**n bits, lane 0
-    lowest, each table in the low half of its lane: a 1 and 2**n - 1 in
-    every lane, and _layout(2, 1, n) with its masks in every lane.  A
-    stride shift keeps each table bit in its lane's rows or padding.  One
-    lane shares the masks of _layout."""
-    width = 2 << n
-    ones = ((1 << lanes * width) - 1) // ((1 << width) - 1)
-    zeros, strides, lower = _layout(2, 1, n)
-    if lanes > 1:
-        zeros, lower = tuple(z * ones for z in zeros), tuple(m * ones for m in lower)
-    return ones, ((1 << (1 << n)) - 1) * ones, zeros, strides, lower
-
-
 def _depends(x: int, size: int, ones: int, fill: int, stride: int, lower: int) -> int:
-    """The lanes of x (bottom bits, as in _lane_layout) whose table depends
-    on the variable of this stride and lower mask: one masked shift-XOR,
-    plus fill = 2**n - 1 per lane to carry a nonzero lane into bit size =
-    2**n."""
+    """The lanes of x (bottom bits, as in _layout) whose table depends on
+    the variable of this stride and lower mask: one masked shift-XOR, plus
+    fill per lane to carry a nonzero lane into bit size = k**n * w."""
     return ((((x << stride) ^ x) & lower) + fill) >> size & ones
 
 
 def _ess_lanes(flags, ones: int, least: int) -> int:
     """The lanes with at least `least` of n = len(flags) variables essential,
-    flags[t] being the lanes (bottom bits, as in _lane_layout) that depend on t.
+    flags[t] being the lanes (bottom bits, as in _layout) that depend on t.
     Sideways addition (Knuth, TAOCP 4A, 7.1.3): each lane's flags plus
     2**p - least, p = max(n, least).bit_length(), lie in 0 .. 2**(p+1) - 1
     and set bit p iff the count reaches least; p must stay below the lane
-    width 2**(n+1), or it carries into the next lane."""
+    width 2 * k**n * w, or it carries into the next lane."""
     p = max(len(flags), least).bit_length()
     return (sum(flags) + ((1 << p) - least) * ones) >> p & ones
 
 
-def _gap1_lanes(block: int, n: int, lanes: int, least: int) -> tuple[int, int]:
-    """(meets, gap1): the lanes (bottom bits, as in _lane_layout) with
-    ess >= least, and those of them whose table has gap 1: some pair i < j
-    of essential variables gives a minor keeping every essential t other
-    than i, as a minor gains none.  Lanes with ess < 2 are never in gap1."""
-    ones, fill, zeros, strides, lower = _lane_layout(n, lanes)
-    size = 1 << n
+def _gap1_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
+    """(meets, gap1): the lanes (bottom bits, as in _layout) with ess >=
+    least, and those of them whose table has gap 1: some pair i < j of
+    essential variables gives a minor keeping every essential t other than
+    i, as a minor gains none.  Lanes with ess < 2 are never in gap1."""
+    w = field_width(b)
+    zeros, strides, lower, ones, fill = _layout(k, w, n, lanes)
+    size = k**n * w
     e = [_depends(block, size, ones, fill, s, low) for s, low in zip(strides, lower)]
     meets = _ess_lanes(e, ones, least)
     good = 0
@@ -249,7 +245,7 @@ def _gap1_lanes(block: int, n: int, lanes: int, least: int) -> tuple[int, int]:
             pending = e[i] & e[j] & meets & ~good
             if not pending:
                 continue
-            minor = _identified(block, 2, zeros, strides, i, j)
+            minor = _identified(block, k, zeros, strides, i, j)
             for t in range(n):
                 if t != i and e[t] & pending:
                     pending &= ~e[t] | _depends(minor, size, ones, fill, strides[t], lower[t])
@@ -265,13 +261,13 @@ def is_essential(f: FiniteFunction, i: int) -> bool:
     """Whether changing only the i-th argument can change the value of f."""
     if not 1 <= i <= f.n:
         raise IndexOutOfRange(f"variable index {i} not in 1..{f.n}")
-    _, strides, lower = _layout(f.k, field_width(f.b), f.n)
+    _, strides, lower, _, _ = _layout(f.k, field_width(f.b), f.n, 1)
     return bool(_essential(f.bits, strides, lower, (i - 1,)))
 
 
 def essential_vars(f: FiniteFunction) -> tuple[int, ...]:
     """Indices of the essential variables of f, ascending."""
-    _, strides, lower = _layout(f.k, field_width(f.b), f.n)
+    _, strides, lower, _, _ = _layout(f.k, field_width(f.b), f.n, 1)
     return tuple(t + 1 for t in _essential(f.bits, strides, lower, range(f.n)))
 
 
@@ -292,7 +288,7 @@ def identify(f: FiniteFunction, i: int, j: int) -> FiniteFunction:
             raise IndexOutOfRange(f"variable index {v} not in 1..{f.n}")
     if i == j:
         raise SameIndex(f"identification needs two distinct indices, got i = j = {i}")
-    zeros, strides, _ = _layout(f.k, field_width(f.b), f.n)
+    zeros, strides, _, _, _ = _layout(f.k, field_width(f.b), f.n, 1)
     return FiniteFunction(f.k, f.b, f.n, _identified(f.bits, f.k, zeros, strides, i - 1, j - 1))
 
 
@@ -305,7 +301,7 @@ def gap_report(f: FiniteFunction) -> GapReport:
     scanned; essl can never exceed ess - 1, so the scan stops early once a
     minor attains that.
     """
-    zeros, strides, lower = _layout(f.k, field_width(f.b), f.n)
+    zeros, strides, lower, _, _ = _layout(f.k, field_width(f.b), f.n, 1)
     bits, k = f.bits, f.k
     ev = _essential(bits, strides, lower, range(f.n))
     e = len(ev)

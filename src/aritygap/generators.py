@@ -116,7 +116,7 @@ def random_function(
 
 def random_lanes(n: int, seeds, budget: int = DEFAULT_BUDGET) -> int:
     """The tables random_function(2, 2, n, s) for s in seeds as the lanes of
-    one int, laid out as in core._lane_layout: lane m holds the m-th table
+    one int, laid out as in core._layout: lane m holds the m-th table
     in the low half of its 2 * 2**n bits, at bit m * 2**(n+1).  A table
     of up to 1,024 rows is one group of a mix pass; a larger one takes a
     pass per 1,024 rows."""

@@ -1,11 +1,11 @@
 """Exhaustive and sampled sweeps checking each statement of the theory.
 
 Every sweep walks a deterministic population (all tables of a shape, all
-degree-2 polynomials, or seeded samples), decides each member's
-hypothesis and claim, Boolean ones as the lanes of one int, and reports
-counterexamples.  Populations are indexable, so large sweeps partition
-the index range across worker processes and merge chunk results in
-order; reports are bit-identical across runs except for the elapsed time.
+degree-2 polynomials, or seeded samples), decides each member's hypothesis
+and claim by one lane kernel per statement, and reports counterexamples.
+Populations are indexable, so large sweeps partition the index range
+across worker processes and merge chunk results in order; reports are
+bit-identical across runs except for the elapsed time.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from .anf import _moebius, degree, to_anf
 from .classify import _coef_gap
 from .core import (
     FiniteFunction,
-    _essential,
+    _depends,
+    _ess_lanes,
     _gap1_lanes,
     _identified,
-    _lane_layout,
     _layout,
     decode_index,
     encode_point,
@@ -125,35 +125,32 @@ def _function_dict(f: FiniteFunction) -> dict:
 
 @dataclass(frozen=True)
 class _Theorem:
-    """One statement: a hypothesis on f, the claim it makes about such f, and
+    """One statement: a hypothesis on f, the lane kernel of its claim, and
     walk(key, population, budget) -> (member count, the report's population,
     members(lo, hi) yielding counted runs (f, outcome, count)), which refuses
     what it cannot walk.  A hit is yielded alone, with its f and count 1.
 
-    A Boolean statement may be built by _lane_statement from a lane kernel,
-    lanes(block, n, lanes, least) -> (meets, holds) for tables laid out as
-    in core._lane_layout: the lanes with ess f >= least, and those of them
-    where the claim holds.  Its claim on one f is the kernel on one lane,
-    and its walker runs the kernel on blocks.
+    lanes(block, k, b, n, lanes, least) -> (meets, holds) takes tables of
+    shape (k, b, n) laid out as in core._layout and returns the lanes with
+    ess f >= least and those of them where the claim holds: on blocks in
+    sweeps, on one lane for one f.  Thm1, existential, has no kernel.
 
-    The hypothesis is ess f >= least, or ess f > k when above_k, plus
-    ess f = n when total, k = b = 2 when boolean, and a polynomial of that
-    degree when degree is set.  The feasibility of a shape follows from it:
-    with k, b >= 2 some f depends on all n variables, and for n >= 2 one of
-    degree 2 does, x1*x2 + x3 + ... + xn.
+    The hypothesis is ess f >= min_ess(k, n), plus k = b = 2 when boolean
+    and a polynomial of that degree when degree is set.  A shape is feasible
+    iff k, b >= 2 and n >= min_ess(k, n): then some f depends on all n
+    variables, and for n >= 2 one of degree 2 does, x1*x2 + x3 + ... + xn.
     """
 
     above_k: bool
     total: bool
     boolean: bool
-    claim: Callable[[FiniteFunction], bool] | None
     walk: Callable
+    lanes: Callable[[int, int, int, int, int, int], tuple[int, int]] | None = None
     least: int = 2
     degree: int | None = None
-    lanes: Callable[[int, int, int, int], tuple[int, int]] | None = None
 
-    def min_ess(self, k: int) -> int:
-        return k + 1 if self.above_k else self.least
+    def min_ess(self, k: int, n: int) -> int:
+        return max(k + 1 if self.above_k else self.least, n if self.total else 0)
 
     def need(self) -> str:
         return ((f"degree {self.degree}, " if self.degree else "") + "ess f" + (" = n" if self.total else "")
@@ -163,25 +160,24 @@ class _Theorem:
         if self.boolean and (k != 2 or b != 2):
             raise NotBoolean(f"{name} needs k = b = 2, got k={k} b={b}")
 
-    def holds(self, f: FiniteFunction) -> bool:
-        """Whether f meets the hypothesis, its shape already accepted."""
-        e = len(essential_vars(f))
-        return (e >= self.min_ess(f.k) and (not self.total or e == f.n)
-                and (self.degree is None or degree(to_anf(f)) == self.degree))
 
-    def feasible(self, k: int, b: int, n: int) -> bool:
-        return k >= 2 and b >= 2 and n >= self.min_ess(k)
-
-
-def _require(key, f: FiniteFunction) -> _Theorem:
-    """The record of key, after checking that f meets its hypothesis."""
+def _require(key, f: FiniteFunction) -> int:
+    """f's outcome under key's record, once f is found to meet its hypothesis."""
     spec = _THEOREMS[key]
     spec.require_shape(key.value, f.k, f.b)
-    if not spec.holds(f):
+    outcome = _outcome(key, f)
+    if outcome == _SKIP or spec.degree is not None and degree(to_anf(f)) != spec.degree:
         error = NotTotallyEssential if spec.total else HypothesisNotMet
         got = f"ess={ess(f)} n={f.n} k={f.k}" + (f" degree={degree(to_anf(f))}" if spec.degree else "")
         raise error(f"{key.value} needs {spec.need()}, got {got}")
-    return spec
+    return outcome
+
+
+def _outcome(key, f: FiniteFunction) -> int:
+    """f's check outcome: its record's kernel on one lane."""
+    spec = _THEOREMS[key]
+    meets, holds = spec.lanes(f.bits, f.k, f.b, f.n, 1, spec.min_ess(f.k, f.n))
+    return _OK if holds else _HIT if meets else _SKIP
 
 
 def check(theorem: TheoremId, f: FiniteFunction) -> bool:
@@ -190,9 +186,9 @@ def check(theorem: TheoremId, f: FiniteFunction) -> bool:
     Raises HypothesisNotMet (NotBoolean, NotTotallyEssential) when f misses
     the hypothesis, and SpecInvalid for Thm1, which has no per-function claim.
     """
-    if _THEOREMS[theorem].claim is None:
+    if _THEOREMS[theorem].lanes is None:
         raise SpecInvalid(f"{theorem.value} has no per-function check; sweep it")
-    return _require(theorem, f).claim(f)
+    return _require(theorem, f) == _OK
 
 
 def find_restriction_witness(f: FiniteFunction) -> tuple[int, int] | None:
@@ -203,36 +199,64 @@ def find_restriction_witness(f: FiniteFunction) -> tuple[int, int] | None:
     contradict the theory; sweeps record that as a violation.
     """
     _require(TheoremId.THM_SALOMAA_AUX, f)
-    return _restriction_witness(f)
-
-
-def _restriction_witness(f: FiniteFunction) -> tuple[int, int] | None:
-    zeros, strides, lower = _layout(f.k, field_width(f.b), f.n)
-    for j in range(f.n):
-        rest = [t for t in range(f.n) if t != j]
-        for c in range(f.k):
-            # Fixing x_j = c keeps x_t iff a row of D_t(0) & D_j(c) differs
-            # from the row raising x_t: the table masked to D_j(c) shows that.
-            if len(_essential(f.bits & (zeros[j] >> c * strides[j]), strides, lower, rest)) == f.n - 1:
-                return (j + 1, c)
-    return None
+    return next(((j, c) for j, c, _ in _restriction_scan(f.bits, f.k, f.b, f.n, 1, 1)), None)
 
 
 def check_kplus1_lemma(f: FiniteFunction) -> tuple[int, int] | None:
     """First pair 1 <= i < j <= k+1 whose identification minor keeps one of
     the first k+1 variables essential; None would contradict the lemma."""
     _require(TheoremId.LEM_KPLUS1, f)
-    return _kplus1_pair(f)
+    return next(((i, j) for i, j, _ in _kplus1_scan(f.bits, f.k, f.b, f.n, 1, 1)), None)
 
 
-def _kplus1_pair(f: FiniteFunction) -> tuple[int, int] | None:
-    zeros, strides, lower = _layout(f.k, field_width(f.b), f.n)
-    top = f.k + 1
-    for i in range(top):
-        for j in range(i + 1, top):
-            if _essential(_identified(f.bits, f.k, zeros, strides, i, j), strides, lower, range(top)):
-                return (i + 1, j + 1)
-    return None
+def _restriction_scan(block: int, k: int, b: int, n: int, lanes: int, pending: int):
+    """(j, c, kept), j (1-based) then c ascending: the lanes of pending
+    whose table with x_j fixed to c still depends on the other n - 1
+    variables.  A lane leaves pending at its first (j, c)."""
+    w = field_width(b)
+    zeros, strides, lower, ones, fill = _layout(k, w, n, lanes)
+    for j in range(n):
+        for c in range(k):
+            if not pending:
+                return
+            # Fixing x_j = c keeps x_t iff a row of D_t(0) & D_j(c) differs
+            # from the row raising x_t: the table masked to D_j(c) shows that.
+            fixed, kept = block & (zeros[j] >> c * strides[j]), pending
+            for t in range(n):
+                if t != j and kept:
+                    kept &= _depends(fixed, k**n * w, ones, fill, strides[t], lower[t])
+            if kept:
+                yield j + 1, c, kept
+                pending &= ~kept
+
+
+def _kplus1_scan(block: int, k: int, b: int, n: int, lanes: int, pending: int):
+    """(i, j, kept), pairs 1 <= i < j <= k+1 in lex order: the lanes of
+    pending whose minor identifying x_i with x_j keeps one of x_1, ...,
+    x_{k+1} essential.  A lane leaves pending at its first pair; with none
+    pending, as whenever n <= k, the scan ends before it reads a mask."""
+    w = field_width(b)
+    zeros, strides, lower, ones, fill = _layout(k, w, n, lanes)
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            if not pending:
+                return
+            minor, kept = _identified(block, k, zeros, strides, i, j), 0
+            for t in range(k + 1):
+                kept |= _depends(minor, k**n * w, ones, fill, strides[t], lower[t])
+            if kept & pending:
+                yield i + 1, j + 1, kept & pending
+                pending &= ~kept
+
+
+def _scan_lanes(scan, block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
+    """The kernel of the claim that some step of the scan keeps f: the scan
+    keeps each lane at one step at most, so its kept lanes add up."""
+    w = field_width(b)
+    _, strides, lower, ones, fill = _layout(k, w, n, lanes)
+    flags = [_depends(block, k**n * w, ones, fill, s, low) for s, low in zip(strides, lower)]
+    meets = _ess_lanes(flags, ones, least)
+    return meets, sum(kept for *_, kept in scan(block, k, b, n, lanes, meets))
 
 
 # A hit is a member failing the claim, or for Thm1 a witness.
@@ -253,7 +277,7 @@ def _sampled_total(pop: Sampled, budget: int) -> int:
 
 
 def _table_walk(key, pop, budget: int):
-    """Every table of the shape by code, or the samples by index."""
+    """Every table of the shape by code, or the samples by index, in blocks."""
     k, b, n = pop.k, pop.b, pop.n
     spec = _THEOREMS[key]
     if isinstance(pop, Exhaustive):
@@ -265,84 +289,75 @@ def _table_walk(key, pop, budget: int):
     else:
         total = _sampled_total(pop, budget)
         # Refuse a shape where rejection sampling could never stop.
-        if pop.reject_until_hypothesis and not spec.feasible(k, b, n):
+        if pop.reject_until_hypothesis and (k < 2 or b < 2 or n < spec.min_ess(k, n)):
             raise HypothesisNotMet(
                 f"{key.value} hypothesis holds for no function with k={k} b={b} n={n}"
                 f" (needs {spec.need()})"
             )
         desc = (f"sampled k={k} b={b} n={n} count={pop.count} seed={pop.seed} "
                 f"reject_until_hypothesis={pop.reject_until_hypothesis}")
-    if spec.lanes is not None:
-        return total, desc, partial(_lane_members, key, pop, budget, partial(_table_blocks, pop, budget))
-    return total, desc, lambda lo, hi: ((*_member(key, pop, i, budget), 1) for i in range(lo, hi))
+    return total, desc, partial(_lane_members, key, pop, budget, partial(_table_blocks, pop, budget))
 
 
 def _member(key, pop, index: int, budget: int) -> tuple[FiniteFunction, int]:
-    """Population member index and its check outcome; with rejection, attempt
-    a of sample i draws from substream_seed(base, a) until it is not skipped."""
-    spec = _THEOREMS[key]
-    if isinstance(pop, Exhaustive):
-        f = from_code(pop.k, pop.b, pop.n, index)
-    elif not pop.reject_until_hypothesis:
-        f = random_function(pop.k, pop.b, pop.n, substream_seed(pop.seed, index), budget)
-    else:
-        base = substream_seed(pop.seed, index)
-        for attempt in range(10000):
-            f = random_function(pop.k, pop.b, pop.n, substream_seed(base, attempt), budget)
-            outcome = _outcome(spec, f)
-            if outcome != _SKIP:
-                return f, outcome
-        raise HypothesisNotMet(
-            f"rejection sampling found no function satisfying {key.value} in 10000 draws"
-        )
-    return f, _outcome(spec, f)
-
-
-def _outcome(spec: _Theorem, f: FiniteFunction) -> int:
-    if not spec.holds(f):
-        return _SKIP
-    return _OK if spec.claim(f) else _HIT
+    """Sample index redrawn from attempt 1 of its rejection stream (its block
+    drew attempt 0) until one is not skipped, 10000 draws in all; and its outcome."""
+    base = substream_seed(pop.seed, index)
+    for attempt in range(1, 10000):
+        f = random_function(pop.k, pop.b, pop.n, substream_seed(base, attempt), budget)
+        outcome = _outcome(key, f)
+        if outcome != _SKIP:
+            return f, outcome
+    raise HypothesisNotMet(
+        f"rejection sampling found no function satisfying {key.value} in 10000 draws"
+    )
 
 
 def _table_blocks(pop, budget: int, lo: int, hi: int):
-    """Boolean tables lo..hi-1 as blocks (start, count, lanes, block) of
-    1024 >> n (at least one) lanes, as in _lane_layout: lane m holds member
-    start + m and lanes from count on are zero.  Exhaustive codes are the
-    lanes' tables; samples (attempt 0 of each rejection stream) are drawn
-    together by random_lanes."""
-    n = pop.n
-    lanes, width = max(1, _BLOCK >> n), 2 << n
-    ones = _lane_layout(n, lanes)[0]
+    """Tables lo..hi-1 as blocks (start, count, lanes, block) of 1024 // k**n
+    (at least one) lanes, as in core._layout: lane m holds member start + m
+    and lanes from count on are zero.  Exhaustive codes are the tables for b
+    a power of two, else from_code decodes them; samples (attempt 0 of each
+    rejection stream) are drawn by random_lanes, or one by one when not
+    Boolean.  A k = 1 lane is too narrow for core._ess_lanes's carry: alone."""
+    k, b, n = pop.k, pop.b, pop.n
+    lanes, width = max(1, _BLOCK // k**n) if k > 1 else 1, 2 * k**n * field_width(b)
+    ones = _layout(k, field_width(b), n, lanes)[3]
     sampled = isinstance(pop, Sampled)
     reject = sampled and pop.reject_until_hypothesis
-    ramp = 0 if sampled else sum(m << m * width for m in range(lanes))  # lane m holds m
+    ramp = sum(m << m * width for m in range(lanes))  # lane m holds m
     for start in range(lo, hi, lanes):
         count = min(lanes, hi - start)
-        if sampled:
-            seeds = [substream_seed(pop.seed, i) for i in range(start, start + count)]
-            block = random_lanes(n, [substream_seed(s, 0) for s in seeds] if reject else seeds, budget)
+        seeds = [substream_seed(pop.seed, i) for i in range(start, start + count)] if sampled else []
+        seeds = [substream_seed(s, 0) for s in seeds] if reject else seeds
+        if sampled and k == b == 2:
+            block = random_lanes(n, seeds, budget)
+        elif sampled:
+            block = sum(random_function(k, b, n, s, budget).bits << m * width for m, s in enumerate(seeds))
+        elif b & (b - 1):
+            block = sum(from_code(k, b, n, start + m).bits << m * width for m in range(count))
         else:
             block = (start * ones + ramp) & (1 << count * width) - 1
         yield start, count, lanes, block
 
 
 def _lane_members(key, pop, budget: int, blocks, lo: int, hi: int):
-    """Members lo..hi-1 of a statement with a lane kernel, from the blocks
-    (start, count, lanes, block) that blocks(lo, hi) yields.  The kernel
-    decides the hypothesis and the claim for every lane at once.  Hits, and
-    samples whose attempt 0 rejection must redraw, are yielded alone in
-    index order; the rest as counted runs."""
-    spec, n = _THEOREMS[key], pop.n
-    width, table = 2 << n, (1 << (1 << n)) - 1
+    """Members lo..hi-1 from the blocks (start, count, lanes, block) that
+    blocks(lo, hi) yields, the record's kernel deciding every lane at once.
+    Hits, and samples whose attempt 0 rejection must redraw, are yielded
+    alone in index order; the rest as counted runs."""
+    spec, k, b, n = _THEOREMS[key], pop.k, pop.b, pop.n
+    size = k**n * field_width(b)
+    width, table, least = 2 * size, (1 << size) - 1, spec.min_ess(k, n)
     reject = isinstance(pop, Sampled) and pop.reject_until_hypothesis
     for start, count, lanes, block in blocks(lo, hi):
-        meets, holds = spec.lanes(block, n, lanes, spec.least)
-        redraw = _lane_layout(n, lanes)[0] & (1 << count * width) - 1 & ~meets if reject else 0
+        meets, holds = spec.lanes(block, k, b, n, lanes, least)
+        redraw = _layout(k, field_width(b), n, lanes)[3] & (1 << count * width) - 1 & ~meets if reject else 0
         for m in _set_lanes(meets & ~holds | redraw, width):
             if redraw >> m * width & 1:
                 yield (*_member(key, pop, start + m, budget), 1)
             else:
-                yield FiniteFunction(2, 2, n, block >> m * width & table), _HIT, 1
+                yield FiniteFunction(k, b, n, block >> m * width & table), _HIT, 1
         for outcome, c in ((_OK, holds.bit_count()), (_SKIP, 0 if reject else count - meets.bit_count())):
             if c:
                 yield None, outcome, c
@@ -356,36 +371,26 @@ def _set_lanes(x: int, width: int):
         x ^= low
 
 
-def _lane_statement(kernel, walk, least: int = 2, degree: int | None = None) -> _Theorem:
-    """The Boolean statement of hypothesis ess f >= least (and the degree)
-    whose lane kernel decides it and the claim: on one f, its one lane."""
-    return _Theorem(False, False, True, lambda f: kernel(f.bits, f.n, 1, least)[1] == 1, walk, least, degree,
-                    kernel)
-
-
-def _gap_statement(claim: Callable[[int, int, int], bool]) -> _Theorem:
-    """The Boolean statement that claim(gap, coefficient table, n) holds for
-    f with ess f >= 2: a lane's gap is 1 on the lanes the gap-1 kernel
-    returns, and gap_report measures the rest."""
-
-    def holding(block: int, n: int, lanes: int, least: int) -> tuple[int, int]:
-        meets, gap1 = _gap1_lanes(block, n, lanes, least)
-        coef = _moebius(block, n, lanes)
-        width, table = 2 << n, (1 << (1 << n)) - 1
-        good = 0
-        for m in _set_lanes(meets, width):
-            lane = 1 << m * width
-            gap = 1 if gap1 & lane else gap_report(FiniteFunction(2, 2, n, block >> m * width & table)).gap
-            if claim(gap, coef >> m * width & table, n):
-                good |= lane
-        return meets, good
-
-    return _lane_statement(holding, _table_walk)
+def _gap_lanes(claim, block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
+    """The kernel of claim(gap, k, coefficient table, n): a lane's gap is 1
+    on the lanes the gap-1 kernel returns, and gap_report measures the rest.
+    Coefficient tables are taken on Boolean shapes only, and read 0 else."""
+    meets, gap1 = _gap1_lanes(block, k, b, n, lanes, least)
+    coef = _moebius(block, n, lanes) if k == b == 2 else 0
+    size = k**n * field_width(b)
+    width, table = 2 * size, (1 << size) - 1
+    good = 0
+    for m in _set_lanes(meets, width):
+        lane = 1 << m * width
+        gap = 1 if gap1 & lane else gap_report(FiniteFunction(k, b, n, block >> m * width & table)).gap
+        if claim(gap, k, coef >> m * width & table, n):
+            good |= lane
+    return meets, good
 
 
 def _var_masks(n: int) -> tuple[int, ...]:
     """For each variable t, the packed Boolean table of x_t: D_t(1)."""
-    zeros, strides, _ = _layout(2, 1, n)
+    zeros, strides, _, _, _ = _layout(2, 1, n, 1)
     return tuple(z >> s for z, s in zip(zeros, strides))
 
 
@@ -412,7 +417,7 @@ def _deg2_blocks(n: int, lo: int, hi: int):
     part + constant, shifted to lane 0 and masked when lo..hi cuts it."""
     # 2**n linear parts times 2 constants; each lane holds a table and as many padding bits.
     lanes, width, all_ones = 2 << n, 2 << n, (1 << (1 << n)) - 1
-    ones = _lane_layout(n, lanes)[0]
+    ones = _layout(2, 1, n, lanes)[3]
     vm = _var_masks(n)
     pairs = [vm[s] & vm[t] for s in range(n) for t in range(s + 1, n)]  # x_s*x_t, lex order
     lmasks = [0]  # lmasks[lset]: XOR of x_{t+1} over the bits t of lset
@@ -507,28 +512,29 @@ def _thm1_members(pop, mode: str, digits: int, lo: int, hi: int):
         yield f, _HIT if witness else _OK, 1
 
 
-# _Theorem(above_k, total, boolean, claim, walk), or a _lane_statement, per
-# statement.  Thm1 is existential and checked by its witness search.
+# _Theorem(above_k, total, boolean, walk, lanes, ...) per statement.  Thm1 is
+# existential and checked by its witness search.
 _THEOREMS = {
-    TheoremId.THM1: _Theorem(False, True, False, None, _thm1_walk),
-    TheoremId.THM_SALOMAA_MAIN: _gap_statement(lambda gap, coef, n: gap <= 2),
-    TheoremId.THM_GEN: _Theorem(True, False, False, lambda f: gap_report(f).gap <= f.k, _table_walk),
-    TheoremId.THM_SALOMAA_AUX: _Theorem(
-        False, True, False, lambda f: _restriction_witness(f) is not None, _table_walk
-    ),
-    TheoremId.LEM_KPLUS1: _Theorem(True, True, False, lambda f: _kplus1_pair(f) is not None, _table_walk),
+    TheoremId.THM1: _Theorem(False, True, False, _thm1_walk),
+    TheoremId.THM_SALOMAA_MAIN: _Theorem(False, False, True, _table_walk,
+                                         partial(_gap_lanes, lambda gap, *_: gap <= 2)),
+    TheoremId.THM_GEN: _Theorem(True, False, False, _table_walk,
+                                partial(_gap_lanes, lambda gap, k, *_: gap <= k)),
+    TheoremId.THM_SALOMAA_AUX: _Theorem(False, True, False, _table_walk,
+                                        partial(_scan_lanes, _restriction_scan)),
+    TheoremId.LEM_KPLUS1: _Theorem(True, True, False, _table_walk, partial(_scan_lanes, _kplus1_scan)),
     # The classifier's gap, read from the coefficient table, is the gap.
-    TheoremId.THM_STR: _gap_statement(lambda gap, coef, n: _coef_gap(coef, n) == gap),
+    TheoremId.THM_STR: _Theorem(False, False, True, _table_walk,
+                                partial(_gap_lanes, lambda gap, k, coef, n: _coef_gap(coef, n) == gap)),
     # A polynomial of degree 2 with at least four essential variables has
     # gap 1.  The kernel is looked up at each call, so it can be replaced.
-    TheoremId.LEM_DEG2: _lane_statement(lambda *args: _gap1_lanes(*args), _deg2_walk, least=4, degree=2),
+    TheoremId.LEM_DEG2: _Theorem(False, False, True, _deg2_walk, lambda *args: _gap1_lanes(*args), 4, 2),
 }
 # The gap >= 3 search, keyed apart from the theorems: ThmGen's hypothesis,
 # and its hits are the functions that fail the claim.
 _Search = Enum("_Search", {"GAP3": "Gap3Search"})
-_THEOREMS[_Search.GAP3] = dataclasses.replace(
-    _THEOREMS[TheoremId.THM_GEN], claim=lambda f: gap_report(f).gap < 3
-)
+_THEOREMS[_Search.GAP3] = dataclasses.replace(_THEOREMS[TheoremId.THM_GEN],
+                                              lanes=partial(_gap_lanes, lambda gap, *_: gap < 3))
 
 
 def _run_range(args):
@@ -593,7 +599,7 @@ def sweep(
     checked = sum(p[0] for p in parts)
     hits = sum(p[2] for p in parts)
     recorded = tuple(f for p in parts for f in p[3])[:max_recorded]
-    if spec.claim is None:
+    if spec.lanes is None:
         # Thm1 guarantees a witness for n <= k; a complete search that finds
         # none would disprove it.
         passed = not (exhaustive and n <= k and hits == 0)

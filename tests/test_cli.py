@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+from functools import partial
 
 import pytest
 
@@ -309,7 +310,7 @@ class TestSearchCommand:
         # Random searches find no gap >= 3, so the search record is patched
         # to ess f >= 2 and gap >= 2 hits, which k=3 n=2 samples often have.
         record = verifier._THEOREMS[verifier._Search.GAP3]
-        patched = dataclasses.replace(record, above_k=False, claim=lambda f: gap_report(f).gap < 2)
+        patched = dataclasses.replace(record, above_k=False, lanes=partial(verifier._gap_lanes, lambda gap, *_: gap < 2))
         monkeypatch.setitem(verifier._THEOREMS, verifier._Search.GAP3, patched)
         pools = []
         if through_pool:

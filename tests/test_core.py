@@ -20,7 +20,7 @@ from aritygap import (
     is_essential,
     make_function,
 )
-from aritygap.core import _depends, _ess_lanes, _gap1_lanes, _lane_layout
+from aritygap.core import _depends, _ess_lanes, _gap1_lanes, _identified, _layout, field_width
 from aritygap.errors import (
     ArityMismatch,
     EssentialArityTooSmall,
@@ -283,7 +283,7 @@ class TestGap1Lanes:
         width = 2 << n
         fs = [make_function(2, 2, n, t) for t in tables]
         block = sum(f.bits << m * width for m, f in enumerate(fs))
-        got = _gap1_lanes(block, n, len(fs), least)
+        got = _gap1_lanes(block, 2, 2, n, len(fs), least)
         meets = gap1 = 0
         for m, f in enumerate(fs):
             e = naive_ess(f)
@@ -324,18 +324,50 @@ class TestGap1Lanes:
         width, lanes = 2 << n, len(tables)
         block = sum(make_function(2, 2, n, t).bits << m * width for m, t in enumerate(tables))
         counts = [naive_ess(make_function(2, 2, n, t)) for t in tables]
-        ones, fill, _, strides, lower = _lane_layout(n, lanes)
+        _, strides, lower, ones, fill = _layout(2, 1, n, lanes)
         flags = [_depends(block, 1 << n, ones, fill, s, low) for s, low in zip(strides, lower)]
         for least in (1, 2, 3, 4):
             expected = sum(1 << m * width for m, e in enumerate(counts) if e >= least)
             assert _ess_lanes(flags, ones, least) == expected
-            assert _gap1_lanes(block, n, lanes, least)[0] == expected
+            assert _gap1_lanes(block, 2, 2, n, lanes, least)[0] == expected
 
     def test_one_lane_is_gap_report(self):
         for code in range(1 << 8):
             f = make_function(2, 2, 3, [code >> (7 - r) & 1 for r in range(8)])
             if len(essential_vars(f)) >= 2:
-                assert _gap1_lanes(f.bits, 3, 1, 2) == (1, int(gap_report(f).gap == 1))
+                assert _gap1_lanes(f.bits, 2, 2, 3, 1, 2) == (1, int(gap_report(f).gap == 1))
+
+
+class TestBlockLayout:
+    """Identification on a block of non-Boolean tables, lane by lane."""
+
+    @pytest.mark.parametrize("k,b,n", [(3, 3, 3), (3, 5, 2), (4, 4, 3), (4, 2, 2), (5, 5, 2), (5, 3, 3)])
+    def test_identified_on_a_block_is_identify_per_lane(self, k, b, n):
+        # Every shift must keep a table bit in its lane's rows, so each
+        # lane's minor is the point oracle's and the padding stays zero.
+        w, lanes = field_width(b), 9
+        size = k**n * w
+        width = 2 * size
+        fs = [make_function(k, b, n, naive_random_table(k, b, n, 60 * k + s)) for s in range(lanes)]
+        block = sum(f.bits << m * width for m, f in enumerate(fs))
+        zeros, strides, lower, ones, fill = _layout(k, w, n, lanes)
+        assert fill == ((1 << size) - 1) * ones and ones.bit_count() == lanes
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                minor = _identified(block, k, zeros, strides, i, j)
+                assert minor & ~fill == 0, (i, j)
+                for m, f in enumerate(fs):
+                    lane = make_function(k, b, n, naive_identify(f, i + 1, j + 1)).bits
+                    assert minor >> m * width & (1 << size) - 1 == lane, (i, j, m)
+
+    def test_blocks_repeat_the_one_lane_masks(self):
+        zeros, strides, lower, ones, fill = _layout(4, 2, 3, 1)
+        assert (ones, fill) == (1, (1 << 4**3 * 2) - 1)
+        block = _layout(4, 2, 3, 5)
+        assert block[1] is strides and block[4] == fill * block[3]
+        assert block[0] == tuple(z * block[3] for z in zeros) and block[2] == tuple(m * block[3] for m in lower)
 
 
 class TestMinors:

@@ -108,7 +108,7 @@ class TestLayout:
         def digit_mask(t, c):
             return sum(ones << (size - 1 - r) * w for r in range(size) if r // k ** (n - 1 - t) % k == c)
 
-        zeros, strides, lower = _layout(k, w, n)
+        zeros, strides, lower, _, _ = _layout(k, w, n, 1)
         assert len(zeros) == len(strides) == len(lower) == n
         for t in range(n):
             for c in range(k):

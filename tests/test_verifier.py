@@ -39,11 +39,18 @@ from aritygap.errors import (
     SpecInvalid,
     ValueOutOfRange,
 )
-from aritygap.core import FiniteFunction, _gap1_lanes
+from aritygap.core import FiniteFunction, _gap1_lanes, field_width
 from aritygap.generators import DEFAULT_BUDGET
 from aritygap.verifier import _var_masks
 
-from oracles import naive_ess, naive_gap_report, naive_kplus1_pair, naive_restriction_witness
+from oracles import (
+    SplitMix64Stream,
+    naive_ess,
+    naive_gap_report,
+    naive_kplus1_pair,
+    naive_random_table,
+    naive_restriction_witness,
+)
 from strategies import gap_two_tables
 
 XOR = make_function(2, 2, 2, [0, 1, 1, 0])
@@ -462,16 +469,16 @@ def _lane_results(kernel, n, fs):
     for a in range(0, len(fs), lanes):
         part = fs[a : a + lanes]
         block = sum(f.bits << m * width for m, f in enumerate(part))
-        meets, holds = kernel(block, n, lanes, 2)
+        meets, holds = kernel(block, 2, 2, n, lanes, 2)
         assert meets == sum(1 << m * width for m in range(len(part)))
         assert holds & ~meets == 0
         got += [bool(holds >> m * width & 1) for m in range(len(part))]
     return got
 
 
-def _settles_nothing(block, n, lanes, least):
+def _settles_nothing(block, k, b, n, lanes, least):
     """A gap-1 kernel that finds no lane of gap 1 but keeps the real meets."""
-    return _gap1_lanes(block, n, lanes, least)[0], 0
+    return _gap1_lanes(block, k, b, n, lanes, least)[0], 0
 
 
 class TestLaneClaims:
@@ -536,6 +543,34 @@ class TestLaneClaims:
         assert (r.checked, r.skipped) == (300, 0)
         assert r.violations == tuple(expected) and r.violation_count == len(expected) > 0
 
+    @pytest.mark.parametrize("theorem,shape", [(TheoremId.THM_STR, (2, 2, 3)), (TheoremId.THM_SALOMAA_AUX, (2, 3, 2))])
+    def test_rejection_draws_each_attempt_once(self, theorem, shape, monkeypatch):
+        # A block draws attempt 0 of every sample; a sample it skips is
+        # redrawn from attempt 1, so no attempt is drawn twice.
+        seeds = []
+
+        def spy_function(k, b, n, seed, budget=None):
+            seeds.append(seed)
+            return random_function(k, b, n, seed, budget)
+
+        def spy_lanes(n, lane_seeds, budget=None):
+            seeds.extend(lane_seeds)
+            return random_lanes(n, lane_seeds, budget)
+
+        monkeypatch.setattr(verifier, "random_function", spy_function)
+        monkeypatch.setattr(verifier, "random_lanes", spy_lanes)
+        r = sweep(theorem, Sampled(*shape, 300, 8, True), workers=1)
+        expected = []
+        for i in range(300):
+            base, attempt = substream_seed(8, i), 0
+            while ess(random_function(*shape, substream_seed(base, attempt))) < 2:
+                expected.append(substream_seed(base, attempt))
+                attempt += 1
+            expected.append(substream_seed(base, attempt))
+        assert len(expected) > 300 and len(set(seeds)) == len(seeds)
+        assert sorted(seeds) == sorted(expected)
+        assert (r.checked, r.skipped, r.violation_count, r.passed) == (300, 0, 0, True)
+
     def test_exhaustive_sweep_counts_and_records_in_code_order(self, monkeypatch):
         monkeypatch.setattr(verifier, "_coef_gap", lambda coef, n: 1)
         fs = [FiniteFunction(2, 2, 3, code) for code in range(256)]
@@ -543,6 +578,150 @@ class TestLaneClaims:
         r = sweep(TheoremId.THM_STR, Exhaustive(2, 2, 3), workers=1, max_recorded=256)
         assert (r.checked, r.skipped) == (sum(ess(f) >= 2 for f in fs), sum(ess(f) < 2 for f in fs))
         assert r.violations == tuple(expected) and r.violation_count == len(expected)
+
+
+def _kernel_tables(k, b, n):
+    """Tables of shape (k, b, n) for the table kernels: seeded random ones;
+    constants with a few rows changed; selectors, where x_1 = c reads a
+    table of all other variables but one, so that restriction witnesses
+    have j > 1; g(h(x_1) + ... + h(x_n) mod 2) with one h for all variables
+    (gap 2) and with h_t the indicator of t mod k; the indicator of the
+    point (0, 1, ..., n-1) when n <= k (gap n); when n > k, x_{k+1} mod b
+    and x_n mod b, on which the k+1 scan differs in its first pair or keeps
+    no pair; and on two elements the gap-2 shapes."""
+    rng = SplitMix64Stream(100 * k + 10 * b + n)
+    points = list(product(range(k), repeat=n))
+    tables = [list(naive_random_table(k, b, n, 1000 * k + 10 * b + s)) for s in range(6)]
+    for _ in range(6):
+        table = [rng.below(b)] * k**n
+        for _ in range(rng.below(4) + 1):
+            table[rng.below(k**n)] = rng.below(b)
+        tables.append(table)
+    for _ in range(4 if n >= 3 else 0):
+        reads = [[t for t in range(1, n) if t != 1 + (c + rng.below(n - 1)) % (n - 1)] for c in range(k)]
+        subs = [{tuple(x[t] for t in r): rng.below(b) for x in points} for r in reads]
+        tables.append([subs[x[0]][tuple(x[t] for t in reads[x[0]])] for x in points])
+    g = (0, b - 1)
+    tables.append([g[sum(x) % 2] for x in points])
+    tables.append([g[sum(x[t] == t % k for t in range(n)) % 2] for x in points])
+    if n <= k:
+        tables.append([int(x == tuple(range(n))) for x in points])
+    else:
+        tables += [[x[k] % b for x in points], [x[-1] % b for x in points]]
+    if k == b == 2 and n >= 2:
+        tables += gap_two_tables(n)
+    return [make_function(k, b, n, t) for t in tables]
+
+
+def _block(fs):
+    """fs, of one shape, as the lanes of a block, and the lane width."""
+    f = fs[0]
+    width = 2 * f.k**f.n * field_width(f.b)
+    return sum(g.bits << m * width for m, g in enumerate(fs)), width
+
+
+def _lanes(width, keep):
+    """The block mask (bottom bits) of the lanes m with keep[m]."""
+    return sum(1 << m * width for m, x in enumerate(keep) if x)
+
+
+def _first_steps(scan, block, f, lanes, pending, width):
+    """Each lane's first step (x, y) in the scan; no lane is kept twice."""
+    first = {}
+    for x, y, kept in scan(block, f.k, f.b, f.n, lanes, pending):
+        assert kept and kept & ~pending == 0
+        for m in range(lanes):
+            if kept >> m * width & 1:
+                assert m not in first
+                first[m] = (x, y)
+    return first
+
+
+# k in {2, 3, 4} and b in {2, 3, 4, 5}, n <= k among them; k + 1 < n for LemKplus1.
+KERNEL_SHAPES = [(2, 2, 3), (2, 3, 4), (2, 4, 2), (2, 5, 3), (3, 2, 3), (3, 3, 2), (3, 4, 3), (3, 5, 1),
+                 (4, 2, 2), (4, 3, 3), (4, 4, 1), (4, 5, 2)]
+KPLUS1_SHAPES = [(2, 2, 3), (2, 3, 4), (2, 5, 3), (3, 2, 4), (3, 4, 4), (3, 5, 4), (4, 2, 5), (4, 3, 5)]
+
+
+class TestTableKernels:
+    """The kernels of ThmGen, the gap >= 3 search, SalomaaAux and LemKplus1,
+    and the scans behind the last two, on blocks of many lanes against the
+    oracles.  Floors below the hypothesis put lanes where the claim fails
+    into meets, so a kernel that passes every lane is caught."""
+
+    @pytest.mark.parametrize("k,b,n", KERNEL_SHAPES)
+    def test_gap_kernels_match_the_oracle(self, k, b, n):
+        fs = _kernel_tables(k, b, n)
+        block, width = _block(fs)
+        reports = [naive_gap_report(f) if naive_ess(f) >= 2 else (naive_ess(f), 0, 0, None) for f in fs]
+        if n >= 2:
+            assert 2 in {r[2] for r in reports} and (n > k or n in {r[2] for r in reports})
+        for key, claim in ((TheoremId.THM_GEN, lambda gap: gap <= k), (verifier._Search.GAP3, lambda gap: gap < 3)):
+            spec = verifier._THEOREMS[key]
+            for least in sorted({2, 3, spec.min_ess(k, n)}):
+                meets = _lanes(width, [r[0] >= least for r in reports])
+                holds = _lanes(width, [r[0] >= least and claim(r[2]) for r in reports])
+                assert spec.lanes(block, k, b, n, len(fs), least) == (meets, holds), (key, least)
+
+    @pytest.mark.parametrize("k,b,n", KERNEL_SHAPES)
+    def test_restriction_scan_and_kernel_match_the_oracle(self, k, b, n):
+        fs = _kernel_tables(k, b, n)
+        block, width = _block(fs)
+        spec = verifier._THEOREMS[TheoremId.THM_SALOMAA_AUX]
+        counts = [naive_ess(f) for f in fs]
+        witnesses = [naive_restriction_witness(f) for f in fs]
+        if n >= 3:
+            assert any(w and w[0] > 1 for w in witnesses) and any(w and w[1] > 0 for w in witnesses)
+        for least in sorted({1, 2, spec.min_ess(k, n)}):
+            meets = _lanes(width, [e >= least for e in counts])
+            first = _first_steps(verifier._restriction_scan, block, fs[0], len(fs), meets, width)
+            assert first == {m: w for m, w in enumerate(witnesses) if w and counts[m] >= least}, least
+            holds = _lanes(width, [m in first for m in range(len(fs))])
+            assert spec.lanes(block, k, b, n, len(fs), least) == (meets, holds), least
+
+    @pytest.mark.parametrize("k,b,n", KPLUS1_SHAPES)
+    def test_kplus1_scan_and_kernel_match_the_oracle(self, k, b, n):
+        fs = _kernel_tables(k, b, n)
+        block, width = _block(fs)
+        spec = verifier._THEOREMS[TheoremId.LEM_KPLUS1]
+        counts = [naive_ess(f) for f in fs]
+        pairs = [naive_kplus1_pair(f) for f in fs]
+        if n > k + 1:
+            assert any(p is None and e >= 1 for p, e in zip(pairs, counts))
+        for least in sorted({1, 2, spec.min_ess(k, n)}):
+            meets = _lanes(width, [e >= least for e in counts])
+            first = _first_steps(verifier._kplus1_scan, block, fs[0], len(fs), meets, width)
+            assert first == {m: p for m, p in enumerate(pairs) if p and counts[m] >= least}, least
+            holds = _lanes(width, [m in first for m in range(len(fs))])
+            assert spec.lanes(block, k, b, n, len(fs), least) == (meets, holds), least
+
+    @pytest.mark.parametrize("k,b,n", [(2, 3, 2), (2, 2, 1), (3, 3, 3), (3, 2, 2), (4, 5, 3), (4, 4, 1)])
+    def test_kplus1_with_n_at_most_k_ends_before_reading_a_mask(self, k, b, n):
+        # ess f > k is out of reach, so nothing meets the floor, and the
+        # scan must end before it indexes the mask of variable k + 1.
+        fs = _kernel_tables(k, b, n)
+        block, _ = _block(fs)
+        spec = verifier._THEOREMS[TheoremId.LEM_KPLUS1]
+        assert spec.lanes(block, k, b, n, len(fs), spec.min_ess(k, n)) == (0, 0)
+        assert list(verifier._kplus1_scan(block, k, b, n, len(fs), 0)) == []
+
+    @given(st.lists(witness_functions(above_k=False, max_table=81), min_size=1, max_size=6))
+    @settings(deadline=None, max_examples=40)
+    def test_restriction_lanes_of_drawn_witness_functions(self, fs):
+        # The functions of each drawn shape share one block.
+        spec = verifier._THEOREMS[TheoremId.THM_SALOMAA_AUX]
+        for shape in {(f.k, f.b, f.n) for f in fs}:
+            group = [f for f in fs if (f.k, f.b, f.n) == shape]
+            block, width = _block(group)
+            k, b, n = shape
+            counts = [naive_ess(f) for f in group]
+            witnesses = [naive_restriction_witness(f) for f in group]
+            meets = _lanes(width, [e >= 1 for e in counts])
+            first = _first_steps(verifier._restriction_scan, block, group[0], len(group), meets, width)
+            assert first == {m: w for m, w in enumerate(witnesses) if w and counts[m] >= 1}
+            meets = _lanes(width, [e == n for e in counts])
+            holds = _lanes(width, [e == n and w is not None for e, w in zip(counts, witnesses)])
+            assert spec.lanes(block, k, b, n, len(group), spec.min_ess(k, n)) == (meets, holds)
 
 
 def test_chunk_bounds_partition_exactly():
