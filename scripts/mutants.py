@@ -142,6 +142,21 @@ MUTANTS = [
         ("tests/test_verifier.py::TestTableKernels::test_kplus1_scan_and_kernel_match_the_oracle",),
     ),
     Mutant(
+        "cli-imports-the-sweep-engine",
+        "src/aritygap/cli.py",
+        "from .errors import ArityGapError, BudgetExceeded, ParseError, ValueOutOfRange\n",
+        "from .errors import ArityGapError, BudgetExceeded, ParseError, ValueOutOfRange\n"
+        "from .verifier import Exhaustive, Sampled, TheoremId, _function_dict, _Search, sweep\n",
+        ("tests/test_package.py::TestCliImports",),
+    ),
+    Mutant(
+        "lazy-name-returns-the-submodule",
+        "src/aritygap/__init__.py",
+        "loaded if name == module else getattr(loaded, name)",
+        "loaded",
+        ("tests/test_package.py::TestPackageSurface",),
+    ),
+    Mutant(
         "oracles-import-the-package",
         "tests/oracles.py",
         "from itertools import product\n",

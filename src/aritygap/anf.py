@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteFunction, _layout
+from .core import DEFAULT_BUDGET, FiniteFunction, _layout, table_size
 from .errors import IndexOutOfRange, NotBoolean, ValueOutOfRange
-from .generators import DEFAULT_BUDGET, table_size
 
 
 @dataclass(frozen=True)

@@ -27,28 +27,23 @@ import sys
 
 from .anf import polynomial_str, to_anf
 from .classify import NOT_SPECIAL, classify
-from .core import FiniteFunction, essential_vars, gap_report, make_function
+from .core import DEFAULT_BUDGET, FiniteFunction, essential_vars, gap_report, make_function
 from .errors import ArityGapError, BudgetExceeded, ParseError, ValueOutOfRange
-from .generators import (
-    DEFAULT_BUDGET,
-    LiftSpec,
-    QuasiLinearSpec,
-    lift,
-    quasi_linear,
-    random_function,
-)
-from .verifier import Exhaustive, Sampled, TheoremId, _function_dict, _Search, sweep
+
+# The sweep, search and generate commands import verifier and generators
+# themselves, so analyze, anf and classify never load them.
 
 SCHEMA = "aritygap/1"
 
+# --theorem flag -> TheoremId member name.
 _THEOREM_FLAGS = {
-    "thm1": TheoremId.THM1,
-    "salomaamain": TheoremId.THM_SALOMAA_MAIN,
-    "thmgen": TheoremId.THM_GEN,
-    "salomaaaux": TheoremId.THM_SALOMAA_AUX,
-    "lemkplus1": TheoremId.LEM_KPLUS1,
-    "thmstr": TheoremId.THM_STR,
-    "lemdeg2": TheoremId.LEM_DEG2,
+    "thm1": "THM1",
+    "salomaamain": "THM_SALOMAA_MAIN",
+    "thmgen": "THM_GEN",
+    "salomaaaux": "THM_SALOMAA_AUX",
+    "lemkplus1": "LEM_KPLUS1",
+    "thmstr": "THM_STR",
+    "lemdeg2": "LEM_DEG2",
 }
 
 _HEX_DIGITS = set("0123456789abcdefABCDEF")
@@ -64,7 +59,7 @@ def parse_function_text(text: str) -> FiniteFunction:
         if len(lines) > 1:
             raise ParseError("hex form must be a single line")
         digits = lines[0][4:].strip()
-        if not digits or any(ch not in _HEX_DIGITS for ch in digits):
+        if not digits or not _HEX_DIGITS.issuperset(digits):
             raise ParseError(f"bad hex digits {digits!r}")
         nbits = 4 * len(digits)
         n = nbits.bit_length() - 1
@@ -179,7 +174,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    theorem = _THEOREM_FLAGS[args.theorem]
+    from .verifier import Exhaustive, Sampled, TheoremId, sweep
+
+    theorem = TheoremId[_THEOREM_FLAGS[args.theorem]]
     b = args.b if args.b is not None else args.k
     if args.count is not None:
         population = Sampled(
@@ -205,6 +202,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .verifier import Sampled, _function_dict, _Search, sweep
+
     if args.k < 3:
         raise ValueOutOfRange("gap >= 3 search needs k >= 3; Boolean functions have gap at most 2")
     # A sampled sweep under ThmGen's hypothesis (ess f > k) whose recorded
@@ -254,6 +253,8 @@ def _int(value) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .generators import LiftSpec, QuasiLinearSpec, lift, quasi_linear, random_function
+
     # Values are checked in the try, so a generator's SpecInvalid keeps its message.
     if args.quasilinear:
         spec = _load_json_spec(args.quasilinear)

@@ -1,7 +1,7 @@
 """Functions on finite sets as packed value tables.
 
-Provides essential variables, variable identification minors and the
-arity gap.
+Provides essential variables, variable identification minors, the arity
+gap, and the table-size budget that every module checks.
 
 A table is one Python int (Knuth, TAOCP 4A, 7.1): each row holds its value
 in a field of w = max(1, ceil(log2 b)) bits, row 0 in the most significant
@@ -18,12 +18,33 @@ from functools import lru_cache
 
 from .errors import (
     ArityMismatch,
+    BudgetExceeded,
     EssentialArityTooSmall,
     IndexOutOfRange,
     LengthMismatch,
     SameIndex,
     ValueOutOfRange,
 )
+
+#: Largest table/enumeration size walked by default; ARITYGAP_BUDGET
+#: overrides it on the command line.
+DEFAULT_BUDGET = 1 << 24
+
+
+def power_exceeds(base: int, exp: int, budget: int) -> bool:
+    """Whether base**exp > budget, decided without building a huge power:
+    for base >= 2, exp >= budget.bit_length() already exceeds it."""
+    if base >= 2 and exp >= budget.bit_length():
+        return True
+    return base**exp > budget
+
+
+def table_size(k: int, n: int, budget: int) -> int:
+    """Row count k**n of a table on n variables over k elements; raises
+    BudgetExceeded, naming the size as k**n, when it exceeds the budget."""
+    if power_exceeds(k, n, budget):
+        raise BudgetExceeded(f"tables of {k}**{n} rows exceed budget {budget}")
+    return k**n
 
 
 def field_width(b: int) -> int:

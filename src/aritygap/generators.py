@@ -27,13 +27,14 @@ from functools import lru_cache
 from itertools import product
 
 from .core import (
+    DEFAULT_BUDGET,
     FiniteFunction,
     encode_point,
     field_width,
     pack,
+    table_size,
 )
 from .errors import (
-    BudgetExceeded,
     GammaNotSurjective,
     PhiNotInjective,
     SpecInvalid,
@@ -44,10 +45,6 @@ GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 _BLOCK = 1024  # rows mixed per pass: 128 Kibit ints at any table size
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-#: Largest table/enumeration size walked by default; ARITYGAP_BUDGET
-#: overrides it on the command line.
-DEFAULT_BUDGET = 1 << 24
 
 
 def mix64(z: int) -> int:
@@ -234,19 +231,3 @@ def lift(spec: LiftSpec) -> FiniteFunction:
         base_point = tuple(spec.gamma[x] for x in point)
         table.append(spec.phi[base[encode_point(base_point, f.k)]])
     return FiniteFunction(size_b, size_b, f.n, pack(table, field_width(size_b)))
-
-
-def power_exceeds(base: int, exp: int, budget: int) -> bool:
-    """Whether base**exp > budget, decided without building a huge power:
-    for base >= 2, exp >= budget.bit_length() already exceeds it."""
-    if base >= 2 and exp >= budget.bit_length():
-        return True
-    return base**exp > budget
-
-
-def table_size(k: int, n: int, budget: int) -> int:
-    """Row count k**n of a table on n variables over k elements; raises
-    BudgetExceeded, naming the size as k**n, when it exceeds the budget."""
-    if power_exceeds(k, n, budget):
-        raise BudgetExceeded(f"tables of {k}**{n} rows exceed budget {budget}")
-    return k**n

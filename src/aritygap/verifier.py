@@ -23,6 +23,7 @@ from itertools import permutations
 from .anf import _moebius, degree, to_anf
 from .classify import _coef_gap
 from .core import (
+    DEFAULT_BUDGET,
     FiniteFunction,
     _depends,
     _ess_lanes,
@@ -36,6 +37,8 @@ from .core import (
     field_width,
     from_code,
     gap_report,
+    power_exceeds,
+    table_size,
 )
 from .errors import (
     BudgetExceeded,
@@ -45,16 +48,7 @@ from .errors import (
     SpecInvalid,
     ValueOutOfRange,
 )
-from .generators import (
-    _BLOCK,
-    DEFAULT_BUDGET,
-    SplitMix64,
-    power_exceeds,
-    random_function,
-    random_lanes,
-    substream_seed,
-    table_size,
-)
+from .generators import _BLOCK, SplitMix64, random_function, random_lanes, substream_seed
 
 
 class TheoremId(Enum):
@@ -161,11 +155,12 @@ class _Theorem:
             raise NotBoolean(f"{name} needs k = b = 2, got k={k} b={b}")
 
 
-def _require(key, f: FiniteFunction) -> int:
-    """f's outcome under key's record, once f is found to meet its hypothesis."""
+def _require(key, f: FiniteFunction, claim: bool = True) -> int:
+    """f's outcome under key's record, once f is found to meet its
+    hypothesis; without claim, _OK then, and the claim is left undecided."""
     spec = _THEOREMS[key]
     spec.require_shape(key.value, f.k, f.b)
-    outcome = _outcome(key, f)
+    outcome = _outcome(key, f) if claim else _OK if ess(f) >= spec.min_ess(f.k, f.n) else _SKIP
     if outcome == _SKIP or spec.degree is not None and degree(to_anf(f)) != spec.degree:
         error = NotTotallyEssential if spec.total else HypothesisNotMet
         got = f"ess={ess(f)} n={f.n} k={f.k}" + (f" degree={degree(to_anf(f))}" if spec.degree else "")
@@ -198,14 +193,15 @@ def find_restriction_witness(f: FiniteFunction) -> tuple[int, int] | None:
     None means every restriction was tried without a hit, which would
     contradict the theory; sweeps record that as a violation.
     """
-    _require(TheoremId.THM_SALOMAA_AUX, f)
+    # The hypothesis alone, so that the scan runs once.
+    _require(TheoremId.THM_SALOMAA_AUX, f, claim=False)
     return next(((j, c) for j, c, _ in _restriction_scan(f.bits, f.k, f.b, f.n, 1, 1)), None)
 
 
 def check_kplus1_lemma(f: FiniteFunction) -> tuple[int, int] | None:
     """First pair 1 <= i < j <= k+1 whose identification minor keeps one of
     the first k+1 variables essential; None would contradict the lemma."""
-    _require(TheoremId.LEM_KPLUS1, f)
+    _require(TheoremId.LEM_KPLUS1, f, claim=False)
     return next(((i, j) for i, j, _ in _kplus1_scan(f.bits, f.k, f.b, f.n, 1, 1)), None)
 
 

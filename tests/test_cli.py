@@ -47,6 +47,12 @@ class TestFunctionFileFormat:
         with pytest.raises(ParseError):
             parse_function_text("hex:xyz")
 
+    @pytest.mark.parametrize("digits", ["xyz", "6g", "", "6 7", "0x6", "٦"])
+    def test_hex_bad_digits_message(self, digits):
+        with pytest.raises(ParseError) as exc:
+            parse_function_text(f"hex:{digits}")
+        assert str(exc.value) == f"bad hex digits {digits!r}"
+
     def test_bad_header(self):
         with pytest.raises(ParseError):
             parse_function_text("2 2\n0 1 1 0\n")

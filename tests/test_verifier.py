@@ -231,6 +231,55 @@ class TestKplus1Lemma:
         assert check_kplus1_lemma(f) == naive_kplus1_pair(f)
 
 
+def _outcome_or_error(call, f):
+    try:
+        return call(f)
+    except HypothesisNotMet as exc:
+        return type(exc), str(exc)
+
+
+class TestWitnessScansRunOnce:
+    PUBLIC = [
+        (find_restriction_witness, TheoremId.THM_SALOMAA_AUX, "_restriction_scan"),
+        (check_kplus1_lemma, TheoremId.LEM_KPLUS1, "_kplus1_scan"),
+    ]
+
+    @pytest.mark.parametrize("public, key, scan", PUBLIC)
+    def test_one_scan_and_no_kernel_per_call(self, public, key, scan, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("the claim kernel ran")
+
+        calls = []
+        real = getattr(verifier, scan)
+        monkeypatch.setitem(verifier._THEOREMS, key, dataclasses.replace(verifier._THEOREMS[key], lanes=no_kernel))
+        monkeypatch.setattr(verifier, scan, lambda *args: calls.append(args) or real(*args))
+        for f in (XOR3, MAJ3, random_function(3, 3, 4, 5)):
+            expected = naive_restriction_witness(f) if key is TheoremId.THM_SALOMAA_AUX else naive_kplus1_pair(f)
+            calls.clear()
+            assert public(f) == expected
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("public, key, scan", PUBLIC)
+    @pytest.mark.parametrize("k, b, n", [(2, 2, 1), (2, 2, 2), (2, 2, 3), (3, 3, 2), (3, 2, 2), (1, 2, 3), (2, 1, 2)])
+    def test_hypothesis_errors_match_check(self, public, key, scan, k, b, n):
+        # check runs the record's kernel; the public function only ess f.
+        for code in range(min(b ** k**n, 600)):
+            f = make_function(k, b, n, decode_index(code, b, k**n))
+            from_check = _outcome_or_error(partial(check, key), f)
+            from_public = _outcome_or_error(public, f)
+            assert (from_public is None) == (from_check is False), f
+            if isinstance(from_check, tuple):
+                assert from_public == from_check, f
+
+    def test_error_messages(self):
+        with pytest.raises(NotTotallyEssential) as exc:
+            find_restriction_witness(make_function(2, 2, 2, [0, 0, 1, 1]))
+        assert str(exc.value) == "ThmSalomaaAux needs ess f = n >= 2, got ess=1 n=2 k=2"
+        with pytest.raises(NotTotallyEssential) as exc:
+            check_kplus1_lemma(XOR)
+        assert str(exc.value) == "LemKplus1 needs ess f = n > k, got ess=2 n=2 k=2"
+
+
 class TestSweep:
     def test_thmstr_exhaustive_small(self):
         r = sweep(TheoremId.THM_STR, Exhaustive(2, 2, 3), workers=1)
