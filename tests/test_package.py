@@ -27,7 +27,7 @@ PUBLIC = sorted(
 
 # Runs `python -m aritygap ARGS...` in this interpreter, then prints the
 # loaded modules as one JSON line after the CLI's output.
-MODULE_DRIVER = """
+MODULE_RUNNER = """
 import json, runpy, sys
 try:
     runpy.run_module("aritygap", run_name="__main__", alter_sys=True)
@@ -59,14 +59,14 @@ class TestCliImports:
     def test_analyze_and_classify_load_no_sweep_engine(self, tmp_path, command, text, expected):
         path = tmp_path / "f.fn"
         path.write_text(text, encoding="utf-8")
-        payload, modules = run_python(MODULE_DRIVER, command, str(path), "--json").stdout.splitlines()
+        payload, modules = run_python(MODULE_RUNNER, command, str(path), "--json").stdout.splitlines()
         assert json.loads(payload).items() >= expected.items()
         modules = set(json.loads(modules))
         assert {"aritygap.cli", "aritygap.core", "aritygap.anf", "aritygap.classify"} <= modules
         assert modules & SWEEP_ENGINE == set()
 
-    def test_the_driver_sees_what_a_sweep_loads(self):
-        payload, modules = run_python(MODULE_DRIVER, "sweep", "--theorem", "salomaamain", "--n", "2",
+    def test_the_runner_sees_what_a_sweep_loads(self):
+        payload, modules = run_python(MODULE_RUNNER, "sweep", "--theorem", "salomaamain", "--n", "2",
                                       "--json").stdout.splitlines()
         assert json.loads(payload)["checked"] > 0
         assert {"aritygap.verifier", "aritygap.generators"} <= set(json.loads(modules))
