@@ -142,6 +142,20 @@ MUTANTS = [
         ("tests/test_verifier.py::TestTableKernels::test_kplus1_scan_and_kernel_match_the_oracle",),
     ),
     Mutant(
+        "shared-pass-keeps-rejections",
+        "src/aritygap/generators.py",
+        "        if kept == size * len(group):\n",
+        "        if shared:\n",
+        ("tests/test_generators.py::TestRandomLanes::test_lanes_are_the_tables_random_function_and_the_oracle_draw",),
+    ),
+    Mutant(
+        "shared-pass-bases-one-counter-late",
+        "src/aritygap/generators.py",
+        "[s + GOLDEN for s in group]",
+        "[s + 2 * GOLDEN for s in group]",
+        ("tests/test_generators.py::TestRandomFunction::test_golden_tables",),
+    ),
+    Mutant(
         "cli-imports-the-sweep-engine",
         "src/aritygap/cli.py",
         "from .errors import ArityGapError, BudgetExceeded, ParseError, ValueOutOfRange\n",

@@ -6,17 +6,16 @@ all mod 2**64.  It is implemented here directly so tables are
 bit-identical across platforms and interpreter versions; reference
 outputs are frozen in the test suite.
 
-random_function fills the rows in order by SplitMix64.below(b).  Up to
-b = 2**64, below reads one output per candidate, so outputs are mixed in
-blocks of 1,024, one 128-bit lane of an int per output, with mix64 run on
-all lanes at once.  For b a power of two below never rejects and the entry
-is the output's low bits; for other b the outputs under below's threshold
-are kept in order and reduced mod b.  Larger b draw row by row.
-
-One mix pass takes a counter base per group of rows, so for b a power of
-two it can draw the rows of several seeds at once: random_lanes draws
-1024 >> n Boolean tables of arity n per pass (16 at n = 6), each the table
-random_function(2, 2, n, seed) draws from that pass's one group.
+random_lanes(k, b, n, seeds) is the one table draw.  The table of each
+seed fills its rows in order by SplitMix64.below(b), and the tables lie in
+the lanes of one int, as in core._layout.  Up to b = 2**64 below reads one
+output per candidate, so outputs are mixed in passes of up to 1,024, one
+128-bit lane of an int per output, with mix64 run on all lanes at once;
+for b a power of two the entry is the output's low bits, for other b the
+outputs under below's threshold are kept in order and reduced mod b.  A
+pass takes a counter base per table, so 1024 // k**n tables share one; if
+it rejects an output, each table of its group is drawn again alone.
+Larger tables take a pass per 1,024 outputs; b > 2**64 draws row by row.
 """
 
 from __future__ import annotations
@@ -71,15 +70,15 @@ class SplitMix64:
         """Uniform integer in [0, bound) by threshold rejection.  Each
         candidate is read from as many outputs as bound - 1 has 64-bit
         words (one at least), the first most significant."""
+        if bound < 1:
+            raise ValueOutOfRange(f"bound must be >= 1, got {bound}")
         words = max(1, -(-(bound - 1).bit_length() // 64))
         span = 1 << 64 * words
         limit = span - span % bound
         while True:
-            if words == 1:
-                z = self.next_u64()
-            else:
-                chunks = [self.next_u64().to_bytes(8, "big") for _ in range(words)]
-                z = int.from_bytes(b"".join(chunks), "big")
+            z = 0
+            for _ in range(words):
+                z = z << 64 | self.next_u64()
             if z < limit:
                 return z % bound
 
@@ -90,17 +89,38 @@ def substream_seed(seed: int, index: int) -> int:
     return mix64((seed + (index + 1) * GOLDEN) & _MASK64)
 
 
-def random_function(
-    k: int, b: int, n: int, seed: int, budget: int = DEFAULT_BUDGET
-) -> FiniteFunction:
+def random_function(k: int, b: int, n: int, seed: int, budget: int = DEFAULT_BUDGET) -> FiniteFunction:
     """Uniform i.i.d. table entries drawn from SplitMix64(seed)."""
+    return FiniteFunction(k, b, n, random_lanes(k, b, n, [seed], budget))
+
+
+def random_lanes(k: int, b: int, n: int, seeds, budget: int = DEFAULT_BUDGET) -> int:
+    """The tables random_function(k, b, n, s) for s in seeds as the lanes of
+    one int, laid out as in core._layout: lane m holds the m-th table in
+    the low half of its 2 * k**n * w bits."""
     if k < 1 or b < 1 or n < 1:
         raise ValueOutOfRange(f"k, b and n must be >= 1, got k={k} b={b} n={n}")
-    size = table_size(k, n, budget)
-    w = field_width(b)
+    size, w = table_size(k, n, budget), field_width(b)
+    bits, shared = size * w, size <= _BLOCK and b <= 1 << 64
+    per = _BLOCK // size if shared else 1
+    tables = []
+    for a in range(0, len(seeds), per):
+        group = seeds[a : a + per]
+        text, kept = _block_text([s + GOLDEN for s in group], size, b, w) if shared else ("", 0)
+        if kept == size * len(group):
+            tables += [text[c : c + bits] for c in range(0, len(text), bits)]
+        else:
+            tables += [_table_text(s, size, b, w) for s in group]
+    # The last table first, so that it ends up in the highest lane.
+    return int(("0" * bits).join(reversed(tables)) or "0", 2)
+
+
+def _table_text(seed: int, size: int, b: int, w: int) -> str:
+    """Binary text of the table of one seed drawn alone: row by row for
+    b > 2**64, else a pass per 1,024 outputs, until size entries are kept."""
     if b > 1 << 64:
         rng = SplitMix64(seed)
-        return FiniteFunction(k, b, n, pack([rng.below(b) for _ in range(size)], w))
+        return format(pack([rng.below(b) for _ in range(size)], w), f"0{size * w}b")
     text, rows, drawn = [], 0, 0
     while rows < size:
         block = min(_BLOCK, size - rows)
@@ -108,25 +128,7 @@ def random_function(
         text.append(line)
         rows += kept
         drawn += block
-    return FiniteFunction(k, b, n, int("".join(text), 2))
-
-
-def random_lanes(n: int, seeds, budget: int = DEFAULT_BUDGET) -> int:
-    """The tables random_function(2, 2, n, s) for s in seeds as the lanes of
-    one int, laid out as in core._layout: lane m holds the m-th table
-    in the low half of its 2 * 2**n bits, at bit m * 2**(n+1).  A table
-    of up to 1,024 rows is one group of a mix pass; a larger one takes a
-    pass per 1,024 rows."""
-    if n < 1:
-        raise ValueOutOfRange(f"n must be >= 1, got n={n}")
-    size = table_size(2, n, budget)
-    rows = min(size, _BLOCK)
-    bases = [s + (r + 1) * GOLDEN for s in seeds for r in range(0, size, rows)]
-    per = _BLOCK // rows
-    text = "".join([_block_text(bases[a : a + per], rows, 2, 1)[0] for a in range(0, len(bases), per)])
-    # The last table's text first, so that it ends up in the highest lane.
-    tables = [text[a - size : a] for a in range(len(text), 0, -size)]
-    return int(("0" * size).join(tables) or "0", 2)
+    return "".join(text)
 
 
 @lru_cache(maxsize=8)
@@ -142,9 +144,9 @@ def _block_text(bases, rows: int, b: int, w: int) -> tuple[str, int]:
     """Binary text of the entries below(b) reads from mix64 at counters
     base + j * GOLDEN, j < rows, for each base in turn, and their count:
     the outputs under its threshold, in order, mod b.  For b a power of two
-    none is rejected, a mask keeps the low bits, and each base gives rows
-    entries; other b take one base.  A lane holds its 64-bit by 64-bit
-    product; masks after right shifts drop bits from the lane above."""
+    none is rejected and a mask keeps the low bits.  A lane holds its
+    64-bit by 64-bit product; masks after right shifts drop bits from the
+    lane above."""
     limit = (1 << 64) - (1 << 64) % b
     steps, lanes, fields = _lanes(rows, len(bases), b - 1 if limit >> 64 else _MASK64)
     start = b"".join([(base & _MASK64).to_bytes(16, "little") * rows for base in bases])

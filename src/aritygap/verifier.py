@@ -313,9 +313,9 @@ def _table_blocks(pop, budget: int, lo: int, hi: int):
     """Tables lo..hi-1 as blocks (start, count, lanes, block) of 1024 // k**n
     (at least one) lanes, as in core._layout: lane m holds member start + m
     and lanes from count on are zero.  Exhaustive codes are the tables for b
-    a power of two, else from_code decodes them; samples (attempt 0 of each
-    rejection stream) are drawn by random_lanes, or one by one when not
-    Boolean.  A k = 1 lane is too narrow for core._ess_lanes's carry: alone."""
+    a power of two, else from_code decodes them; the samples of a block
+    (attempt 0 of each rejection stream) are one random_lanes call.  A k = 1
+    lane is too narrow for core._ess_lanes's carry: alone."""
     k, b, n = pop.k, pop.b, pop.n
     lanes, width = max(1, _BLOCK // k**n) if k > 1 else 1, 2 * k**n * field_width(b)
     ones = _layout(k, field_width(b), n, lanes)[3]
@@ -324,12 +324,9 @@ def _table_blocks(pop, budget: int, lo: int, hi: int):
     ramp = sum(m << m * width for m in range(lanes))  # lane m holds m
     for start in range(lo, hi, lanes):
         count = min(lanes, hi - start)
-        seeds = [substream_seed(pop.seed, i) for i in range(start, start + count)] if sampled else []
-        seeds = [substream_seed(s, 0) for s in seeds] if reject else seeds
-        if sampled and k == b == 2:
-            block = random_lanes(n, seeds, budget)
-        elif sampled:
-            block = sum(random_function(k, b, n, s, budget).bits << m * width for m, s in enumerate(seeds))
+        if sampled:
+            seeds = [substream_seed(pop.seed, i) for i in range(start, start + count)]
+            block = random_lanes(k, b, n, [substream_seed(s, 0) for s in seeds] if reject else seeds, budget)
         elif b & (b - 1):
             block = sum(from_code(k, b, n, start + m).bits << m * width for m in range(count))
         else:

@@ -33,6 +33,7 @@ from aritygap.errors import (
     SpecInvalid,
     ValueOutOfRange,
 )
+from aritygap.core import field_width
 from aritygap.generators import _BLOCK, random_lanes
 
 from oracles import naive_random_table
@@ -70,6 +71,13 @@ class TestSplitMix64:
             assert va == vb
             assert all(0 <= v < bound for v in va)
         assert any(v >= 1 << 64 for v in va)
+
+    @pytest.mark.parametrize("bound", [0, -1, -3, -(2**70)])
+    def test_below_refuses_an_empty_range_before_drawing(self, bound):
+        rng = SplitMix64(1)
+        with pytest.raises(ValueOutOfRange, match=f"bound must be >= 1, got {bound}"):
+            rng.below(bound)
+        assert rng.next_u64() == SplitMix64(1).next_u64()
 
     def test_below_reads_wide_candidates_most_significant_first(self):
         # 5**61 - 1 has 142 bits, so a candidate is three outputs; the
@@ -143,28 +151,62 @@ class TestRandomFunctionOracle:
         assert random_function(k, b, n, seed).table == naive_random_table(k, b, n, seed)
 
 
+# (k, b, n): Boolean arities on both sides of one pass; b = 3, 10 and
+# powers of two in shared passes; b = 2**63 + 1, which rejects about half of
+# the outputs, so nearly every shared pass falls back to drawing its tables
+# alone; 2**64, the widest shared b; 2**65, drawn row by row; k = 1; and
+# tables over 1,024 rows, drawn alone.
+LANE_SHAPES = [(2, 2, n) for n in range(1, 12)] + [
+    (3, 3, 2), (3, 3, 4), (3, 10, 3), (2, 10, 6), (5, 3, 4), (4, 4, 5), (2, 16, 6),
+    (3, 2**63 + 1, 2), (2, 2**63 + 1, 5), (3, 2**64, 3), (2, 2**65, 3),
+    (1, 1, 1), (1, 3, 4), (1, 2**63 + 1, 2), (2, 1, 3),
+    (3, 3, 7), (2, 10, 11), (2, 2**63 + 1, 11), (2, 2**65, 11),
+]
+
+
+def _lane_tables(k, b, n, block, count):
+    """The count tables in the lanes of a random_lanes block, after checking
+    that each lane's padding and every bit above the last lane are zero."""
+    bits = k**n * field_width(b)
+    tables = [block >> 2 * m * bits & (1 << 2 * bits) - 1 for m in range(count)]
+    assert all(t >> bits == 0 for t in tables) and block >> 2 * count * bits == 0
+    return tables
+
+
 class TestRandomLanes:
-    @pytest.mark.parametrize("n", range(1, 12))
-    def test_lanes_are_the_tables_random_function_draws(self, n):
-        # Blocks of 1024 >> n tables, or one table over several blocks for
-        # n > 10; the counts leave a partial block.
-        per = max(1, _BLOCK >> n)
-        seeds = [substream_seed(11, i) for i in range(per + 3)] + [2**64, 2**64 + 5, 2**70 + 3, -1]
-        block = random_lanes(n, seeds)
-        width, table = 2 << n, (1 << (1 << n)) - 1
-        for m, seed in enumerate(seeds):
-            lane = block >> m * width & ((1 << width) - 1)
-            assert lane == random_function(2, 2, n, seed).bits  # the high half is padding
-        assert block >> len(seeds) * width == 0
-        if n <= 4:
-            assert block & table == make_function(2, 2, n, naive_random_table(2, 2, n, seeds[0])).bits
+    @pytest.mark.parametrize("shape", LANE_SHAPES, ids=lambda s: "k{}-b{}-n{}".format(*s))
+    def test_lanes_are_the_tables_random_function_and_the_oracle_draw(self, shape):
+        # Two full shared passes and a partial one (or, drawn alone, one
+        # table after another), and seeds outside [0, 2**64).
+        k, b, n = shape
+        per = max(1, _BLOCK // k**n)
+        seeds = [substream_seed(11, i) for i in range(2 * per + 3)] + [2**64, 2**64 + 5, 2**70 + 3, -1]
+        tables = _lane_tables(k, b, n, random_lanes(k, b, n, seeds), len(seeds))
+        for seed, table in zip(seeds, tables):
+            assert table == random_function(k, b, n, seed).bits
+            assert table == make_function(k, b, n, naive_random_table(k, b, n, seed)).bits
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        n=st.integers(1, 4),
+        b=st.one_of(st.integers(1, 300), st.integers(0, 66).map(lambda e: 2**e),
+                    st.sampled_from([2**63 + 1, 3 << 62, 2**64 - 1, 2**64 + 1])),
+        seeds=st.lists(st.integers(-(2**70), 2**70), max_size=40),
+    )
+    def test_any_shape_and_seeds(self, k, n, b, seeds):
+        tables = _lane_tables(k, b, n, random_lanes(k, b, n, seeds), len(seeds))
+        assert tables == [make_function(k, b, n, naive_random_table(k, b, n, s)).bits for s in seeds]
 
     def test_shape_is_checked_before_drawing(self):
-        assert random_lanes(3, []) == 0
-        with pytest.raises(ValueOutOfRange):
-            random_lanes(0, [1])
+        assert random_lanes(3, 3, 3, []) == 0
+        for shape in ((2, 2, 0), (0, 2, 2), (2, 0, 2), (-1, 3, 2)):
+            with pytest.raises(ValueOutOfRange, match="must be >= 1"):
+                random_lanes(*shape, [1])
         with pytest.raises(BudgetExceeded):
-            random_lanes(12, [1], budget=1 << 11)
+            random_lanes(2, 2, 12, [1], budget=1 << 11)
+        with pytest.raises(BudgetExceeded):
+            random_lanes(3, 5, 8, [1], budget=3**7)
 
 
 def test_largest_boolean_draw_in_bounded_memory():

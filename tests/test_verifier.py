@@ -456,10 +456,10 @@ class TestSweep:
             seeds.append(seed)
             return random_function(k, b, n, seed, budget)
 
-        def spy_lanes(n, lane_seeds, budget=None):
+        def spy_lanes(k, b, n, lane_seeds, budget=None):
             budgets.append(budget)
             seeds.extend(lane_seeds)
-            return random_lanes(n, lane_seeds, budget)
+            return random_lanes(k, b, n, lane_seeds, budget)
 
         monkeypatch.setattr(verifier, "random_function", spy_function)
         monkeypatch.setattr(verifier, "random_lanes", spy_lanes)
@@ -472,6 +472,28 @@ class TestSweep:
         sweep(theorem, Sampled(*shape, 300, 7, True), budget=1 << 30, workers=1)
         assert {substream_seed(s, 0) for s in firsts} <= set(seeds)
         assert set(budgets) == {1 << 30}
+
+    @pytest.mark.parametrize("shape", [(3, 3, 4), (2, 5, 3), (1, 3, 2), (4, 4, 5)])
+    def test_each_block_of_samples_is_one_lane_draw(self, shape, monkeypatch):
+        # Without rejection no table is drawn alone: block j of a sampled
+        # sweep is one random_lanes call on the seeds of its samples.
+        calls = []
+
+        def spy_lanes(k, b, n, lane_seeds, budget=None):
+            calls.append(list(lane_seeds))
+            return random_lanes(k, b, n, lane_seeds, budget)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a sampled table alone")
+
+        monkeypatch.setattr(verifier, "random_lanes", spy_lanes)
+        monkeypatch.setattr(verifier, "random_function", no_draws)
+        k, b, n = shape
+        lanes = max(1, 1024 // k**n) if k > 1 else 1
+        r = sweep(TheoremId.THM_GEN, Sampled(*shape, 2 * lanes + 1, 3), workers=1)
+        assert [len(c) for c in calls] == [lanes, lanes, 1]
+        assert sum(calls, []) == [substream_seed(3, i) for i in range(2 * lanes + 1)]
+        assert r.checked + r.skipped == 2 * lanes + 1
 
     @pytest.mark.parametrize(
         "theorem,shape",
@@ -602,9 +624,9 @@ class TestLaneClaims:
             seeds.append(seed)
             return random_function(k, b, n, seed, budget)
 
-        def spy_lanes(n, lane_seeds, budget=None):
+        def spy_lanes(k, b, n, lane_seeds, budget=None):
             seeds.extend(lane_seeds)
-            return random_lanes(n, lane_seeds, budget)
+            return random_lanes(k, b, n, lane_seeds, budget)
 
         monkeypatch.setattr(verifier, "random_function", spy_function)
         monkeypatch.setattr(verifier, "random_lanes", spy_lanes)
