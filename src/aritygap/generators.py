@@ -97,7 +97,7 @@ def random_function(k: int, b: int, n: int, seed: int, budget: int = DEFAULT_BUD
 def random_lanes(k: int, b: int, n: int, seeds, budget: int = DEFAULT_BUDGET) -> int:
     """The tables random_function(k, b, n, s) for s in seeds as the lanes of
     one int, laid out as in core._layout: lane m holds the m-th table in
-    the low half of its 2 * k**n * w bits."""
+    the low half of its 2 * k**n * field_width(b) bits."""
     if k < 1 or b < 1 or n < 1:
         raise ValueOutOfRange(f"k, b and n must be >= 1, got k={k} b={b} n={n}")
     size, w = table_size(k, n, budget), field_width(b)
