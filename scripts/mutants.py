@@ -156,11 +156,25 @@ MUTANTS = [
         ("tests/test_generators.py::TestRandomFunction::test_golden_tables",),
     ),
     Mutant(
+        "pass-shared-whatever-b-rejects",
+        "src/aritygap/generators.py",
+        "_BLOCK * ((1 << 64) % b) < 1 << 64",
+        "b <= 1 << 64",
+        ("tests/test_generators.py::TestRandomLanes::test_a_pass_is_shared_only_while_it_expects_under_one_rejection",),
+    ),
+    Mutant(
         "cli-imports-the-sweep-engine",
         "src/aritygap/cli.py",
         "from .errors import ArityGapError, BudgetExceeded, ParseError, ValueOutOfRange\n",
         "from .errors import ArityGapError, BudgetExceeded, ParseError, ValueOutOfRange\n"
         "from .verifier import Exhaustive, Sampled, TheoremId, _function_dict, _Search, sweep\n",
+        ("tests/test_package.py::TestCliImports",),
+    ),
+    Mutant(
+        "core-imports-dataclasses",
+        "src/aritygap/core.py",
+        "from collections import namedtuple\n",
+        "import dataclasses\nfrom collections import namedtuple\n",
         ("tests/test_package.py::TestCliImports",),
     ),
     Mutant(

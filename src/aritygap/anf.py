@@ -10,14 +10,13 @@ its coefficient table and back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import DEFAULT_BUDGET, FiniteFunction, _layout, table_size
 from .errors import IndexOutOfRange, NotBoolean, ValueOutOfRange
 
 
-@dataclass(frozen=True)
-class ZhegalkinPolynomial:
+class ZhegalkinPolynomial(namedtuple("ZhegalkinPolynomial", "arity coef")):
     """Multilinear polynomial over the two-element field.
 
     coef is the packed coefficient table over the 2**arity subsets of
@@ -26,8 +25,7 @@ class ZhegalkinPolynomial:
     the set of its 1-based variable indices; the empty one is the constant 1.
     """
 
-    arity: int
-    coef: int
+    __slots__ = ()
 
     @property
     def monomials(self) -> frozenset[frozenset[int]]:

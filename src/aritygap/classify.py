@@ -11,7 +11,7 @@ Moebius transform of the value table, which is the same int.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .anf import ZhegalkinPolynomial, _moebius, _monomial_indices, _variables
@@ -27,8 +27,7 @@ class FormTag(Enum):
     NOT_SPECIAL = "NotSpecial"
 
 
-@dataclass(frozen=True)
-class SpecialForm:
+class SpecialForm(namedtuple("SpecialForm", "tag participants c")):
     """Matched gap-2 shape.
 
     participants are the variable indices bound by the shape: all occurring
@@ -38,9 +37,7 @@ class SpecialForm:
     constant term, None for NotSpecial.
     """
 
-    tag: FormTag
-    participants: tuple[int, ...]
-    c: int | None
+    __slots__ = ()
 
 
 NOT_SPECIAL = SpecialForm(FormTag.NOT_SPECIAL, (), None)

@@ -71,8 +71,8 @@ def parse_function_text(text: str) -> FiniteFunction:
     if len(header) != 3:
         raise ParseError(f"header must be 'k n b', got {lines[0]!r}")
     try:
-        k, n, b = (int(tok) for tok in header)
-        values = [int(tok) for tok in " ".join(lines[1:]).split()]
+        k, n, b = map(int, header)
+        values = list(map(int, " ".join(lines[1:]).split()))
     except ValueError as exc:
         raise ParseError(f"non-integer token in function file: {exc}") from exc
     try:

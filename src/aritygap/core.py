@@ -13,7 +13,7 @@ variable; D_t(c) = D_t(0) >> c * stride_t is derived where it is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import (
@@ -72,8 +72,7 @@ def unpack(bits: int, w: int, size: int) -> tuple[int, ...]:
     return tuple(int(text[p : p + w], 2) for p in range(0, size * w, w))
 
 
-@dataclass(frozen=True)
-class FiniteFunction:
+class FiniteFunction(namedtuple("FiniteFunction", "k b n bits")):
     """f: {0..k-1}^n -> {0..b-1} stored as a packed value table.
 
     Row order: x1 is the most significant mixed-radix digit, so the tuple
@@ -82,10 +81,7 @@ class FiniteFunction:
     bottom.  Instances are immutable and safe to share between threads.
     """
 
-    k: int
-    b: int
-    n: int
-    bits: int
+    __slots__ = ()
 
     @property
     def table(self) -> tuple[int, ...]:
@@ -93,18 +89,14 @@ class FiniteFunction:
         return unpack(self.bits, field_width(self.b), self.k**self.n)
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(namedtuple("GapReport", "ess essl gap witness")):
     """Essential arity data of a function.
 
     witness is the lexicographically least pair (i, j), i < j, whose
     identification minor attains essl.
     """
 
-    ess: int
-    essl: int
-    gap: int
-    witness: tuple[int, int]
+    __slots__ = ()
 
 
 def make_function(k: int, b: int, n: int, table) -> FiniteFunction:
@@ -115,9 +107,9 @@ def make_function(k: int, b: int, n: int, table) -> FiniteFunction:
     # For k >= 2, k**n > len(entries) once n reaches its bit length: no huge power.
     if (k > 1 and n >= len(entries).bit_length()) or k**n != len(entries):
         raise LengthMismatch(f"table has {len(entries)} entries, expected k**n = {k}**{n}")
-    for v in entries:
-        if not 0 <= v < b:
-            raise ValueOutOfRange(f"table entry {v} not in range(0, {b})")
+    if min(entries) < 0 or max(entries) >= b:
+        v = next(v for v in entries if not 0 <= v < b)
+        raise ValueOutOfRange(f"table entry {v} not in range(0, {b})")
     return FiniteFunction(k, b, n, pack(entries, field_width(b)))
 
 

@@ -13,15 +13,17 @@ output per candidate, so outputs are mixed in passes of up to 1,024, one
 128-bit lane of an int per output, with mix64 run on all lanes at once;
 for b a power of two the entry is the output's low bits, for other b the
 outputs under below's threshold are kept in order and reduced mod b.  A
-pass takes a counter base per table, so 1024 // k**n tables share one; if
+pass takes a counter base per table, so 1024 // k**n tables share one
+when it expects less than one rejection, 1024 * (2**64 mod b) < 2**64; if
 it rejects an output, each table of its group is drawn again alone.
+Tables of a b that rejects more often are drawn alone from the start.
 Larger tables take a pass per 1,024 outputs; b > 2**64 draws row by row.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
@@ -101,7 +103,8 @@ def random_lanes(k: int, b: int, n: int, seeds, budget: int = DEFAULT_BUDGET) ->
     if k < 1 or b < 1 or n < 1:
         raise ValueOutOfRange(f"k, b and n must be >= 1, got k={k} b={b} n={n}")
     size, w = table_size(k, n, budget), field_width(b)
-    bits, shared = size * w, size <= _BLOCK and b <= 1 << 64
+    # b > 2**64 never shares: 2**64 mod b is 2**64.
+    bits, shared = size * w, size <= _BLOCK and _BLOCK * ((1 << 64) % b) < 1 << 64
     per = _BLOCK // size if shared else 1
     tables = []
     for a in range(0, len(seeds), per):
@@ -163,14 +166,10 @@ def _block_text(bases, rows: int, b: int, w: int) -> tuple[str, int]:
     return (format(pack(values, w), f"0{len(values) * w}b") if values else ""), len(values)
 
 
-@dataclass(frozen=True)
-class QuasiLinearSpec:
+class QuasiLinearSpec(namedtuple("QuasiLinearSpec", "k n h_maps g_map")):
     """f = g(h1(x1) xor ... xor hn(xn)) with hi: A -> {0,1}, g: {0,1} -> A."""
 
-    k: int
-    n: int
-    h_maps: tuple[tuple[int, ...], ...]
-    g_map: tuple[int, ...]
+    __slots__ = ()
 
 
 def quasi_linear(spec: QuasiLinearSpec) -> FiniteFunction:
@@ -194,17 +193,14 @@ def quasi_linear(spec: QuasiLinearSpec) -> FiniteFunction:
     return FiniteFunction(k, k, n, pack(table, field_width(k)))
 
 
-@dataclass(frozen=True)
-class LiftSpec:
+class LiftSpec(namedtuple("LiftSpec", "base gamma phi")):
     """g = phi(f(gamma(x1), ..., gamma(xn))) carrying f from A to a larger B.
 
     gamma: B -> A surjective, phi: A -> B injective, both as value tuples
     indexed by their argument.
     """
 
-    base: FiniteFunction
-    gamma: tuple[int, ...]
-    phi: tuple[int, ...]
+    __slots__ = ()
 
 
 def lift(spec: LiftSpec) -> FiniteFunction:

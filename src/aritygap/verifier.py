@@ -10,12 +10,10 @@ bit-identical across runs except for the elapsed time.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import time
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import partial
 from itertools import permutations
@@ -61,48 +59,36 @@ class TheoremId(Enum):
     LEM_DEG2 = "LemDeg2"
 
 
-@dataclass(frozen=True)
-class Exhaustive:
+class Exhaustive(namedtuple("Exhaustive", "k b n")):
     """Every table of shape (k, b, n); for LemDeg2, every degree-2
     polynomial on n variables instead, and for Thm1 every table or, when
     those exceed the budget, every diagonal code."""
 
-    k: int
-    b: int
-    n: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sampled:
+class Sampled(namedtuple("Sampled", "k b n count seed reject_until_hypothesis", defaults=(False,))):
     """count seeded samples of shape (k, b, n); sample i is drawn from the
     derived stream substream_seed(seed, i), for Thm1 as a diagonal code.
     With reject_until_hypothesis, each sample is redrawn until it satisfies
     the theorem's hypothesis, so nothing is skipped."""
 
-    k: int
-    b: int
-    n: int
-    count: int
-    seed: int
-    reject_until_hypothesis: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    theorem: TheoremId
-    population: str
-    checked: int
-    skipped: int
-    violation_count: int
-    violations: tuple[FiniteFunction, ...]
-    witnesses: tuple[FiniteFunction, ...]
-    exhaustive: bool
-    passed: bool
-    elapsed_s: float
+class SweepReport(namedtuple("SweepReport", "theorem population checked skipped violation_count violations"
+                                            " witnesses exhaustive passed elapsed_s")):
+    """Outcome of one sweep: the statement checked, the population walked,
+    the counts of members checked, skipped and failing the claim, up to
+    max_recorded of the failing members (violations) or of Thm1's witnesses
+    as FiniteFunctions, whether the walk was exhaustive, whether the sweep
+    passed, and its wall time in seconds."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         d = {"schema": "aritygap/1"}
-        d.update((fd.name, getattr(self, fd.name)) for fd in dataclasses.fields(self))
+        d.update(self._asdict())
         d.update(theorem=self.theorem.value, violations=[_function_dict(f) for f in self.violations],
                  witnesses=[_function_dict(f) for f in self.witnesses])
         return d
@@ -117,8 +103,7 @@ def _function_dict(f: FiniteFunction) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Theorem:
+class _Theorem(namedtuple("_Theorem", "above_k total boolean walk lanes least degree", defaults=(None, 2, None))):
     """One statement: a hypothesis on f, the lane kernel of its claim, and
     walk(key, population, budget) -> (member count, the report's population,
     members(lo, hi) yielding counted runs (f, outcome, count)), which refuses
@@ -135,13 +120,7 @@ class _Theorem:
     variables, and for n >= 2 one of degree 2 does, x1*x2 + x3 + ... + xn.
     """
 
-    above_k: bool
-    total: bool
-    boolean: bool
-    walk: Callable
-    lanes: Callable[[int, int, int, int, int, int], tuple[int, int]] | None = None
-    least: int = 2
-    degree: int | None = None
+    __slots__ = ()
 
     def min_ess(self, k: int, n: int) -> int:
         return max(k + 1 if self.above_k else self.least, n if self.total else 0)
@@ -526,8 +505,7 @@ _THEOREMS = {
 # The gap >= 3 search, keyed apart from the theorems: ThmGen's hypothesis,
 # and its hits are the functions that fail the claim.
 _Search = Enum("_Search", {"GAP3": "Gap3Search"})
-_THEOREMS[_Search.GAP3] = dataclasses.replace(_THEOREMS[TheoremId.THM_GEN],
-                                              lanes=partial(_gap_lanes, lambda gap, *_: gap < 3))
+_THEOREMS[_Search.GAP3] = _THEOREMS[TheoremId.THM_GEN]._replace(lanes=partial(_gap_lanes, lambda gap, *_: gap < 3))
 
 
 def _run_range(args):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -64,6 +63,16 @@ class TestFunctionFileFormat:
     def test_value_out_of_range(self):
         with pytest.raises(ParseError):
             parse_function_text("2 2 2\n0 1 2 0\n")
+
+    def test_out_of_range_file_names_the_first_offender(self, tmp_path, capsys):
+        path = write(tmp_path, "f.fn", "2 2 2\n0 5 -1 7\n")
+        assert main(["analyze", path]) == 2
+        assert capsys.readouterr().err == "error: table entry 5 not in range(0, 2)\n"
+
+    def test_non_integer_token_message(self):
+        with pytest.raises(ParseError) as exc:
+            parse_function_text("2 2 2\n0 1 x 0\n")
+        assert str(exc.value) == "non-integer token in function file: invalid literal for int() with base 10: 'x'"
 
     def test_empty(self):
         with pytest.raises(ParseError):
@@ -316,7 +325,7 @@ class TestSearchCommand:
         # Random searches find no gap >= 3, so the search record is patched
         # to ess f >= 2 and gap >= 2 hits, which k=3 n=2 samples often have.
         record = verifier._THEOREMS[verifier._Search.GAP3]
-        patched = dataclasses.replace(record, above_k=False, lanes=partial(verifier._gap_lanes, lambda gap, *_: gap < 2))
+        patched = record._replace(above_k=False, lanes=partial(verifier._gap_lanes, lambda gap, *_: gap < 2))
         monkeypatch.setitem(verifier._THEOREMS, verifier._Search.GAP3, patched)
         pools = []
         if through_pool:

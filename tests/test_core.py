@@ -64,6 +64,11 @@ class TestMakeFunction:
         with pytest.raises(ValueOutOfRange):
             make_function(2, 2, 2, [0, 1, 2, 0])
 
+    def test_entry_out_of_range_names_the_first_offender(self):
+        with pytest.raises(ValueOutOfRange) as exc:
+            make_function(2, 2, 2, [0, 5, -1, 7])
+        assert str(exc.value) == "table entry 5 not in range(0, 2)"
+
     def test_bad_shape_parameters(self):
         with pytest.raises(ValueOutOfRange):
             make_function(0, 2, 2, [])

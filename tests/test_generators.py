@@ -1,7 +1,6 @@
 import resource
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +33,7 @@ from aritygap.errors import (
     ValueOutOfRange,
 )
 from aritygap.core import field_width
+import aritygap.generators as generators
 from aritygap.generators import _BLOCK, random_lanes
 
 from oracles import naive_random_table
@@ -159,6 +159,8 @@ class TestRandomFunctionOracle:
 LANE_SHAPES = [(2, 2, n) for n in range(1, 12)] + [
     (3, 3, 2), (3, 3, 4), (3, 10, 3), (2, 10, 6), (5, 3, 4), (4, 4, 5), (2, 16, 6),
     (3, 2**63 + 1, 2), (2, 2**63 + 1, 5), (3, 2**64, 3), (2, 2**65, 3),
+    # The most often rejecting b whose passes are still shared (about one in 1,024 outputs).
+    (3, 2**64 - 2**54 + 1, 2), (2, 2**64 - 2**54 + 1, 5),
     (1, 1, 1), (1, 3, 4), (1, 2**63 + 1, 2), (2, 1, 3),
     (3, 3, 7), (2, 10, 11), (2, 2**63 + 1, 11), (2, 2**65, 11),
 ]
@@ -191,12 +193,33 @@ class TestRandomLanes:
         k=st.integers(1, 4),
         n=st.integers(1, 4),
         b=st.one_of(st.integers(1, 300), st.integers(0, 66).map(lambda e: 2**e),
-                    st.sampled_from([2**63 + 1, 3 << 62, 2**64 - 1, 2**64 + 1])),
+                    st.sampled_from([2**63 + 1, 3 << 62, 2**64 - 2**54 + 1, 2**64 - 1, 2**64 + 1])),
         seeds=st.lists(st.integers(-(2**70), 2**70), max_size=40),
     )
     def test_any_shape_and_seeds(self, k, n, b, seeds):
         tables = _lane_tables(k, b, n, random_lanes(k, b, n, seeds), len(seeds))
         assert tables == [make_function(k, b, n, naive_random_table(k, b, n, s)).bits for s in seeds]
+
+    @pytest.mark.parametrize("b, shared", [(3, True), (2**64 - 2**54 + 1, True), (2**64 - 2**54, False),
+                                           (2**63 + 1, False)], ids=["3", "2^64-2^54+1", "2^64-2^54", "2^63+1"])
+    def test_a_pass_is_shared_only_while_it_expects_under_one_rejection(self, monkeypatch, b, shared):
+        passes = []  # (tables, entries kept) per _block_text pass
+        real = generators._block_text
+
+        def spy(bases, rows, b, w):
+            text, kept = real(bases, rows, b, w)
+            passes.append((len(bases), kept))
+            return text, kept
+
+        monkeypatch.setattr(generators, "_block_text", spy)
+        seeds = [substream_seed(3, i) for i in range(40)]
+        tables = _lane_tables(3, b, 2, random_lanes(3, b, 2, seeds), len(seeds))
+        assert tables == [make_function(3, b, 2, naive_random_table(3, b, 2, s)).bits for s in seeds]
+        if shared:
+            assert passes[0][0] == len(seeds)
+        else:
+            # Each table drawn alone: every entry a pass keeps lands in a table.
+            assert {n for n, _ in passes} == {1} and sum(kept for _, kept in passes) == 9 * len(seeds)
 
     def test_shape_is_checked_before_drawing(self):
         assert random_lanes(3, 3, 3, []) == 0
@@ -382,7 +405,7 @@ class TestTotalCollapseWitnesses:
 
     def test_sampled_mode_deterministic(self):
         pop = Sampled(4, 4, 2, count=300, seed=11)
-        a, b = (replace(sweep(TheoremId.THM1, pop, max_recorded=2), elapsed_s=0.0) for _ in range(2))
+        a, b = (sweep(TheoremId.THM1, pop, max_recorded=2)._replace(elapsed_s=0.0) for _ in range(2))
         assert a == b
         assert not a.exhaustive and a.population.startswith("diagonal-sampled search")
         for f in a.witnesses:

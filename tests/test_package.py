@@ -7,6 +7,7 @@ interpreter, since this test process has long imported everything.
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -38,10 +39,15 @@ finally:
 SWEEP_ENGINE = {"aritygap.verifier", "aritygap.generators", "multiprocessing"}
 
 
-def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+# Modules a cold CLI call should not pay for; dataclasses alone loads
+# inspect, ast, dis and tokenize.
+HEAVY = {"dataclasses", "inspect", "typing"}
+
+
+def run_python(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env,
+    result = subprocess.run([sys.executable, *flags, "-c", code, *args], capture_output=True, text=True, env=env,
                             timeout=60)
     assert result.returncode == 0, result.stderr
     return result
@@ -64,6 +70,20 @@ class TestCliImports:
         modules = set(json.loads(modules))
         assert {"aritygap.cli", "aritygap.core", "aritygap.anf", "aritygap.classify"} <= modules
         assert modules & SWEEP_ENGINE == set()
+
+    # -S keeps site from preloading typing, as some installations do.
+    @pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+    @pytest.mark.parametrize("command, text", [("analyze", "2 2 2\n0 1 1 0\n"), ("classify", "hex:6")],
+                             ids=["analyze", "classify"])
+    def test_analyze_and_classify_load_no_dataclasses_inspect_or_typing(self, tmp_path, flags, command, text):
+        path = tmp_path / "f.fn"
+        path.write_text(text, encoding="utf-8")
+        bare = set(json.loads(run_python("import json, sys; print(json.dumps(sorted(sys.modules)))",
+                                         flags=flags).stdout))
+        modules = run_python(MODULE_RUNNER, command, str(path), flags=flags).stdout.splitlines()[-1]
+        loaded = set(json.loads(modules)) - bare
+        assert "aritygap.cli" in loaded
+        assert {m for m in loaded if m.partition(".")[0] in HEAVY} == set()
 
     def test_the_runner_sees_what_a_sweep_loads(self):
         payload, modules = run_python(MODULE_RUNNER, "sweep", "--theorem", "salomaamain", "--n", "2",
@@ -113,3 +133,59 @@ class TestPackageSurface:
 
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(aritygap, name)
+
+
+# One instance of each public record, with the repr its frozen dataclass had.
+RECORD_REPRS = {
+    "FiniteFunction": "FiniteFunction(k=2, b=2, n=3, bits=23)",
+    "GapReport": "GapReport(ess=3, essl=1, gap=2, witness=(1, 2))",
+    "ZhegalkinPolynomial": "ZhegalkinPolynomial(arity=3, coef=22)",
+    "SpecialForm": "SpecialForm(tag=<FormTag.TRIANGLE_MAJ: 'TriangleMaj'>, participants=(1, 2, 3), c=0)",
+    "Exhaustive": "Exhaustive(k=2, b=2, n=3)",
+    "Sampled": "Sampled(k=3, b=3, n=4, count=10, seed=42, reject_until_hypothesis=False)",
+    "SweepReport": "SweepReport(theorem=<TheoremId.THM_GEN: 'ThmGen'>, population='exhaustive k=2 b=2 n=3',"
+                   " checked=10, skipped=2, violation_count=0, violations=(),"
+                   " witnesses=(FiniteFunction(k=2, b=2, n=3, bits=23),), exhaustive=True, passed=True,"
+                   " elapsed_s=0.5)",
+    "QuasiLinearSpec": "QuasiLinearSpec(k=3, n=2, h_maps=((0, 1, 1), (1, 0, 0)), g_map=(0, 2))",
+    "LiftSpec": "LiftSpec(base=FiniteFunction(k=2, b=2, n=2, bits=6), gamma=(0, 1, 1), phi=(0, 2))",
+}
+
+
+def _record(name: str):
+    from aritygap import (
+        Exhaustive, FiniteFunction, LiftSpec, QuasiLinearSpec, Sampled, SweepReport, TheoremId, classify,
+        gap_report, to_anf,
+    )
+
+    f = FiniteFunction(2, 2, 3, 23)  # majority
+    return {
+        "FiniteFunction": lambda: f,
+        "GapReport": lambda: gap_report(f),
+        "ZhegalkinPolynomial": lambda: to_anf(f),
+        "SpecialForm": lambda: classify(to_anf(f)),
+        "Exhaustive": lambda: Exhaustive(2, 2, 3),
+        "Sampled": lambda: Sampled(3, 3, 4, 10, 42),
+        "SweepReport": lambda: SweepReport(TheoremId.THM_GEN, "exhaustive k=2 b=2 n=3", 10, 2, 0, (), (f,),
+                                           True, True, 0.5),
+        "QuasiLinearSpec": lambda: QuasiLinearSpec(3, 2, ((0, 1, 1), (1, 0, 0)), (0, 2)),
+        "LiftSpec": lambda: LiftSpec(FiniteFunction(2, 2, 2, 6), (0, 1, 1), (0, 2)),
+    }[name]()
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", RECORD_REPRS)
+    def test_record_is_an_immutable_picklable_named_tuple(self, name):
+        r = _record(name)
+        assert type(r).__name__ == name and repr(r) == RECORD_REPRS[name]
+        assert hash(r) == hash(tuple(r))
+        field = r._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(r, field, None)
+        with pytest.raises(AttributeError):
+            r.extra = 1
+        copy = pickle.loads(pickle.dumps(r))
+        assert type(copy) is type(r) and copy == r
+        changed = r._replace(**{field: None})
+        assert type(changed) is type(r) and getattr(changed, field) is None
+        assert changed[1:] == r[1:] and repr(r) == RECORD_REPRS[name]

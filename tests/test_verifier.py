@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import resource
 import subprocess
@@ -251,7 +250,7 @@ class TestWitnessScansRunOnce:
 
         calls = []
         real = getattr(verifier, scan)
-        monkeypatch.setitem(verifier._THEOREMS, key, dataclasses.replace(verifier._THEOREMS[key], lanes=no_kernel))
+        monkeypatch.setitem(verifier._THEOREMS, key, verifier._THEOREMS[key]._replace(lanes=no_kernel))
         monkeypatch.setattr(verifier, scan, lambda *args: calls.append(args) or real(*args))
         for f in (XOR3, MAJ3, random_function(3, 3, 4, 5)):
             expected = naive_restriction_witness(f) if key is TheoremId.THM_SALOMAA_AUX else naive_kplus1_pair(f)
@@ -578,7 +577,7 @@ class TestLaneClaims:
         gaps = self._gaps(n, fs)
         assert 2 in gaps and 1 in gaps
         gap1 = [g == 1 for g in gaps]
-        broken_gap = lambda f: dataclasses.replace(gap_report(f), gap=gap_report(f).gap + 1)
+        broken_gap = lambda f: gap_report(f)._replace(gap=gap_report(f).gap + 1)
         modes = [
             ({}, [True] * len(fs)),
             ({"_gap1_lanes": _settles_nothing}, [True] * len(fs)),
