@@ -206,8 +206,8 @@ class TestRandomLanes:
         passes = []  # (tables, entries kept) per _block_text pass
         real = generators._block_text
 
-        def spy(bases, rows, b, w):
-            text, kept = real(bases, rows, b, w)
+        def spy(bases, *args):
+            text, kept = real(bases, *args)
             passes.append((len(bases), kept))
             return text, kept
 

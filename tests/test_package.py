@@ -152,7 +152,7 @@ RECORD_REPRS = {
 }
 
 
-def _record(name: str):
+def _records() -> dict:
     from aritygap import (
         Exhaustive, FiniteFunction, LiftSpec, QuasiLinearSpec, Sampled, SweepReport, TheoremId, classify,
         gap_report, to_anf,
@@ -160,23 +160,22 @@ def _record(name: str):
 
     f = FiniteFunction(2, 2, 3, 23)  # majority
     return {
-        "FiniteFunction": lambda: f,
-        "GapReport": lambda: gap_report(f),
-        "ZhegalkinPolynomial": lambda: to_anf(f),
-        "SpecialForm": lambda: classify(to_anf(f)),
-        "Exhaustive": lambda: Exhaustive(2, 2, 3),
-        "Sampled": lambda: Sampled(3, 3, 4, 10, 42),
-        "SweepReport": lambda: SweepReport(TheoremId.THM_GEN, "exhaustive k=2 b=2 n=3", 10, 2, 0, (), (f,),
-                                           True, True, 0.5),
-        "QuasiLinearSpec": lambda: QuasiLinearSpec(3, 2, ((0, 1, 1), (1, 0, 0)), (0, 2)),
-        "LiftSpec": lambda: LiftSpec(FiniteFunction(2, 2, 2, 6), (0, 1, 1), (0, 2)),
-    }[name]()
+        "FiniteFunction": f,
+        "GapReport": gap_report(f),
+        "ZhegalkinPolynomial": to_anf(f),
+        "SpecialForm": classify(to_anf(f)),
+        "Exhaustive": Exhaustive(2, 2, 3),
+        "Sampled": Sampled(3, 3, 4, 10, 42),
+        "SweepReport": SweepReport(TheoremId.THM_GEN, "exhaustive k=2 b=2 n=3", 10, 2, 0, (), (f,), True, True, 0.5),
+        "QuasiLinearSpec": QuasiLinearSpec(3, 2, ((0, 1, 1), (1, 0, 0)), (0, 2)),
+        "LiftSpec": LiftSpec(FiniteFunction(2, 2, 2, 6), (0, 1, 1), (0, 2)),
+    }
 
 
 class TestRecords:
     @pytest.mark.parametrize("name", RECORD_REPRS)
     def test_record_is_an_immutable_picklable_named_tuple(self, name):
-        r = _record(name)
+        r = _records()[name]
         assert type(r).__name__ == name and repr(r) == RECORD_REPRS[name]
         assert hash(r) == hash(tuple(r))
         field = r._fields[0]
