@@ -142,6 +142,41 @@ MUTANTS = [
         ("tests/test_verifier.py::TestTableKernels::test_kplus1_scan_and_kernel_match_the_oracle",),
     ),
     Mutant(
+        "thm1-row0-one-field-off",
+        "src/aritygap/verifier.py",
+        "row0 = (block >> size - w & ",
+        "row0 = (block >> size - 2 * w & ",
+        ("tests/test_verifier.py::TestTableKernels::test_thm1_kernel_and_walker_match_the_oracle",),
+    ),
+    Mutant(
+        "thm1-witness-without-ess-test",
+        "src/aritygap/verifier.py",
+        "        witness &= _ess_lanes(",
+        "        witness &= ones or _ess_lanes(",
+        ("tests/test_verifier.py::TestSweep::test_thm1_witness_census",),
+    ),
+    Mutant(
+        "walker-counts-padding-lanes",
+        "src/aritygap/verifier.py",
+        "        if count < lanes:",
+        "        if False:",
+        ("tests/test_verifier.py::TestTableKernels::test_thm1_kernel_and_walker_match_the_oracle",),
+    ),
+    Mutant(
+        "thm1-claims-a-witness-on-one-element",
+        "src/aritygap/verifier.py",
+        "exhaustive and 2 <= k and n <= k",
+        "exhaustive and n <= k",
+        ("tests/test_cli.py::TestSweepCommand::test_thm1_on_one_element_passes",),
+    ),
+    Mutant(
+        "cli-failed-search-reads-nothing-checked",
+        "src/aritygap/cli.py",
+        "return 0 if report.passed else 1 if report.checked else 4",
+        "return 0 if report.passed else 1 if report.violation_count else 4",
+        ("tests/test_cli.py::TestSweepCommand::test_thm1_complete_search_without_witness_fails",),
+    ),
+    Mutant(
         "shared-pass-keeps-rejections",
         "src/aritygap/generators.py",
         "        if kept == size * len(group):\n",

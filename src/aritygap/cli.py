@@ -196,9 +196,9 @@ def cmd_sweep(args) -> int:
             print(f"  violation: k={f.k} n={f.n} b={f.b} table={' '.join(map(str, f.table))}")
         for f in report.witnesses:
             print(f"witness: k={f.k} n={f.n} b={f.b} table={' '.join(map(str, f.table))}")
-        state = "pass" if report.passed else "FAIL" if report.violation_count else "nothing checked"
+        state = "pass" if report.passed else "FAIL" if report.checked else "nothing checked"
         print(f"result: {state} (elapsed {report.elapsed_s:.2f}s)")
-    return 1 if report.violation_count else 0 if report.passed else 4
+    return 0 if report.passed else 1 if report.checked else 4
 
 
 def cmd_search(args) -> int:

@@ -15,7 +15,7 @@ import os
 import time
 from collections import namedtuple
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from itertools import permutations
 
 from .anf import _moebius, degree, to_anf
@@ -31,7 +31,6 @@ from .core import (
     decode_index,
     encode_point,
     ess,
-    essential_vars,
     field_width,
     from_code,
     gap_report,
@@ -106,13 +105,13 @@ def _function_dict(f: FiniteFunction) -> dict:
 class _Theorem(namedtuple("_Theorem", "above_k total boolean walk lanes least degree", defaults=(None, 2, None))):
     """One statement: a hypothesis on f, the lane kernel of its claim, and
     walk(key, population, budget) -> (member count, the report's population,
-    members(lo, hi) yielding counted runs (f, outcome, count)), which refuses
-    what it cannot walk.  A hit is yielded alone, with its f and count 1.
+    blocks(lo, hi) yielding blocks as _table_blocks does), which refuses
+    what it cannot walk; _lane_members runs the kernel on the blocks.
 
     lanes(block, k, b, n, lanes, least) -> (meets, holds) takes tables of
     shape (k, b, n) laid out as in core._layout and returns the lanes with
     ess f >= least and those of them where the claim holds: on blocks in
-    sweeps, on one lane for one f.  Thm1, existential, has no kernel.
+    sweeps, on one lane for one f.  Thm1's meets are all lanes.
 
     The hypothesis is ess f >= min_ess(k, n), plus k = b = 2 when boolean
     and a polynomial of that degree when degree is set.  A shape is feasible
@@ -160,7 +159,7 @@ def check(theorem: TheoremId, f: FiniteFunction) -> bool:
     Raises HypothesisNotMet (NotBoolean, NotTotallyEssential) when f misses
     the hypothesis, and SpecInvalid for Thm1, which has no per-function claim.
     """
-    if _THEOREMS[theorem].lanes is None:
+    if theorem is TheoremId.THM1:
         raise SpecInvalid(f"{theorem.value} has no per-function check; sweep it")
     return _require(theorem, f) == _OK
 
@@ -271,7 +270,7 @@ def _table_walk(key, pop, budget: int):
             )
         desc = (f"sampled k={k} b={b} n={n} count={pop.count} seed={pop.seed} "
                 f"reject_until_hypothesis={pop.reject_until_hypothesis}")
-    return total, desc, partial(_lane_members, key, pop, budget, partial(_table_blocks, pop, budget))
+    return total, desc, partial(_table_blocks, pop, budget)
 
 
 def _member(key, pop, index: int, budget: int) -> tuple[FiniteFunction, int]:
@@ -288,28 +287,29 @@ def _member(key, pop, index: int, budget: int) -> tuple[FiniteFunction, int]:
     )
 
 
-def _table_blocks(pop, budget: int, lo: int, hi: int):
+def _table_blocks(pop, budget: int, lo: int, hi: int, table=None):
     """Tables lo..hi-1 as blocks (start, count, lanes, block) of 1024 // k**n
     (at least one) lanes, as in core._layout: lane m holds member start + m
-    and lanes from count on are zero.  Exhaustive codes are the tables for b
-    a power of two, else from_code decodes them; the samples of a block
-    (attempt 0 of each rejection stream) are one random_lanes call.  A k = 1
-    lane is too narrow for core._ess_lanes's carry: alone."""
+    and lanes from count on are zero.  Member i is table(i) if given, else
+    exhaustive codes are the tables for b a power of two or from_code decodes
+    them, and the samples of a block (attempt 0 of each rejection stream) are
+    one random_lanes call.  A k = 1 lane is too narrow for _ess_lanes: alone."""
     k, b, n = pop.k, pop.b, pop.n
     lanes, width = max(1, _BLOCK // k**n) if k > 1 else 1, 2 * k**n * field_width(b)
-    ones = _layout(k, field_width(b), n, lanes)[3]
     sampled = isinstance(pop, Sampled)
     reject = sampled and pop.reject_until_hypothesis
     ramp = sum(m << m * width for m in range(lanes))  # lane m holds m
     for start in range(lo, hi, lanes):
         count = min(lanes, hi - start)
-        if sampled:
+        if table:
+            block = sum(table(start + m) << m * width for m in range(count))
+        elif sampled:
             seeds = [substream_seed(pop.seed, i) for i in range(start, start + count)]
             block = random_lanes(k, b, n, [substream_seed(s, 0) for s in seeds] if reject else seeds, budget)
         elif b & (b - 1):
             block = sum(from_code(k, b, n, start + m).bits << m * width for m in range(count))
         else:
-            block = (start * ones + ramp) & (1 << count * width) - 1
+            block = (start * _layout(k, field_width(b), n, lanes)[3] + ramp) & (1 << count * width) - 1
         yield start, count, lanes, block
 
 
@@ -324,6 +324,8 @@ def _lane_members(key, pop, budget: int, blocks, lo: int, hi: int):
     reject = isinstance(pop, Sampled) and pop.reject_until_hypothesis
     for start, count, lanes, block in blocks(lo, hi):
         meets, holds = spec.lanes(block, k, b, n, lanes, least)
+        if count < lanes:  # padding lanes hold zero tables, members of Thm1
+            meets, holds = (x & (1 << count * width) - 1 for x in (meets, holds))
         redraw = _layout(k, field_width(b), n, lanes)[3] & (1 << count * width) - 1 & ~meets if reject else 0
         for m in _set_lanes(meets & ~holds | redraw, width):
             if redraw >> m * width & 1:
@@ -379,7 +381,7 @@ def _deg2_walk(key, pop, budget: int):
     if total > budget:
         raise BudgetExceeded(f"{total} polynomials exceed budget {budget}")
     desc = f"exhaustive degree-2 polynomials on n={n} variables ({total} candidates)"
-    return total, desc, partial(_lane_members, key, pop, budget, partial(_deg2_blocks, n))
+    return total, desc, partial(_deg2_blocks, n)
 
 
 def _deg2_blocks(n: int, lo: int, hi: int):
@@ -443,51 +445,49 @@ def _thm1_walk(key, pop, budget: int):
                              f" budget {budget}; use a sampled sweep")
     total = pop.count if sampled else k**digits
     desc = f"{mode} search k={k} n={n} space={f'{k}**{digits}' if sampled else total}"
-    return total, desc, partial(_thm1_members, pop, mode, digits)
+    fill, space = _diagonal_shape(k, n)[0], k**digits
+    return total, desc, partial(_table_blocks, pop, budget, table=None if mode == "full" else lambda i: fill(
+        *decode_index(SplitMix64(substream_seed(pop.seed, i)).below(space) if sampled else i, k, digits)))
 
 
-def _thm1_members(pop, mode: str, digits: int, lo: int, hi: int):
-    """Thm1's members lo..hi-1; the hits are the total-collapse witnesses."""
-    k, n = pop.k, pop.n
+@lru_cache(maxsize=1)
+def _diagonal_shape(k: int, n: int):
+    """(fill, repeated) on operations of shape (k, k, n): the table
+    fill(const, *values) holds const on the rows with a repeated coordinate,
+    values on the rainbow rows; repeated is all ones on the former rows."""
     size, w = k**n, field_width(k)
-    top = (size - 1) * w
-    field = (1 << w) - 1
-    ones = ((1 << size * w) - 1) // field  # a 1 in every field
     # The rainbow rows' offsets in the table's binary text, and each value's field.
     rainbow = [encode_point(p, k) * w for p in permutations(range(k), n)]
     text = [format(v, f"0{w}b").encode() for v in range(k)]
 
-    def fill(const: int, values) -> int:
-        """The table holding const on the rows with a repeated coordinate
-        and values on the rainbow rows, written as binary text of size * w
-        digits, in time linear in its size."""
-        if not rainbow:
-            return const * ones
+    def fill(const: int, *values: int) -> int:
         line = bytearray(format(const, f"0{w}b").encode()) * size
         for at, v in zip(rainbow, values):
             line[at : at + w] = text[v]
         return int(line, 2)
 
-    def diagonal(code: int) -> FiniteFunction:
-        const, *values = decode_index(code, k, digits)
-        return FiniteFunction(k, k, n, fill(const, values))
+    return fill, fill((1 << w) - 1, *[0] * len(rainbow))
 
-    repeated = fill(field, [0] * len(rainbow))  # all-ones fields off the rainbow rows
-    build = partial(from_code, k, k, n) if mode == "full" else diagonal
-    sampled, space = isinstance(pop, Sampled), k**digits
-    for i in range(lo, hi):
-        f = build(SplitMix64(substream_seed(pop.seed, i)).below(space) if sampled else i)
-        # Row 0 has a repeated coordinate whenever any row does.
-        filled = (f.bits >> top) * ones
-        collapses = f.bits & repeated == filled & repeated
-        witness = collapses and f.bits != filled and len(essential_vars(f)) == n
-        yield f, _HIT if witness else _OK, 1
+
+def _thm1_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
+    """Thm1's kernel (b = k): every lane meets the hypothesis, none, and the
+    claim fails on the witnesses, the lanes with ess f = n (least is unread)
+    equal to their row 0 on the rows with a repeated coordinate, if any."""
+    w, size = field_width(b), k**n * field_width(b)
+    _, strides, lower, ones, fill = _layout(k, w, n, lanes)
+    field, repeated = (1 << w) - 1, _diagonal_shape(k, n)[1]
+    # Row 0 of each lane in every field of its table: the product stays in the lane.
+    row0 = (block >> size - w & field * ones) * (((1 << size) - 1) // field)
+    witness = ones ^ (((block ^ row0) & repeated * ones) + fill) >> size & ones
+    if witness:
+        witness &= _ess_lanes([_depends(block, size, ones, fill, s, low) for s, low in zip(strides, lower)], ones, n)
+    return ones, ones ^ witness
 
 
 # _Theorem(above_k, total, boolean, walk, lanes, ...) per statement.  Thm1 is
-# existential and checked by its witness search.
+# existential: its kernel checks every member, and its hits are the witnesses.
 _THEOREMS = {
-    TheoremId.THM1: _Theorem(False, True, False, _thm1_walk),
+    TheoremId.THM1: _Theorem(False, True, False, _thm1_walk, _thm1_lanes),
     TheoremId.THM_SALOMAA_MAIN: _Theorem(False, False, True, _table_walk,
                                          partial(_gap_lanes, lambda gap, *_: gap <= 2)),
     TheoremId.THM_GEN: _Theorem(True, False, False, _table_walk,
@@ -512,7 +512,7 @@ def _run_range(args):
     key, pop, budget, lo, hi, max_recorded = args
     counts = [0, 0, 0]  # per outcome
     recorded: list[FiniteFunction] = []
-    for f, outcome, count in _THEOREMS[key].walk(key, pop, budget)[2](lo, hi):
+    for f, outcome, count in _lane_members(key, pop, budget, _THEOREMS[key].walk(key, pop, budget)[2], lo, hi):
         counts[outcome] += count
         if outcome == _HIT and len(recorded) < max_recorded:
             recorded.append(f)
@@ -570,10 +570,10 @@ def sweep(
     checked = sum(p[0] for p in parts)
     hits = sum(p[2] for p in parts)
     recorded = tuple(f for p in parts for f in p[3])[:max_recorded]
-    if spec.lanes is None:
-        # Thm1 guarantees a witness for n <= k; a complete search that finds
-        # none would disprove it.
-        passed = not (exhaustive and n <= k and hits == 0)
+    if theorem is TheoremId.THM1:
+        # Thm1 promises a witness for n <= k once k >= 2 (nothing on one
+        # element has an essential variable); a complete search without one disproves it.
+        passed = not (exhaustive and 2 <= k and n <= k and hits == 0)
         vcount, violations, witnesses = 0, (), recorded
     else:
         passed = hits == 0 and checked > 0

@@ -51,6 +51,13 @@ def naive_identify(f, i, j):
     )
 
 
+def naive_total_collapse(f):
+    """Whether f depends on all n variables and every identification minor
+    (x_j substituted for x_i, i != j) is constant: a Thm1 witness."""
+    pairs = [(i, j) for i in range(1, f.n + 1) for j in range(1, f.n + 1) if i != j]
+    return naive_ess(f) == f.n and all(len(set(naive_identify(f, i, j))) == 1 for i, j in pairs)
+
+
 def naive_substitute(f, m, mapping):
     """Table of g(y1..ym) = f(y_mapping[0], ..., y_mapping[n-1]), point by point."""
     return tuple(

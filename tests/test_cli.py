@@ -179,6 +179,24 @@ class TestSweepCommand:
         assert "0 1 1 0" in out  # xor
         assert "1 0 0 1" in out  # xnor
 
+    @pytest.mark.parametrize("n", ["1", "3"])
+    def test_thm1_on_one_element_passes(self, n, capsys):
+        # No operation on one element has an essential variable, so Thm1
+        # promises a witness only from k = 2 on.
+        assert main(["sweep", "--theorem", "thm1", "--k", "1", "--n", n]) == 0
+        out = capsys.readouterr().out
+        assert "checked: 1  skipped: 0" in out and "result: pass" in out
+
+    def test_thm1_complete_search_without_witness_fails(self, monkeypatch, capsys):
+        # A kernel that finds no witness: the search checked every member,
+        # so the report fails rather than checking nothing.
+        spec = verifier._THEOREMS[verifier.TheoremId.THM1]
+        monkeypatch.setitem(verifier._THEOREMS, verifier.TheoremId.THM1,
+                            spec._replace(lanes=lambda *args: (spec.lanes(*args)[0],) * 2))
+        assert main(["sweep", "--theorem", "thm1", "--k", "2", "--n", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "checked: 16  skipped: 0" in out and "witness:" not in out and "result: FAIL" in out
+
     def test_thm1_sample_honours_count_and_seed(self, capsys):
         argv = ["sweep", "--theorem", "thm1", "--k", "2", "--n", "2", "--count", "5", "--seed", "3",
                 "--json"]
@@ -514,8 +532,8 @@ def test_parity_18_analyze_in_bounded_memory(tmp_path):
 
 def test_thm1_k3_n15_in_bounded_memory():
     # No point of 15 coordinates over 3 elements has distinct coordinates,
-    # so the diagonal family is the 3 constants, rejected before any
-    # essential-variable scan of the 3**15-row table.
+    # so the diagonal family is the 3 constants, one lane each: the kernel
+    # scans the essential variables of a 3**15-row table three times.
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
 

@@ -49,6 +49,7 @@ from oracles import (
     naive_kplus1_pair,
     naive_random_table,
     naive_restriction_witness,
+    naive_total_collapse,
 )
 from strategies import gap_two_tables
 
@@ -307,8 +308,12 @@ class TestSweep:
             # Chunks of 38 samples against blocks of 128 lanes; many arity-3
             # samples have ess < 2 at attempt 0 and are redrawn.
             (TheoremId.THM_STR, Sampled(2, 2, 3, 300, 4, reject_until_hypothesis=True)),
+            # Full and diagonal Thm1 searches: chunks of 2,461 and 274 members
+            # against blocks of 113 and 37 lanes.
+            (TheoremId.THM1, Exhaustive(3, 3, 2)),
+            (TheoremId.THM1, Exhaustive(3, 3, 3)),
         ],
-        ids=["lemdeg2", "thmstr"],
+        ids=["lemdeg2", "thmstr", "thm1-full", "thm1-diagonal"],
     )
     def test_parallel_matches_serial(self, theorem, pop, monkeypatch):
         monkeypatch.setattr(verifier, "_PARALLEL_THRESHOLD", 100)
@@ -391,6 +396,26 @@ class TestSweep:
         assert sweep(TheoremId.THM1, Exhaustive(3, 3, 2), budget=3**7).population == (
             "diagonal search k=3 n=2 space=2187"
         )
+
+    @pytest.mark.parametrize(
+        "k,n,count",
+        # n = 1: every non-constant unary operation.  n = 2: a constant c on
+        # the diagonal and any other values on the k**2 - k other rows.
+        [(k, 1, k**k - k) for k in (2, 3, 4)] + [(k, 2, k * (k ** (k * k - k) - 1)) for k in (2, 3)]
+        + [(2, 3, 0), (2, 4, 0)],
+    )
+    def test_thm1_witness_census(self, k, n, count):
+        r = sweep(TheoremId.THM1, Exhaustive(k, k, n), workers=1, max_recorded=3**9)
+        assert r.population.startswith("full search")
+        assert (r.checked, r.skipped, r.passed) == (k ** k**n, 0, True)
+        assert len(r.witnesses) == len(set(r.witnesses)) == count
+        assert all(naive_total_collapse(f) for f in r.witnesses)
+
+    def test_thm1_witnesses_lie_in_the_diagonal_family(self):
+        full = sweep(TheoremId.THM1, Exhaustive(3, 3, 2), workers=1, max_recorded=3**9)
+        diagonal = sweep(TheoremId.THM1, Exhaustive(3, 3, 2), budget=3**7, workers=1, max_recorded=3**9)
+        assert diagonal.population.startswith("diagonal search") and diagonal.checked == 3**7
+        assert sorted(full.witnesses) == sorted(diagonal.witnesses) and len(full.witnesses) == 2184
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
@@ -683,6 +708,20 @@ def _kernel_tables(k, b, n):
     return [make_function(k, b, n, t) for t in tables]
 
 
+def _diagonal_tables(k, n):
+    """Tables of shape (k, k, n) holding one value c on the rows with a
+    repeated coordinate: for each c the constant, seeded values on the
+    other rows, and c + 1 mod k on the row (0, 1, ..., n-1) alone."""
+    rng = SplitMix64Stream(10 * k + n)
+    points = list(product(range(k), repeat=n))
+    tables = []
+    for c in range(k):
+        tables.append([c] * k**n)
+        tables.append([c if len(set(x)) < n else rng.below(k) for x in points])
+        tables.append([(c + 1) % k if x == tuple(range(n)) else c for x in points])
+    return [make_function(k, k, n, t) for t in tables]
+
+
 def _block(fs):
     """fs, of one shape, as the lanes of a block, and the lane width."""
     f = fs[0]
@@ -775,6 +814,21 @@ class TestTableKernels:
         assert spec.lanes(block, k, b, n, len(fs), spec.min_ess(k, n)) == (0, 0)
         assert list(verifier._kplus1_scan(block, k, b, n, len(fs), 0)) == []
 
+    @pytest.mark.parametrize("k,n", [(k, n) for k in (2, 3, 4) for n in (1, 2, 3)])
+    def test_thm1_kernel_and_walker_match_the_oracle(self, k, n):
+        fs = _kernel_tables(k, k, n) + _diagonal_tables(k, n)
+        block, width = _block(fs)
+        witness = [naive_total_collapse(f) for f in fs]
+        assert any(witness) == (n <= k) and not all(witness)
+        key, pop = TheoremId.THM1, Exhaustive(k, k, n)
+        every, least = _lanes(width, [True] * len(fs)), verifier._THEOREMS[key].min_ess(k, n)
+        assert verifier._thm1_lanes(block, k, k, n, len(fs), least) == (every, every ^ _lanes(width, witness))
+        # One partial block: its five zero padding lanes are no members.
+        blocks = [(0, len(fs), len(fs) + 5, block)]
+        got = _expand(verifier._lane_members(key, pop, DEFAULT_BUDGET, lambda lo, hi: blocks, 0, len(fs)))
+        assert [f for f, o in got if o == verifier._HIT] == [f for f, w in zip(fs, witness) if w]
+        assert sorted(o for _, o in got) == sorted(verifier._HIT if w else verifier._OK for w in witness)
+
     @given(st.lists(witness_functions(above_k=False, max_table=81), min_size=1, max_size=6))
     @settings(deadline=None, max_examples=40)
     def test_restriction_lanes_of_drawn_witness_functions(self, fs):
@@ -862,8 +916,9 @@ def _expand(runs):
 
 def _deg2_members(n, lo, hi):
     """LemDeg2's walk of the degree-2 polynomials on n variables, lo..hi-1."""
-    key = TheoremId.LEM_DEG2
-    return verifier._THEOREMS[key].walk(key, Exhaustive(2, 2, n), DEFAULT_BUDGET)[2](lo, hi)
+    key, pop = TheoremId.LEM_DEG2, Exhaustive(2, 2, n)
+    blocks = verifier._THEOREMS[key].walk(key, pop, DEFAULT_BUDGET)[2]
+    return verifier._lane_members(key, pop, DEFAULT_BUDGET, blocks, lo, hi)
 
 
 class TestDeg2Walk:
