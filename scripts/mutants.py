@@ -144,15 +144,22 @@ MUTANTS = [
     Mutant(
         "thm1-row0-one-field-off",
         "src/aritygap/verifier.py",
-        "row0 = (block >> size - w & ",
-        "row0 = (block >> size - 2 * w & ",
+        "off = block ^ (block >> size - w & ",
+        "off = block ^ (block >> size - 2 * w & ",
         ("tests/test_verifier.py::TestTableKernels::test_thm1_kernel_and_walker_match_the_oracle",),
     ),
     Mutant(
         "thm1-witness-without-ess-test",
         "src/aritygap/verifier.py",
-        "        witness &= _ess_lanes(",
-        "        witness &= ones or _ess_lanes(",
+        "witness = (off + fill) >> size & ones",
+        "witness = ones",
+        ("tests/test_verifier.py::TestSweep::test_thm1_witness_census",),
+    ),
+    Mutant(
+        "thm1-witness-without-collapse-test",
+        "src/aritygap/verifier.py",
+        "~(((off & repeated * ones) + fill) >> size)",
+        "~(((off & 0) + fill) >> size)",
         ("tests/test_verifier.py::TestSweep::test_thm1_witness_census",),
     ),
     Mutant(

@@ -174,8 +174,7 @@ def _layout(k: int, w: int, n: int, lanes: int):
     """
     if lanes > 1:
         zeros, strides, lower, _, full = _layout(k, w, n, 1)
-        width = 2 * k**n * w
-        ones = ((1 << lanes * width) - 1) // ((1 << width) - 1)
+        ones = _spaced_ones(lanes, 2 * k**n * w)
         return tuple(z * ones for z in zeros), strides, tuple(m * ones for m in lower), ones, full * ones
     total = k**n * w
     full = (1 << total) - 1
@@ -189,6 +188,11 @@ def _layout(k: int, w: int, n: int, lanes: int):
         zeros.append(pattern & full)
     lower = tuple(full ^ (z >> (k - 1) * run) for z, run in zip(zeros, strides))
     return tuple(zeros), strides, lower, 1, full
+
+
+def _spaced_ones(count: int, width: int) -> int:
+    """A 1 at the bottom of each of count fields of width bits, lowest first."""
+    return ((1 << count * width) - 1) // ((1 << width) - 1) if count > 1 else 1
 
 
 def _essential(bits: int, strides, lower, candidates) -> list[int]:

@@ -28,6 +28,7 @@ from .core import (
     _gap1_lanes,
     _identified,
     _layout,
+    _spaced_ones,
     decode_index,
     encode_point,
     ess,
@@ -296,6 +297,7 @@ def _table_blocks(pop, budget: int, lo: int, hi: int, table=None):
     one random_lanes call.  A k = 1 lane is too narrow for _ess_lanes: alone."""
     k, b, n = pop.k, pop.b, pop.n
     lanes, width = max(1, _BLOCK // k**n) if k > 1 else 1, 2 * k**n * field_width(b)
+    ones = _spaced_ones(lanes, width)
     sampled = isinstance(pop, Sampled)
     reject = sampled and pop.reject_until_hypothesis
     ramp = sum(m << m * width for m in range(lanes))  # lane m holds m
@@ -309,7 +311,7 @@ def _table_blocks(pop, budget: int, lo: int, hi: int, table=None):
         elif b & (b - 1):
             block = sum(from_code(k, b, n, start + m).bits << m * width for m in range(count))
         else:
-            block = (start * _layout(k, field_width(b), n, lanes)[3] + ramp) & (1 << count * width) - 1
+            block = (start * ones + ramp) & (1 << count * width) - 1
         yield start, count, lanes, block
 
 
@@ -446,41 +448,53 @@ def _thm1_walk(key, pop, budget: int):
     total = pop.count if sampled else k**digits
     desc = f"{mode} search k={k} n={n} space={f'{k}**{digits}' if sampled else total}"
     fill, space = _diagonal_shape(k, n)[0], k**digits
-    return total, desc, partial(_table_blocks, pop, budget, table=None if mode == "full" else lambda i: fill(
-        *decode_index(SplitMix64(substream_seed(pop.seed, i)).below(space) if sampled else i, k, digits)))
+
+    def diagonal(i: int) -> int:
+        code = SplitMix64(substream_seed(pop.seed, i)).below(space) if sampled else i
+        return fill(*decode_index(code, k, digits))
+
+    return total, desc, partial(_table_blocks, pop, budget, table=None if mode == "full" else diagonal)
 
 
 @lru_cache(maxsize=1)
 def _diagonal_shape(k: int, n: int):
-    """(fill, repeated) on operations of shape (k, k, n): the table
+    """(fill, repeated, fields) on operations of shape (k, k, n): the table
     fill(const, *values) holds const on the rows with a repeated coordinate,
-    values on the rainbow rows; repeated is all ones on the former rows."""
+    values on the rainbow rows; repeated is all ones on the former rows, and
+    fields has a 1 in every field of a table."""
     size, w = k**n, field_width(k)
+    fields = _spaced_ones(size, w)
     # The rainbow rows' offsets in the table's binary text, and each value's field.
     rainbow = [encode_point(p, k) * w for p in permutations(range(k), n)]
     text = [format(v, f"0{w}b").encode() for v in range(k)]
 
     def fill(const: int, *values: int) -> int:
+        if not rainbow:  # n > k: the constants
+            return const * fields
         line = bytearray(format(const, f"0{w}b").encode()) * size
         for at, v in zip(rainbow, values):
             line[at : at + w] = text[v]
         return int(line, 2)
 
-    return fill, fill((1 << w) - 1, *[0] * len(rainbow))
+    return fill, fill((1 << w) - 1, *[0] * len(rainbow)), fields
 
 
 def _thm1_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
     """Thm1's kernel (b = k): every lane meets the hypothesis, none, and the
     claim fails on the witnesses, the lanes with ess f = n (least is unread)
-    equal to their row 0 on the rows with a repeated coordinate, if any."""
+    equal to their row 0 on the rows with a repeated coordinate, if any.
+    Such an f has ess f = n iff it is not constant: each coordinate of a
+    rainbow row can be moved onto a repeated row, which holds row 0."""
     w, size = field_width(b), k**n * field_width(b)
-    _, strides, lower, ones, fill = _layout(k, w, n, lanes)
-    field, repeated = (1 << w) - 1, _diagonal_shape(k, n)[1]
-    # Row 0 of each lane in every field of its table: the product stays in the lane.
-    row0 = (block >> size - w & field * ones) * (((1 << size) - 1) // field)
-    witness = ones ^ (((block ^ row0) & repeated * ones) + fill) >> size & ones
-    if witness:
-        witness &= _ess_lanes([_depends(block, size, ones, fill, s, low) for s, low in zip(strides, lower)], ones, n)
+    ones = _spaced_ones(lanes, 2 * size)
+    fill, field = (ones << size) - ones, (1 << w) - 1
+    _, repeated, fields = _diagonal_shape(k, n)
+    # Each lane less its row 0 in every field: the product stays in the lane.
+    off = block ^ (block >> size - w & field * ones) * fields
+    # A witness is not constant, so its off is nonzero and the sum carries,
+    witness = (off + fill) >> size & ones
+    if witness:  # but its off is zero on the rows with a repeated coordinate.
+        witness &= ~(((off & repeated * ones) + fill) >> size)
     return ones, ones ^ witness
 
 

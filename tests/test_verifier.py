@@ -385,6 +385,17 @@ class TestSweep:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["1", "True"]
 
+    @pytest.mark.parametrize("pop", [Exhaustive(3, 3, 15), Exhaustive(2, 2, 2), Sampled(3, 3, 3, 300, 5)])
+    def test_thm1_builds_no_lane_masks(self, monkeypatch, pop):
+        # Two masks per variable of a 3**15-row table would take about 108 MB;
+        # Thm1's kernel and block source need none.
+        def no_masks(*args):
+            raise AssertionError(f"_layout{args} built")
+
+        monkeypatch.setattr(verifier, "_layout", no_masks)
+        r = sweep(TheoremId.THM1, pop, workers=1)
+        assert r.passed and r.checked == (3 if pop.n == 15 else 16 if pop.k == 2 else 300)
+
     def test_thm1_rejects_hypothesis_sampling(self):
         with pytest.raises(SpecInvalid):
             sweep(TheoremId.THM1, Sampled(2, 2, 2, 5, 3, reject_until_hypothesis=True))
