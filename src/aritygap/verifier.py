@@ -483,8 +483,8 @@ def _thm1_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> t
     """Thm1's kernel (b = k): every lane meets the hypothesis, none, and the
     claim fails on the witnesses, the lanes with ess f = n (least is unread)
     equal to their row 0 on the rows with a repeated coordinate, if any.
-    Such an f has ess f = n iff it is not constant: each coordinate of a
-    rainbow row can be moved onto a repeated row, which holds row 0."""
+    Such an f has ess f = n iff it is not constant: a rainbow row unlike
+    row 0 changes value when any one of its coordinates copies another."""
     w, size = field_width(b), k**n * field_width(b)
     ones = _spaced_ones(lanes, 2 * size)
     fill, field = (ones << size) - ones, (1 << w) - 1
@@ -526,7 +526,8 @@ def _run_range(args):
     key, pop, budget, lo, hi, max_recorded = args
     counts = [0, 0, 0]  # per outcome
     recorded: list[FiniteFunction] = []
-    for f, outcome, count in _lane_members(key, pop, budget, _THEOREMS[key].walk(key, pop, budget)[2], lo, hi):
+    blocks = _THEOREMS[key].walk(key, pop, budget)[2]
+    for f, outcome, count in _lane_members(key, pop, budget, blocks, lo, hi):
         counts[outcome] += count
         if outcome == _HIT and len(recorded) < max_recorded:
             recorded.append(f)

@@ -532,8 +532,8 @@ def test_parity_18_analyze_in_bounded_memory(tmp_path):
 
 def test_thm1_k3_n15_in_bounded_memory():
     # No point of 15 coordinates over 3 elements has distinct coordinates,
-    # so the diagonal family is the 3 constants, one lane each, which the
-    # kernel finds constant before it reads any other row mask.
+    # so the diagonal family is the 3 constants, one lane each: the kernel
+    # drops them as constant and builds no per-variable mask.
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
 
