@@ -79,6 +79,27 @@ MUTANTS = [
         ("tests/test_verifier.py::TestDeg2Walk",),
     ),
     Mutant(
+        "deg2-kernel-ignores-lane-0-offset",
+        "src/aritygap/verifier.py",
+        "e, meets = [x >> a * width & cut for x in e], meets >> a * width & cut",
+        "e, meets = [x & cut for x in e], meets & cut",
+        ("tests/test_verifier.py::TestDeg2Kernel::test_one_lane_on_every_arity_4_table",),
+    ),
+    Mutant(
+        "deg2-flags-meet-above-least",
+        "src/aritygap/verifier.py",
+        "return e, _ess_lanes(e, ones, least)",
+        "return e, _ess_lanes(e, ones, least + 1)",
+        ("tests/test_verifier.py::TestDeg2Kernel::test_blocks_of_the_n6_ranges",),
+    ),
+    Mutant(
+        "deg2-nonlinear-rows-take-degree-1",
+        "src/aritygap/verifier.py",
+        "if r.bit_count() >= 2)",
+        "if r.bit_count() >= 1)",
+        ("tests/test_verifier.py::TestDeg2Kernel::test_every_block_cut_at_every_lane",),
+    ),
+    Mutant(
         "skip-count-off-by-one",
         "src/aritygap/verifier.py",
         "count - meets.bit_count())",

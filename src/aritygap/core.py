@@ -246,16 +246,19 @@ def _ess_lanes(flags, ones: int, least: int) -> int:
     return (sum(flags) + ((1 << p) - least) * ones) >> p & ones
 
 
-def _gap1_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
+def _gap1_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int, flags=None) -> tuple[int, int]:
     """(meets, gap1): the lanes (bottom bits, as in _layout) with ess >=
     least, and those of them whose table has gap 1: some pair i < j of
     essential variables gives a minor keeping every essential t other than
-    i, as a minor gains none.  Lanes with ess < 2 are never in gap1."""
+    i, as a minor gains none.  Lanes with ess < 2 are never in gap1.  Given
+    flags = (e, meets), e[t] the lanes that depend on t, nothing is scanned."""
     w = field_width(b)
     zeros, strides, lower, ones, fill = _layout(k, w, n, lanes)
     size = k**n * w
-    e = [_depends(block, size, ones, fill, s, low) for s, low in zip(strides, lower)]
-    meets = _ess_lanes(e, ones, least)
+    if flags is None:
+        e = [_depends(block, size, ones, fill, s, low) for s, low in zip(strides, lower)]
+        flags = e, _ess_lanes(e, ones, least)
+    e, meets = flags
     good = 0
     for i in range(n):
         for j in range(i + 1, n):

@@ -112,7 +112,8 @@ class _Theorem(namedtuple("_Theorem", "above_k total boolean walk lanes least de
     lanes(block, k, b, n, lanes, least) -> (meets, holds) takes tables of
     shape (k, b, n) laid out as in core._layout and returns the lanes with
     ess f >= least and those of them where the claim holds: on blocks in
-    sweeps, on one lane for one f.  Thm1's meets are all lanes.
+    sweeps, on one lane for one f.  Thm1's meets are all lanes; LemDeg2's
+    blocks are its walk's, each lane a polynomial of one quadratic part.
 
     The hypothesis is ess f >= min_ess(k, n), plus k = b = 2 when boolean
     and a polynomial of that degree when degree is set.  A shape is feasible
@@ -386,21 +387,33 @@ def _deg2_walk(key, pop, budget: int):
     return total, desc, partial(_deg2_blocks, n)
 
 
-def _deg2_blocks(n: int, lo: int, hi: int):
-    """Degree-2 polynomials (quadratic part, linear part, constant) lo..hi-1
-    by candidate index, quadratic part slowest, in blocks as _table_blocks:
-    a quadratic part's 2**(n+1) candidates are one block, lane 2 * linear
-    part + constant, shifted to lane 0 and masked when lo..hi cuts it."""
-    # 2**n linear parts times 2 constants; each lane holds a table and as many padding bits.
-    lanes, width, all_ones = 2 << n, 2 << n, (1 << (1 << n)) - 1
-    ones = _layout(2, 1, n, lanes)[3]
-    vm = _var_masks(n)
-    pairs = [vm[s] & vm[t] for s in range(n) for t in range(s + 1, n)]  # x_s*x_t, lex order
+@lru_cache(maxsize=None)
+def _deg2_layout(n: int):
+    """The 2**(n+1) lanes of 2**(n+1) bits of a degree-2 block: lane 2 *
+    lset + c holds the quadratic part plus linear part lset (bit t for
+    x_{t+1}) plus constant c.  (vm, lin, has, nonlinear) are _var_masks(n),
+    the block of every linear part and constant, each variable's lanes
+    whose linear part holds it, and the coefficient rows of degree >= 2."""
+    vm, width, size = _var_masks(n), 2 << n, 1 << n
     lmasks = [0]  # lmasks[lset]: XOR of x_{t+1} over the bits t of lset
     for m in vm:
         lmasks += [x ^ m for x in lmasks]
-    # Every linear part lset and constant c, in lane 2 * lset + c.
-    lin = sum((x | (x ^ all_ones) << width) << 2 * width * lset for lset, x in enumerate(lmasks))
+    lin = sum((x | (x ^ (1 << size) - 1) << width) << 2 * width * lset for lset, x in enumerate(lmasks))
+    pair = 1 | 1 << width  # lanes 2 * lset and 2 * lset + 1
+    has = tuple(sum(pair << 2 * width * lset for lset in range(size) if lset >> t & 1) for t in range(n))
+    return vm, lin, has, sum(1 << size - 1 - r for r in range(size) if r.bit_count() >= 2)
+
+
+def _deg2_blocks(n: int, lo: int, hi: int):
+    """Degree-2 polynomials (quadratic part, linear part, constant) lo..hi-1
+    by candidate index, quadratic part slowest, in blocks as _table_blocks:
+    a quadratic part's 2**(n+1) candidates are one block laid out as in
+    _deg2_layout, shifted to lane 0 and masked when lo..hi cuts it."""
+    # 2**n linear parts times 2 constants; each lane holds a table and as many padding bits.
+    lanes = width = 2 << n
+    ones = _layout(2, 1, n, lanes)[3]
+    vm, lin = _deg2_layout(n)[:2]
+    pairs = [vm[s] & vm[t] for s in range(n) for t in range(s + 1, n)]  # x_s*x_t, lex order
     for q_idx in range(lo // lanes + 1, (hi - 1) // lanes + 2):
         base = (q_idx - 1) * lanes
         a, b = max(lo - base, 0), min(hi - base, lanes)
@@ -412,6 +425,35 @@ def _deg2_blocks(n: int, lo: int, hi: int):
         if b - a < lanes:
             block = block >> a * width & (1 << (b - a) * width) - 1
         yield base + a, b - a, lanes, block
+
+
+@lru_cache(maxsize=None)
+def _deg2_flags(n: int, support: int, least: int):
+    """(e, meets) of a whole degree-2 block whose quadratic part has the
+    variables of support (bit t for x_{t+1}): each is essential in every
+    lane, any other where the linear part holds it (_gap1_lanes' flags)."""
+    ones = _spaced_ones(2 << n, 2 << n)
+    e = tuple(ones if support >> t & 1 else h for t, h in enumerate(_deg2_layout(n)[2]))
+    return e, _ess_lanes(e, ones, least)
+
+
+def _deg2_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
+    """LemDeg2's kernel on a degree-2 block cut as _deg2_blocks cuts it, or
+    on one Boolean table: the gap-1 kernel, with every lane's essential
+    variables, those of its polynomial, read from lane 0's.  A cut block's
+    lane 0 is lane a = 2 * lset + c of its whole block, so the whole
+    block's flags are shifted down a lanes and cut above the top nonzero
+    lane; on one lane they are exact for any degree."""
+    vm, _, _, nonlinear = _deg2_layout(n)
+    size, width = 1 << n, 2 << n
+    coef = _moebius(block & (1 << size) - 1, n)
+    e, meets = _deg2_flags(n, sum(1 << t for t, m in enumerate(vm) if coef & nonlinear & m), least)
+    count = -(-block.bit_length() // width)  # the lanes up to the top member: none is zero
+    if count < 2 << n:
+        a = sum(2 << t for t, m in enumerate(vm) if coef & m & ~nonlinear) | coef >> size - 1
+        cut = (1 << count * width) - 1
+        e, meets = [x >> a * width & cut for x in e], meets >> a * width & cut
+    return _gap1_lanes(block, k, b, n, lanes, least, (e, meets))
 
 
 # Thm1 asks for operations with ess f = n whose identification minors are all
@@ -512,9 +554,8 @@ _THEOREMS = {
     # The classifier's gap, read from the coefficient table, is the gap.
     TheoremId.THM_STR: _Theorem(False, False, True, _table_walk,
                                 partial(_gap_lanes, lambda gap, k, coef, n: _coef_gap(coef, n) == gap)),
-    # A polynomial of degree 2 with at least four essential variables has
-    # gap 1.  The kernel is looked up at each call, so it can be replaced.
-    TheoremId.LEM_DEG2: _Theorem(False, False, True, _deg2_walk, lambda *args: _gap1_lanes(*args), 4, 2),
+    # A polynomial of degree 2 with at least four essential variables has gap 1.
+    TheoremId.LEM_DEG2: _Theorem(False, False, True, _deg2_walk, _deg2_lanes, 4, 2),
 }
 # The gap >= 3 search, keyed apart from the theorems: ThmGen's hypothesis,
 # and its hits are the functions that fail the claim.

@@ -1,0 +1,71 @@
+"""Census gates: the totals exhaustive sweeps report, against closed forms.
+
+The forms are elementary counts derived from the definitions, computed
+here in plain Python with math.comb alone; nothing from aritygap enters
+them, so they are independent of both the fast paths and tests/oracles.py.
+"""
+
+from math import comb
+
+import pytest
+
+from aritygap import Exhaustive, TheoremId, sweep
+
+
+def depending_on_all(k, b, m):
+    """T(k, b, m): functions {0..k-1}^m -> {0..b-1} depending on all m
+    variables, by inclusion-exclusion over the variables kept."""
+    return sum((-1) ** (m - j) * comb(m, j) * b ** (k**j) for j in range(m + 1))
+
+
+def quadratic_parts_on(s):
+    """G(s): quadratic parts (sets of monomials x_i*x_j) whose variables are
+    exactly a given s-set, the graphs on s vertices without isolated ones,
+    by inclusion-exclusion over the vertices covered."""
+    return sum((-1) ** (s - j) * comb(s, j) * 2 ** comb(j, 2) for j in range(s + 1))
+
+
+def deg2_census(n, least=4):
+    """(checked, skipped) of the walk of the degree-2 polynomials on n
+    variables: a polynomial's variables are those of its quadratic part, a
+    nonempty set S, and of its linear part L, and it is checked when
+    |S | L| >= least; times 2 constants.  L holds any part of S and i of
+    the n - |S| others."""
+    checked = 2 * sum(
+        comb(n, s) * quadratic_parts_on(s) * 2**s * sum(comb(n - s, i) for i in range(n - s + 1) if s + i >= least)
+        for s in range(1, n + 1)
+    )
+    total = (2 ** comb(n, 2) - 1) * 2 ** (n + 1)
+    return checked, total - checked
+
+
+def test_the_forms_on_small_cases():
+    # By hand: x1*x2 is the one quadratic part on {1, 2}; ten Boolean
+    # functions depend on both of two variables, all but the constants,
+    # x1, x2 and their negations.
+    assert [quadratic_parts_on(s) for s in range(5)] == [1, 0, 1, 4, 41]
+    assert sum(comb(4, s) * quadratic_parts_on(s) for s in range(5)) == 2 ** comb(4, 2)
+    assert depending_on_all(2, 2, 2) == 10 and depending_on_all(2, 2, 1) == 2
+    # With least 0 every polynomial is checked.
+    assert deg2_census(4, least=0) == ((2**6 - 1) * 2**5, 0)
+
+
+@pytest.mark.parametrize("n,expected", [(4, (1616, 400)), (5, (64512, 960)), (6, (4192296, 1880))])
+def test_deg2_checked_and_skipped(n, expected):
+    assert deg2_census(n) == expected
+    r = sweep(TheoremId.LEM_DEG2, Exhaustive(2, 2, n))
+    assert (r.checked, r.skipped) == expected
+
+
+@pytest.mark.parametrize("theorem,shape,expected", [
+    (TheoremId.THM_SALOMAA_AUX, (2, 2, 4), 64594),
+    (TheoremId.LEM_KPLUS1, (2, 2, 4), 64594),
+    (TheoremId.THM_GEN, (2, 3, 3), 6342),
+])
+def test_checked_are_the_functions_depending_on_all_variables(theorem, shape, expected):
+    # Each hypothesis reads ess f = n on these shapes: SalomaaAux and
+    # LemKplus1 ask for it, and ThmGen's ess f > k = 2 is ess f = 3.
+    k, b, n = shape
+    assert depending_on_all(k, b, n) == expected
+    r = sweep(theorem, Exhaustive(k, b, n), workers=1)
+    assert (r.checked, r.skipped) == (expected, b ** (k**n) - expected)

@@ -582,9 +582,9 @@ def _lane_results(kernel, n, fs):
     return got
 
 
-def _settles_nothing(block, k, b, n, lanes, least):
+def _settles_nothing(block, k, b, n, lanes, least, flags=None):
     """A gap-1 kernel that finds no lane of gap 1 but keeps the real meets."""
-    return _gap1_lanes(block, k, b, n, lanes, least)[0], 0
+    return _gap1_lanes(block, k, b, n, lanes, least, flags)[0], 0
 
 
 class TestLaneClaims:
@@ -991,3 +991,38 @@ class TestDeg2Walk:
         assert occurring == 5 and check(TheoremId.LEM_DEG2, f)
         monkeypatch.setattr(verifier, "_gap1_lanes", _settles_nothing)
         assert not check(TheoremId.LEM_DEG2, f)
+
+
+def _deg2_kernels_agree(block, n, lanes, least):
+    """LemDeg2's kernel, which reads the flags from lane 0's polynomial,
+    against the gap-1 kernel scanning the table: equal meets, and equal
+    holds on the member lanes, the nonzero ones of a degree-2 block."""
+    width = 2 << n
+    members = sum(1 << m * width for m in range(-(-block.bit_length() // width)))
+    meets, holds = verifier._deg2_lanes(block, 2, 2, n, lanes, least)
+    want_meets, want_holds = _gap1_lanes(block, 2, 2, n, lanes, least)
+    assert meets == want_meets and holds & members == want_holds & members, (n, block, least)
+
+
+class TestDeg2Kernel:
+    """LemDeg2's kernel against the gap-1 kernel with the table's flags."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_block_cut_at_every_lane(self, n):
+        lanes = width = 2 << n
+        for _, _, _, block in verifier._deg2_blocks(n, 0, ((1 << n * (n - 1) // 2) - 1) * lanes):
+            for cut in range(lanes):
+                # Lanes cut..lanes-1 shifted to lane 0, and lanes 0..cut.
+                _deg2_kernels_agree(block >> cut * width, n, lanes, 4)
+                _deg2_kernels_agree(block & (1 << (cut + 1) * width) - 1, n, lanes, 4)
+
+    @pytest.mark.parametrize("n,lo,hi", [r for r in DEG2_RANGES if r[0] == 6])
+    def test_blocks_of_the_n6_ranges(self, n, lo, hi):
+        for _, _, lanes, block in verifier._deg2_blocks(n, lo, hi):
+            _deg2_kernels_agree(block, n, lanes, 4)
+
+    @pytest.mark.parametrize("least", [2, 4])
+    def test_one_lane_on_every_arity_4_table(self, least):
+        # Every degree, 0 to 4: a table's essential variables are its polynomial's.
+        for code in range(1 << 16):
+            _deg2_kernels_agree(code, 4, 1, least)
