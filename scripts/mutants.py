@@ -83,7 +83,7 @@ MUTANTS = [
         "src/aritygap/verifier.py",
         "e, meets = [x >> a * width & cut for x in e], meets >> a * width & cut",
         "e, meets = [x & cut for x in e], meets & cut",
-        ("tests/test_verifier.py::TestDeg2Kernel::test_one_lane_on_every_arity_4_table",),
+        ("tests/test_verifier.py::TestDeg2Kernel::test_one_lane_on_every_table",),
     ),
     Mutant(
         "deg2-flags-meet-above-least",

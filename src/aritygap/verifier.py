@@ -429,9 +429,9 @@ def _deg2_blocks(n: int, lo: int, hi: int):
 
 @lru_cache(maxsize=None)
 def _deg2_flags(n: int, support: int, least: int):
-    """(e, meets) of a whole degree-2 block whose quadratic part has the
-    variables of support (bit t for x_{t+1}): each is essential in every
-    lane, any other where the linear part holds it (_gap1_lanes' flags)."""
+    """_gap1_lanes' flags (e, meets) on a whole degree-2 block whose quadratic
+    part has the variables in support (bit t for x_{t+1}): those are essential
+    in every lane, any other in the lanes whose linear part holds it."""
     ones = _spaced_ones(2 << n, 2 << n)
     e = tuple(ones if support >> t & 1 else h for t, h in enumerate(_deg2_layout(n)[2]))
     return e, _ess_lanes(e, ones, least)
@@ -448,7 +448,7 @@ def _deg2_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> t
     size, width = 1 << n, 2 << n
     coef = _moebius(block & (1 << size) - 1, n)
     e, meets = _deg2_flags(n, sum(1 << t for t, m in enumerate(vm) if coef & nonlinear & m), least)
-    count = -(-block.bit_length() // width)  # the lanes up to the top member: none is zero
+    count = -(-block.bit_length() // width) or 1  # the lanes up to the top member: none is zero
     if count < 2 << n:
         a = sum(2 << t for t, m in enumerate(vm) if coef & m & ~nonlinear) | coef >> size - 1
         cut = (1 << count * width) - 1

@@ -1021,8 +1021,8 @@ class TestDeg2Kernel:
         for _, _, lanes, block in verifier._deg2_blocks(n, lo, hi):
             _deg2_kernels_agree(block, n, lanes, 4)
 
-    @pytest.mark.parametrize("least", [2, 4])
-    def test_one_lane_on_every_arity_4_table(self, least):
-        # Every degree, 0 to 4: a table's essential variables are its polynomial's.
-        for code in range(1 << 16):
-            _deg2_kernels_agree(code, 4, 1, least)
+    @pytest.mark.parametrize("n,least", [(4, 2), (4, 4)] + [(n, least) for n in (1, 2, 3) for least in range(5)])
+    def test_one_lane_on_every_table(self, n, least):
+        # Every degree up to n: a table's essential variables are its polynomial's.
+        for code in range(1 << (1 << n)):
+            _deg2_kernels_agree(code, n, 1, least)
