@@ -81,9 +81,9 @@ MUTANTS = [
     Mutant(
         "deg2-kernel-ignores-lane-0-offset",
         "src/aritygap/verifier.py",
-        "e, meets = [x >> a * width & cut for x in e], meets >> a * width & cut",
-        "e, meets = [x & cut for x in e], meets & cut",
-        ("tests/test_verifier.py::TestDeg2Kernel::test_one_lane_on_every_table",),
+        "e, meets = [x >> a * width for x in e], meets >> a * width",
+        "e, meets = list(e), meets",
+        ("tests/test_verifier.py::TestDeg2Kernel::test_every_block_cut_at_every_lane",),
     ),
     Mutant(
         "deg2-flags-meet-above-least",

@@ -440,19 +440,20 @@ def _deg2_flags(n: int, support: int, least: int):
 def _deg2_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
     """LemDeg2's kernel on a degree-2 block cut as _deg2_blocks cuts it, or
     on one Boolean table: the gap-1 kernel, with every lane's essential
-    variables, those of its polynomial, read from lane 0's.  A cut block's
-    lane 0 is lane a = 2 * lset + c of its whole block, so the whole
-    block's flags are shifted down a lanes and cut above the top nonzero
-    lane; on one lane they are exact for any degree."""
+    variables, those of its polynomial, read from lane 0's.  One lane's are
+    its own, exact for any degree.  A cut block's lane 0 is lane a = 2 *
+    lset + c of its whole block, whose flags are shifted down a lanes; the
+    lanes above its members are left for the walk to mask."""
+    coef = _moebius(block & (1 << (1 << n)) - 1, n)
+    if lanes == 1:
+        e = [int(coef & m != 0) for m in _var_masks(n)]
+        return _gap1_lanes(block, k, b, n, 1, least, (e, _ess_lanes(e, 1, least)))
     vm, _, _, nonlinear = _deg2_layout(n)
-    size, width = 1 << n, 2 << n
-    coef = _moebius(block & (1 << size) - 1, n)
+    width = 2 << n
     e, meets = _deg2_flags(n, sum(1 << t for t, m in enumerate(vm) if coef & nonlinear & m), least)
-    count = -(-block.bit_length() // width) or 1  # the lanes up to the top member: none is zero
-    if count < 2 << n:
-        a = sum(2 << t for t, m in enumerate(vm) if coef & m & ~nonlinear) | coef >> size - 1
-        cut = (1 << count * width) - 1
-        e, meets = [x >> a * width & cut for x in e], meets >> a * width & cut
+    a = sum(2 << t for t, m in enumerate(vm) if coef & m & ~nonlinear) | coef >> (1 << n) - 1
+    if a:
+        e, meets = [x >> a * width for x in e], meets >> a * width
     return _gap1_lanes(block, k, b, n, lanes, least, (e, meets))
 
 

@@ -995,13 +995,14 @@ class TestDeg2Walk:
 
 def _deg2_kernels_agree(block, n, lanes, least):
     """LemDeg2's kernel, which reads the flags from lane 0's polynomial,
-    against the gap-1 kernel scanning the table: equal meets, and equal
-    holds on the member lanes, the nonzero ones of a degree-2 block."""
+    against the gap-1 kernel scanning the table: equal meets and holds on
+    the member lanes, lane 0 of one table and the nonzero lanes of a
+    degree-2 block; the walk masks the lanes above them."""
     width = 2 << n
-    members = sum(1 << m * width for m in range(-(-block.bit_length() // width)))
-    meets, holds = verifier._deg2_lanes(block, 2, 2, n, lanes, least)
-    want_meets, want_holds = _gap1_lanes(block, 2, 2, n, lanes, least)
-    assert meets == want_meets and holds & members == want_holds & members, (n, block, least)
+    members = sum(1 << m * width for m in range(max(1, -(-block.bit_length() // width))))
+    got = verifier._deg2_lanes(block, 2, 2, n, lanes, least)
+    want = _gap1_lanes(block, 2, 2, n, lanes, least)
+    assert [x & members for x in got] == [x & members for x in want], (n, block, least)
 
 
 class TestDeg2Kernel:
@@ -1026,3 +1027,27 @@ class TestDeg2Kernel:
         # Every degree up to n: a table's essential variables are its polynomial's.
         for code in range(1 << (1 << n)):
             _deg2_kernels_agree(code, n, 1, least)
+
+    def test_check_on_a_wide_table_in_bounded_memory(self):
+        # check runs the kernel on one lane before it reads the degree, so a
+        # table of any degree must cost no block masks: 4**17 bits each at n = 16.
+        def limit_address_space():
+            # Applies in the child only, between fork and exec.
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        code = (
+            "import random\n"
+            "from aritygap import FiniteFunction, TheoremId, check, from_anf, make_polynomial\n"
+            "from aritygap.errors import HypothesisNotMet\n"
+            "n = 16\n"
+            "f = from_anf(make_polynomial(n, [(1, 2)] + [(t,) for t in range(3, n + 1)]))\n"
+            "print(check(TheoremId.LEM_DEG2, f))\n"
+            "try:\n"
+            "    check(TheoremId.LEM_DEG2, FiniteFunction(2, 2, n, random.Random(3).getrandbits(1 << n)))\n"
+            "except HypothesisNotMet as e:\n"
+            "    print('degree' in str(e))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                preexec_fn=limit_address_space, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True", "True"]
