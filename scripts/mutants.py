@@ -81,7 +81,7 @@ MUTANTS = [
     Mutant(
         "deg2-kernel-ignores-lane-0-offset",
         "src/aritygap/verifier.py",
-        "e, meets = [x >> a * width for x in e], meets >> a * width",
+        "e, meets = [x >> (a << n + 1) for x in e], meets >> (a << n + 1)",
         "e, meets = list(e), meets",
         ("tests/test_verifier.py::TestDeg2Kernel::test_every_block_cut_at_every_lane",),
     ),

@@ -449,11 +449,11 @@ def _deg2_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> t
         e = [int(coef & m != 0) for m in _var_masks(n)]
         return _gap1_lanes(block, k, b, n, 1, least, (e, _ess_lanes(e, 1, least)))
     vm, _, _, nonlinear = _deg2_layout(n)
-    width = 2 << n
     e, meets = _deg2_flags(n, sum(1 << t for t, m in enumerate(vm) if coef & nonlinear & m), least)
-    a = sum(2 << t for t, m in enumerate(vm) if coef & m & ~nonlinear) | coef >> (1 << n) - 1
-    if a:
-        e, meets = [x >> a * width for x in e], meets >> a * width
+    low = coef & ~nonlinear  # lane 0's linear part and constant: zero unless cut from the bottom
+    if low:
+        a = sum(2 << t for t, m in enumerate(vm) if low & m) | low >> (1 << n) - 1
+        e, meets = [x >> (a << n + 1) for x in e], meets >> (a << n + 1)
     return _gap1_lanes(block, k, b, n, lanes, least, (e, meets))
 
 
