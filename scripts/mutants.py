@@ -226,6 +226,34 @@ MUTANTS = [
         ("tests/test_generators.py::TestRandomLanes::test_a_pass_is_shared_only_while_it_expects_under_one_rejection",),
     ),
     Mutant(
+        "seed-lanes-start-one-index-late",
+        "src/aritygap/generators.py",
+        "(seed + (start + 1) * GOLDEN)",
+        "(seed + (start + 2) * GOLDEN)",
+        ("tests/test_generators.py::TestSplitMix64::test_seeds_mixed_in_lanes_are_the_substream_seeds",),
+    ),
+    Mutant(
+        "monomial-count-lanes-at-the-bound",
+        "src/aritygap/verifier.py",
+        "((1 << p) - bound - 1) * ones",
+        "((1 << p) - bound) * ones",
+        ("tests/test_verifier.py::TestLaneRules::test_monomial_count_rule_is_bit_count_per_lane",),
+    ),
+    Mutant(
+        "monomial-count-one-lane-at-the-bound",
+        "src/aritygap/verifier.py",
+        "int(coef.bit_count() > bound)",
+        "int(coef.bit_count() >= bound)",
+        ("tests/test_verifier.py::TestLaneRules::test_monomial_count_rule_is_bit_count_per_lane",),
+    ),
+    Mutant(
+        "gap-bounds-settle-every-lane",
+        "src/aritygap/verifier.py",
+        "good = gap1 if settle is None",
+        "good = meets if settle is None",
+        ("tests/test_verifier.py::TestLaneRules::test_gap_bounds_hand_the_claim_no_gap1_lane",),
+    ),
+    Mutant(
         "cli-imports-the-sweep-engine",
         "src/aritygap/cli.py",
         "from .errors import ArityGapError, BudgetExceeded, ParseError, ValueOutOfRange\n",

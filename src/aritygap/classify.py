@@ -49,10 +49,16 @@ def classify(p: ZhegalkinPolynomial) -> SpecialForm:
     return _match(p.coef, p.arity)
 
 
+def _most_monomials(n: int) -> int:
+    """The most monomials a gap-2 shape, or a polynomial with < 2 occurring
+    variables, has at arity n: classify calls any polynomial with more
+    NotSpecial before it reads a monomial."""
+    return max(n, 5) + 1
+
+
 def _match(coef: int, n: int) -> SpecialForm:
     """classify on a packed coefficient table of arity n."""
-    # Shapes, and polynomials with < 2 occurring variables, have <= max(n, 5) + 1 monomials.
-    if coef.bit_count() > max(n, 5) + 1:
+    if coef.bit_count() > _most_monomials(n):
         return NOT_SPECIAL
     c = coef >> ((1 << n) - 1)
     body = _monomial_indices(coef, n)[c:]  # the nonconstant monomials; bit n - t is x_t

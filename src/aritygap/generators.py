@@ -6,11 +6,16 @@ all mod 2**64.  It is implemented here directly so tables are
 bit-identical across platforms and interpreter versions; reference
 outputs are frozen in the test suite.
 
+substream_seed(seed, i), the seed of sample i in a sweep, is output i of
+SplitMix64(seed).  The counters of consecutive i step by GOLDEN, so the
+seeds of a block of samples, and their attempt-0 seeds, are mixed in the
+lanes of one int, as random_lanes mixes its outputs.
+
 random_lanes(k, b, n, seeds) is the one table draw.  The table of each
 seed fills its rows in order by SplitMix64.below(b), and the tables lie in
 the lanes of one int, as in core._layout.  Up to b = 2**64 below reads one
 output per candidate, so outputs are mixed in passes of up to 1,024, one
-128-bit lane of an int per output, with mix64 run on all lanes at once;
+128-bit lane of an int per output, and _mix_lanes runs mix64 on all at once;
 for b a power of two the entry is the output's low bits, for other b the
 outputs under below's threshold are kept in order and reduced mod b.  A
 pass takes a counter base per table, so 1024 // k**n tables share one
@@ -50,10 +55,18 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+    return _mix_lanes(z & _MASK64, _MASK64) & _MASK64
+
+
+def _mix_lanes(z: int, lanes: int) -> int:
+    """mix64 of the 64-bit value at the bottom of each 128-bit lane of z,
+    lanes being their 64-bit masks, in the low 64 bits of its lane.  A lane
+    holds its 64-bit by 64-bit product, and the masks after the first two
+    right shifts drop the bits they bring down from the lane above; the
+    caller masks off what the last one brings."""
+    z = ((z ^ z >> 30 & lanes) * 0xBF58476D1CE4E5B9) & lanes
+    z = ((z ^ z >> 27 & lanes) * 0x94D049BB133111EB) & lanes
+    return z ^ z >> 31
 
 
 class SplitMix64:
@@ -89,6 +102,19 @@ def substream_seed(seed: int, index: int) -> int:
     """Seed of the index-th derived stream: the index-th output of
     SplitMix64(seed), computed in O(1) from the counter form."""
     return mix64((seed + (index + 1) * GOLDEN) & _MASK64)
+
+
+def _substream_seeds(seed: int, start: int, count: int, attempt0: bool) -> list[int]:
+    """[substream_seed(seed, i) for i in start..start+count-1], mixed in
+    lanes: output i of SplitMix64(seed) is mix64 at counter seed + (i + 1)
+    * GOLDEN, and the counters of consecutive i step by GOLDEN.  With
+    attempt0, each one's substream_seed(s, 0) instead, one more mix of the
+    lanes plus GOLDEN."""
+    steps, ones, lanes, _ = _lanes(count, 1, _MASK64)
+    z = _mix_lanes(((seed + (start + 1) * GOLDEN) & _MASK64) * ones + steps & lanes, lanes) & lanes
+    if attempt0:
+        z = _mix_lanes(z + GOLDEN * ones & lanes, lanes) & lanes
+    return [s for s, _ in struct.iter_unpack("<QQ", z.to_bytes(16 * count, "little"))]
 
 
 def random_function(k: int, b: int, n: int, seed: int, budget: int = DEFAULT_BUDGET) -> FiniteFunction:
@@ -137,26 +163,22 @@ def _table_text(seed: int, size: int, b: int, w: int) -> str:
 @lru_cache(maxsize=8)
 def _lanes(rows: int, groups: int, low: int):
     """For groups of rows lanes, lane j at bit 128j: j mod rows times GOLDEN
-    mod 2**64, and the 64-bit and `low` masks of every lane."""
+    mod 2**64, and 1, the 64-bit mask and the `low` mask in every lane."""
     ones = int.from_bytes((b"\1" + bytes(15)) * (rows * groups), "little")
     steps = b"".join((j * GOLDEN & _MASK64).to_bytes(16, "little") for j in range(rows))
-    return int.from_bytes(steps * groups, "little"), _MASK64 * ones, low * ones
+    return int.from_bytes(steps * groups, "little"), ones, _MASK64 * ones, low * ones
 
 
 def _block_text(bases, rows: int, b: int, w: int) -> tuple[str, int]:
     """Binary text of the entries below(b) reads from mix64 at counters
     base + j * GOLDEN, j < rows, for each base in turn, and their count:
     the outputs under its threshold, in order, mod b.  For b a power of two
-    none is rejected and a mask keeps the low bits.  A lane holds its
-    64-bit by 64-bit product; masks after right shifts drop bits from the
-    lane above."""
+    none is rejected and a mask keeps the low bits."""
     limit = (1 << 64) - (1 << 64) % b
-    steps, lanes, fields = _lanes(rows, len(bases), b - 1 if limit >> 64 else _MASK64)
+    steps, _, lanes, fields = _lanes(rows, len(bases), b - 1 if limit >> 64 else _MASK64)
     start = b"".join([(base & _MASK64).to_bytes(16, "little") * rows for base in bases])
-    z = (int.from_bytes(start, "little") + steps) & lanes
-    z = ((z ^ z >> 30 & lanes) * 0xBF58476D1CE4E5B9) & lanes
-    z = ((z ^ z >> 27 & lanes) * 0x94D049BB133111EB) & lanes
-    data = ((z ^ z >> 31) & fields).to_bytes(16 * rows * len(bases), "little")
+    z = _mix_lanes((int.from_bytes(start, "little") + steps) & lanes, lanes)
+    data = (z & fields).to_bytes(16 * rows * len(bases), "little")
     if w == 1:
         return data[::16].translate(_DIGITS).decode(), rows * len(bases)
     if limit >> 64:

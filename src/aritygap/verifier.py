@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 from itertools import permutations
 
 from .anf import _moebius, degree, to_anf
-from .classify import _coef_gap
+from .classify import _coef_gap, _most_monomials
 from .core import (
     DEFAULT_BUDGET,
     FiniteFunction,
@@ -46,7 +46,7 @@ from .errors import (
     SpecInvalid,
     ValueOutOfRange,
 )
-from .generators import _BLOCK, SplitMix64, random_function, random_lanes, substream_seed
+from .generators import _BLOCK, SplitMix64, _substream_seeds, random_function, random_lanes, substream_seed
 
 
 class TheoremId(Enum):
@@ -307,8 +307,7 @@ def _table_blocks(pop, budget: int, lo: int, hi: int, table=None):
         if table:
             block = sum(table(start + m) << m * width for m in range(count))
         elif sampled:
-            seeds = [substream_seed(pop.seed, i) for i in range(start, start + count)]
-            block = random_lanes(k, b, n, [substream_seed(s, 0) for s in seeds] if reject else seeds, budget)
+            block = random_lanes(k, b, n, _substream_seeds(pop.seed, start, count, reject), budget)
         elif b & (b - 1):
             block = sum(from_code(k, b, n, start + m).bits << m * width for m in range(count))
         else:
@@ -348,21 +347,50 @@ def _set_lanes(x: int, width: int):
         x ^= low
 
 
-def _gap_lanes(claim, block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
+def _gap_lanes(claim, block: int, k: int, b: int, n: int, lanes: int, least: int, settle=None) -> tuple[int, int]:
     """The kernel of claim(gap, k, coefficient table, n): a lane's gap is 1
     on the lanes the gap-1 kernel returns, and gap_report measures the rest.
-    Coefficient tables are taken on Boolean shapes only, and read 0 else."""
+    The claim holds without a call on the gap-1 lanes that settle(coef, n,
+    lanes) returns, or on all of them, as it does for a gap bound, if settle
+    is None.  Coefficient tables are taken on Boolean shapes only, and read 0 else."""
     meets, gap1 = _gap1_lanes(block, k, b, n, lanes, least)
     coef = _moebius(block, n, lanes) if k == b == 2 else 0
     size = k**n * field_width(b)
     width, table = 2 * size, (1 << size) - 1
-    good = 0
-    for m in _set_lanes(meets, width):
+    good = gap1 if settle is None else gap1 & settle(coef, n, lanes)
+    for m in _set_lanes(meets & ~good, width):
         lane = 1 << m * width
         gap = 1 if gap1 & lane else gap_report(FiniteFunction(k, b, n, block >> m * width & table)).gap
         if claim(gap, k, coef >> m * width & table, n):
             good |= lane
     return meets, good
+
+
+def _many_monomials(coef: int, n: int, lanes: int) -> int:
+    """The lanes (bottom bits, as in _layout) of a block of coefficient
+    tables of arity n with more than _most_monomials(n) monomials, on which
+    the classifier says gap 1.  Sideways addition (Knuth, TAOCP 4A, 7.1.3)
+    adds a lane's bits in fields that double n times, to its count in the
+    low half of the lane; the count plus 2**p - bound - 1, 2**p above the
+    count and the bound, sets bit p iff the count exceeds the bound, and
+    p < 2**(n+1) keeps the sum in its lane."""
+    bound = _most_monomials(n)
+    if lanes == 1:
+        return int(coef.bit_count() > bound)
+    masks, ones = _count_masks(n, lanes)
+    for s, mask in enumerate(masks):
+        coef = (coef & mask) + (coef >> (1 << s) & mask)
+    p = max(1 << n, bound + 1).bit_length()
+    return (coef + ((1 << p) - bound - 1) * ones) >> p & ones
+
+
+@lru_cache(maxsize=8)
+def _count_masks(n: int, lanes: int):
+    """For each s < n, the bits of a block of lanes of 2**(n+1) bits whose
+    place mod 2**(s+1) is below 2**s; and a 1 at the bottom of every lane."""
+    full = (1 << (lanes << n + 1)) - 1
+    masks = tuple(full // ((1 << (2 << s)) - 1) * ((1 << (1 << s)) - 1) for s in range(n))
+    return masks, _spaced_ones(lanes, 2 << n)
 
 
 def _var_masks(n: int) -> tuple[int, ...]:
@@ -554,7 +582,8 @@ _THEOREMS = {
     TheoremId.LEM_KPLUS1: _Theorem(True, True, False, _table_walk, partial(_scan_lanes, _kplus1_scan)),
     # The classifier's gap, read from the coefficient table, is the gap.
     TheoremId.THM_STR: _Theorem(False, False, True, _table_walk,
-                                partial(_gap_lanes, lambda gap, k, coef, n: _coef_gap(coef, n) == gap)),
+                                partial(_gap_lanes, lambda gap, k, coef, n: _coef_gap(coef, n) == gap,
+                                        settle=_many_monomials)),
     # A polynomial of degree 2 with at least four essential variables has gap 1.
     TheoremId.LEM_DEG2: _Theorem(False, False, True, _deg2_walk, _deg2_lanes, 4, 2),
 }

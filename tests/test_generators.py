@@ -62,6 +62,15 @@ class TestSplitMix64:
         for i, expected in enumerate(outputs):
             assert substream_seed(97, i) == expected
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64 + 5, -1])
+    @pytest.mark.parametrize("start", [0, 2**64 - 3, 2**70], ids=["0", "wraps", "2^70"])
+    @pytest.mark.parametrize("count", [1, 7, _BLOCK])
+    def test_seeds_mixed_in_lanes_are_the_substream_seeds(self, seed, start, count):
+        # Counters from 2**64 - 3 on wrap past 2**64 within the block.
+        seeds = [substream_seed(seed, i) for i in range(start, start + count)]
+        assert generators._substream_seeds(seed, start, count, False) == seeds
+        assert generators._substream_seeds(seed, start, count, True) == [substream_seed(s, 0) for s in seeds]
+
     def test_below_range_and_determinism(self):
         a = SplitMix64(5)
         b = SplitMix64(5)

@@ -1,4 +1,5 @@
 import math
+import random
 import resource
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from aritygap import (
     random_function,
     substream_seed,
     sweep,
+    to_anf,
 )
 from aritygap.generators import random_lanes
 from aritygap.errors import (
@@ -38,6 +40,7 @@ from aritygap.errors import (
     SpecInvalid,
     ValueOutOfRange,
 )
+from aritygap.classify import _coef_gap, _most_monomials
 from aritygap.core import FiniteFunction, _gap1_lanes, field_width
 from aritygap.generators import DEFAULT_BUDGET
 from aritygap.verifier import _var_masks
@@ -684,6 +687,67 @@ class TestLaneClaims:
         r = sweep(TheoremId.THM_STR, Exhaustive(2, 2, 3), workers=1, max_recorded=256)
         assert (r.checked, r.skipped) == (sum(ess(f) >= 2 for f in fs), sum(ess(f) < 2 for f in fs))
         assert r.violations == tuple(expected) and r.violation_count == len(expected)
+
+
+def _spy_claim(key, seen):
+    """key's record kernel with its claim recording each gap it is handed."""
+    lanes = verifier._THEOREMS[key].lanes
+    claim = lanes.args[0]
+
+    def spy(gap, *args):
+        seen.append(gap)
+        return claim(gap, *args)
+
+    return partial(lanes.func, spy, *lanes.args[1:], **lanes.keywords)
+
+
+class TestLaneRules:
+    """The claims that _gap_lanes settles for every lane at once, without
+    the per-lane call: every gap bound holds on gap 1, and the classifier
+    says gap 1 on a polynomial with more monomials than any gap-2 shape."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_monomial_count_rule_is_bit_count_per_lane(self, n):
+        bound = max(n, 5) + 1
+        assert _most_monomials(n) == bound
+        rng = random.Random(n)
+        sizes = [0, 1, bound - 1, bound, bound + 1, bound + 2, 1 << n] + [rng.randrange(1 << n) for _ in range(40)]
+        coefs = [sum(1 << r for r in rng.sample(range(1 << n), min(c, 1 << n))) for c in sizes * 6]
+        # The parity of all n variables plus 1 has n + 1 monomials, the bound from n = 5 on;
+        # with x_1*x_2 added, one more.
+        parity = make_polynomial(n, [{t} for t in range(1, n + 1)] + [set()]).coef
+        coefs += [parity, parity | make_polynomial(n, [{1, 2}]).coef]
+        lanes, width = max(1, verifier._BLOCK >> n), 2 << n
+        for a in range(0, len(coefs), lanes):
+            part = coefs[a : a + lanes]  # the last block is partial, its lanes above zero
+            block = sum(c << m * width for m, c in enumerate(part))
+            assert verifier._many_monomials(block, n, lanes) == _lanes(width, [c.bit_count() > bound for c in part])
+        assert [verifier._many_monomials(c, n, 1) for c in coefs] == [int(c.bit_count() > bound) for c in coefs]
+
+    def test_thm_str_asks_the_classifier_only_below_the_bound(self, monkeypatch):
+        # A uniform block of arity 6, a gap-2 parity and a gap-1 monomial
+        # x1*x2*x3 in its lanes: only the last two have at most 7 monomials.
+        seen = []
+        monkeypatch.setattr(verifier, "_coef_gap", lambda coef, n: seen.append(coef) or _coef_gap(coef, n))
+        fs = [random_function(2, 2, 6, substream_seed(5, i)) for i in range(14)]
+        few = [make_function(2, 2, 6, t) for t in (gap_two_tables(6)[-1], [int(r >= 56) for r in range(64)])]
+        block, width = _block(fs + few)
+        meets, holds = verifier._THEOREMS[TheoremId.THM_STR].lanes(block, 2, 2, 6, 16, 2)
+        assert meets == holds == _lanes(width, [True] * 16)
+        assert [gap_report(f).gap for f in few] == [2, 1]
+        assert seen == [to_anf(f).coef for f in few]
+
+    @pytest.mark.parametrize("key, least", [(TheoremId.THM_SALOMAA_MAIN, 2), (TheoremId.THM_GEN, 3)])
+    def test_gap_bounds_hand_the_claim_no_gap1_lane(self, key, least):
+        # Every Boolean table of arity 3: the claim sees exactly the gap-2 lanes meeting the hypothesis.
+        seen = []
+        fs = [FiniteFunction(2, 2, 3, code) for code in range(256)]
+        block, width = _block(fs)
+        meets, holds = _spy_claim(key, seen)(block, 2, 2, 3, 256, least)
+        met = [ess(f) >= least for f in fs]
+        assert meets == holds == _lanes(width, met)
+        assert sorted(seen) == sorted(gap_report(f).gap for f, m in zip(fs, met) if m and gap_report(f).gap > 1)
+        assert seen and set(seen) == {2}
 
 
 def _kernel_tables(k, b, n):
