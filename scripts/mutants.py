@@ -72,18 +72,18 @@ MUTANTS = [
         ("tests/test_core.py::TestIdentify",),
     ),
     Mutant(
-        "deg2-blocks-without-lane-shift",
+        "deg2-blocks-start-one-part-late",
         "src/aritygap/verifier.py",
-        "block = block >> a * width & (1 << (b - a) * width) - 1",
-        "block = block & (1 << (b - a) * width) - 1",
+        "for q in range(lo // lanes, ",
+        "for q in range(lo // lanes + 1, ",
         ("tests/test_verifier.py::TestDeg2Walk",),
     ),
     Mutant(
-        "deg2-kernel-ignores-lane-0-offset",
+        "deg2-support-misses-a-variable",
         "src/aritygap/verifier.py",
-        "e, meets = [x >> (a << n + 1) for x in e], meets >> (a << n + 1)",
-        "e, meets = list(e), meets",
-        ("tests/test_verifier.py::TestDeg2Kernel::test_every_block_cut_at_every_lane",),
+        "enumerate(_deg2_layout(n)[0]) if coef & m)",
+        "enumerate(_deg2_layout(n)[0][:-1]) if coef & m)",
+        ("tests/test_verifier.py::TestDeg2Kernel::test_every_whole_block",),
     ),
     Mutant(
         "deg2-flags-meet-above-least",
@@ -93,17 +93,17 @@ MUTANTS = [
         ("tests/test_verifier.py::TestDeg2Kernel::test_blocks_of_the_n6_ranges",),
     ),
     Mutant(
-        "deg2-nonlinear-rows-take-degree-1",
-        "src/aritygap/verifier.py",
-        "if r.bit_count() >= 2)",
-        "if r.bit_count() >= 1)",
-        ("tests/test_verifier.py::TestDeg2Kernel::test_every_block_cut_at_every_lane",),
-    ),
-    Mutant(
         "skip-count-off-by-one",
         "src/aritygap/verifier.py",
-        "count - meets.bit_count())",
-        "count - meets.bit_count() + 1)",
+        "end - first - meets.bit_count())",
+        "end - first - meets.bit_count() + 1)",
+        ("tests/test_verifier.py::TestDeg2Walk",),
+    ),
+    Mutant(
+        "walker-ignores-lower-member-bound",
+        "src/aritygap/verifier.py",
+        "first, end = max(lo - start, 0), ",
+        "first, end = 0, ",
         ("tests/test_verifier.py::TestDeg2Walk",),
     ),
     Mutant(
@@ -186,7 +186,7 @@ MUTANTS = [
     Mutant(
         "walker-counts-padding-lanes",
         "src/aritygap/verifier.py",
-        "        if count < lanes:",
+        "        if first or end < lanes:",
         "        if False:",
         ("tests/test_verifier.py::TestTableKernels::test_thm1_kernel_and_walker_match_the_oracle",),
     ),

@@ -290,12 +290,13 @@ def _member(key, pop, index: int, budget: int) -> tuple[FiniteFunction, int]:
 
 
 def _table_blocks(pop, budget: int, lo: int, hi: int, table=None):
-    """Tables lo..hi-1 as blocks (start, count, lanes, block) of 1024 // k**n
-    (at least one) lanes, as in core._layout: lane m holds member start + m
-    and lanes from count on are zero.  Member i is table(i) if given, else
-    exhaustive codes are the tables for b a power of two or from_code decodes
-    them, and the samples of a block (attempt 0 of each rejection stream) are
-    one random_lanes call.  A k = 1 lane is too narrow for _ess_lanes: alone."""
+    """Tables lo..hi-1 as blocks (start, lanes, block) of 1024 // k**n (at
+    least one) lanes, as in core._layout: lane m holds member start + m, and
+    no table past hi is drawn, so a last block's lanes there are zero.
+    Member i is table(i) if given, else exhaustive codes are the tables for
+    b a power of two or from_code decodes them, and the samples of a block
+    (attempt 0 of each rejection stream) are one random_lanes call.  A k = 1
+    lane is too narrow for _ess_lanes: alone."""
     k, b, n = pop.k, pop.b, pop.n
     lanes, width = max(1, _BLOCK // k**n) if k > 1 else 1, 2 * k**n * field_width(b)
     ones = _spaced_ones(lanes, width)
@@ -312,29 +313,34 @@ def _table_blocks(pop, budget: int, lo: int, hi: int, table=None):
             block = sum(from_code(k, b, n, start + m).bits << m * width for m in range(count))
         else:
             block = (start * ones + ramp) & (1 << count * width) - 1
-        yield start, count, lanes, block
+        yield start, lanes, block
 
 
 def _lane_members(key, pop, budget: int, blocks, lo: int, hi: int):
-    """Members lo..hi-1 from the blocks (start, count, lanes, block) that
-    blocks(lo, hi) yields, the record's kernel deciding every lane at once.
+    """Members lo..hi-1 from the blocks (start, lanes, block) that blocks(lo,
+    hi) yields, lane m holding member start + m, the record's kernel deciding
+    every lane at once.  A block's members are its lanes max(lo - start, 0)
+    up to min(hi - start, lanes) - 1; the walker masks the others away.
     Hits, and samples whose attempt 0 rejection must redraw, are yielded
     alone in index order; the rest as counted runs."""
     spec, k, b, n = _THEOREMS[key], pop.k, pop.b, pop.n
     size = k**n * field_width(b)
     width, table, least = 2 * size, (1 << size) - 1, spec.min_ess(k, n)
     reject = isinstance(pop, Sampled) and pop.reject_until_hypothesis
-    for start, count, lanes, block in blocks(lo, hi):
+    for start, lanes, block in blocks(lo, hi):
+        first, end = max(lo - start, 0), min(hi - start, lanes)
         meets, holds = spec.lanes(block, k, b, n, lanes, least)
-        if count < lanes:  # padding lanes hold zero tables, members of Thm1
-            meets, holds = (x & (1 << count * width) - 1 for x in (meets, holds))
-        redraw = _layout(k, field_width(b), n, lanes)[3] & (1 << count * width) - 1 & ~meets if reject else 0
+        members = -1
+        if first or end < lanes:  # lo..hi cuts the block: its padding or other candidates count for nothing
+            members = (1 << end * width) - (1 << first * width)
+            meets, holds = meets & members, holds & members
+        redraw = _layout(k, field_width(b), n, lanes)[3] & members & ~meets if reject else 0
         for m in _set_lanes(meets & ~holds | redraw, width):
             if redraw >> m * width & 1:
                 yield (*_member(key, pop, start + m, budget), 1)
             else:
                 yield FiniteFunction(k, b, n, block >> m * width & table), _HIT, 1
-        for outcome, c in ((_OK, holds.bit_count()), (_SKIP, 0 if reject else count - meets.bit_count())):
+        for outcome, c in ((_OK, holds.bit_count()), (_SKIP, 0 if reject else end - first - meets.bit_count())):
             if c:
                 yield None, outcome, c
 
@@ -419,9 +425,9 @@ def _deg2_walk(key, pop, budget: int):
 def _deg2_layout(n: int):
     """The 2**(n+1) lanes of 2**(n+1) bits of a degree-2 block: lane 2 *
     lset + c holds the quadratic part plus linear part lset (bit t for
-    x_{t+1}) plus constant c.  (vm, lin, has, nonlinear) are _var_masks(n),
-    the block of every linear part and constant, each variable's lanes
-    whose linear part holds it, and the coefficient rows of degree >= 2."""
+    x_{t+1}) plus constant c.  (vm, lin, has) are _var_masks(n), the block
+    of every linear part and constant, and each variable's lanes whose
+    linear part holds it."""
     vm, width, size = _var_masks(n), 2 << n, 1 << n
     lmasks = [0]  # lmasks[lset]: XOR of x_{t+1} over the bits t of lset
     for m in vm:
@@ -429,30 +435,26 @@ def _deg2_layout(n: int):
     lin = sum((x | (x ^ (1 << size) - 1) << width) << 2 * width * lset for lset, x in enumerate(lmasks))
     pair = 1 | 1 << width  # lanes 2 * lset and 2 * lset + 1
     has = tuple(sum(pair << 2 * width * lset for lset in range(size) if lset >> t & 1) for t in range(n))
-    return vm, lin, has, sum(1 << size - 1 - r for r in range(size) if r.bit_count() >= 2)
+    return vm, lin, has
 
 
 def _deg2_blocks(n: int, lo: int, hi: int):
-    """Degree-2 polynomials (quadratic part, linear part, constant) lo..hi-1
-    by candidate index, quadratic part slowest, in blocks as _table_blocks:
-    a quadratic part's 2**(n+1) candidates are one block laid out as in
-    _deg2_layout, shifted to lane 0 and masked when lo..hi cuts it."""
+    """Degree-2 polynomials (quadratic part, linear part, constant) by
+    candidate index, quadratic part slowest, in blocks as _table_blocks:
+    each quadratic part with a candidate in lo..hi-1 is one whole block of
+    its 2**(n+1) candidates, laid out as in _deg2_layout, at a start that is
+    a multiple of 2**(n+1); lane 0 is the bare quadratic part."""
     # 2**n linear parts times 2 constants; each lane holds a table and as many padding bits.
-    lanes = width = 2 << n
+    lanes = 2 << n
     ones = _layout(2, 1, n, lanes)[3]
     vm, lin = _deg2_layout(n)[:2]
     pairs = [vm[s] & vm[t] for s in range(n) for t in range(s + 1, n)]  # x_s*x_t, lex order
-    for q_idx in range(lo // lanes + 1, (hi - 1) // lanes + 2):
-        base = (q_idx - 1) * lanes
-        a, b = max(lo - base, 0), min(hi - base, lanes)
+    for q in range(lo // lanes, -(-hi // lanes)):
         q_mask = 0
         for p, pm in enumerate(pairs):
-            if q_idx >> p & 1:
+            if (q + 1) >> p & 1:
                 q_mask ^= pm
-        block = q_mask * ones ^ lin
-        if b - a < lanes:
-            block = block >> a * width & (1 << (b - a) * width) - 1
-        yield base + a, b - a, lanes, block
+        yield q * lanes, lanes, q_mask * ones ^ lin
 
 
 @lru_cache(maxsize=None)
@@ -466,23 +468,17 @@ def _deg2_flags(n: int, support: int, least: int):
 
 
 def _deg2_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
-    """LemDeg2's kernel on a degree-2 block cut as _deg2_blocks cuts it, or
-    on one Boolean table: the gap-1 kernel, with every lane's essential
-    variables, those of its polynomial, read from lane 0's.  One lane's are
-    its own, exact for any degree.  A cut block's lane 0 is lane a = 2 *
-    lset + c of its whole block, whose flags are shifted down a lanes; the
-    lanes above its members are left for the walk to mask."""
+    """LemDeg2's kernel on a whole degree-2 block, as _deg2_blocks yields
+    it, or on one Boolean table: the gap-1 kernel, with every lane's
+    essential variables, those of its polynomial, read from the support of
+    lane 0's, the bare quadratic part.  One lane's are its own, exact for
+    any degree."""
     coef = _moebius(block & (1 << (1 << n)) - 1, n)
     if lanes == 1:
         e = [int(coef & m != 0) for m in _var_masks(n)]
         return _gap1_lanes(block, k, b, n, 1, least, (e, _ess_lanes(e, 1, least)))
-    vm, _, _, nonlinear = _deg2_layout(n)
-    e, meets = _deg2_flags(n, sum(1 << t for t, m in enumerate(vm) if coef & nonlinear & m), least)
-    low = coef & ~nonlinear  # lane 0's linear part and constant: zero unless cut from the bottom
-    if low:
-        a = sum(2 << t for t, m in enumerate(vm) if low & m) | low >> (1 << n) - 1
-        e, meets = [x >> (a << n + 1) for x in e], meets >> (a << n + 1)
-    return _gap1_lanes(block, k, b, n, lanes, least, (e, meets))
+    support = sum(1 << t for t, m in enumerate(_deg2_layout(n)[0]) if coef & m)
+    return _gap1_lanes(block, k, b, n, lanes, least, _deg2_flags(n, support, least))
 
 
 # Thm1 asks for operations with ess f = n whose identification minors are all

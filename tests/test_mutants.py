@@ -1,7 +1,10 @@
 """The mutation catalogue in scripts/mutants.py must stay in step with the
-code: every catalogued text still occurs exactly once in its file.  The
-mutants themselves run outside this suite (python scripts/mutants.py)."""
+code: every catalogued text still occurs exactly once in its file, and
+every selection names a test file that defines the classes and tests it
+names.  The mutants themselves run outside this suite (python
+scripts/mutants.py)."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -22,3 +25,24 @@ def test_every_catalogued_text_occurs_once_in_its_file():
     for m in mutants.MUTANTS:
         text = (ROOT / m.file).read_text(encoding="utf-8")
         assert m.selection and mutants.mutated(text, m) != text, m.name
+
+
+def _defines(body, names) -> bool:
+    """Whether the statements define names[0], a class or function, whose
+    body defines the rest in turn."""
+    if not names:
+        return True
+    for node in body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == names[0]:
+            return _defines(node.body, names[1:])
+    return False
+
+
+def test_every_selection_names_a_defined_test():
+    for m in _catalogue().MUTANTS:
+        for selection in m.selection:
+            path, *names = selection.split("::")
+            assert (ROOT / path).is_file(), (m.name, selection)
+            tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+            # A parametrized id, test[5], is defined by its function.
+            assert _defines(tree.body, [name.split("[")[0] for name in names]), (m.name, selection)

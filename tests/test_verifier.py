@@ -898,9 +898,12 @@ class TestTableKernels:
         key, pop = TheoremId.THM1, Exhaustive(k, k, n)
         every, least = _lanes(width, [True] * len(fs)), verifier._THEOREMS[key].min_ess(k, n)
         assert verifier._thm1_lanes(block, k, k, n, len(fs), least) == (every, every ^ _lanes(width, witness))
-        # One partial block: its five zero padding lanes are no members.
-        blocks = [(0, len(fs), len(fs) + 5, block)]
-        got = _expand(verifier._lane_members(key, pop, DEFAULT_BUDGET, lambda lo, hi: blocks, 0, len(fs)))
+        # One block starting three lanes below lo and running five past hi:
+        # lanes outside lo..hi, witnesses or tables of any kind, are no members.
+        outside = fs[-3:] + fs[:2] + [_diagonal_tables(k, n)[0]] * 3
+        cut, _ = _block(outside[:3] + fs + outside[3:])
+        blocks = [(7, len(fs) + 8, cut)]
+        got = _expand(verifier._lane_members(key, pop, DEFAULT_BUDGET, lambda lo, hi: blocks, 10, 10 + len(fs)))
         assert [f for f, o in got if o == verifier._HIT] == [f for f, w in zip(fs, witness) if w]
         assert sorted(o for _, o in got) == sorted(verifier._HIT if w else verifier._OK for w in witness)
 
@@ -1050,6 +1053,17 @@ class TestDeg2Walk:
         assert r.violations == tuple(first) and r.violation_count == r.checked == 64512
         assert not r.passed
 
+    @pytest.mark.parametrize("n,lo,hi", DEG2_RANGES)
+    def test_blocks_are_whole_quadratic_parts(self, n, lo, hi):
+        # The walker alone trims a block to lo..hi: each block is every
+        # candidate of one quadratic part, its lane 0 the bare quadratic part.
+        lanes = 2 << n
+        blocks = list(verifier._deg2_blocks(n, lo, hi))
+        assert [start for start, _, _ in blocks] == list(range(lo - lo % lanes, hi, lanes))
+        for start, block_lanes, block in blocks:
+            assert start % lanes == 0 and block_lanes == lanes
+            assert FiniteFunction(2, 2, n, block & (1 << (1 << n)) - 1) == _deg2_candidate(n, start)[0]
+
     def test_check_runs_the_walks_kernel(self, monkeypatch):
         f, occurring = _deg2_candidate(5, 5000)
         assert occurring == 5 and check(TheoremId.LEM_DEG2, f)
@@ -1060,30 +1074,23 @@ class TestDeg2Walk:
 def _deg2_kernels_agree(block, n, lanes, least):
     """LemDeg2's kernel, which reads the flags from lane 0's polynomial,
     against the gap-1 kernel scanning the table: equal meets and holds on
-    the member lanes, lane 0 of one table and the nonzero lanes of a
-    degree-2 block; the walk masks the lanes above them."""
-    width = 2 << n
-    members = sum(1 << m * width for m in range(max(1, -(-block.bit_length() // width))))
+    every lane, of one table or of a whole degree-2 block."""
     got = verifier._deg2_lanes(block, 2, 2, n, lanes, least)
-    want = _gap1_lanes(block, 2, 2, n, lanes, least)
-    assert [x & members for x in got] == [x & members for x in want], (n, block, least)
+    assert got == _gap1_lanes(block, 2, 2, n, lanes, least), (n, block, least)
 
 
 class TestDeg2Kernel:
     """LemDeg2's kernel against the gap-1 kernel with the table's flags."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_every_block_cut_at_every_lane(self, n):
-        lanes = width = 2 << n
-        for _, _, _, block in verifier._deg2_blocks(n, 0, ((1 << n * (n - 1) // 2) - 1) * lanes):
-            for cut in range(lanes):
-                # Lanes cut..lanes-1 shifted to lane 0, and lanes 0..cut.
-                _deg2_kernels_agree(block >> cut * width, n, lanes, 4)
-                _deg2_kernels_agree(block & (1 << (cut + 1) * width) - 1, n, lanes, 4)
+    def test_every_whole_block(self, n):
+        total = ((1 << n * (n - 1) // 2) - 1) << n + 1
+        for _, lanes, block in verifier._deg2_blocks(n, 0, total):
+            _deg2_kernels_agree(block, n, lanes, 4)
 
     @pytest.mark.parametrize("n,lo,hi", [r for r in DEG2_RANGES if r[0] == 6])
     def test_blocks_of_the_n6_ranges(self, n, lo, hi):
-        for _, _, lanes, block in verifier._deg2_blocks(n, lo, hi):
+        for _, lanes, block in verifier._deg2_blocks(n, lo, hi):
             _deg2_kernels_agree(block, n, lanes, 4)
 
     @pytest.mark.parametrize("n,least", [(4, 2), (4, 4)] + [(n, least) for n in (1, 2, 3) for least in range(5)])
