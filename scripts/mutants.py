@@ -130,15 +130,15 @@ MUTANTS = [
     Mutant(
         "fallback-gap-fixed-at-2",
         "src/aritygap/verifier.py",
-        "gap = 1 if gap1 & lane else gap_report(FiniteFunction(k, b, n, block >> m * width & table)).gap",
-        "gap = 1 if gap1 & lane else 2",
+        "else gap_report(f).gap, f)",
+        "else 2, f)",
         ("tests/test_verifier.py::TestLaneClaims::test_kernels_and_check_follow_the_claims",),
     ),
     Mutant(
         "thmgen-claim-gap-below-2",
         "src/aritygap/verifier.py",
-        "lambda gap, k, *_: gap <= k",
-        "lambda gap, k, *_: gap < 2",
+        "lambda gap, f: gap <= f.k",
+        "lambda gap, f: gap < 2",
         ("tests/test_verifier.py::TestTableKernels::test_gap_kernels_match_the_oracle",),
     ),
     Mutant(
@@ -233,18 +233,25 @@ MUTANTS = [
         ("tests/test_generators.py::TestSplitMix64::test_seeds_mixed_in_lanes_are_the_substream_seeds",),
     ),
     Mutant(
-        "monomial-count-lanes-at-the-bound",
-        "src/aritygap/verifier.py",
-        "((1 << p) - bound - 1) * ones",
-        "((1 << p) - bound) * ones",
-        ("tests/test_verifier.py::TestLaneRules::test_monomial_count_rule_is_bit_count_per_lane",),
+        "cubic-mask-takes-pairs",
+        "src/aritygap/classify.py",
+        "p3 << s | p2",
+        "p3 << s | p1",
+        ("tests/test_classify.py::TestCubicRule::test_cubic_is_the_monomials_of_three_or_more_variables",),
     ),
     Mutant(
-        "monomial-count-one-lane-at-the-bound",
+        "cubic-lane-carry-one-bit-low",
         "src/aritygap/verifier.py",
-        "int(coef.bit_count() > bound)",
-        "int(coef.bit_count() >= bound)",
-        ("tests/test_verifier.py::TestLaneRules::test_monomial_count_rule_is_bit_count_per_lane",),
+        "+ fill) >> (1 << n) & ones",
+        "+ fill) >> (1 << n) - 1 & ones",
+        ("tests/test_verifier.py::TestLaneRules::test_cubic_lanes_agree_with_a_per_lane_brute_force",),
+    ),
+    Mutant(
+        "thm-str-settles-every-gap1-lane",
+        "src/aritygap/verifier.py",
+        "settle=_cubic_lanes",
+        "settle=None",
+        ("tests/test_census.py::test_thm_str_asks_the_classifier_on_the_degree_two_polynomials",),
     ),
     Mutant(
         "gap-bounds-settle-every-lane",

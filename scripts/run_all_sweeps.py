@@ -2,7 +2,7 @@
 """Run every theorem sweep at desk scale and print the reports.
 
 Mirrors the acceptance suite but as a plain script with progress output.
-With one worker expect 5 to 7 s on a shared 2-vCPU host with Python 3.11,
+With one worker expect 4 to 6 s on a shared 2-vCPU host with Python 3.11,
 most of it in the degree-2 enumeration and the two sampled ThmStr sweeps;
 the exhaustive SalomaaAux and LemKplus1 sweeps, checked as lanes, take
 about 0.01 s each.

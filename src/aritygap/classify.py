@@ -4,15 +4,18 @@ A Boolean function has gap 2 exactly when its polynomial, restricted to
 the variables that occur in it, is a parity x_i1 + ... + x_im + c, the
 form x_i*x_j + x_i + c, the majority triangle x_i*x_j + x_i*x_k + x_j*x_k + c,
 or the triangle plus two linear terms x_i + x_j; every other function has
-gap 1.  No brute force involved: classify matches the shapes on the
-polynomial's packed coefficient table, and gap_via_classifier on the
-Moebius transform of the value table, which is the same int.
+gap 1.  All four have degree <= 2, so a monomial of three or more
+variables decides NotSpecial before any shape is read.  No brute force
+involved: classify matches the shapes on the polynomial's packed
+coefficient table, and gap_via_classifier on the Moebius transform of the
+value table, which is the same int.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from functools import lru_cache
 
 from .anf import ZhegalkinPolynomial, _moebius, _monomial_indices, _variables
 from .core import FiniteFunction
@@ -49,16 +52,23 @@ def classify(p: ZhegalkinPolynomial) -> SpecialForm:
     return _match(p.coef, p.arity)
 
 
-def _most_monomials(n: int) -> int:
-    """The most monomials a gap-2 shape, or a polynomial with < 2 occurring
-    variables, has at arity n: classify calls any polynomial with more
-    NotSpecial before it reads a monomial."""
-    return max(n, 5) + 1
+@lru_cache(maxsize=None)
+def _cubic(n: int) -> int:
+    """The bits of a packed coefficient table of arity n whose monomial has
+    three or more variables (bit 2**n - 1 - r is monomial index r).  One
+    more variable puts the monomials without it in the high half and those
+    with it in the low half, so the masks of >= 3, 2, 1 and 0 variables
+    double from those of one variable less."""
+    p3, p2, p1, full = 0, 0, 0, 1
+    for m in range(n):
+        s = 1 << m
+        p3, p2, p1, full = p3 << s | p2, p2 << s | p1, p1 << s | full, full << s | full
+    return p3
 
 
 def _match(coef: int, n: int) -> SpecialForm:
     """classify on a packed coefficient table of arity n."""
-    if coef.bit_count() > _most_monomials(n):
+    if coef & _cubic(n):
         return NOT_SPECIAL
     c = coef >> ((1 << n) - 1)
     body = _monomial_indices(coef, n)[c:]  # the nonconstant monomials; bit n - t is x_t

@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 from itertools import permutations
 
 from .anf import _moebius, degree, to_anf
-from .classify import _coef_gap, _most_monomials
+from .classify import _coef_gap, _cubic
 from .core import (
     DEFAULT_BUDGET,
     FiniteFunction,
@@ -354,49 +354,28 @@ def _set_lanes(x: int, width: int):
 
 
 def _gap_lanes(claim, block: int, k: int, b: int, n: int, lanes: int, least: int, settle=None) -> tuple[int, int]:
-    """The kernel of claim(gap, k, coefficient table, n): a lane's gap is 1
-    on the lanes the gap-1 kernel returns, and gap_report measures the rest.
-    The claim holds without a call on the gap-1 lanes that settle(coef, n,
-    lanes) returns, or on all of them, as it does for a gap bound, if settle
-    is None.  Coefficient tables are taken on Boolean shapes only, and read 0 else."""
+    """The kernel of claim(gap, f): a lane's gap is 1 on the lanes the gap-1
+    kernel returns, and gap_report measures the rest.  The claim holds
+    without a call on the gap-1 lanes that settle(block, n, lanes) returns,
+    or on all of them, as it does for a gap bound, if settle is None."""
     meets, gap1 = _gap1_lanes(block, k, b, n, lanes, least)
-    coef = _moebius(block, n, lanes) if k == b == 2 else 0
     size = k**n * field_width(b)
     width, table = 2 * size, (1 << size) - 1
-    good = gap1 if settle is None else gap1 & settle(coef, n, lanes)
+    good = gap1 if settle is None else gap1 & settle(block, n, lanes)
     for m in _set_lanes(meets & ~good, width):
-        lane = 1 << m * width
-        gap = 1 if gap1 & lane else gap_report(FiniteFunction(k, b, n, block >> m * width & table)).gap
-        if claim(gap, k, coef >> m * width & table, n):
-            good |= lane
+        f = FiniteFunction(k, b, n, block >> m * width & table)
+        if claim(1 if gap1 >> m * width & 1 else gap_report(f).gap, f):
+            good |= 1 << m * width
     return meets, good
 
 
-def _many_monomials(coef: int, n: int, lanes: int) -> int:
-    """The lanes (bottom bits, as in _layout) of a block of coefficient
-    tables of arity n with more than _most_monomials(n) monomials, on which
-    the classifier says gap 1.  Sideways addition (Knuth, TAOCP 4A, 7.1.3)
-    adds a lane's bits in fields that double n times, to its count in the
-    low half of the lane; the count plus 2**p - bound - 1, 2**p above the
-    count and the bound, sets bit p iff the count exceeds the bound, and
-    p < 2**(n+1) keeps the sum in its lane."""
-    bound = _most_monomials(n)
-    if lanes == 1:
-        return int(coef.bit_count() > bound)
-    masks, ones = _count_masks(n, lanes)
-    for s, mask in enumerate(masks):
-        coef = (coef & mask) + (coef >> (1 << s) & mask)
-    p = max(1 << n, bound + 1).bit_length()
-    return (coef + ((1 << p) - bound - 1) * ones) >> p & ones
-
-
-@lru_cache(maxsize=8)
-def _count_masks(n: int, lanes: int):
-    """For each s < n, the bits of a block of lanes of 2**(n+1) bits whose
-    place mod 2**(s+1) is below 2**s; and a 1 at the bottom of every lane."""
-    full = (1 << (lanes << n + 1)) - 1
-    masks = tuple(full // ((1 << (2 << s)) - 1) * ((1 << (1 << s)) - 1) for s in range(n))
-    return masks, _spaced_ones(lanes, 2 << n)
+def _cubic_lanes(block: int, n: int, lanes: int) -> int:
+    """The lanes (bottom bits, as in _layout) of a block of Boolean tables
+    of arity n with a monomial of >= 3 variables, gap 1 at the classifier's
+    first clause: the block's Moebius transform, masked to those monomials,
+    carries each nonzero lane into its bit 2**n, as in core._depends."""
+    _, _, _, ones, fill = _layout(2, 1, n, lanes)
+    return ((_moebius(block, n, lanes) & _cubic(n) * ones) + fill) >> (1 << n) & ones
 
 
 def _var_masks(n: int) -> tuple[int, ...]:
@@ -570,23 +549,22 @@ def _thm1_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> t
 _THEOREMS = {
     TheoremId.THM1: _Theorem(False, True, False, _thm1_walk, _thm1_lanes),
     TheoremId.THM_SALOMAA_MAIN: _Theorem(False, False, True, _table_walk,
-                                         partial(_gap_lanes, lambda gap, *_: gap <= 2)),
-    TheoremId.THM_GEN: _Theorem(True, False, False, _table_walk,
-                                partial(_gap_lanes, lambda gap, k, *_: gap <= k)),
+                                         partial(_gap_lanes, lambda gap, f: gap <= 2)),
+    TheoremId.THM_GEN: _Theorem(True, False, False, _table_walk, partial(_gap_lanes, lambda gap, f: gap <= f.k)),
     TheoremId.THM_SALOMAA_AUX: _Theorem(False, True, False, _table_walk,
                                         partial(_scan_lanes, _restriction_scan)),
     TheoremId.LEM_KPLUS1: _Theorem(True, True, False, _table_walk, partial(_scan_lanes, _kplus1_scan)),
     # The classifier's gap, read from the coefficient table, is the gap.
     TheoremId.THM_STR: _Theorem(False, False, True, _table_walk,
-                                partial(_gap_lanes, lambda gap, k, coef, n: _coef_gap(coef, n) == gap,
-                                        settle=_many_monomials)),
+                                partial(_gap_lanes, lambda gap, f: _coef_gap(_moebius(f.bits, f.n), f.n) == gap,
+                                        settle=_cubic_lanes)),
     # A polynomial of degree 2 with at least four essential variables has gap 1.
     TheoremId.LEM_DEG2: _Theorem(False, False, True, _deg2_walk, _deg2_lanes, 4, 2),
 }
 # The gap >= 3 search, keyed apart from the theorems: ThmGen's hypothesis,
 # and its hits are the functions that fail the claim.
 _Search = Enum("_Search", {"GAP3": "Gap3Search"})
-_THEOREMS[_Search.GAP3] = _THEOREMS[TheoremId.THM_GEN]._replace(lanes=partial(_gap_lanes, lambda gap, *_: gap < 3))
+_THEOREMS[_Search.GAP3] = _THEOREMS[TheoremId.THM_GEN]._replace(lanes=partial(_gap_lanes, lambda gap, f: gap < 3))
 
 
 def _run_range(args):

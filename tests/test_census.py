@@ -9,6 +9,7 @@ from math import comb
 
 import pytest
 
+import aritygap.verifier as verifier
 from aritygap import Exhaustive, TheoremId, sweep
 
 
@@ -69,3 +70,49 @@ def test_checked_are_the_functions_depending_on_all_variables(theorem, shape, ex
     assert depending_on_all(k, b, n) == expected
     r = sweep(theorem, Exhaustive(k, b, n), workers=1)
     assert (r.checked, r.skipped) == (expected, b ** (k**n) - expected)
+
+
+def boolean_gap_two(n):
+    """Boolean functions of arity n with ess >= 2 and gap 2, from the
+    paper's four forms on the essential variables: 6 per pair (parity 2,
+    x_i*x_j + x_i + c 4), 10 per triple (parity 2, triangle 2, triangle
+    plus two 6), and 2 per larger set (parity)."""
+    return sum(comb(n, m) * (6 if m == 2 else 10 if m == 3 else 2) for m in range(2, n + 1))
+
+
+def degree_two_with_two_variables(n):
+    """Polynomials of degree <= 2 on n variables with at least 2 of them
+    occurring: every set of the 1 + n + C(n, 2) monomials, less the
+    constants and the 2n of the form x_t + c."""
+    return 2 ** (1 + n + comb(n, 2)) - 2 - 2 * n
+
+
+def test_the_boolean_forms_on_small_cases():
+    assert [boolean_gap_two(n) for n in (2, 3, 4)] == [6, 28, 78]
+    assert [degree_two_with_two_variables(n) for n in (2, 3, 4)] == [10, 120, 2038]
+    # At n = 2 every function with ess 2 has degree <= 2.
+    assert degree_two_with_two_variables(2) == depending_on_all(2, 2, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_thm_str_asks_the_classifier_on_the_degree_two_polynomials(n, monkeypatch):
+    # A gap-1 lane with a monomial of degree >= 3 is settled; every other
+    # lane with ess >= 2 reaches the classifier once.
+    seen = []
+    coef_gap = verifier._coef_gap
+    monkeypatch.setattr(verifier, "_coef_gap", lambda coef, n: seen.append(coef) or coef_gap(coef, n))
+    r = sweep(TheoremId.THM_STR, Exhaustive(2, 2, n), workers=1)
+    assert r.passed
+    assert len(seen) == len(set(seen)) == degree_two_with_two_variables(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_salomaa_main_measures_exactly_the_gap_two_functions(n, monkeypatch):
+    # Every gap-1 lane is settled, so gap_report sees the gap-2 lanes alone.
+    seen = []
+    gap_report = verifier.gap_report
+    monkeypatch.setattr(verifier, "gap_report", lambda f: seen.append(f) or gap_report(f))
+    r = sweep(TheoremId.THM_SALOMAA_MAIN, Exhaustive(2, 2, n), workers=1)
+    assert r.passed
+    assert r.checked == sum(comb(n, m) * depending_on_all(2, 2, m) for m in range(2, n + 1))
+    assert len(seen) == len(set(seen)) == boolean_gap_two(n)

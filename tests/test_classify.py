@@ -16,6 +16,7 @@ from aritygap import (
     make_polynomial,
     to_anf,
 )
+from aritygap.classify import _cubic
 from aritygap.errors import EssentialArityTooSmall, NotBoolean
 
 from oracles import naive_substitute
@@ -99,6 +100,26 @@ class TestClassify:
             classify(poly(3, {2}))
         with pytest.raises(EssentialArityTooSmall):
             classify(poly(3))
+
+
+class TestCubicRule:
+    """Every gap-2 shape has degree <= 2, so classify calls a polynomial
+    with a monomial of three or more variables NotSpecial at once."""
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_cubic_is_the_monomials_of_three_or_more_variables(self, n):
+        # Bit 2**n - 1 - r of a coefficient table is the monomial of index r.
+        assert _cubic(n) == sum(1 << 2**n - 1 - r for r in range(2**n) if r.bit_count() >= 3)
+
+    def test_dense_degree_two_runs_the_shape_clauses(self):
+        # All 15 pairs and all 6 singles at n = 6: 21 monomials, more than
+        # any shape has, and none of degree 3.
+        monos = [set(m) for m in combinations(range(1, 7), 2)] + [{t} for t in range(1, 7)]
+        p = poly(6, *monos)
+        assert p.coef & _cubic(6) == 0 and p.coef.bit_count() == 21
+        assert classify(p) is NOT_SPECIAL
+        f = from_anf(p)
+        assert gap_via_classifier(f) == gap_report(f).gap == 1
 
 
 class TestGapViaClassifier:

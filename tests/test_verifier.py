@@ -1,10 +1,9 @@
 import math
-import random
 import resource
 import subprocess
 import sys
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -40,13 +39,14 @@ from aritygap.errors import (
     SpecInvalid,
     ValueOutOfRange,
 )
-from aritygap.classify import _coef_gap, _most_monomials
+from aritygap.classify import _coef_gap
 from aritygap.core import FiniteFunction, _gap1_lanes, field_width
 from aritygap.generators import DEFAULT_BUDGET
 from aritygap.verifier import _var_masks
 
 from oracles import (
     SplitMix64Stream,
+    naive_anf_monomials_packed,
     naive_ess,
     naive_gap_report,
     naive_kplus1_pair,
@@ -54,7 +54,7 @@ from oracles import (
     naive_restriction_witness,
     naive_total_collapse,
 )
-from strategies import gap_two_tables
+from strategies import gap_two_tables, poly_table
 
 XOR = make_function(2, 2, 2, [0, 1, 1, 0])
 AND = make_function(2, 2, 2, [0, 0, 0, 1])
@@ -704,38 +704,44 @@ def _spy_claim(key, seen):
 class TestLaneRules:
     """The claims that _gap_lanes settles for every lane at once, without
     the per-lane call: every gap bound holds on gap 1, and the classifier
-    says gap 1 on a polynomial with more monomials than any gap-2 shape."""
+    says gap 1 on a polynomial with a monomial of three or more variables."""
 
     @pytest.mark.parametrize("n", range(2, 10))
-    def test_monomial_count_rule_is_bit_count_per_lane(self, n):
-        bound = max(n, 5) + 1
-        assert _most_monomials(n) == bound
-        rng = random.Random(n)
-        sizes = [0, 1, bound - 1, bound, bound + 1, bound + 2, 1 << n] + [rng.randrange(1 << n) for _ in range(40)]
-        coefs = [sum(1 << r for r in rng.sample(range(1 << n), min(c, 1 << n))) for c in sizes * 6]
-        # The parity of all n variables plus 1 has n + 1 monomials, the bound from n = 5 on;
-        # with x_1*x_2 added, one more.
-        parity = make_polynomial(n, [{t} for t in range(1, n + 1)] + [set()]).coef
-        coefs += [parity, parity | make_polynomial(n, [{1, 2}]).coef]
+    def test_cubic_lanes_agree_with_a_per_lane_brute_force(self, n):
+        # x_{n-2}*x_{n-1}*x_n is the top cubic row and x_1*...*x_n the bottom
+        # row; each alone, with every monomial of degree <= 2 added, and the
+        # degree <= 2 polynomials themselves, next to seeded tables.
+        low = [set()] + [{t} for t in range(1, n + 1)] + [set(m) for m in combinations(range(1, n + 1), 2)]
+        shapes = [[], [set()], low, [{1, 2}], [{t} for t in range(1, n + 1)]]
+        for top in [{n - 2, n - 1, n}, set(range(1, n + 1))] if n >= 3 else []:
+            shapes += [[top], [top] + low, [top, {1}, set()]]
+        tables = [poly_table(n, m) for m in shapes] + gap_two_tables(n)
+        tables += [list(naive_random_table(2, 2, n, 7 * n + s)) for s in range(41 - len(tables) % 2)]
+        fs = [make_function(2, 2, n, t) for t in tables]
+        cubic = [any(len(m) >= 3 for m in naive_anf_monomials_packed(f)) for f in fs]
+        assert False in cubic and (True in cubic) == (n >= 3)
         lanes, width = max(1, verifier._BLOCK >> n), 2 << n
-        for a in range(0, len(coefs), lanes):
-            part = coefs[a : a + lanes]  # the last block is partial, its lanes above zero
-            block = sum(c << m * width for m, c in enumerate(part))
-            assert verifier._many_monomials(block, n, lanes) == _lanes(width, [c.bit_count() > bound for c in part])
-        assert [verifier._many_monomials(c, n, 1) for c in coefs] == [int(c.bit_count() > bound) for c in coefs]
+        assert len(fs) % lanes  # the last block is partial, its lanes above zero
+        for a in range(0, len(fs), lanes):
+            block = sum(f.bits << m * width for m, f in enumerate(fs[a : a + lanes]))
+            assert verifier._cubic_lanes(block, n, lanes) == _lanes(width, cubic[a : a + lanes])
+        assert [verifier._cubic_lanes(f.bits, n, 1) for f in fs] == [int(c) for c in cubic]
 
-    def test_thm_str_asks_the_classifier_only_below_the_bound(self, monkeypatch):
-        # A uniform block of arity 6, a gap-2 parity and a gap-1 monomial
-        # x1*x2*x3 in its lanes: only the last two have at most 7 monomials.
+    def test_thm_str_asks_the_classifier_only_without_a_cubic_monomial(self, monkeypatch):
+        # A uniform block of arity 6, with a gap-2 parity, a gap-1 monomial
+        # x1*x2*x3 and a gap-1 monomial x1*x2 in its lanes: the cubic
+        # x1*x2*x3 settles with the uniform lanes, and the other two reach
+        # the classifier.
         seen = []
         monkeypatch.setattr(verifier, "_coef_gap", lambda coef, n: seen.append(coef) or _coef_gap(coef, n))
-        fs = [random_function(2, 2, 6, substream_seed(5, i)) for i in range(14)]
-        few = [make_function(2, 2, 6, t) for t in (gap_two_tables(6)[-1], [int(r >= 56) for r in range(64)])]
+        fs = [random_function(2, 2, 6, substream_seed(5, i)) for i in range(13)]
+        few = [make_function(2, 2, 6, t) for t in (gap_two_tables(6)[-1], poly_table(6, [{1, 2, 3}]),
+                                                   poly_table(6, [{1, 2}]))]
         block, width = _block(fs + few)
         meets, holds = verifier._THEOREMS[TheoremId.THM_STR].lanes(block, 2, 2, 6, 16, 2)
         assert meets == holds == _lanes(width, [True] * 16)
-        assert [gap_report(f).gap for f in few] == [2, 1]
-        assert seen == [to_anf(f).coef for f in few]
+        assert [gap_report(f).gap for f in few] == [2, 1, 1]
+        assert seen == [to_anf(f).coef for f in few[::2]]
 
     @pytest.mark.parametrize("key, least", [(TheoremId.THM_SALOMAA_MAIN, 2), (TheoremId.THM_GEN, 3)])
     def test_gap_bounds_hand_the_claim_no_gap1_lane(self, key, least):
