@@ -95,8 +95,8 @@ MUTANTS = [
     Mutant(
         "skip-count-off-by-one",
         "src/aritygap/verifier.py",
-        "end - first - meets.bit_count())",
-        "end - first - meets.bit_count() + 1)",
+        "skipped += 0 if reject else end - first - meets.bit_count()",
+        "skipped += 0 if reject else end - first - meets.bit_count() + 1",
         ("tests/test_verifier.py::TestDeg2Walk",),
     ),
     Mutant(
@@ -109,9 +109,30 @@ MUTANTS = [
     Mutant(
         "redraw-at-next-index",
         "src/aritygap/verifier.py",
-        "yield (*_member(key, pop, start + m, budget), 1)",
-        "yield (*_member(key, pop, start + m + 1, budget), 1)",
+        "f, ok = _member(key, pop, start + m, budget)",
+        "f, ok = _member(key, pop, start + m + 1, budget)",
         ("tests/test_verifier.py::TestLaneClaims::test_sweep_records_the_failing_samples_in_index_order",),
+    ),
+    Mutant(
+        "unrecorded-hits-uncounted",
+        "src/aritygap/verifier.py",
+        "hits += fails.bit_count()",
+        "hits += 0",
+        ("tests/test_census.py::test_thm1_hits_are_the_witnesses_of_arity_two",),
+    ),
+    Mutant(
+        "redraw-hit-uncounted",
+        "src/aritygap/verifier.py",
+        "hits += not ok",
+        "hits += 0",
+        ("tests/test_verifier.py::TestLaneClaims::test_redraws_that_fail_the_claim_are_counted",),
+    ),
+    Mutant(
+        "walker-builds-unrecorded-hits",
+        "src/aritygap/verifier.py",
+        "elif len(recorded) < max_recorded:",
+        "elif True:",
+        ("tests/test_verifier.py::TestSweep::test_thm1_builds_only_the_recorded_witnesses",),
     ),
     Mutant(
         "exhaustive-tables-in-wrong-lanes",

@@ -91,9 +91,7 @@ class SplitMix64:
         span = 1 << 64 * words
         limit = span - span % bound
         while True:
-            z = 0
-            for _ in range(words):
-                z = z << 64 | self.next_u64()
+            z = int.from_bytes(b"".join(self.next_u64().to_bytes(8, "big") for _ in range(words)), "big")
             if z < limit:
                 return z % bound
 

@@ -107,7 +107,7 @@ class _Theorem(namedtuple("_Theorem", "above_k total boolean walk lanes least de
     """One statement: a hypothesis on f, the lane kernel of its claim, and
     walk(key, population, budget) -> (member count, the report's population,
     blocks(lo, hi) yielding blocks as _table_blocks does), which refuses
-    what it cannot walk; _lane_members runs the kernel on the blocks.
+    what it cannot walk; _run_range runs the kernel on the blocks.
 
     lanes(block, k, b, n, lanes, least) -> (meets, holds) takes tables of
     shape (k, b, n) laid out as in core._layout and returns the lanes with
@@ -135,24 +135,23 @@ class _Theorem(namedtuple("_Theorem", "above_k total boolean walk lanes least de
             raise NotBoolean(f"{name} needs k = b = 2, got k={k} b={b}")
 
 
-def _require(key, f: FiniteFunction, claim: bool = True) -> int:
-    """f's outcome under key's record, once f is found to meet its
-    hypothesis; without claim, _OK then, and the claim is left undecided."""
+def _require(key, f: FiniteFunction, claim: bool = True) -> bool:
+    """Whether f's claim holds under key's record, once f is found to meet
+    its hypothesis; without claim, True then, and the claim is left undecided."""
     spec = _THEOREMS[key]
     spec.require_shape(key.value, f.k, f.b)
-    outcome = _outcome(key, f) if claim else _OK if ess(f) >= spec.min_ess(f.k, f.n) else _SKIP
-    if outcome == _SKIP or spec.degree is not None and degree(to_anf(f)) != spec.degree:
+    meets, holds = _outcome(key, f) if claim else (ess(f) >= spec.min_ess(f.k, f.n), True)
+    if not meets or spec.degree is not None and degree(to_anf(f)) != spec.degree:
         error = NotTotallyEssential if spec.total else HypothesisNotMet
         got = f"ess={ess(f)} n={f.n} k={f.k}" + (f" degree={degree(to_anf(f))}" if spec.degree else "")
         raise error(f"{key.value} needs {spec.need()}, got {got}")
-    return outcome
+    return bool(holds)
 
 
-def _outcome(key, f: FiniteFunction) -> int:
-    """f's check outcome: its record's kernel on one lane."""
+def _outcome(key, f: FiniteFunction) -> tuple[int, int]:
+    """f's (meets, holds): its record's kernel on one lane."""
     spec = _THEOREMS[key]
-    meets, holds = spec.lanes(f.bits, f.k, f.b, f.n, 1, spec.min_ess(f.k, f.n))
-    return _OK if holds else _HIT if meets else _SKIP
+    return spec.lanes(f.bits, f.k, f.b, f.n, 1, spec.min_ess(f.k, f.n))
 
 
 def check(theorem: TheoremId, f: FiniteFunction) -> bool:
@@ -163,7 +162,7 @@ def check(theorem: TheoremId, f: FiniteFunction) -> bool:
     """
     if theorem is TheoremId.THM1:
         raise SpecInvalid(f"{theorem.value} has no per-function check; sweep it")
-    return _require(theorem, f) == _OK
+    return _require(theorem, f)
 
 
 def find_restriction_witness(f: FiniteFunction) -> tuple[int, int] | None:
@@ -235,10 +234,6 @@ def _scan_lanes(scan, block: int, k: int, b: int, n: int, lanes: int, least: int
     return meets, sum(kept for *_, kept in scan(block, k, b, n, lanes, meets))
 
 
-# A hit is a member failing the claim, or for Thm1 a witness.
-_OK, _SKIP, _HIT = 0, 1, 2
-
-
 # ---------------------------------------------------------------------------
 # populations
 # ---------------------------------------------------------------------------
@@ -276,14 +271,14 @@ def _table_walk(key, pop, budget: int):
 
 
 def _member(key, pop, index: int, budget: int) -> tuple[FiniteFunction, int]:
-    """Sample index redrawn from attempt 1 of its rejection stream (its block
-    drew attempt 0) until one is not skipped, 10000 draws in all; and its outcome."""
+    """Sample index redrawn from attempt 1 of its rejection stream (its block drew
+    attempt 0) until one meets the hypothesis (10000 draws at most); and whether its claim holds."""
     base = substream_seed(pop.seed, index)
     for attempt in range(1, 10000):
         f = random_function(pop.k, pop.b, pop.n, substream_seed(base, attempt), budget)
-        outcome = _outcome(key, f)
-        if outcome != _SKIP:
-            return f, outcome
+        meets, holds = _outcome(key, f)
+        if meets:
+            return f, holds
     raise HypothesisNotMet(
         f"rejection sampling found no function satisfying {key.value} in 10000 draws"
     )
@@ -314,35 +309,6 @@ def _table_blocks(pop, budget: int, lo: int, hi: int, table=None):
         else:
             block = (start * ones + ramp) & (1 << count * width) - 1
         yield start, lanes, block
-
-
-def _lane_members(key, pop, budget: int, blocks, lo: int, hi: int):
-    """Members lo..hi-1 from the blocks (start, lanes, block) that blocks(lo,
-    hi) yields, lane m holding member start + m, the record's kernel deciding
-    every lane at once.  A block's members are its lanes max(lo - start, 0)
-    up to min(hi - start, lanes) - 1; the walker masks the others away.
-    Hits, and samples whose attempt 0 rejection must redraw, are yielded
-    alone in index order; the rest as counted runs."""
-    spec, k, b, n = _THEOREMS[key], pop.k, pop.b, pop.n
-    size = k**n * field_width(b)
-    width, table, least = 2 * size, (1 << size) - 1, spec.min_ess(k, n)
-    reject = isinstance(pop, Sampled) and pop.reject_until_hypothesis
-    for start, lanes, block in blocks(lo, hi):
-        first, end = max(lo - start, 0), min(hi - start, lanes)
-        meets, holds = spec.lanes(block, k, b, n, lanes, least)
-        members = -1
-        if first or end < lanes:  # lo..hi cuts the block: its padding or other candidates count for nothing
-            members = (1 << end * width) - (1 << first * width)
-            meets, holds = meets & members, holds & members
-        redraw = _layout(k, field_width(b), n, lanes)[3] & members & ~meets if reject else 0
-        for m in _set_lanes(meets & ~holds | redraw, width):
-            if redraw >> m * width & 1:
-                yield (*_member(key, pop, start + m, budget), 1)
-            else:
-                yield FiniteFunction(k, b, n, block >> m * width & table), _HIT, 1
-        for outcome, c in ((_OK, holds.bit_count()), (_SKIP, 0 if reject else end - first - meets.bit_count())):
-            if c:
-                yield None, outcome, c
 
 
 def _set_lanes(x: int, width: int):
@@ -448,14 +414,12 @@ def _deg2_flags(n: int, support: int, least: int):
 
 def _deg2_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
     """LemDeg2's kernel on a whole degree-2 block, as _deg2_blocks yields
-    it, or on one Boolean table: the gap-1 kernel, with every lane's
-    essential variables, those of its polynomial, read from the support of
-    lane 0's, the bare quadratic part.  One lane's are its own, exact for
-    any degree."""
-    coef = _moebius(block & (1 << (1 << n)) - 1, n)
+    it, or on one Boolean table: the gap-1 kernel, on a block with every
+    lane's essential variables, those of its polynomial, read from the
+    support of lane 0's, the bare quadratic part."""
     if lanes == 1:
-        e = [int(coef & m != 0) for m in _var_masks(n)]
-        return _gap1_lanes(block, k, b, n, 1, least, (e, _ess_lanes(e, 1, least)))
+        return _gap1_lanes(block, k, b, n, 1, least)
+    coef = _moebius(block & (1 << (1 << n)) - 1, n)
     support = sum(1 << t for t, m in enumerate(_deg2_layout(n)[0]) if coef & m)
     return _gap1_lanes(block, k, b, n, lanes, least, _deg2_flags(n, support, least))
 
@@ -568,15 +532,42 @@ _THEOREMS[_Search.GAP3] = _THEOREMS[TheoremId.THM_GEN]._replace(lanes=partial(_g
 
 
 def _run_range(args):
+    """(checked, skipped, hits, the first max_recorded hits) of members
+    lo..hi-1.  The record's walk yields blocks (start, lanes, block), lane m
+    holding member start + m; a block's members are its lanes max(lo - start,
+    0) up to min(hi - start, lanes) - 1, the kernel decides them at once, and
+    popcounts count them.  A function is built only for a recorded hit and
+    for a sample whose attempt 0 rejection must redraw, in index order."""
     key, pop, budget, lo, hi, max_recorded = args
-    counts = [0, 0, 0]  # per outcome
+    spec, k, b, n = _THEOREMS[key], pop.k, pop.b, pop.n
+    size = k**n * field_width(b)
+    width, table, least = 2 * size, (1 << size) - 1, spec.min_ess(k, n)
+    reject = isinstance(pop, Sampled) and pop.reject_until_hypothesis
+    checked = skipped = hits = 0
     recorded: list[FiniteFunction] = []
-    blocks = _THEOREMS[key].walk(key, pop, budget)[2]
-    for f, outcome, count in _lane_members(key, pop, budget, blocks, lo, hi):
-        counts[outcome] += count
-        if outcome == _HIT and len(recorded) < max_recorded:
-            recorded.append(f)
-    return counts[_OK] + counts[_HIT], counts[_SKIP], counts[_HIT], recorded
+    for start, lanes, block in spec.walk(key, pop, budget)[2](lo, hi):
+        first, end = max(lo - start, 0), min(hi - start, lanes)
+        meets, holds = spec.lanes(block, k, b, n, lanes, least)
+        members = -1
+        if first or end < lanes:  # lo..hi cuts the block: its padding or other candidates count for nothing
+            members = (1 << end * width) - (1 << first * width)
+            meets, holds = meets & members, holds & members
+        redraw = _layout(k, field_width(b), n, lanes)[3] & members & ~meets if reject else 0
+        fails = meets & ~holds
+        checked += meets.bit_count() + redraw.bit_count()
+        skipped += 0 if reject else end - first - meets.bit_count()
+        hits += fails.bit_count()
+        for m in _set_lanes(redraw | fails if len(recorded) < max_recorded else redraw, width):
+            if redraw >> m * width & 1:
+                f, ok = _member(key, pop, start + m, budget)
+                hits += not ok
+            elif len(recorded) < max_recorded:
+                f, ok = FiniteFunction(k, b, n, block >> m * width & table), False
+            else:
+                continue
+            if not ok and len(recorded) < max_recorded:
+                recorded.append(f)
+    return checked, skipped, hits, recorded
 
 
 # ---------------------------------------------------------------------------

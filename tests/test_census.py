@@ -10,7 +10,7 @@ from math import comb
 import pytest
 
 import aritygap.verifier as verifier
-from aritygap import Exhaustive, TheoremId, sweep
+from aritygap import DEFAULT_BUDGET, Exhaustive, TheoremId, sweep
 
 
 def depending_on_all(k, b, m):
@@ -116,3 +116,21 @@ def test_salomaa_main_measures_exactly_the_gap_two_functions(n, monkeypatch):
     assert r.passed
     assert r.checked == sum(comb(n, m) * depending_on_all(2, 2, m) for m in range(2, n + 1))
     assert len(seen) == len(set(seen)) == boolean_gap_two(n)
+
+
+def thm1_witnesses_of_arity_two(k):
+    """Operations of arity 2 on k elements whose one identification minor,
+    x1 = x2, is constant and which depend on both variables: a constant c
+    on the k diagonal rows, any values on the k**2 - k others except c on
+    all of them, which leaves f constant.  One value off the diagonal other
+    than c makes both variables essential, since the diagonal holds c."""
+    return k * (k ** (k * k - k) - 1)
+
+
+@pytest.mark.parametrize("k,expected", [(2, 6), (3, 2184)])
+def test_thm1_hits_are_the_witnesses_of_arity_two(k, expected):
+    # The walker's hit count for Thm1 is its witness count; nothing is recorded.
+    assert thm1_witnesses_of_arity_two(k) == expected
+    total = k ** (k * k)
+    got = verifier._run_range((TheoremId.THM1, Exhaustive(k, k, 2), DEFAULT_BUDGET, 0, total, 0))
+    assert got == (total, 0, expected, [])

@@ -94,6 +94,15 @@ class TestSplitMix64:
         words = SplitMix64(8)
         z = (words.next_u64() << 128) | (words.next_u64() << 64) | words.next_u64()
         assert SplitMix64(8).below(5**61) == z % 5**61
+        # 7**2000 - 1 has 5,615 bits, so a candidate is 88 outputs; this
+        # one is below the threshold, and the draw reads no more outputs.
+        twin, z = SplitMix64(9), 0
+        for _ in range(88):
+            z = z << 64 | twin.next_u64()
+        assert z < (1 << 64 * 88) // 7**2000 * 7**2000
+        drawn = SplitMix64(9)
+        assert drawn.below(7**2000) == z % 7**2000
+        assert drawn.next_u64() == twin.next_u64()
 
 
 class TestRandomFunction:

@@ -425,6 +425,16 @@ class TestSweep:
         assert len(r.witnesses) == len(set(r.witnesses)) == count
         assert all(naive_total_collapse(f) for f in r.witnesses)
 
+    def test_thm1_builds_only_the_recorded_witnesses(self, monkeypatch):
+        # 2,184 witnesses among the 3**9 tables: the walker counts them all
+        # and builds a function for the ten it records alone.
+        built = []
+        real = verifier.FiniteFunction
+        monkeypatch.setattr(verifier, "FiniteFunction", lambda *args: built.append(args) or real(*args))
+        r = sweep(TheoremId.THM1, Exhaustive(3, 3, 2), workers=1, max_recorded=10)
+        assert len(r.witnesses) == 10 and all(naive_total_collapse(f) for f in r.witnesses)
+        assert len(built) <= 10
+
     def test_thm1_witnesses_lie_in_the_diagonal_family(self):
         full = sweep(TheoremId.THM1, Exhaustive(3, 3, 2), workers=1, max_recorded=3**9)
         diagonal = sweep(TheoremId.THM1, Exhaustive(3, 3, 2), budget=3**7, workers=1, max_recorded=3**9)
@@ -475,7 +485,7 @@ class TestSweep:
         def no_draws(*args, **kwargs):
             raise AssertionError("built a member of a malformed shape")
 
-        for name in ("random_function", "random_lanes", "from_code", "_lane_members"):
+        for name in ("random_function", "random_lanes", "from_code", "_run_range"):
             monkeypatch.setattr(verifier, name, no_draws)
         for pop in (Exhaustive(*shape), Sampled(*shape, 5, 0), Sampled(*shape, 5, 0, True)):
             with pytest.raises(ValueOutOfRange, match="must be >= 1"):
@@ -651,6 +661,22 @@ class TestLaneClaims:
         r = sweep(TheoremId.THM_STR, Sampled(2, 2, 3, 300, 8, True), workers=1, max_recorded=300)
         assert (r.checked, r.skipped) == (300, 0)
         assert r.violations == tuple(expected) and r.violation_count == len(expected) > 0
+
+    def test_redraws_that_fail_the_claim_are_counted(self, monkeypatch):
+        # With a claim that fails on every member, every sample is a
+        # violation, those redrawn after attempt 0 too, recorded or not.
+        spec = verifier._THEOREMS[TheoremId.THM_STR]
+        fails = lambda block, k, b, n, lanes, least: (spec.lanes(block, k, b, n, lanes, least)[0], 0)
+        monkeypatch.setitem(verifier._THEOREMS, TheoremId.THM_STR, spec._replace(lanes=fails))
+        # Sample i's attempt 0 is drawn from the first output of the stream
+        # seeded by output i of the stream seeded 8.
+        stream = SplitMix64Stream(8)
+        attempt0 = [SplitMix64Stream(stream.next()).next() for _ in range(300)]
+        assert any(naive_ess(make_function(2, 2, 3, naive_random_table(2, 2, 3, s))) < 2 for s in attempt0)
+        for room in (300, 3):
+            r = sweep(TheoremId.THM_STR, Sampled(2, 2, 3, 300, 8, True), workers=1, max_recorded=room)
+            assert (r.checked, r.skipped, r.violation_count) == (300, 0, 300)
+            assert len(r.violations) == room and not r.passed
 
     @pytest.mark.parametrize("theorem,shape", [(TheoremId.THM_STR, (2, 2, 3)), (TheoremId.THM_SALOMAA_AUX, (2, 3, 2))])
     def test_rejection_draws_each_attempt_once(self, theorem, shape, monkeypatch):
@@ -896,7 +922,7 @@ class TestTableKernels:
         assert list(verifier._kplus1_scan(block, k, b, n, len(fs), 0)) == []
 
     @pytest.mark.parametrize("k,n", [(k, n) for k in (2, 3, 4) for n in (1, 2, 3)])
-    def test_thm1_kernel_and_walker_match_the_oracle(self, k, n):
+    def test_thm1_kernel_and_walker_match_the_oracle(self, k, n, monkeypatch):
         fs = _kernel_tables(k, k, n) + _diagonal_tables(k, n)
         block, width = _block(fs)
         witness = [naive_total_collapse(f) for f in fs]
@@ -908,10 +934,12 @@ class TestTableKernels:
         # lanes outside lo..hi, witnesses or tables of any kind, are no members.
         outside = fs[-3:] + fs[:2] + [_diagonal_tables(k, n)[0]] * 3
         cut, _ = _block(outside[:3] + fs + outside[3:])
-        blocks = [(7, len(fs) + 8, cut)]
-        got = _expand(verifier._lane_members(key, pop, DEFAULT_BUDGET, lambda lo, hi: blocks, 10, 10 + len(fs)))
-        assert [f for f, o in got if o == verifier._HIT] == [f for f, w in zip(fs, witness) if w]
-        assert sorted(o for _, o in got) == sorted(verifier._HIT if w else verifier._OK for w in witness)
+        walk = lambda key, pop, budget: (None, None, lambda lo, hi: [(7, len(fs) + 8, cut)])
+        monkeypatch.setitem(verifier._THEOREMS, key, verifier._THEOREMS[key]._replace(walk=walk))
+        hits = [f for f, w in zip(fs, witness) if w]
+        for room in (len(fs), 1, 0):
+            got = verifier._run_range((key, pop, DEFAULT_BUDGET, 10, 10 + len(fs), room))
+            assert got == (len(fs), 0, len(hits), hits[:room]), room
 
     @given(st.lists(witness_functions(above_k=False, max_table=81), min_size=1, max_size=6))
     @settings(deadline=None, max_examples=40)
@@ -975,12 +1003,13 @@ def _deg2_candidate(n, index):
 
 
 def _deg2_rule(n, index):
-    """The walk's outcome by definition: skipped when fewer than four
-    variables occur, otherwise a hit unless gap_report finds gap 1."""
+    """The walk's (checked, skipped, hits) on one candidate by definition:
+    skipped when fewer than four variables occur, otherwise checked, and a
+    hit unless gap_report finds gap 1."""
     f, occurring = _deg2_candidate(n, index)
     if occurring < 4:
-        return verifier._SKIP
-    return verifier._OK if gap_report(f).gap == 1 else verifier._HIT
+        return 0, 1, 0
+    return 1, 0, int(gap_report(f).gap != 1)
 
 
 # Ranges of the walk crossing block boundaries (2**(n+1) candidates a block).
@@ -988,21 +1017,10 @@ DEG2_RANGES = [(5, 3, 77), (5, 40, 41), (5, 100, 400), (6, 3, 77), (6, 40, 41), 
 DEG2_RANGES += [(n, total - 5, total) for n, total in ((5, 1023 << 6), (6, 32767 << 7))]
 
 
-def _expand(runs):
-    """A walker's counted runs (f, outcome, count) as one (f, outcome) per
-    member; a hit is a run of its own."""
-    out = []
-    for f, outcome, count in runs:
-        assert count >= 1 and (outcome != verifier._HIT or count == 1)
-        out += [(f, outcome)] * count
-    return out
-
-
-def _deg2_members(n, lo, hi):
-    """LemDeg2's walk of the degree-2 polynomials on n variables, lo..hi-1."""
-    key, pop = TheoremId.LEM_DEG2, Exhaustive(2, 2, n)
-    blocks = verifier._THEOREMS[key].walk(key, pop, DEFAULT_BUDGET)[2]
-    return verifier._lane_members(key, pop, DEFAULT_BUDGET, blocks, lo, hi)
+def _deg2_range(n, lo, hi, max_recorded=50):
+    """LemDeg2's walk of the degree-2 polynomials on n variables, lo..hi-1:
+    (checked, skipped, hits, the first max_recorded hits)."""
+    return verifier._run_range((TheoremId.LEM_DEG2, Exhaustive(2, 2, n), DEFAULT_BUDGET, lo, hi, max_recorded))
 
 
 class TestDeg2Walk:
@@ -1010,27 +1028,26 @@ class TestDeg2Walk:
 
     def test_every_candidate_at_n4(self):
         for index in range(2016):
-            [(f, outcome, count)] = _deg2_members(4, index, index + 1)
-            assert outcome == _deg2_rule(4, index) and count == 1
+            rule = _deg2_rule(4, index)
+            assert _deg2_range(4, index, index + 1) == (*rule, [_deg2_candidate(4, index)[0]] * rule[2])
 
     @pytest.mark.parametrize("n,lo,hi", DEG2_RANGES)
     def test_ranges_across_blocks(self, n, lo, hi):
         expected = [_deg2_rule(n, i) for i in range(lo, hi)]
-        singles = [o for i in range(lo, hi) for _, o in _expand(_deg2_members(n, i, i + 1))]
-        assert singles == expected
-        # A block with no hit yields its counts, not its order.
-        assert sorted(o for _, o in _expand(_deg2_members(n, lo, hi))) == sorted(expected)
+        assert [_deg2_range(n, i, i + 1)[:3] for i in range(lo, hi)] == expected
+        # A range's counts are the sums of its members'.
+        assert _deg2_range(n, lo, hi)[:3] == tuple(map(sum, zip(*expected)))
 
     @pytest.mark.parametrize("n,lo,hi", DEG2_RANGES)
     def test_hits_are_built_in_index_order(self, n, lo, hi, monkeypatch):
         # With a kernel that passes no lane, every candidate checked is a
-        # hit; a block's skips follow its hits as one counted run.
+        # hit, and each is recorded in index order while there is room.
         monkeypatch.setattr(verifier, "_gap1_lanes", _settles_nothing)
-        got = _expand(_deg2_members(n, lo, hi))
         candidates = [_deg2_candidate(n, i) for i in range(lo, hi)]
-        expected = [verifier._SKIP if occ < 4 else verifier._HIT for _, occ in candidates]
-        assert sorted(o for _, o in got) == sorted(expected)
-        assert [f for f, o in got if o == verifier._HIT] == [f for f, occ in candidates if occ >= 4]
+        hits = [f for f, occ in candidates if occ >= 4]
+        counts = (len(hits), len(candidates) - len(hits), len(hits))
+        assert _deg2_range(n, lo, hi, hi - lo) == (*counts, hits)
+        assert _deg2_range(n, lo, hi, 2) == (*counts, hits[:2])
 
     def test_chunks_cutting_quadratic_parts_merge_to_one_run(self, monkeypatch):
         # 65,472 candidates at n = 5 in eight chunks of 8,184: every chunk
@@ -1045,12 +1062,14 @@ class TestDeg2Walk:
         assert tuple(sum(p[i] for p in parts) for i in range(3)) == whole[:3] == (64512, 960, 64512)
         assert [f for p in parts for f in p[3]][:50] == whole[3]
 
-    def test_blocks_without_hits_are_counted_runs(self):
-        # 2,016 candidates at n = 4, 32 to a block: none is a hit, so each
-        # block is at most one run of skips and one of passes.
-        runs = list(_deg2_members(4, 0, 2016))
-        assert len(runs) <= 2 * 63 and all(f is None for f, _, _ in runs)
-        assert sum(c for _, o, c in runs if o == verifier._OK) == 1616
+    def test_blocks_without_hits_build_no_function(self, monkeypatch):
+        # 2,016 candidates at n = 4, 32 to a block: none is a hit, so the
+        # walker counts every lane by popcount and builds no function.
+        built = []
+        real = verifier.FiniteFunction
+        monkeypatch.setattr(verifier, "FiniteFunction", lambda *args: built.append(args) or real(*args))
+        assert _deg2_range(4, 0, 2016) == (1616, 400, 0, [])
+        assert built == []
 
     def test_recorded_violations_are_the_first_checked(self, monkeypatch):
         monkeypatch.setattr(verifier, "_gap1_lanes", _settles_nothing)
