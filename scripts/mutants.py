@@ -95,8 +95,8 @@ MUTANTS = [
     Mutant(
         "skip-count-off-by-one",
         "src/aritygap/verifier.py",
-        "skipped += 0 if reject else end - first - meets.bit_count()",
-        "skipped += 0 if reject else end - first - meets.bit_count() + 1",
+        "skipped += end - first - meets.bit_count()",
+        "skipped += end - first - meets.bit_count() + 1",
         ("tests/test_verifier.py::TestDeg2Walk",),
     ),
     Mutant(
@@ -109,8 +109,8 @@ MUTANTS = [
     Mutant(
         "redraw-at-next-index",
         "src/aritygap/verifier.py",
-        "f, ok = _member(key, pop, start + m, budget)",
-        "f, ok = _member(key, pop, start + m + 1, budget)",
+        "substream_seed(substream_seed(pop.seed, start + m), attempt)",
+        "substream_seed(substream_seed(pop.seed, start + m + 1), attempt)",
         ("tests/test_verifier.py::TestLaneClaims::test_sweep_records_the_failing_samples_in_index_order",),
     ),
     Mutant(
@@ -123,15 +123,15 @@ MUTANTS = [
     Mutant(
         "redraw-hit-uncounted",
         "src/aritygap/verifier.py",
-        "hits += not ok",
-        "hits += 0",
+        "holds | ok & now",
+        "holds | now",
         ("tests/test_verifier.py::TestLaneClaims::test_redraws_that_fail_the_claim_are_counted",),
     ),
     Mutant(
         "walker-builds-unrecorded-hits",
         "src/aritygap/verifier.py",
-        "elif len(recorded) < max_recorded:",
-        "elif True:",
+        "islice(_set_lanes(fails, width), max(0, max_recorded - len(recorded)))",
+        "islice(_set_lanes(fails, width), None)",
         ("tests/test_verifier.py::TestSweep::test_thm1_builds_only_the_recorded_witnesses",),
     ),
     Mutant(
@@ -144,9 +144,37 @@ MUTANTS = [
     Mutant(
         "redraw-from-attempt-0",
         "src/aritygap/verifier.py",
-        "for attempt in range(1, 10000):",
-        "for attempt in range(10000):",
+        "attempt = 0  # the block drew attempt 0",
+        "attempt = -1",
         ("tests/test_verifier.py::TestLaneClaims::test_rejection_draws_each_attempt_once",),
+    ),
+    Mutant(
+        "redraw-in-its-compact-lane",
+        "src/aritygap/verifier.py",
+        "(drawn >> j * width & table) << m * width",
+        "(drawn >> j * width & table) << j * width",
+        ("tests/test_verifier.py::TestLaneClaims::test_sweep_records_the_failing_samples_in_index_order",),
+    ),
+    Mutant(
+        "rejection-cap-one-draw-early",
+        "src/aritygap/verifier.py",
+        "if attempt == 10000:",
+        "if attempt == 9999:",
+        ("tests/test_verifier.py::TestLaneClaims::test_rejection_stops_after_ten_thousand_draws",),
+    ),
+    Mutant(
+        "redraw-counts-padding-lanes",
+        "src/aritygap/verifier.py",
+        "now &= pending",
+        "now &= -1",
+        ("tests/test_verifier.py::TestLaneClaims::test_rejection_stops_after_ten_thousand_draws",),
+    ),
+    Mutant(
+        "redraw-keeps-attempt-0-table",
+        "src/aritygap/verifier.py",
+        "block ^= (block ^ drawn) & now * table",
+        "block ^= 0",
+        ("tests/test_verifier.py::TestLaneClaims::test_sweep_records_the_failing_samples_in_index_order",),
     ),
     Mutant(
         "fallback-gap-fixed-at-2",

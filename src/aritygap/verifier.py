@@ -16,7 +16,7 @@ import time
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import permutations
+from itertools import islice, permutations
 
 from .anf import _moebius, degree, to_anf
 from .classify import _coef_gap, _cubic
@@ -46,7 +46,7 @@ from .errors import (
     SpecInvalid,
     ValueOutOfRange,
 )
-from .generators import _BLOCK, SplitMix64, _substream_seeds, random_function, random_lanes, substream_seed
+from .generators import _BLOCK, SplitMix64, _substream_seeds, random_lanes, substream_seed
 
 
 class TheoremId(Enum):
@@ -70,8 +70,10 @@ class Exhaustive(namedtuple("Exhaustive", "k b n")):
 class Sampled(namedtuple("Sampled", "k b n count seed reject_until_hypothesis", defaults=(False,))):
     """count seeded samples of shape (k, b, n); sample i is drawn from the
     derived stream substream_seed(seed, i), for Thm1 as a diagonal code.
-    With reject_until_hypothesis, each sample is redrawn until it satisfies
-    the theorem's hypothesis, so nothing is skipped."""
+    With reject_until_hypothesis, attempt a of sample i is drawn from
+    substream_seed(substream_seed(seed, i), a) for a = 0, 1, ... until one
+    satisfies the theorem's hypothesis (10000 draws at most), so nothing is
+    skipped."""
 
     __slots__ = ()
 
@@ -136,22 +138,18 @@ class _Theorem(namedtuple("_Theorem", "above_k total boolean walk lanes least de
 
 
 def _require(key, f: FiniteFunction, claim: bool = True) -> bool:
-    """Whether f's claim holds under key's record, once f is found to meet
-    its hypothesis; without claim, True then, and the claim is left undecided."""
+    """Whether f's claim holds under key's record, its kernel on one lane, once
+    f is found to meet its hypothesis; without claim, True then, and the claim
+    is left undecided."""
     spec = _THEOREMS[key]
     spec.require_shape(key.value, f.k, f.b)
-    meets, holds = _outcome(key, f) if claim else (ess(f) >= spec.min_ess(f.k, f.n), True)
+    least = spec.min_ess(f.k, f.n)
+    meets, holds = spec.lanes(f.bits, f.k, f.b, f.n, 1, least) if claim else (ess(f) >= least, True)
     if not meets or spec.degree is not None and degree(to_anf(f)) != spec.degree:
         error = NotTotallyEssential if spec.total else HypothesisNotMet
         got = f"ess={ess(f)} n={f.n} k={f.k}" + (f" degree={degree(to_anf(f))}" if spec.degree else "")
         raise error(f"{key.value} needs {spec.need()}, got {got}")
     return bool(holds)
-
-
-def _outcome(key, f: FiniteFunction) -> tuple[int, int]:
-    """f's (meets, holds): its record's kernel on one lane."""
-    spec = _THEOREMS[key]
-    return spec.lanes(f.bits, f.k, f.b, f.n, 1, spec.min_ess(f.k, f.n))
 
 
 def check(theorem: TheoremId, f: FiniteFunction) -> bool:
@@ -268,20 +266,6 @@ def _table_walk(key, pop, budget: int):
         desc = (f"sampled k={k} b={b} n={n} count={pop.count} seed={pop.seed} "
                 f"reject_until_hypothesis={pop.reject_until_hypothesis}")
     return total, desc, partial(_table_blocks, pop, budget)
-
-
-def _member(key, pop, index: int, budget: int) -> tuple[FiniteFunction, int]:
-    """Sample index redrawn from attempt 1 of its rejection stream (its block drew
-    attempt 0) until one meets the hypothesis (10000 draws at most); and whether its claim holds."""
-    base = substream_seed(pop.seed, index)
-    for attempt in range(1, 10000):
-        f = random_function(pop.k, pop.b, pop.n, substream_seed(base, attempt), budget)
-        meets, holds = _outcome(key, f)
-        if meets:
-            return f, holds
-    raise HypothesisNotMet(
-        f"rejection sampling found no function satisfying {key.value} in 10000 draws"
-    )
 
 
 def _table_blocks(pop, budget: int, lo: int, hi: int, table=None):
@@ -536,8 +520,10 @@ def _run_range(args):
     lo..hi-1.  The record's walk yields blocks (start, lanes, block), lane m
     holding member start + m; a block's members are its lanes max(lo - start,
     0) up to min(hi - start, lanes) - 1, the kernel decides them at once, and
-    popcounts count them.  A function is built only for a recorded hit and
-    for a sample whose attempt 0 rejection must redraw, in index order."""
+    popcounts count them.  Under rejection, the members that miss the
+    hypothesis are redrawn in their lanes, attempt a of all of them one
+    random_lanes call, until each meets it (10000 draws at most).  A
+    function is built only for a recorded hit, in index order."""
     key, pop, budget, lo, hi, max_recorded = args
     spec, k, b, n = _THEOREMS[key], pop.k, pop.b, pop.n
     size = k**n * field_width(b)
@@ -552,21 +538,26 @@ def _run_range(args):
         if first or end < lanes:  # lo..hi cuts the block: its padding or other candidates count for nothing
             members = (1 << end * width) - (1 << first * width)
             meets, holds = meets & members, holds & members
-        redraw = _layout(k, field_width(b), n, lanes)[3] & members & ~meets if reject else 0
+        pending = _layout(k, field_width(b), n, lanes)[3] & members & ~meets if reject else 0
+        attempt = 0  # the block drew attempt 0
+        while pending:
+            attempt += 1
+            if attempt == 10000:
+                raise HypothesisNotMet(f"rejection sampling found no function satisfying {key.value} in 10000 draws")
+            redraw = list(_set_lanes(pending, width))
+            drawn = random_lanes(k, b, n, [substream_seed(substream_seed(pop.seed, start + m), attempt)
+                                           for m in redraw], budget)
+            drawn = sum((drawn >> j * width & table) << m * width for j, m in enumerate(redraw))
+            now, ok = spec.lanes(drawn, k, b, n, lanes, least)
+            now &= pending
+            block ^= (block ^ drawn) & now * table
+            meets, holds, pending = meets | now, holds | ok & now, pending & ~now
         fails = meets & ~holds
-        checked += meets.bit_count() + redraw.bit_count()
-        skipped += 0 if reject else end - first - meets.bit_count()
+        checked += meets.bit_count()
+        skipped += end - first - meets.bit_count()
         hits += fails.bit_count()
-        for m in _set_lanes(redraw | fails if len(recorded) < max_recorded else redraw, width):
-            if redraw >> m * width & 1:
-                f, ok = _member(key, pop, start + m, budget)
-                hits += not ok
-            elif len(recorded) < max_recorded:
-                f, ok = FiniteFunction(k, b, n, block >> m * width & table), False
-            else:
-                continue
-            if not ok and len(recorded) < max_recorded:
-                recorded.append(f)
+        for m in islice(_set_lanes(fails, width), max(0, max_recorded - len(recorded))):
+            recorded.append(FiniteFunction(k, b, n, block >> m * width & table))
     return checked, skipped, hits, recorded
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from aritygap import (
     classify,
     essential_vars,
+    essl,
     from_anf,
     gap_report,
     gap_via_classifier,
@@ -17,6 +18,7 @@ from aritygap import (
 )
 from aritygap.cli import parse_function_text
 from aritygap.core import _layout, from_code
+from aritygap.errors import EssentialArityTooSmall
 from aritygap.verifier import _var_masks
 
 from oracles import naive_anf_monomials, naive_essential, naive_gap_report, naive_identify
@@ -52,9 +54,12 @@ class TestAgainstOracles:
     @settings(deadline=None)
     def test_gap_report(self, f):
         if len(essential_vars(f)) < 2:
-            return
-        r = gap_report(f)
-        assert (r.ess, r.essl, r.gap, r.witness) == naive_gap_report(f)
+            with pytest.raises(EssentialArityTooSmall):
+                essl(f)
+        else:
+            r = gap_report(f)
+            assert (r.ess, r.essl, r.gap, r.witness) == naive_gap_report(f)
+            assert essl(f) == r.essl
 
     @given(boolean_functions(min_n=1, max_n=6))
     @settings(deadline=None, max_examples=60)

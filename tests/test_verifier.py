@@ -311,12 +311,15 @@ class TestSweep:
             # Chunks of 38 samples against blocks of 128 lanes; many arity-3
             # samples have ess < 2 at attempt 0 and are redrawn.
             (TheoremId.THM_STR, Sampled(2, 2, 3, 300, 4, reject_until_hypothesis=True)),
+            # Chunks of 75 samples against blocks of 256 lanes; over a third
+            # of arity-2 samples are redrawn, some over several rounds.
+            (TheoremId.THM_SALOMAA_MAIN, Sampled(2, 2, 2, 600, 5, reject_until_hypothesis=True)),
             # Full and diagonal Thm1 searches: chunks of 2,461 and 274 members
             # against blocks of 113 and 37 lanes.
             (TheoremId.THM1, Exhaustive(3, 3, 2)),
             (TheoremId.THM1, Exhaustive(3, 3, 3)),
         ],
-        ids=["lemdeg2", "thmstr", "thm1-full", "thm1-diagonal"],
+        ids=["lemdeg2", "thmstr", "salomaamain", "thm1-full", "thm1-diagonal"],
     )
     def test_parallel_matches_serial(self, theorem, pop, monkeypatch):
         monkeypatch.setattr(verifier, "_PARALLEL_THRESHOLD", 100)
@@ -485,7 +488,7 @@ class TestSweep:
         def no_draws(*args, **kwargs):
             raise AssertionError("built a member of a malformed shape")
 
-        for name in ("random_function", "random_lanes", "from_code", "_run_range"):
+        for name in ("random_lanes", "from_code", "_run_range"):
             monkeypatch.setattr(verifier, name, no_draws)
         for pop in (Exhaustive(*shape), Sampled(*shape, 5, 0), Sampled(*shape, 5, 0, True)):
             with pytest.raises(ValueOutOfRange, match="must be >= 1"):
@@ -499,43 +502,35 @@ class TestSweep:
     def test_samples_are_drawn_under_the_sweep_budget(self, theorem, shape, monkeypatch):
         budgets, seeds = [], []
 
-        def spy_function(k, b, n, seed, budget=None):
-            budgets.append(budget)
-            seeds.append(seed)
-            return random_function(k, b, n, seed, budget)
-
         def spy_lanes(k, b, n, lane_seeds, budget=None):
             budgets.append(budget)
             seeds.extend(lane_seeds)
             return random_lanes(k, b, n, lane_seeds, budget)
 
-        monkeypatch.setattr(verifier, "random_function", spy_function)
         monkeypatch.setattr(verifier, "random_lanes", spy_lanes)
         # 300 Boolean samples of arity 3 fill three blocks of 128 lanes.
         firsts = [substream_seed(7, i) for i in range(300)]
         sweep(theorem, Sampled(*shape, 300, 7), budget=1 << 30, workers=1)
         assert seeds == firsts
         seeds.clear()
-        # With rejection, sample i starts at attempt 0 of stream firsts[i].
+        # With rejection, sample i starts at attempt 0 of stream firsts[i];
+        # its redraws are random_lanes calls too.
         sweep(theorem, Sampled(*shape, 300, 7, True), budget=1 << 30, workers=1)
         assert {substream_seed(s, 0) for s in firsts} <= set(seeds)
         assert set(budgets) == {1 << 30}
 
     @pytest.mark.parametrize("shape", [(3, 3, 4), (2, 5, 3), (1, 3, 2), (4, 4, 5)])
     def test_each_block_of_samples_is_one_lane_draw(self, shape, monkeypatch):
-        # Without rejection no table is drawn alone: block j of a sampled
-        # sweep is one random_lanes call on the seeds of its samples.
+        # No table is drawn alone: verifier draws only by random_lanes, and
+        # block j of a sampled sweep is one call on the seeds of its samples.
         calls = []
 
         def spy_lanes(k, b, n, lane_seeds, budget=None):
             calls.append(list(lane_seeds))
             return random_lanes(k, b, n, lane_seeds, budget)
 
-        def no_draws(*args, **kwargs):
-            raise AssertionError("drew a sampled table alone")
-
+        assert not hasattr(verifier, "random_function")
         monkeypatch.setattr(verifier, "random_lanes", spy_lanes)
-        monkeypatch.setattr(verifier, "random_function", no_draws)
         k, b, n = shape
         lanes = max(1, 1024 // k**n) if k > 1 else 1
         r = sweep(TheoremId.THM_GEN, Sampled(*shape, 2 * lanes + 1, 3), workers=1)
@@ -556,7 +551,6 @@ class TestSweep:
         def no_draws(*args, **kwargs):
             raise AssertionError("drew a sample for an infeasible hypothesis")
 
-        monkeypatch.setattr(verifier, "random_function", no_draws)
         monkeypatch.setattr(verifier, "random_lanes", no_draws)
         with pytest.raises(HypothesisNotMet):
             sweep(theorem, Sampled(*shape, 5, 0, reject_until_hypothesis=True), workers=1)
@@ -646,19 +640,21 @@ class TestLaneClaims:
                     # check is the same kernel on one lane.
                     assert [check(key, f) for f in fs[::step]] == want[::step], (key, patches)
 
-    def test_sweep_records_the_failing_samples_in_index_order(self, monkeypatch):
+    @pytest.mark.parametrize("n", [3, 2])
+    def test_sweep_records_the_failing_samples_in_index_order(self, n, monkeypatch):
         # With a classifier that says gap 1, ThmStr fails exactly the
-        # gap-2 samples; rejection redraws ess < 2 samples in between.
+        # gap-2 samples; rejection redraws ess < 2 samples in between, at
+        # arity 2 over several rounds of the block's lanes.
         monkeypatch.setattr(verifier, "_coef_gap", lambda coef, n: 1)
         expected = []
         for i in range(300):
             base = substream_seed(8, i)
             attempt = 0
-            while ess(f := random_function(2, 2, 3, substream_seed(base, attempt))) < 2:
+            while ess(f := random_function(2, 2, n, substream_seed(base, attempt))) < 2:
                 attempt += 1
             if gap_report(f).gap == 2:
                 expected.append(f)
-        r = sweep(TheoremId.THM_STR, Sampled(2, 2, 3, 300, 8, True), workers=1, max_recorded=300)
+        r = sweep(TheoremId.THM_STR, Sampled(2, 2, n, 300, 8, True), workers=1, max_recorded=300)
         assert (r.checked, r.skipped) == (300, 0)
         assert r.violations == tuple(expected) and r.violation_count == len(expected) > 0
 
@@ -684,15 +680,10 @@ class TestLaneClaims:
         # redrawn from attempt 1, so no attempt is drawn twice.
         seeds = []
 
-        def spy_function(k, b, n, seed, budget=None):
-            seeds.append(seed)
-            return random_function(k, b, n, seed, budget)
-
         def spy_lanes(k, b, n, lane_seeds, budget=None):
             seeds.extend(lane_seeds)
             return random_lanes(k, b, n, lane_seeds, budget)
 
-        monkeypatch.setattr(verifier, "random_function", spy_function)
         monkeypatch.setattr(verifier, "random_lanes", spy_lanes)
         r = sweep(theorem, Sampled(*shape, 300, 8, True), workers=1)
         expected = []
@@ -705,6 +696,32 @@ class TestLaneClaims:
         assert len(expected) > 300 and len(set(seeds)) == len(seeds)
         assert sorted(seeds) == sorted(expected)
         assert (r.checked, r.skipped, r.violation_count, r.passed) == (300, 0, 0, True)
+
+    @pytest.mark.parametrize("runs", [10000, 10001])
+    def test_rejection_stops_after_ten_thousand_draws(self, runs, monkeypatch):
+        # One sample whose kernel first meets the hypothesis on its runs-th
+        # call, at attempt runs - 1: attempt 9,999 is the last one drawn.
+        # The kernel then says every lane meets it; only the sample's counts.
+        calls = []
+
+        def late(block, k, b, n, lanes, least):
+            calls.append(block)
+            if len(calls) < runs:
+                return 0, 0
+            every = _lanes(2 << n, [True] * lanes)
+            return every, every
+
+        spec = verifier._THEOREMS[TheoremId.THM_STR]
+        monkeypatch.setitem(verifier._THEOREMS, TheoremId.THM_STR, spec._replace(lanes=late))
+        pop = Sampled(2, 2, 3, 1, 7, True)
+        if runs > 10000:
+            with pytest.raises(HypothesisNotMet, match="^rejection sampling found no function satisfying ThmStr"
+                                                       " in 10000 draws$"):
+                sweep(TheoremId.THM_STR, pop, workers=1)
+        else:
+            r = sweep(TheoremId.THM_STR, pop, workers=1)
+            assert (r.checked, r.skipped, r.violation_count, r.passed) == (1, 0, 0, True)
+        assert len(calls) == 10000
 
     def test_exhaustive_sweep_counts_and_records_in_code_order(self, monkeypatch):
         monkeypatch.setattr(verifier, "_coef_gap", lambda coef, n: 1)
