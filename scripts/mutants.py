@@ -72,6 +72,27 @@ MUTANTS = [
         ("tests/test_core.py::TestIdentify",),
     ),
     Mutant(
+        "dependence-flags-lane-0-only",
+        "src/aritygap/core.py",
+        "_depends(block, size, ones, fill, s, low)",
+        "_depends(block, size, 1, fill, s, low)",
+        ("tests/test_core.py::TestBlockLayout::test_identified_on_a_block_is_identify_per_lane",),
+    ),
+    Mutant(
+        "gap-report-counts-survivors-of-f",
+        "src/aritygap/core.py",
+        "_depends(minor, size, 1, fill, strides[t], lower[t])",
+        "_depends(bits, size, 1, fill, strides[t], lower[t])",
+        ("tests/test_core.py::TestGapReport",),
+    ),
+    Mutant(
+        "is-essential-reads-the-next-flag",
+        "src/aritygap/core.py",
+        "_dependence(f.bits, f.k, f.b, f.n, 1)[i - 1]",
+        "_dependence(f.bits, f.k, f.b, f.n, 1)[i % f.n]",
+        ("tests/test_core.py::TestEssential",),
+    ),
+    Mutant(
         "deg2-blocks-start-one-part-late",
         "src/aritygap/verifier.py",
         "for q in range(lo // lanes, ",

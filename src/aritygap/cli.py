@@ -81,12 +81,17 @@ def parse_function_text(text: str) -> FiniteFunction:
         raise ParseError(str(exc)) from exc
 
 
-def load_function(path: str) -> FiniteFunction:
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file; ParseError if it cannot be read or decoded."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_function_text(fh.read())
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def load_function(path: str) -> FiniteFunction:
+    return parse_function_text(_read_text(path))
 
 
 def function_file_text(f: FiniteFunction, comment: str | None = None) -> str:
@@ -237,10 +242,7 @@ def cmd_search(args) -> int:
 
 def _load_json_spec(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON in {path}: {exc}") from exc
 
@@ -288,8 +290,11 @@ def cmd_generate(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc}") from exc
     return 0
 
 

@@ -195,17 +195,6 @@ def _spaced_ones(count: int, width: int) -> int:
     return ((1 << count * width) - 1) // ((1 << width) - 1) if count > 1 else 1
 
 
-def _essential(bits: int, strides, lower, candidates) -> list[int]:
-    """The candidate variables (0-based) the packed table depends on: t is
-    inessential iff every row whose digit t is below k-1 equals the row one
-    stride further, so one masked shift-XOR per variable decides it."""
-    out = []
-    for t in candidates:
-        if ((bits << strides[t]) ^ bits) & lower[t]:
-            out.append(t)
-    return out
-
-
 def _identified(bits: int, k: int, zeros, strides, i: int, j: int) -> int:
     """Packed table with x_j substituted for x_i (0-based indices).
 
@@ -235,6 +224,16 @@ def _depends(x: int, size: int, ones: int, fill: int, stride: int, lower: int) -
     return ((((x << stride) ^ x) & lower) + fill) >> size & ones
 
 
+def _dependence(block: int, k: int, b: int, n: int, lanes: int) -> list[int]:
+    """For each variable t (0-based), the lanes of block (bottom bits, as in
+    _layout) whose table depends on x_{t+1}: t is inessential iff every row
+    whose digit t is below k-1 equals the row one stride further."""
+    w = field_width(b)
+    _, strides, lower, ones, fill = _layout(k, w, n, lanes)
+    size = k**n * w
+    return [_depends(block, size, ones, fill, s, low) for s, low in zip(strides, lower)]
+
+
 def _ess_lanes(flags, ones: int, least: int) -> int:
     """The lanes with at least `least` of n = len(flags) variables essential,
     flags[t] being the lanes (bottom bits, as in _layout) that depend on t.
@@ -255,10 +254,8 @@ def _gap1_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int, flag
     w = field_width(b)
     zeros, strides, lower, ones, fill = _layout(k, w, n, lanes)
     size = k**n * w
-    if flags is None:
-        e = [_depends(block, size, ones, fill, s, low) for s, low in zip(strides, lower)]
-        flags = e, _ess_lanes(e, ones, least)
-    e, meets = flags
+    e = _dependence(block, k, b, n, lanes) if flags is None else flags[0]
+    meets = _ess_lanes(e, ones, least) if flags is None else flags[1]
     good = 0
     for i in range(n):
         for j in range(i + 1, n):
@@ -281,14 +278,12 @@ def is_essential(f: FiniteFunction, i: int) -> bool:
     """Whether changing only the i-th argument can change the value of f."""
     if not 1 <= i <= f.n:
         raise IndexOutOfRange(f"variable index {i} not in 1..{f.n}")
-    _, strides, lower, _, _ = _layout(f.k, field_width(f.b), f.n, 1)
-    return bool(_essential(f.bits, strides, lower, (i - 1,)))
+    return bool(_dependence(f.bits, f.k, f.b, f.n, 1)[i - 1])
 
 
 def essential_vars(f: FiniteFunction) -> tuple[int, ...]:
     """Indices of the essential variables of f, ascending."""
-    _, strides, lower, _, _ = _layout(f.k, field_width(f.b), f.n, 1)
-    return tuple(t + 1 for t in _essential(f.bits, strides, lower, range(f.n)))
+    return tuple(t + 1 for t, lanes in enumerate(_dependence(f.bits, f.k, f.b, f.n, 1)) if lanes)
 
 
 def ess(f: FiniteFunction) -> int:
@@ -321,9 +316,9 @@ def gap_report(f: FiniteFunction) -> GapReport:
     scanned; essl can never exceed ess - 1, so the scan stops early once a
     minor attains that.
     """
-    zeros, strides, lower, _, _ = _layout(f.k, field_width(f.b), f.n, 1)
-    bits, k = f.bits, f.k
-    ev = _essential(bits, strides, lower, range(f.n))
+    zeros, strides, lower, _, fill = _layout(f.k, field_width(f.b), f.n, 1)
+    bits, k, size = f.bits, f.k, f.k**f.n * field_width(f.b)
+    ev = [t for t, lanes in enumerate(_dependence(bits, k, f.b, f.n, 1)) if lanes]
     e = len(ev)
     if e < 2:
         raise EssentialArityTooSmall(f"arity gap needs ess >= 2, got ess = {e}")
@@ -335,7 +330,7 @@ def gap_report(f: FiniteFunction) -> GapReport:
         rest = ev[:a] + ev[a + 1 :]
         for j in ev[a + 1 :]:
             minor = _identified(bits, k, zeros, strides, i, j)
-            count = len(_essential(minor, strides, lower, rest))
+            count = sum([_depends(minor, size, 1, fill, strides[t], lower[t]) for t in rest])
             if count > best:
                 best = count
                 witness = (i + 1, j + 1)

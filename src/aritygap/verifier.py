@@ -23,6 +23,7 @@ from .classify import _coef_gap, _cubic
 from .core import (
     DEFAULT_BUDGET,
     FiniteFunction,
+    _dependence,
     _depends,
     _ess_lanes,
     _gap1_lanes,
@@ -225,10 +226,8 @@ def _kplus1_scan(block: int, k: int, b: int, n: int, lanes: int, pending: int):
 def _scan_lanes(scan, block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
     """The kernel of the claim that some step of the scan keeps f: the scan
     keeps each lane at one step at most, so its kept lanes add up."""
-    w = field_width(b)
-    _, strides, lower, ones, fill = _layout(k, w, n, lanes)
-    flags = [_depends(block, k**n * w, ones, fill, s, low) for s, low in zip(strides, lower)]
-    meets = _ess_lanes(flags, ones, least)
+    flags = _dependence(block, k, b, n, lanes)
+    meets = _ess_lanes(flags, _layout(k, field_width(b), n, lanes)[3], least)
     return meets, sum(kept for *_, kept in scan(block, k, b, n, lanes, meets))
 
 
@@ -511,7 +510,7 @@ _THEOREMS = {
 }
 # The gap >= 3 search, keyed apart from the theorems: ThmGen's hypothesis,
 # and its hits are the functions that fail the claim.
-_Search = Enum("_Search", {"GAP3": "Gap3Search"})
+_Search = Enum("_Search", {"GAP3": "search"})
 _THEOREMS[_Search.GAP3] = _THEOREMS[TheoremId.THM_GEN]._replace(lanes=partial(_gap_lanes, lambda gap, f: gap < 3))
 
 

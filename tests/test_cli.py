@@ -112,6 +112,14 @@ class TestAnalyze:
     def test_missing_file_exits_2(self, capsys):
         assert main(["analyze", "/nonexistent/f.fn"]) == 2
 
+    @pytest.mark.parametrize("command", ["analyze", "anf", "classify"])
+    def test_non_utf8_file_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "latin.fn"
+        path.write_bytes(b"\xff2 2 2\n0 1 1 0\n")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
     def test_huge_header_exits_2(self, tmp_path, capsys):
         # 10**10000 rows: decided and reported without printing the power.
         path = write(tmp_path, "huge.fn", "10 10000 2\n0 1\n")
@@ -319,6 +327,10 @@ class TestSearchCommand:
     def test_arity_too_small_rejected(self, capsys):
         assert main(["search", "--k", "3", "--n", "3"]) == 2
 
+    def test_hypothesis_error_names_the_command(self, capsys):
+        assert main(["search", "--k", "3", "--n", "3", "--count", "5"]) == 2
+        assert capsys.readouterr().err.startswith("error: search hypothesis holds for no function with k=3 b=3 n=3")
+
     def test_negative_count_rejected(self, capsys):
         assert main(["search", "--k", "3", "--n", "4", "--count", "-1"]) == 2
         assert "sample count must be >= 1, got -1" in capsys.readouterr().err
@@ -463,6 +475,21 @@ class TestGenerateCommand:
     def test_bad_json_exits_2(self, tmp_path, capsys):
         spec_path = write(tmp_path, "bad.json", "{not json")
         assert main(["generate", "--quasilinear", spec_path]) == 2
+
+    @pytest.mark.parametrize("flag", ["--quasilinear", "--lift"])
+    def test_non_utf8_spec_exits_2(self, flag, tmp_path, capsys):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff{}")
+        assert main(["generate", flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_exits_2(self, where, tmp_path, capsys):
+        out = tmp_path / "missing" / "f.txt" if where == "missing directory" else tmp_path
+        assert main(["generate", "--random", "2", "2", "2", "7", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
 
 
 def test_cli_import_leaves_multiprocessing_out():

@@ -20,7 +20,7 @@ from aritygap import (
     is_essential,
     make_function,
 )
-from aritygap.core import _depends, _ess_lanes, _gap1_lanes, _identified, _layout, field_width
+from aritygap.core import _dependence, _depends, _ess_lanes, _gap1_lanes, _identified, _layout, field_width
 from aritygap.errors import (
     ArityMismatch,
     EssentialArityTooSmall,
@@ -353,7 +353,9 @@ class TestBlockLayout:
         w, lanes = field_width(b), 9
         size = k**n * w
         width = 2 * size
-        fs = [make_function(k, b, n, naive_random_table(k, b, n, 60 * k + s)) for s in range(lanes)]
+        fs = [make_function(k, b, n, naive_random_table(k, b, n, 60 * k + s)) for s in range(lanes - 1)]
+        # The last lane repeats one table of x2..xn k times: x1 is inessential there.
+        fs.append(make_function(k, b, n, naive_random_table(k, b, n - 1, 60 * k) * k))
         block = sum(f.bits << m * width for m, f in enumerate(fs))
         zeros, strides, lower, ones, fill = _layout(k, w, n, lanes)
         assert fill == ((1 << size) - 1) * ones and ones.bit_count() == lanes
@@ -366,6 +368,11 @@ class TestBlockLayout:
                 for m, f in enumerate(fs):
                     lane = make_function(k, b, n, naive_identify(f, i + 1, j + 1)).bits
                     assert minor >> m * width & (1 << size) - 1 == lane, (i, j, m)
+        # The block's dependence flags are the point oracle's, lane by lane.
+        flags = _dependence(block, k, b, n, lanes)
+        for t in range(n):
+            for m, f in enumerate(fs):
+                assert flags[t] >> m * width & 1 == naive_essential(f, t + 1), (t, m)
 
     def test_blocks_repeat_the_one_lane_masks(self):
         zeros, strides, lower, ones, fill = _layout(4, 2, 3, 1)
