@@ -46,9 +46,37 @@ MUTANTS = [
     Mutant(
         "gap1-kernel-returns-meets",
         "src/aritygap/core.py",
-        "    return meets, good\n\n\ndef is_essential",
-        "    return meets, meets\n\n\ndef is_essential",
+        "return meets, _gap_at_most(block, k, b, n, lanes, e, meets, 1)[0]",
+        "return meets, meets",
         ("tests/test_core.py::TestGap1Lanes",),
+    ),
+    Mutant(
+        "gap-scan-bias-one-high",
+        "src/aritygap/core.py",
+        "bias = ((1 << p) - gap) * ones",
+        "bias = ((1 << p) - gap + 1) * ones",
+        ("tests/test_core.py::TestGapAtMost::test_lanes_match_the_oracle",),
+    ),
+    Mutant(
+        "gap-scan-shortcut-at-every-gap",
+        "src/aritygap/core.py",
+        "if gap == 1:",
+        "if gap >= 1:",
+        ("tests/test_core.py::TestGapReport::test_majority",),
+    ),
+    Mutant(
+        "gap-scan-ignores-the-count",
+        "src/aritygap/core.py",
+        "kept &= ~(count >> p)",
+        "kept &= ~0",
+        ("tests/test_core.py::TestGapReport::test_gaps_three_and_four_match_the_oracle_with_witness",),
+    ),
+    Mutant(
+        "gap-ladder-starts-at-2",
+        "src/aritygap/core.py",
+        "for gap in range(1, count + 1):",
+        "for gap in range(2, count + 1):",
+        ("tests/test_core.py::TestGapReport::test_and",),
     ),
     Mutant(
         "carry-constant-off-by-one",
@@ -79,11 +107,11 @@ MUTANTS = [
         ("tests/test_core.py::TestBlockLayout::test_identified_on_a_block_is_identify_per_lane",),
     ),
     Mutant(
-        "gap-report-counts-survivors-of-f",
+        "gap-scan-counts-survivors-of-f",
         "src/aritygap/core.py",
-        "_depends(minor, size, 1, fill, strides[t], lower[t])",
-        "_depends(bits, size, 1, fill, strides[t], lower[t])",
-        ("tests/test_core.py::TestGapReport",),
+        "survives = _depends(minor, ",
+        "survives = _depends(block, ",
+        ("tests/test_core.py::TestGapReport", "tests/test_core.py::TestGap1Lanes"),
     ),
     Mutant(
         "is-essential-reads-the-next-flag",

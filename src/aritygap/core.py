@@ -247,31 +247,44 @@ def _ess_lanes(flags, ones: int, least: int) -> int:
 
 def _gap1_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int, flags=None) -> tuple[int, int]:
     """(meets, gap1): the lanes (bottom bits, as in _layout) with ess >=
-    least, and those of them whose table has gap 1: some pair i < j of
-    essential variables gives a minor keeping every essential t other than
-    i, as a minor gains none.  Lanes with ess < 2 are never in gap1.  Given
-    flags = (e, meets), e[t] the lanes that depend on t, nothing is scanned."""
+    least, and those of them of gap 1; flags = (e, meets), e[t] the lanes
+    that depend on t, are read if given, not computed."""
+    e = _dependence(block, k, b, n, lanes) if flags is None else flags[0]
+    meets = _ess_lanes(e, _layout(k, field_width(b), n, lanes)[3], least) if flags is None else flags[1]
+    return meets, _gap_at_most(block, k, b, n, lanes, e, meets, 1)[0]
+
+
+def _gap_at_most(block: int, k: int, b: int, n: int, lanes: int, e, pending: int, gap: int):
+    """(held, pair): the lanes of pending (bottom bits, as in _layout) of
+    gap <= gap, e[t] the lanes that depend on x_{t+1}, and the 1-based pair
+    that held the last lane if all are, else None.  A lane is held at its
+    first pair i < j of essential variables whose minor loses fewer than
+    gap essential t != i, counted up from 2**p - gap as in _ess_lanes."""
     w = field_width(b)
     zeros, strides, lower, ones, fill = _layout(k, w, n, lanes)
-    size = k**n * w
-    e = _dependence(block, k, b, n, lanes) if flags is None else flags[0]
-    meets = _ess_lanes(e, ones, least) if flags is None else flags[1]
-    good = 0
+    size, p = k**n * w, n.bit_length()
+    bias = ((1 << p) - gap) * ones if gap > 1 else 0  # unread at gap 1; count < 2**(p+1) as gap <= n
+    rest = pending
     for i in range(n):
         for j in range(i + 1, n):
-            pending = e[i] & e[j] & meets & ~good
-            if not pending:
+            kept = e[i] & e[j] & rest
+            if not kept:
                 continue
-            minor = _identified(block, k, zeros, strides, i, j)
+            minor, count = _identified(block, k, zeros, strides, i, j), bias
             for t in range(n):
-                if t != i and e[t] & pending:
-                    pending &= ~e[t] | _depends(minor, size, ones, fill, strides[t], lower[t])
-                    if not pending:
+                if t != i and e[t] & kept:
+                    survives = _depends(minor, size, ones, fill, strides[t], lower[t])
+                    if gap == 1:
+                        kept &= ~e[t] | survives
+                    else:
+                        count += e[t] & kept & ~survives
+                        kept &= ~(count >> p)
+                    if not kept:
                         break
-            good |= pending
-            if good == meets:
-                return meets, good
-    return meets, good
+            rest ^= kept
+            if not rest:
+                return pending, (i + 1, j + 1)
+    return pending ^ rest, None
 
 
 def is_essential(f: FiniteFunction, i: int) -> bool:
@@ -311,32 +324,18 @@ def gap_report(f: FiniteFunction) -> GapReport:
     """Brute-force essl and arity gap over all identification minors.
 
     essl is the maximum essential arity over minors f with x_j substituted
-    for x_i, taken over pairs of essential variables.  Swapping the roles
-    of i and j permutes the minor's variables, so only i < j pairs are
-    scanned; essl can never exceed ess - 1, so the scan stops early once a
-    minor attains that.
-    """
-    zeros, strides, lower, _, fill = _layout(f.k, field_width(f.b), f.n, 1)
-    bits, k, size = f.bits, f.k, f.k**f.n * field_width(f.b)
-    ev = [t for t, lanes in enumerate(_dependence(bits, k, f.b, f.n, 1)) if lanes]
-    e = len(ev)
-    if e < 2:
-        raise EssentialArityTooSmall(f"arity gap needs ess >= 2, got ess = {e}")
-    best = -1
-    witness = (0, 0)
-    for a, i in enumerate(ev):
-        # Variables inessential in f stay inessential in any minor, and
-        # x_i is inessential by construction: only the rest can count.
-        rest = ev[:a] + ev[a + 1 :]
-        for j in ev[a + 1 :]:
-            minor = _identified(bits, k, zeros, strides, i, j)
-            count = sum([_depends(minor, size, 1, fill, strides[t], lower[t]) for t in rest])
-            if count > best:
-                best = count
-                witness = (i + 1, j + 1)
-            if best == e - 1:
-                return GapReport(e, best, 1, witness)
-    return GapReport(e, best, e - best, witness)
+    for x_i, over pairs i < j of essential variables.  A minor that loses
+    g - 1 essential variables besides x_i keeps ess - g, as it gains none,
+    so the gap is the least g at which _gap_at_most holds f (g = ess does),
+    and its pair is the lexicographically least attaining essl."""
+    e = _dependence(f.bits, f.k, f.b, f.n, 1)
+    count = sum(e)
+    if count < 2:
+        raise EssentialArityTooSmall(f"arity gap needs ess >= 2, got ess = {count}")
+    for gap in range(1, count + 1):
+        held, witness = _gap_at_most(f.bits, f.k, f.b, f.n, 1, e, 1, gap)
+        if held:
+            return GapReport(count, count - gap, gap, witness)
 
 
 def essl(f: FiniteFunction) -> int:

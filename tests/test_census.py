@@ -1,16 +1,18 @@
 """Census gates: the totals exhaustive sweeps report, against closed forms.
 
 The forms are elementary counts derived from the definitions, computed
-here in plain Python with math.comb alone; nothing from aritygap enters
-them, so they are independent of both the fast paths and tests/oracles.py.
+here in plain Python with math.comb and math.perm alone; nothing from
+aritygap enters them, so they are independent of both the fast paths and
+tests/oracles.py.
 """
 
-from math import comb
+from math import comb, perm
 
 import pytest
 
 import aritygap.verifier as verifier
 from aritygap import DEFAULT_BUDGET, Exhaustive, TheoremId, sweep
+from aritygap.core import _dependence, _gap1_lanes, _gap_at_most
 
 
 def depending_on_all(k, b, m):
@@ -134,3 +136,42 @@ def test_thm1_hits_are_the_witnesses_of_arity_two(k, expected):
     total = k ** (k * k)
     got = verifier._run_range((TheoremId.THM1, Exhaustive(k, k, 2), DEFAULT_BUDGET, 0, total, 0))
     assert got == (total, 0, expected, [])
+
+
+def gap_scan_census(key, k, b, n):
+    """Lanes of gap 1, 2 and 3 over the blocks of key's walk of every table
+    (Thm1: every diagonal code) of shape (k, b, n): the gap-1 kernel's, then
+    the gap scan's on each block's lanes of ess >= 2 not yet held."""
+    total, _, blocks = verifier._THEOREMS[key].walk(key, Exhaustive(k, b, n), DEFAULT_BUDGET)
+    counts = [0, 0, 0]
+    for _, lanes, block in blocks(0, total):
+        meets, gap1 = _gap1_lanes(block, k, b, n, lanes, 2)
+        e, pending = _dependence(block, k, b, n, lanes), meets & ~gap1
+        counts[0] += gap1.bit_count()
+        for gap in (2, 3):
+            held = _gap_at_most(block, k, b, n, lanes, e, pending, gap)[0]
+            counts[gap - 1] += held.bit_count()
+            pending &= ~held
+    return counts
+
+
+@pytest.mark.parametrize("k,b", [(3, 3), (4, 2)])
+def test_gap_two_lanes_of_arity_two_have_a_constant_diagonal(k, b):
+    # An f of arity 2 has gap 2 iff its one minor, the diagonal x1 = x2, is
+    # constant: b constants there, any other values off the diagonal but
+    # that constant everywhere.  Every other f with ess 2 has gap 1.
+    gap2 = b * (b ** (k * k - k) - 1)
+    assert gap2 == {(3, 3): 2184, (4, 2): 8190}[k, b]
+    assert depending_on_all(k, b, 2) - gap2 == {(3, 3): 17448, (4, 2): 57316}[k, b]
+    # SalomaaAux walks every table of the shape.
+    assert gap_scan_census(TheoremId.THM_SALOMAA_AUX, k, b, 2) == [depending_on_all(k, b, 2) - gap2, gap2, 0]
+
+
+def test_gap_three_lanes_are_the_nonconstant_diagonal_codes():
+    # Diagonal code = a constant on the points with a repeated coordinate,
+    # any values on the P rainbow points; all its minors are constant, so
+    # it has gap ess = 3 unless it is constant.
+    k = n = 3
+    rainbow = perm(k, n)
+    assert k * (k**rainbow - 1) == 2184
+    assert gap_scan_census(TheoremId.THM1, k, k, n) == [0, 0, k * (k**rainbow - 1)]

@@ -1,3 +1,4 @@
+import random
 import resource
 import subprocess
 import sys
@@ -20,7 +21,9 @@ from aritygap import (
     is_essential,
     make_function,
 )
-from aritygap.core import _dependence, _depends, _ess_lanes, _gap1_lanes, _identified, _layout, field_width
+from aritygap.core import (
+    _dependence, _depends, _ess_lanes, _gap1_lanes, _gap_at_most, _identified, _layout, field_width,
+)
 from aritygap.errors import (
     ArityMismatch,
     EssentialArityTooSmall,
@@ -31,6 +34,7 @@ from aritygap.errors import (
 )
 
 from oracles import (
+    Table,
     max_ess_over_strict_minors,
     naive_ess,
     naive_essential,
@@ -45,6 +49,14 @@ XOR = make_function(2, 2, 2, [0, 1, 1, 0])
 AND = make_function(2, 2, 2, [0, 0, 0, 1])
 MAJ3 = make_function(2, 2, 3, [0, 0, 0, 1, 0, 1, 1, 1])
 XOR3 = make_function(2, 2, 3, [0, 1, 1, 0, 1, 0, 0, 1])
+
+
+def diagonal_table(k, n, const, values):
+    """const on the points with a repeated coordinate, values in row order
+    on the others: every identification minor is constant, so a table that
+    is not constant has gap ess = n."""
+    values = iter(values)
+    return [const if len(set(p)) < n else next(values) for p in product(range(k), repeat=n)]
 
 
 class TestMakeFunction:
@@ -259,6 +271,26 @@ class TestGapReport:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["7"]
 
+    def test_gaps_three_and_four_match_the_oracle_with_witness(self):
+        # Random tables almost never reach gap 3: every diagonal code of
+        # (3, 3, 3), then seeded diagonal tables of (4, 4, 3) and (4, 4, 4).
+        rng = random.Random(24)
+        cases = [(3, 3, [diagonal_table(3, 3, d[0], d[1:]) for d in product(range(3), repeat=7)])]
+        cases += [(4, n, [diagonal_table(4, n, rng.randrange(4), [rng.randrange(4) for _ in range(24)])
+                          for _ in range(count)]) for n, count in ((3, 40), (4, 12))]
+        for k, n, tables in cases:
+            gaps = set()
+            for table in tables:
+                f = make_function(k, k, n, table)
+                if len(set(table)) == 1:
+                    with pytest.raises(EssentialArityTooSmall):
+                        gap_report(f)
+                    continue
+                r = gap_report(f)
+                assert tuple(r) == naive_gap_report(f), table
+                gaps.add(r.gap)
+            assert gaps == {n}
+
     @given(finite_functions(max_n=3, max_table=32))
     @settings(deadline=None)
     def test_essl_matches_full_substitution_oracle(self, f):
@@ -341,6 +373,53 @@ class TestGap1Lanes:
             f = make_function(2, 2, 3, [code >> (7 - r) & 1 for r in range(8)])
             if len(essential_vars(f)) >= 2:
                 assert _gap1_lanes(f.bits, 2, 2, 3, 1, 2) == (1, int(gap_report(f).gap == 1))
+
+
+class TestGapAtMost:
+    """The gap scan on blocks, lane by lane, against the point oracle."""
+
+    @staticmethod
+    def _losses(f):
+        """f's essential pairs i < j in lex order, each with the number of
+        essential t != i that its minor loses."""
+        ev = [t for t in range(1, f.n + 1) if naive_essential(f, t)]
+        return [((i, j), len(ev) - 1 - naive_ess(Table(f.k, f.b, f.n, naive_identify(f, i, j))))
+                for a, i in enumerate(ev) for j in ev[a + 1 :]]
+
+    @staticmethod
+    def _tables(k, n):
+        """Random tables, tables of gap 2 to min(n, k), lanes of ess 2, constants."""
+        tables = [naive_random_table(k, k, n, 40 * k + n + s) for s in range(3)]
+        if k == 2:
+            return tables + gap_two_tables(n) + [poly_table(n, [{1, 2}]), poly_table(n, [{1}, {2}]),
+                                                 [0] * (1 << n), [1] * (1 << n)]
+        rng = random.Random(k * n)
+        for m in (2, 3, n):
+            # A table of x1..xm repeats each row k**(n - m) times.
+            diagonal = diagonal_table(k, m, 1, [rng.randrange(k) for _ in range(24)])
+            tables.append([v for v in diagonal for _ in range(k ** (n - m))])
+        pair = naive_random_table(k, k, 2, k)
+        return tables + [[v for v in pair for _ in range(k ** (n - 2))], [0] * k**n, [k - 1] * k**n]
+
+    @pytest.mark.parametrize("k,n", [(3, 3), (3, 4), (4, 3), (4, 4), (2, 7), (2, 8)])
+    def test_lanes_match_the_oracle(self, k, n):
+        # At n = 7 and 8 the counter's bit p = n.bit_length() steps from 3 to 4.
+        fs = [make_function(k, k, n, t) for t in self._tables(k, n)]
+        lanes, width = len(fs), 2 * k**n * field_width(k)
+        block = sum(f.bits << m * width for m, f in enumerate(fs))
+        e, everyone = _dependence(block, k, k, n, lanes), sum(1 << m * width for m in range(lanes))
+        losses = [self._losses(f) for f in fs]
+        gaps = {min(c for _, c in pairs) + 1 for pairs in losses if pairs}
+        assert gaps >= ({1, 2} if k == 2 else {1, 2, 3, min(n, k)})
+        for gap in (1, 2, 3):
+            held = sum(1 << m * width for m, pairs in enumerate(losses) if any(c < gap for _, c in pairs))
+            # Constant lanes are never held, so not every lane is.
+            assert _gap_at_most(block, k, k, n, lanes, e, everyone, gap) == (held, None)
+            assert _gap_at_most(block, k, k, n, lanes, e, held, gap)[0] == held
+            for m, pairs in enumerate(losses):
+                # On one pending lane, pair is its least pair that loses fewer than gap.
+                lane, pair = 1 << m * width, next((p for p, c in pairs if c < gap), None)
+                assert _gap_at_most(block, k, k, n, lanes, e, lane, gap) == (lane if pair else 0, pair), (gap, m)
 
 
 class TestBlockLayout:
