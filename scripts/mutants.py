@@ -130,9 +130,23 @@ MUTANTS = [
     Mutant(
         "deg2-support-misses-a-variable",
         "src/aritygap/verifier.py",
-        "enumerate(_deg2_layout(n)[0]) if coef & m)",
-        "enumerate(_deg2_layout(n)[0][:-1]) if coef & m)",
+        "spread = sum(m << slot * t for t, m in enumerate(vm))",
+        "spread = sum(m << slot * t for t, m in enumerate(vm[:-1]))",
         ("tests/test_verifier.py::TestDeg2Kernel::test_every_whole_block",),
+    ),
+    Mutant(
+        "deg2-support-slot-one-bit-narrow",
+        "src/aritygap/verifier.py",
+        "slot = size + 1",
+        "slot = size",
+        ("tests/test_verifier.py::TestDeg2Kernel::test_support_is_the_variables_of_the_quadratic_part",),
+    ),
+    Mutant(
+        "deg2-table-read-one-bit-off",
+        "src/aritygap/verifier.py",
+        "table[(q + 1) >> at & 1023]",
+        "table[(q + 1) >> at + 1 & 1023]",
+        ("tests/test_verifier.py::TestDeg2Walk::test_blocks_are_whole_quadratic_parts",),
     ),
     Mutant(
         "deg2-flags-meet-above-least",
@@ -179,9 +193,16 @@ MUTANTS = [
     Mutant(
         "walker-builds-unrecorded-hits",
         "src/aritygap/verifier.py",
-        "islice(_set_lanes(fails, width), max(0, max_recorded - len(recorded)))",
+        "islice(_set_lanes(fails, width), max_recorded - len(recorded))",
         "islice(_set_lanes(fails, width), None)",
         ("tests/test_verifier.py::TestSweep::test_thm1_builds_only_the_recorded_witnesses",),
+    ),
+    Mutant(
+        "walker-skips-at-one-free-slot",
+        "src/aritygap/verifier.py",
+        "if fails and len(recorded) < max_recorded:",
+        "if fails and len(recorded) < max_recorded - 1:",
+        ("tests/test_verifier.py::TestDeg2Walk::test_hits_are_built_in_index_order",),
     ),
     Mutant(
         "exhaustive-tables-in-wrong-lanes",

@@ -349,21 +349,31 @@ def _deg2_walk(key, pop, budget: int):
     return total, desc, partial(_deg2_blocks, n)
 
 
+def _subset_xors(masks) -> list[int]:
+    """Entry i: the XOR of masks[t] over the set bits t of i."""
+    table = [0]
+    for m in masks:
+        table += [x ^ m for x in table]
+    return table
+
+
 @lru_cache(maxsize=None)
 def _deg2_layout(n: int):
     """The 2**(n+1) lanes of 2**(n+1) bits of a degree-2 block: lane 2 *
     lset + c holds the quadratic part plus linear part lset (bit t for
-    x_{t+1}) plus constant c.  (vm, lin, has) are _var_masks(n), the block
-    of every linear part and constant, and each variable's lanes whose
-    linear part holds it."""
+    x_{t+1}) plus constant c.  (vm, lin, has, slots) are _var_masks(n), the
+    block of every linear part and constant, each variable's lanes whose
+    linear part holds it, and (rep, spread, fill) on n slots of 2**n + 1
+    bits, slot t for x_{t+1}: a 1 at the bottom of each slot, the monomials
+    that hold x_{t+1} (vm[t]) in slot t, and 2**n - 1 in each slot."""
     vm, width, size = _var_masks(n), 2 << n, 1 << n
-    lmasks = [0]  # lmasks[lset]: XOR of x_{t+1} over the bits t of lset
-    for m in vm:
-        lmasks += [x ^ m for x in lmasks]
-    lin = sum((x | (x ^ (1 << size) - 1) << width) << 2 * width * lset for lset, x in enumerate(lmasks))
+    lin = sum((x | (x ^ (1 << size) - 1) << width) << 2 * width * lset for lset, x in enumerate(_subset_xors(vm)))
     pair = 1 | 1 << width  # lanes 2 * lset and 2 * lset + 1
     has = tuple(sum(pair << 2 * width * lset for lset in range(size) if lset >> t & 1) for t in range(n))
-    return vm, lin, has
+    slot = size + 1  # a coefficient table and its carry bit
+    rep = _spaced_ones(n, slot)
+    spread = sum(m << slot * t for t, m in enumerate(vm))
+    return vm, lin, has, (rep, spread, ((1 << size) - 1) * rep)
 
 
 def _deg2_blocks(n: int, lo: int, hi: int):
@@ -371,27 +381,31 @@ def _deg2_blocks(n: int, lo: int, hi: int):
     candidate index, quadratic part slowest, in blocks as _table_blocks:
     each quadratic part with a candidate in lo..hi-1 is one whole block of
     its 2**(n+1) candidates, laid out as in _deg2_layout, at a start that is
-    a multiple of 2**(n+1); lane 0 is the bare quadratic part."""
+    a multiple of 2**(n+1); lane 0 is the bare quadratic part.  Quadratic
+    part q is the XOR of the pairs x_s*x_t (s < t, lex order) at the set
+    bits of q + 1, read ten bits at a time from tables of at most 1024
+    XORs, built once per call."""
     # 2**n linear parts times 2 constants; each lane holds a table and as many padding bits.
     lanes = 2 << n
     ones = _layout(2, 1, n, lanes)[3]
     vm, lin = _deg2_layout(n)[:2]
     pairs = [vm[s] & vm[t] for s in range(n) for t in range(s + 1, n)]  # x_s*x_t, lex order
+    tables = [(at, _subset_xors(pairs[at : at + 10])) for at in range(0, len(pairs), 10)]
     for q in range(lo // lanes, -(-hi // lanes)):
         q_mask = 0
-        for p, pm in enumerate(pairs):
-            if (q + 1) >> p & 1:
-                q_mask ^= pm
+        for at, table in tables:
+            q_mask ^= table[(q + 1) >> at & 1023]
         yield q * lanes, lanes, q_mask * ones ^ lin
 
 
 @lru_cache(maxsize=None)
 def _deg2_flags(n: int, support: int, least: int):
     """_gap1_lanes' flags (e, meets) on a whole degree-2 block whose quadratic
-    part has the variables in support (bit t for x_{t+1}): those are essential
-    in every lane, any other in the lanes whose linear part holds it."""
-    ones = _spaced_ones(2 << n, 2 << n)
-    e = tuple(ones if support >> t & 1 else h for t, h in enumerate(_deg2_layout(n)[2]))
+    part has the variables in support (bit (2**n + 1) * t for x_{t+1}, as
+    _deg2_lanes reads it): those are essential in every lane, any other in
+    the lanes whose linear part holds it."""
+    ones, slot = _spaced_ones(2 << n, 2 << n), (1 << n) + 1
+    e = tuple(ones if support >> slot * t & 1 else h for t, h in enumerate(_deg2_layout(n)[2]))
     return e, _ess_lanes(e, ones, least)
 
 
@@ -399,11 +413,15 @@ def _deg2_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> t
     """LemDeg2's kernel on a whole degree-2 block, as _deg2_blocks yields
     it, or on one Boolean table: the gap-1 kernel, on a block with every
     lane's essential variables, those of its polynomial, read from the
-    support of lane 0's, the bare quadratic part."""
+    support of lane 0's, the bare quadratic part.  The support is one
+    carry per slot of _deg2_layout, as in core._depends: slot t of
+    coef * rep is a copy of lane 0's coefficients, and masked to the
+    monomials that hold x_{t+1} it carries into bit 2**n iff one does."""
     if lanes == 1:
         return _gap1_lanes(block, k, b, n, 1, least)
+    rep, spread, fill = _deg2_layout(n)[3]
     coef = _moebius(block & (1 << (1 << n)) - 1, n)
-    support = sum(1 << t for t, m in enumerate(_deg2_layout(n)[0]) if coef & m)
+    support = ((coef * rep & spread) + fill) >> (1 << n) & rep
     return _gap1_lanes(block, k, b, n, lanes, least, _deg2_flags(n, support, least))
 
 
@@ -522,7 +540,8 @@ def _run_range(args):
     popcounts count them.  Under rejection, the members that miss the
     hypothesis are redrawn in their lanes, attempt a of all of them one
     random_lanes call, until each meets it (10000 draws at most).  A
-    function is built only for a recorded hit, in index order."""
+    function is built only for a recorded hit, in index order: a block
+    without a hit, or one past a full record, reads no lane."""
     key, pop, budget, lo, hi, max_recorded = args
     spec, k, b, n = _THEOREMS[key], pop.k, pop.b, pop.n
     size = k**n * field_width(b)
@@ -555,8 +574,9 @@ def _run_range(args):
         checked += meets.bit_count()
         skipped += end - first - meets.bit_count()
         hits += fails.bit_count()
-        for m in islice(_set_lanes(fails, width), max(0, max_recorded - len(recorded))):
-            recorded.append(FiniteFunction(k, b, n, block >> m * width & table))
+        if fails and len(recorded) < max_recorded:
+            for m in islice(_set_lanes(fails, width), max_recorded - len(recorded)):
+                recorded.append(FiniteFunction(k, b, n, block >> m * width & table))
     return checked, skipped, hits, recorded
 
 

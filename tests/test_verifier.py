@@ -1032,6 +1032,14 @@ def _deg2_rule(n, index):
 # Ranges of the walk crossing block boundaries (2**(n+1) candidates a block).
 DEG2_RANGES = [(5, 3, 77), (5, 40, 41), (5, 100, 400), (6, 3, 77), (6, 40, 41), (6, 250, 700)]
 DEG2_RANGES += [(n, total - 5, total) for n, total in ((5, 1023 << 6), (6, 32767 << 7))]
+# Walks the default budget refuses, for the blocks alone: n = 2 has one pair;
+# n = 7 has 21, read in fields of 10, 10 and 1 bits of q + 1.  The n = 7
+# ranges cross from block q - 1 into block q, where q + 1 is 1 << 10 (the
+# second field alone) or 1 << 20 | 1025 (every field), and end at the last
+# quadratic part, every bit of q + 1 set.
+DEG2_WIDE = [(2, 0, 8), (3, 0, 7 << 4), (7, 0, 300)]
+DEG2_WIDE += [(7, (q << 8) - 5, (q << 8) + 5) for q in (1023, (1 << 20) + 1024)]
+DEG2_WIDE += [(7, ((1 << 21) - 1 << 8) - 5, (1 << 21) - 1 << 8)]
 
 
 def _deg2_range(n, lo, hi, max_recorded=50):
@@ -1065,6 +1073,10 @@ class TestDeg2Walk:
         counts = (len(hits), len(candidates) - len(hits), len(hits))
         assert _deg2_range(n, lo, hi, hi - lo) == (*counts, hits)
         assert _deg2_range(n, lo, hi, 2) == (*counts, hits[:2])
+        # A block that finds one recording slot left still records its first hit.
+        lanes = 2 << n
+        cap = 1 + sum(occ >= 4 for _, occ in candidates[: lanes - lo % lanes])
+        assert _deg2_range(n, lo, hi, cap) == (*counts, hits[:cap])
 
     def test_chunks_cutting_quadratic_parts_merge_to_one_run(self, monkeypatch):
         # 65,472 candidates at n = 5 in eight chunks of 8,184: every chunk
@@ -1095,7 +1107,7 @@ class TestDeg2Walk:
         assert r.violations == tuple(first) and r.violation_count == r.checked == 64512
         assert not r.passed
 
-    @pytest.mark.parametrize("n,lo,hi", DEG2_RANGES)
+    @pytest.mark.parametrize("n,lo,hi", DEG2_RANGES + DEG2_WIDE)
     def test_blocks_are_whole_quadratic_parts(self, n, lo, hi):
         # The walker alone trims a block to lo..hi: each block is every
         # candidate of one quadratic part, its lane 0 the bare quadratic part.
@@ -1135,6 +1147,22 @@ class TestDeg2Kernel:
         for _, lanes, block in verifier._deg2_blocks(n, lo, hi):
             _deg2_kernels_agree(block, n, lanes, 4)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_support_is_the_variables_of_the_quadratic_part(self, n, monkeypatch):
+        # The flags the kernel hands the gap-1 scan: a variable is essential
+        # in every lane iff it occurs in the block's quadratic part.
+        flags = []
+        monkeypatch.setattr(verifier, "_gap1_lanes", lambda *args: flags.append(args[-1]) or (0, 0))
+        pairs = list(combinations(range(n), 2))
+        total = ((1 << len(pairs)) - 1) << n + 1
+        for _, lanes, block in verifier._deg2_blocks(n, 0, total):
+            verifier._deg2_lanes(block, 2, 2, n, lanes, 4)
+        ones = verifier._spaced_ones(2 << n, 2 << n)
+        assert len(flags) == (1 << len(pairs)) - 1
+        for q, (e, _) in enumerate(flags):
+            occurring = {v for a, p in enumerate(pairs) if (q + 1) >> a & 1 for v in p}
+            assert [x == ones for x in e] == [t in occurring for t in range(n)], (n, q)
+
     @pytest.mark.parametrize("n,least", [(4, 2), (4, 4)] + [(n, least) for n in (1, 2, 3) for least in range(5)])
     def test_one_lane_on_every_table(self, n, least):
         # Every degree up to n: a table's essential variables are its polynomial's.
@@ -1164,3 +1192,23 @@ class TestDeg2Kernel:
                                 preexec_fn=limit_address_space, timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["True", "True"]
+
+    def test_walk_at_n10_in_bounded_memory(self):
+        # The walk's lookup tables stay small at any n: 45 pairs at n = 10 in
+        # five tables of at most 1024 masks, where two tables, one per half
+        # of q + 1's bits, would hold 2**22 and 2**23.  The first block, x1*x2
+        # plus every linear part and constant, meets the hypothesis on the
+        # 2 * 4 * 247 lanes whose linear part has at least two of x3..x10.
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        code = (
+            "from aritygap import verifier\n"
+            "(_, lanes, block), = verifier._deg2_blocks(10, 0, 2048)\n"
+            "meets, holds = verifier._deg2_lanes(block, 2, 2, 10, lanes, 4)\n"
+            "print(lanes, meets.bit_count(), holds == meets)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                preexec_fn=limit_address_space, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["2048", "1976", "True"]
