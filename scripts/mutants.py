@@ -326,15 +326,15 @@ MUTANTS = [
     Mutant(
         "shared-pass-keeps-rejections",
         "src/aritygap/generators.py",
-        "        if kept == size * len(group):\n",
-        "        if shared:\n",
+        "texts if kept == size * g else",
+        "texts if shared else",
         ("tests/test_generators.py::TestRandomLanes::test_lanes_are_the_tables_random_function_and_the_oracle_draw",),
     ),
     Mutant(
         "shared-pass-bases-one-counter-late",
         "src/aritygap/generators.py",
-        "[s + GOLDEN for s in group]",
-        "[s + 2 * GOLDEN for s in group]",
+        "GOLDEN * _spaced_ones(g, 128)",
+        "2 * GOLDEN * _spaced_ones(g, 128)",
         ("tests/test_generators.py::TestRandomFunction::test_golden_tables",),
     ),
     Mutant(
@@ -347,9 +347,37 @@ MUTANTS = [
     Mutant(
         "seed-lanes-start-one-index-late",
         "src/aritygap/generators.py",
+        "(seed + start * GOLDEN)",
         "(seed + (start + 1) * GOLDEN)",
-        "(seed + (start + 2) * GOLDEN)",
         ("tests/test_generators.py::TestSplitMix64::test_seeds_mixed_in_lanes_are_the_substream_seeds",),
+    ),
+    Mutant(
+        "pass-doubling-one-step-short",
+        "src/aritygap/generators.py",
+        "range((rows - 1).bit_length())",
+        "range((rows - 1).bit_length() - 1)",
+        ("tests/test_generators.py::TestRandomLanes::test_mixed_lanes_of_row_counts_the_doubling_overshoots",),
+    ),
+    Mutant(
+        "pass-table-slice-one-lane-wide",
+        "src/aritygap/generators.py",
+        "digits[i::g]",
+        "digits[i::g + 1]",
+        ("tests/test_generators.py::TestRandomLanes::test_lanes_are_the_tables_random_function_and_the_oracle_draw",),
+    ),
+    Mutant(
+        "pass-steps-start-one-row-late",
+        "src/aritygap/generators.py",
+        "(j * GOLDEN & _MASK64)",
+        "((j + 1) * GOLDEN & _MASK64)",
+        ("tests/test_generators.py::TestRandomLanes::test_mixed_lanes_of_row_counts_the_doubling_overshoots",),
+    ),
+    Mutant(
+        "layout-shares-zero-masks-at-k3",
+        "src/aritygap/core.py",
+        "lower = zeros if k == 2 else",
+        "lower = zeros if k <= 3 else",
+        ("tests/test_core.py::TestBlockLayout::test_lower_masks_at_k3_are_full_minus_the_top_digit",),
     ),
     Mutant(
         "cubic-mask-takes-pairs",

@@ -163,8 +163,8 @@ def _layout(k: int, w: int, n: int, lanes: int):
     D_{t+1}(c) = zeros[t] >> c * strides[t], since within each block of
     k * strides[t] bits the run of digit c lies c runs below that of digit
     0.  lower[t] = full ^ D_{t+1}(k-1) marks the rows whose digit t+1 is
-    below k-1.  zeros[t] repeats one block and is built by doubling a bit
-    string, O(k**n * w).
+    below k-1 (digit 0 at k = 2, where lower is zeros).  zeros[t] repeats
+    one block and is built by doubling a bit string, O(k**n * w).
 
     Returns (zeros, strides, lower, ones, fill), repeated in `lanes` lanes of
     2 * k**n * w bits, lane 0 lowest and each table in its low half, where
@@ -175,19 +175,20 @@ def _layout(k: int, w: int, n: int, lanes: int):
     if lanes > 1:
         zeros, strides, lower, _, full = _layout(k, w, n, 1)
         ones = _spaced_ones(lanes, 2 * k**n * w)
-        return tuple(z * ones for z in zeros), strides, tuple(m * ones for m in lower), ones, full * ones
+        zeros = tuple(z * ones for z in zeros)
+        return zeros, strides, zeros if k == 2 else tuple(m * ones for m in lower), ones, full * ones
     total = k**n * w
     full = (1 << total) - 1
     strides = tuple(k ** (n - 1 - t) * w for t in range(n))
-    zeros = []
+    zeros = ()
     for run in strides:
         pattern, length = ((1 << run) - 1) << ((k - 1) * run), k * run
         while length < total:
             pattern |= pattern << length
             length *= 2
-        zeros.append(pattern & full)
-    lower = tuple(full ^ (z >> (k - 1) * run) for z, run in zip(zeros, strides))
-    return tuple(zeros), strides, lower, 1, full
+        zeros += (pattern & full,)
+    lower = zeros if k == 2 else tuple(full ^ (z >> (k - 1) * run) for z, run in zip(zeros, strides))
+    return zeros, strides, lower, 1, full
 
 
 def _spaced_ones(count: int, width: int) -> int:

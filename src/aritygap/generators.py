@@ -6,35 +6,33 @@ all mod 2**64.  It is implemented here directly so tables are
 bit-identical across platforms and interpreter versions; reference
 outputs are frozen in the test suite.
 
-substream_seed(seed, i), the seed of sample i in a sweep, is output i of
-SplitMix64(seed).  The counters of consecutive i step by GOLDEN, so the
-seeds of a block of samples, and their attempt-0 seeds, are mixed in the
-lanes of one int, as random_lanes mixes its outputs.
-
-random_lanes(k, b, n, seeds) is the one table draw.  The table of each
-seed fills its rows in order by SplitMix64.below(b), and the tables lie in
-the lanes of one int, as in core._layout.  Up to b = 2**64 below reads one
-output per candidate, so outputs are mixed in passes of up to 1,024, one
-128-bit lane of an int per output, and _mix_lanes runs mix64 on all at once;
-for b a power of two the entry is the output's low bits, for other b the
-outputs under below's threshold are kept in order and reduced mod b.  A
-pass takes a counter base per table, so 1024 // k**n tables share one
-when it expects less than one rejection, 1024 * (2**64 mod b) < 2**64; if
-it rejects an output, each table of its group is drawn again alone.
-Tables of a b that rejects more often are drawn alone from the start.
-Larger tables take a pass per 1,024 outputs; b > 2**64 draws row by row.
+random_lanes(k, b, n, seeds, count) is the one table draw: table m fills
+its rows in order by SplitMix64(seed m).below(b), seed m (mod 2**64) being
+the 128-bit lane m of seeds, and lies in lane m of the result as in
+core._layout.  Up to b = 2**64 a candidate is one output, and _mix_lanes
+mixes up to 1,024 outputs in the 128-bit lanes of one int.  A pass of g
+tables is row-major, lane j * g + i holding row j of table i: its counters
+are the seed lanes plus GOLDEN, copied by doubling, plus j * GOLDEN.  An
+entry is an output's low bits for b a power of two, else the outputs under
+below's threshold are kept in order, mod b.  1024 // k**n tables share a
+pass while it expects under one rejection, 1024 * (2**64 mod b) < 2**64,
+and if it rejects are drawn alone, in passes of g = 1, as are tables of
+other b or more rows; b > 2**64 draws row by row.  The seed of sample i of
+a sweep is output i of SplitMix64(seed), so a block's are a pass too.
 """
 
 from __future__ import annotations
 
-import struct
+import sys
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
 from .core import (
+    _FIELDS,
     DEFAULT_BUDGET,
     FiniteFunction,
+    _spaced_ones,
     encode_point,
     field_width,
     pack,
@@ -50,7 +48,8 @@ from .errors import (
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 _BLOCK = 1024  # rows mixed per pass: 128 Kibit ints at any table size
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_DIGITS = (b"0" * 256, b"01" * 128)  # a byte's entry for b = 1 and b = 2: its low bit
+_STEP = 1 if sys.byteorder == "little" else -1  # the end a pass's native words count from
 
 
 def mix64(z: int) -> int:
@@ -102,27 +101,22 @@ def substream_seed(seed: int, index: int) -> int:
     return mix64((seed + (index + 1) * GOLDEN) & _MASK64)
 
 
-def _substream_seeds(seed: int, start: int, count: int, attempt0: bool) -> list[int]:
-    """[substream_seed(seed, i) for i in start..start+count-1], mixed in
-    lanes: output i of SplitMix64(seed) is mix64 at counter seed + (i + 1)
-    * GOLDEN, and the counters of consecutive i step by GOLDEN.  With
-    attempt0, each one's substream_seed(s, 0) instead, one more mix of the
-    lanes plus GOLDEN."""
-    steps, ones, lanes, _ = _lanes(count, 1, _MASK64)
-    z = _mix_lanes(((seed + (start + 1) * GOLDEN) & _MASK64) * ones + steps & lanes, lanes) & lanes
-    if attempt0:
-        z = _mix_lanes(z + GOLDEN * ones & lanes, lanes) & lanes
-    return [s for s, _ in struct.iter_unpack("<QQ", z.to_bytes(16 * count, "little"))]
+def _substream_seeds(seed: int, start: int, count: int, attempt0: bool) -> int:
+    """substream_seed(seed, i) for i in start..start+count-1 in the lanes of
+    a seed int: row i - start of a pass of the seed seed + start * GOLDEN.
+    With attempt0, each one's substream_seed(s, 0): a pass of one row."""
+    z, lanes = _mixed((seed + start * GOLDEN) & _MASK64, 1, count)
+    return _mixed(z & lanes, count, 1)[0] & lanes if attempt0 else z & lanes
 
 
 def random_function(k: int, b: int, n: int, seed: int, budget: int = DEFAULT_BUDGET) -> FiniteFunction:
     """Uniform i.i.d. table entries drawn from SplitMix64(seed)."""
-    return FiniteFunction(k, b, n, random_lanes(k, b, n, [seed], budget))
+    return FiniteFunction(k, b, n, random_lanes(k, b, n, seed & _MASK64, 1, budget))
 
 
-def random_lanes(k: int, b: int, n: int, seeds, budget: int = DEFAULT_BUDGET) -> int:
-    """The tables random_function(k, b, n, s) for s in seeds as the lanes of
-    one int, laid out as in core._layout: lane m holds the m-th table in
+def random_lanes(k: int, b: int, n: int, seeds: int, count: int, budget: int = DEFAULT_BUDGET) -> int:
+    """The tables random_function(k, b, n, s) of the count seeds s in the
+    lanes of seeds as the lanes of one int: lane m holds the m-th table in
     the low half of its 2 * k**n * field_width(b) bits."""
     if k < 1 or b < 1 or n < 1:
         raise ValueOutOfRange(f"k, b and n must be >= 1, got k={k} b={b} n={n}")
@@ -131,13 +125,12 @@ def random_lanes(k: int, b: int, n: int, seeds, budget: int = DEFAULT_BUDGET) ->
     bits, shared = size * w, size <= _BLOCK and _BLOCK * ((1 << 64) % b) < 1 << 64
     per = _BLOCK // size if shared else 1
     tables = []
-    for a in range(0, len(seeds), per):
-        group = seeds[a : a + per]
-        text, kept = _block_text([s + GOLDEN for s in group], size, b, w) if shared else ("", 0)
-        if kept == size * len(group):
-            tables += [text[c : c + bits] for c in range(0, len(text), bits)]
-        else:
-            tables += [_table_text(s, size, b, w) for s in group]
+    for a in range(0, count, per):
+        g = min(per, count - a)
+        group = seeds >> 128 * a & (1 << 128 * g) - 1
+        texts, kept = _pass(group, g, size, b, w) if shared else ([], 0)
+        tables += texts if kept == size * g else [
+            _table_text(group >> 128 * i & _MASK64, size, b, w) for i in range(g)]
     # The last table first, so that it ends up in the highest lane.
     return int(("0" * bits).join(reversed(tables)) or "0", 2)
 
@@ -146,44 +139,50 @@ def _table_text(seed: int, size: int, b: int, w: int) -> str:
     """Binary text of the table of one seed drawn alone: row by row for
     b > 2**64, else a pass per 1,024 outputs, until size entries are kept."""
     if b > 1 << 64:
-        rng = SplitMix64(seed)
-        return format(pack([rng.below(b) for _ in range(size)], w), f"0{size * w}b")
-    text, rows, drawn = [], 0, 0
+        return format(pack(map(SplitMix64(seed).below, [b] * size), w), f"0{size * w}b")
+    text, rows = [], 0
     while rows < size:
         block = min(_BLOCK, size - rows)
-        line, kept = _block_text([seed + (drawn + 1) * GOLDEN], block, b, w)
+        (line,), kept = _pass(seed, 1, block, b, w)
         text.append(line)
-        rows += kept
-        drawn += block
+        rows, seed = rows + kept, (seed + block * GOLDEN) & _MASK64
     return "".join(text)
 
 
-@lru_cache(maxsize=8)
-def _lanes(rows: int, groups: int, low: int):
-    """For groups of rows lanes, lane j at bit 128j: j mod rows times GOLDEN
-    mod 2**64, and 1, the 64-bit mask and the `low` mask in every lane."""
-    ones = int.from_bytes((b"\1" + bytes(15)) * (rows * groups), "little")
-    steps = b"".join((j * GOLDEN & _MASK64).to_bytes(16, "little") for j in range(rows))
-    return int.from_bytes(steps * groups, "little"), ones, _MASK64 * ones, low * ones
+@lru_cache(maxsize=128)
+def _lanes(rows: int, g: int):
+    """GOLDEN in g lanes, then over rows * g lanes j * GOLDEN mod 2**64 in lane
+    j * g + i and the 64-bit masks.  Keyed by shape: redraws keep a block's."""
+    steps = b"".join((j * GOLDEN & _MASK64).to_bytes(16, "little") * g for j in range(rows))
+    return GOLDEN * _spaced_ones(g, 128), int.from_bytes(steps, "little"), _MASK64 * _spaced_ones(rows * g, 128)
 
 
-def _block_text(bases, rows: int, b: int, w: int) -> tuple[str, int]:
-    """Binary text of the entries below(b) reads from mix64 at counters
-    base + j * GOLDEN, j < rows, for each base in turn, and their count:
-    the outputs under its threshold, in order, mod b.  For b a power of two
-    none is rejected and a mask keeps the low bits."""
-    limit = (1 << 64) - (1 << 64) % b
-    steps, _, lanes, fields = _lanes(rows, len(bases), b - 1 if limit >> 64 else _MASK64)
-    start = b"".join([(base & _MASK64).to_bytes(16, "little") * rows for base in bases])
-    z = _mix_lanes((int.from_bytes(start, "little") + steps) & lanes, lanes)
-    data = (z & fields).to_bytes(16 * rows * len(bases), "little")
+def _mixed(seeds: int, g: int, rows: int) -> tuple[int, int]:
+    """(z, lanes): lane j * g + i of z holds mix64 of seed i + (j + 1) *
+    GOLDEN, for the g seeds in the lanes of seeds, lanes being the 64-bit
+    masks of the rows * g lanes.  The seeds plus GOLDEN are copied by
+    doubling (Knuth, TAOCP 4A, 7.1.3); the mask drops what overshoots."""
+    golden, steps, lanes = _lanes(rows, g)
+    x = seeds + golden
+    for e in range((rows - 1).bit_length()):
+        x |= x << (128 * g << e)
+    return _mix_lanes(x + steps & lanes, lanes), lanes
+
+
+def _pass(seeds: int, g: int, rows: int, b: int, w: int) -> tuple[list[str], int]:
+    """(texts, kept): the binary text of the entries below(b) reads from
+    rows outputs of each of g seeds, and their count: the outputs under its
+    threshold, in order, mod b.  Text i is every g-th kept output from
+    output i, a table unless g > 1 and an output is rejected."""
+    data = _mixed(seeds, g, rows)[0].to_bytes(16 * rows * g, sys.byteorder)
     if w == 1:
-        return data[::16].translate(_DIGITS).decode(), rows * len(bases)
-    if limit >> 64:
-        values = [z for z, _ in struct.iter_unpack("<QQ", data)]
-    else:
-        values = [z % b for z, _ in struct.iter_unpack("<QQ", data) if z < limit]
-    return (format(pack(values, w), f"0{len(values) * w}b") if values else ""), len(values)
+        digits = data[:: 16 * _STEP].translate(_DIGITS[b - 1]).decode()
+        return [digits[i::g] for i in range(g)], rows * g
+    words, limit = memoryview(data).cast("Q")[:: 2 * _STEP], (1 << 64) - (1 << 64) % b
+    field = _FIELDS[w] if w < len(_FIELDS) else None  # each value's text
+    fields = ([field[z % b] for z in words if z < limit] if field
+              else [format(z % b, f"0{w}b") for z in words if z < limit])
+    return ["".join(fields[i::g]) for i in range(g)], len(fields)
 
 
 class QuasiLinearSpec(namedtuple("QuasiLinearSpec", "k n h_maps g_map")):

@@ -286,7 +286,7 @@ def _table_blocks(pop, budget: int, lo: int, hi: int, table=None):
         if table:
             block = sum(table(start + m) << m * width for m in range(count))
         elif sampled:
-            block = random_lanes(k, b, n, _substream_seeds(pop.seed, start, count, reject), budget)
+            block = random_lanes(k, b, n, _substream_seeds(pop.seed, start, count, reject), count, budget)
         elif b & (b - 1):
             block = sum(from_code(k, b, n, start + m).bits << m * width for m in range(count))
         else:
@@ -563,8 +563,8 @@ def _run_range(args):
             if attempt == 10000:
                 raise HypothesisNotMet(f"rejection sampling found no function satisfying {key.value} in 10000 draws")
             redraw = list(_set_lanes(pending, width))
-            drawn = random_lanes(k, b, n, [substream_seed(substream_seed(pop.seed, start + m), attempt)
-                                           for m in redraw], budget)
+            drawn = random_lanes(k, b, n, sum(substream_seed(substream_seed(pop.seed, start + m), attempt) << 128 * j
+                                              for j, m in enumerate(redraw)), len(redraw), budget)
             drawn = sum((drawn >> j * width & table) << m * width for j, m in enumerate(redraw))
             now, ok = spec.lanes(drawn, k, b, n, lanes, least)
             now &= pending

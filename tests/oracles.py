@@ -210,3 +210,14 @@ def naive_random_table(k, b, n, seed):
     """k**n entries drawn by below(b) from one stream, row 0 first."""
     stream = SplitMix64Stream(seed)
     return tuple(stream.below(b) for _ in range(k**n))
+
+
+def seed_lanes(seeds):
+    """The seed int that random_lanes reads: seed m mod 2**64 in the 128-bit
+    lane m."""
+    return sum(s % 2**64 << 128 * m for m, s in enumerate(seeds))
+
+
+def lane_seeds(lanes, count):
+    """The count seeds of a seed int, lane 0 first."""
+    return [lanes >> 128 * m & 2**64 - 1 for m in range(count)]

@@ -271,6 +271,22 @@ class TestGapReport:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["7"]
 
+    def test_largest_boolean_table_in_128_mib(self):
+        # 2**24 rows, 2 MB per mask: at k = 2 the layout keeps one per variable.
+        def limit_address_space():
+            # Applies in the child only, between fork and exec.
+            resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+        code = (
+            "from aritygap import essential_vars, identify, random_function\n"
+            "f = random_function(2, 2, 24, 0)\n"
+            "print(len(essential_vars(f)), len(essential_vars(identify(f, 1, 2))))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                preexec_fn=limit_address_space, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["24", "23"]
+
     def test_gaps_three_and_four_match_the_oracle_with_witness(self):
         # Random tables almost never reach gap 3: every diagonal code of
         # (3, 3, 3), then seeded diagonal tables of (4, 4, 3) and (4, 4, 4).
@@ -459,6 +475,24 @@ class TestBlockLayout:
         block = _layout(4, 2, 3, 5)
         assert block[1] is strides and block[4] == fill * block[3]
         assert block[0] == tuple(z * block[3] for z in zeros) and block[2] == tuple(m * block[3] for m in lower)
+
+    @pytest.mark.parametrize("lanes", [1, 5])
+    @pytest.mark.parametrize("w", [1, 3])
+    def test_boolean_lower_masks_are_the_zero_masks(self, w, lanes):
+        # At k = 2 a digit below k - 1 is digit 0, so one tuple serves both.
+        for n in range(1, 12):
+            zeros, _, lower, _, _ = _layout(2, w, n, lanes)
+            assert lower is zeros
+
+    @pytest.mark.parametrize("lanes", [1, 5])
+    @pytest.mark.parametrize("w, n", [(1, 1), (2, 3), (3, 4)])
+    def test_lower_masks_at_k3_are_full_minus_the_top_digit(self, w, n, lanes):
+        # lower[t] from its definition: every row of each lane but those
+        # whose digit t is k - 1 = 2, row 0 in the most significant field.
+        size, field, width = 3**n, (1 << w) - 1, 2 * 3**n * w
+        for t in range(n):
+            one = sum(field << (size - 1 - r) * w for r in range(size) if r // 3 ** (n - 1 - t) % 3 != 2)
+            assert _layout(3, w, n, lanes)[2][t] == sum(one << m * width for m in range(lanes))
 
 
 class TestMinors:

@@ -36,7 +36,7 @@ from aritygap.core import field_width
 import aritygap.generators as generators
 from aritygap.generators import _BLOCK, random_lanes
 
-from oracles import naive_random_table
+from oracles import SplitMix64Stream, naive_random_table, seed_lanes
 
 XOR = make_function(2, 2, 2, [0, 1, 1, 0])
 
@@ -68,8 +68,8 @@ class TestSplitMix64:
     def test_seeds_mixed_in_lanes_are_the_substream_seeds(self, seed, start, count):
         # Counters from 2**64 - 3 on wrap past 2**64 within the block.
         seeds = [substream_seed(seed, i) for i in range(start, start + count)]
-        assert generators._substream_seeds(seed, start, count, False) == seeds
-        assert generators._substream_seeds(seed, start, count, True) == [substream_seed(s, 0) for s in seeds]
+        assert generators._substream_seeds(seed, start, count, False) == seed_lanes(seeds)
+        assert generators._substream_seeds(seed, start, count, True) == seed_lanes([substream_seed(s, 0) for s in seeds])
 
     def test_below_range_and_determinism(self):
         a = SplitMix64(5)
@@ -201,7 +201,7 @@ class TestRandomLanes:
         k, b, n = shape
         per = max(1, _BLOCK // k**n)
         seeds = [substream_seed(11, i) for i in range(2 * per + 3)] + [2**64, 2**64 + 5, 2**70 + 3, -1]
-        tables = _lane_tables(k, b, n, random_lanes(k, b, n, seeds), len(seeds))
+        tables = _lane_tables(k, b, n, random_lanes(k, b, n, seed_lanes(seeds), len(seeds)), len(seeds))
         for seed, table in zip(seeds, tables):
             assert table == random_function(k, b, n, seed).bits
             assert table == make_function(k, b, n, naive_random_table(k, b, n, seed)).bits
@@ -215,23 +215,23 @@ class TestRandomLanes:
         seeds=st.lists(st.integers(-(2**70), 2**70), max_size=40),
     )
     def test_any_shape_and_seeds(self, k, n, b, seeds):
-        tables = _lane_tables(k, b, n, random_lanes(k, b, n, seeds), len(seeds))
+        tables = _lane_tables(k, b, n, random_lanes(k, b, n, seed_lanes(seeds), len(seeds)), len(seeds))
         assert tables == [make_function(k, b, n, naive_random_table(k, b, n, s)).bits for s in seeds]
 
     @pytest.mark.parametrize("b, shared", [(3, True), (2**64 - 2**54 + 1, True), (2**64 - 2**54, False),
                                            (2**63 + 1, False)], ids=["3", "2^64-2^54+1", "2^64-2^54", "2^63+1"])
     def test_a_pass_is_shared_only_while_it_expects_under_one_rejection(self, monkeypatch, b, shared):
-        passes = []  # (tables, entries kept) per _block_text pass
-        real = generators._block_text
+        passes = []  # (tables, entries kept) per _pass
+        real = generators._pass
 
-        def spy(bases, *args):
-            text, kept = real(bases, *args)
-            passes.append((len(bases), kept))
-            return text, kept
+        def spy(seeds, g, *args):
+            texts, kept = real(seeds, g, *args)
+            passes.append((g, kept))
+            return texts, kept
 
-        monkeypatch.setattr(generators, "_block_text", spy)
+        monkeypatch.setattr(generators, "_pass", spy)
         seeds = [substream_seed(3, i) for i in range(40)]
-        tables = _lane_tables(3, b, 2, random_lanes(3, b, 2, seeds), len(seeds))
+        tables = _lane_tables(3, b, 2, random_lanes(3, b, 2, seed_lanes(seeds), len(seeds)), len(seeds))
         assert tables == [make_function(3, b, 2, naive_random_table(3, b, 2, s)).bits for s in seeds]
         if shared:
             assert passes[0][0] == len(seeds)
@@ -239,15 +239,89 @@ class TestRandomLanes:
             # Each table drawn alone: every entry a pass keeps lands in a table.
             assert {n for n, _ in passes} == {1} and sum(kept for _, kept in passes) == 9 * len(seeds)
 
+    def test_seeds_at_both_ends_of_the_64_bit_range(self):
+        # Seed 2**64 - 1 plus GOLDEN carries past bit 64 inside its lane.
+        seeds = [0, 2**64 - 1, 2**64 - generators.GOLDEN, 2**64 - 1, 0] * 4
+        for k, b, n in ((2, 2, 6), (3, 3, 2), (2, 16, 4), (2, 2**64 - 2**54 + 1, 5)):
+            tables = _lane_tables(k, b, n, random_lanes(k, b, n, seed_lanes(seeds), len(seeds)), len(seeds))
+            assert tables == [make_function(k, b, n, naive_random_table(k, b, n, s)).bits for s in seeds]
+
+    @pytest.mark.parametrize("rows", [1, 3, 9])
+    @pytest.mark.parametrize("g", [1, 2, 5])
+    def test_mixed_lanes_of_row_counts_the_doubling_overshoots(self, rows, g):
+        # Lane j * g + i holds output j of seed i, and no lane lies past rows * g.
+        seeds = [2**64 - 1, 0, 5, 2**63, 77][:g]
+        z, lanes = generators._mixed(seed_lanes(seeds), g, rows)
+        streams = [SplitMix64Stream(s) for s in seeds]
+        expected = [stream.next() for _ in range(rows) for stream in streams]
+        assert z & lanes == seed_lanes(expected) and lanes == seed_lanes([2**64 - 1] * (rows * g))
+        assert z >> 128 * rows * g == 0
+        # Whole draws of tables of 1, 3 and 9 rows.
+        for k, b, n in ((1, 3, 4), (3, 2, 1), (3, 5, 2), (3, 2, 2)):
+            if k**n == rows:
+                tables = _lane_tables(k, b, n, random_lanes(k, b, n, seed_lanes(seeds), g), g)
+                assert tables == [make_function(k, b, n, naive_random_table(k, b, n, s)).bits for s in seeds]
+
+    def test_a_group_that_ends_mid_pass(self, monkeypatch):
+        # 21 Boolean tables of 64 rows: a full pass of 16, then one of 5.
+        passes, real = [], generators._pass
+
+        def spy(seeds, g, *args):
+            passes.append(g)
+            return real(seeds, g, *args)
+
+        monkeypatch.setattr(generators, "_pass", spy)
+        seeds = [substream_seed(12, i) for i in range(21)]
+        tables = _lane_tables(2, 2, 6, random_lanes(2, 2, 6, seed_lanes(seeds), len(seeds)), len(seeds))
+        assert passes == [16, 5]
+        assert tables == [make_function(2, 2, 6, naive_random_table(2, 2, 6, s)).bits for s in seeds]
+
+    def test_a_shared_pass_that_rejects_falls_back_table_by_table(self, monkeypatch):
+        # b = 2**64 - 2**54 + 1 rejects one output in 1,024: the first group
+        # of 32 seeds whose shared pass rejects is drawn again one table at a time.
+        b, passes, real = 2**64 - 2**54 + 1, [], generators._pass
+
+        def spy(seeds, g, *args):
+            texts, kept = real(seeds, g, *args)
+            passes.append((g, kept))
+            return texts, kept
+
+        monkeypatch.setattr(generators, "_pass", spy)
+        for base in range(20):
+            passes.clear()
+            seeds = [substream_seed(base, i) for i in range(32)]
+            block = random_lanes(2, b, 5, seed_lanes(seeds), 32)
+            if passes[0][1] < 32 * 32:
+                break
+        assert passes[0][0] == 32 and passes[0][1] < 32 * 32
+        assert {g for g, _ in passes[1:]} == {1} and sum(kept for _, kept in passes[1:]) == 32 * 32
+        tables = _lane_tables(2, b, 5, block, 32)
+        assert tables == [make_function(2, b, 5, naive_random_table(2, b, 5, s)).bits for s in seeds]
+
+    def test_a_boolean_block_is_one_mix_of_1024_lanes(self, monkeypatch):
+        seeds = [substream_seed(4, i) for i in range(16)]
+        mixes, real = [], generators._mix_lanes
+
+        def spy(z, lanes):
+            mixes.append(lanes.bit_count() // 64)
+            return real(z, lanes)
+
+        monkeypatch.setattr(generators, "_mix_lanes", spy)
+        block = random_lanes(2, 2, 6, seed_lanes(seeds), 16)
+        assert mixes == [1024]
+        monkeypatch.undo()
+        tables = _lane_tables(2, 2, 6, block, 16)
+        assert tables == [make_function(2, 2, 6, naive_random_table(2, 2, 6, s)).bits for s in seeds]
+
     def test_shape_is_checked_before_drawing(self):
-        assert random_lanes(3, 3, 3, []) == 0
+        assert random_lanes(3, 3, 3, 0, 0) == 0
         for shape in ((2, 2, 0), (0, 2, 2), (2, 0, 2), (-1, 3, 2)):
             with pytest.raises(ValueOutOfRange, match="must be >= 1"):
-                random_lanes(*shape, [1])
+                random_lanes(*shape, 1, 1)
         with pytest.raises(BudgetExceeded):
-            random_lanes(2, 2, 12, [1], budget=1 << 11)
+            random_lanes(2, 2, 12, 1, 1, budget=1 << 11)
         with pytest.raises(BudgetExceeded):
-            random_lanes(3, 5, 8, [1], budget=3**7)
+            random_lanes(3, 5, 8, 1, 1, budget=3**7)
 
 
 def test_largest_boolean_draw_in_bounded_memory():

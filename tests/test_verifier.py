@@ -46,6 +46,7 @@ from aritygap.verifier import _var_masks
 
 from oracles import (
     SplitMix64Stream,
+    lane_seeds,
     naive_anf_monomials_packed,
     naive_ess,
     naive_gap_report,
@@ -502,10 +503,10 @@ class TestSweep:
     def test_samples_are_drawn_under_the_sweep_budget(self, theorem, shape, monkeypatch):
         budgets, seeds = [], []
 
-        def spy_lanes(k, b, n, lane_seeds, budget=None):
+        def spy_lanes(k, b, n, lanes, count, budget=None):
             budgets.append(budget)
-            seeds.extend(lane_seeds)
-            return random_lanes(k, b, n, lane_seeds, budget)
+            seeds.extend(lane_seeds(lanes, count))
+            return random_lanes(k, b, n, lanes, count, budget)
 
         monkeypatch.setattr(verifier, "random_lanes", spy_lanes)
         # 300 Boolean samples of arity 3 fill three blocks of 128 lanes.
@@ -525,9 +526,9 @@ class TestSweep:
         # block j of a sampled sweep is one call on the seeds of its samples.
         calls = []
 
-        def spy_lanes(k, b, n, lane_seeds, budget=None):
-            calls.append(list(lane_seeds))
-            return random_lanes(k, b, n, lane_seeds, budget)
+        def spy_lanes(k, b, n, lanes, count, budget=None):
+            calls.append(lane_seeds(lanes, count))
+            return random_lanes(k, b, n, lanes, count, budget)
 
         assert not hasattr(verifier, "random_function")
         monkeypatch.setattr(verifier, "random_lanes", spy_lanes)
@@ -680,9 +681,9 @@ class TestLaneClaims:
         # redrawn from attempt 1, so no attempt is drawn twice.
         seeds = []
 
-        def spy_lanes(k, b, n, lane_seeds, budget=None):
-            seeds.extend(lane_seeds)
-            return random_lanes(k, b, n, lane_seeds, budget)
+        def spy_lanes(k, b, n, lanes, count, budget=None):
+            seeds.extend(lane_seeds(lanes, count))
+            return random_lanes(k, b, n, lanes, count, budget)
 
         monkeypatch.setattr(verifier, "random_lanes", spy_lanes)
         r = sweep(theorem, Sampled(*shape, 300, 8, True), workers=1)
