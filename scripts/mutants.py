@@ -10,12 +10,14 @@ when its text is not found once or pytest cannot run the selection.
 Before the mutants, every selection runs once on an unmutated copy: a
 selection that already fails there could kill nothing.
 
-    python scripts/mutants.py          # one line per mutant
-    python scripts/mutants.py --json   # one JSON report
+    python scripts/mutants.py                  # one line per mutant
+    python scripts/mutants.py --json           # one JSON report
+    python scripts/mutants.py --only NAME ...  # the named mutants alone
 
-Exit status is 0 when every mutant is killed.  Standard library only;
-it runs outside the tier-1 suite, which checks only that every catalogued
-text still occurs in its file.  Mutation analysis follows DeMillo, Lipton
+Exit status is 0 when every mutant run is killed, and 2, before anything
+runs, when a name given to --only is not in the catalogue.  Standard
+library only; it runs outside the tier-1 suite, which checks that every
+catalogued text still occurs in its file and that an unknown name exits 2.  Mutation analysis follows DeMillo, Lipton
 and Sayward, "Hints on test data selection", IEEE Computer (1978).
 """
 
@@ -172,9 +174,16 @@ MUTANTS = [
     Mutant(
         "redraw-at-next-index",
         "src/aritygap/verifier.py",
-        "substream_seed(substream_seed(pop.seed, start + m), attempt)",
-        "substream_seed(substream_seed(pop.seed, start + m + 1), attempt)",
+        "bases[16 * m : 16 * m + 16]",
+        "bases[16 * m + 16 : 16 * m + 32]",
         ("tests/test_verifier.py::TestLaneClaims::test_sweep_records_the_failing_samples_in_index_order",),
+    ),
+    Mutant(
+        "redraw-seeds-one-attempt-late",
+        "src/aritygap/verifier.py",
+        "seeds + attempt * GOLDEN",
+        "seeds + (attempt + 1) * GOLDEN",
+        ("tests/test_verifier.py::TestLaneClaims::test_rejection_draws_each_attempt_once",),
     ),
     Mutant(
         "unrecorded-hits-uncounted",
@@ -373,6 +382,34 @@ MUTANTS = [
         ("tests/test_generators.py::TestRandomLanes::test_mixed_lanes_of_row_counts_the_doubling_overshoots",),
     ),
     Mutant(
+        "lane-width-drops-guard",
+        "src/aritygap/core.py",
+        "return max(size + 1, 8)",
+        "return max(size, 8)",
+        ("tests/test_lane_guard.py::TestCountKernels::test_dependence_and_ess_lanes",),
+    ),
+    Mutant(
+        "lane-width-drops-floor",
+        "src/aritygap/core.py",
+        "return max(size + 1, 8)",
+        "return size + 1",
+        ("tests/test_lane_guard.py::TestCountKernels::test_dependence_and_ess_lanes",),
+    ),
+    Mutant(
+        "deg2-flags-at-old-width",
+        "src/aritygap/verifier.py",
+        "_spaced_ones(2 << n, _lane_width(1 << n))",
+        "_spaced_ones(2 << n, 2 << n)",
+        ("tests/test_verifier.py::TestDeg2Kernel::test_every_whole_block",),
+    ),
+    Mutant(
+        "random-lanes-old-padding",
+        "src/aritygap/generators.py",
+        '("0" * (_lane_width(bits) - bits))',
+        '("0" * bits)',
+        ("tests/test_generators.py::TestRandomLanes::test_lanes_are_the_tables_random_function_and_the_oracle_draw",),
+    ),
+    Mutant(
         "layout-shares-zero-masks-at-k3",
         "src/aritygap/core.py",
         "lower = zeros if k == 2 else",
@@ -477,18 +514,23 @@ def run(mutant: Mutant, workdir: Path) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--json", action="store_true", help="print one JSON report")
+    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only the named mutants")
     args = parser.parse_args()
+    unknown = sorted(set(args.only or ()) - {m.name for m in MUTANTS})
+    if unknown:
+        parser.error(f"no catalogued mutant named {', '.join(unknown)}")
+    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
 
     with tempfile.TemporaryDirectory(prefix="aritygap-mutants-") as tmp:
         workdir = Path(tmp)
         clean = workdir / "clean"
         shutil.copytree(ROOT, clean, ignore=_IGNORE)
-        selections = list(dict.fromkeys(s for m in MUTANTS for s in m.selection))
+        selections = list(dict.fromkeys(s for m in chosen for s in m.selection))
         clean_code = _pytest(clean, selections)
         shutil.rmtree(clean, ignore_errors=True)
         results = []
         if clean_code == 0:
-            for m in MUTANTS:
+            for m in chosen:
                 results.append({"name": m.name, "file": m.file, "selection": list(m.selection), **run(m, workdir)})
                 if not args.json:
                     r = results[-1]

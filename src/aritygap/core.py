@@ -167,14 +167,14 @@ def _layout(k: int, w: int, n: int, lanes: int):
     one block and is built by doubling a bit string, O(k**n * w).
 
     Returns (zeros, strides, lower, ones, fill), repeated in `lanes` lanes of
-    2 * k**n * w bits, lane 0 lowest and each table in its low half, where
-    ones and fill are 1 and 2**(k**n * w) - 1 per lane.  A stride shift keeps
-    each table bit in its lane's rows or padding.  lanes has no default, so a
+    _lane_width(k**n * w) bits, lane 0 lowest and each table at its bottom,
+    where ones and fill are 1 and 2**(k**n * w) - 1 per lane.  A stride shift
+    keeps each table bit in its lane's rows.  lanes has no default, so a
     shape has one cache entry, and a block multiplies its masks by ones.
     """
     if lanes > 1:
         zeros, strides, lower, _, full = _layout(k, w, n, 1)
-        ones = _spaced_ones(lanes, 2 * k**n * w)
+        ones = _spaced_ones(lanes, _lane_width(k**n * w))
         zeros = tuple(z * ones for z in zeros)
         return zeros, strides, zeros if k == 2 else tuple(m * ones for m in lower), ones, full * ones
     total = k**n * w
@@ -189,6 +189,13 @@ def _layout(k: int, w: int, n: int, lanes: int):
         zeros += (pattern & full,)
     lower = zeros if k == 2 else tuple(full ^ (z >> (k - 1) * run) for z, run in zip(zeros, strides))
     return zeros, strides, lower, 1, full
+
+
+def _lane_width(size: int) -> int:
+    """Bits per lane of size-bit tables: the table, a guard bit for carries,
+    and 8 at least, as _ess_lanes and _gap_at_most count in bits 0..p of a
+    lane, p = max(n, least).bit_length(), which is <= size for size >= 8."""
+    return max(size + 1, 8)
 
 
 def _spaced_ones(count: int, width: int) -> int:
@@ -241,7 +248,7 @@ def _ess_lanes(flags, ones: int, least: int) -> int:
     Sideways addition (Knuth, TAOCP 4A, 7.1.3): each lane's flags plus
     2**p - least, p = max(n, least).bit_length(), lie in 0 .. 2**(p+1) - 1
     and set bit p iff the count reaches least; p must stay below the lane
-    width 2 * k**n * w, or it carries into the next lane."""
+    width, _lane_width(k**n * w), or it carries into the next lane."""
     p = max(len(flags), least).bit_length()
     return (sum(flags) + ((1 << p) - least) * ones) >> p & ones
 

@@ -32,6 +32,7 @@ from .core import (
     _FIELDS,
     DEFAULT_BUDGET,
     FiniteFunction,
+    _lane_width,
     _spaced_ones,
     encode_point,
     field_width,
@@ -116,8 +117,8 @@ def random_function(k: int, b: int, n: int, seed: int, budget: int = DEFAULT_BUD
 
 def random_lanes(k: int, b: int, n: int, seeds: int, count: int, budget: int = DEFAULT_BUDGET) -> int:
     """The tables random_function(k, b, n, s) of the count seeds s in the
-    lanes of seeds as the lanes of one int: lane m holds the m-th table in
-    the low half of its 2 * k**n * field_width(b) bits."""
+    lanes of seeds as the lanes of one int: lane m holds the m-th table at
+    the bottom of its _lane_width(k**n * field_width(b)) bits."""
     if k < 1 or b < 1 or n < 1:
         raise ValueOutOfRange(f"k, b and n must be >= 1, got k={k} b={b} n={n}")
     size, w = table_size(k, n, budget), field_width(b)
@@ -132,7 +133,7 @@ def random_lanes(k: int, b: int, n: int, seeds: int, count: int, budget: int = D
         tables += texts if kept == size * g else [
             _table_text(group >> 128 * i & _MASK64, size, b, w) for i in range(g)]
     # The last table first, so that it ends up in the highest lane.
-    return int(("0" * bits).join(reversed(tables)) or "0", 2)
+    return int(("0" * (_lane_width(bits) - bits)).join(reversed(tables)) or "0", 2)
 
 
 def _table_text(seed: int, size: int, b: int, w: int) -> str:

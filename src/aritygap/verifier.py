@@ -28,6 +28,7 @@ from .core import (
     _ess_lanes,
     _gap1_lanes,
     _identified,
+    _lane_width,
     _layout,
     _spaced_ones,
     decode_index,
@@ -47,7 +48,7 @@ from .errors import (
     SpecInvalid,
     ValueOutOfRange,
 )
-from .generators import _BLOCK, SplitMix64, _substream_seeds, random_lanes, substream_seed
+from .generators import _BLOCK, GOLDEN, SplitMix64, _mixed, _substream_seeds, random_lanes, substream_seed
 
 
 class TheoremId(Enum):
@@ -276,7 +277,7 @@ def _table_blocks(pop, budget: int, lo: int, hi: int, table=None):
     (attempt 0 of each rejection stream) are one random_lanes call.  A k = 1
     lane is too narrow for _ess_lanes: alone."""
     k, b, n = pop.k, pop.b, pop.n
-    lanes, width = max(1, _BLOCK // k**n) if k > 1 else 1, 2 * k**n * field_width(b)
+    lanes, width = max(1, _BLOCK // k**n) if k > 1 else 1, _lane_width(k**n * field_width(b))
     ones = _spaced_ones(lanes, width)
     sampled = isinstance(pop, Sampled)
     reject = sampled and pop.reject_until_hypothesis
@@ -309,7 +310,7 @@ def _gap_lanes(claim, block: int, k: int, b: int, n: int, lanes: int, least: int
     or on all of them, as it does for a gap bound, if settle is None."""
     meets, gap1 = _gap1_lanes(block, k, b, n, lanes, least)
     size = k**n * field_width(b)
-    width, table = 2 * size, (1 << size) - 1
+    width, table = _lane_width(size), (1 << size) - 1
     good = gap1 if settle is None else gap1 & settle(block, n, lanes)
     for m in _set_lanes(meets & ~good, width):
         f = FiniteFunction(k, b, n, block >> m * width & table)
@@ -359,14 +360,14 @@ def _subset_xors(masks) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _deg2_layout(n: int):
-    """The 2**(n+1) lanes of 2**(n+1) bits of a degree-2 block: lane 2 *
-    lset + c holds the quadratic part plus linear part lset (bit t for
-    x_{t+1}) plus constant c.  (vm, lin, has, slots) are _var_masks(n), the
-    block of every linear part and constant, each variable's lanes whose
+    """The 2**(n+1) lanes of _lane_width(2**n) bits of a degree-2 block:
+    lane 2 * lset + c holds the quadratic part plus linear part lset (bit t
+    for x_{t+1}) plus constant c.  (vm, lin, has, slots) are _var_masks(n),
+    the block of every linear part and constant, each variable's lanes whose
     linear part holds it, and (rep, spread, fill) on n slots of 2**n + 1
     bits, slot t for x_{t+1}: a 1 at the bottom of each slot, the monomials
     that hold x_{t+1} (vm[t]) in slot t, and 2**n - 1 in each slot."""
-    vm, width, size = _var_masks(n), 2 << n, 1 << n
+    vm, width, size = _var_masks(n), _lane_width(1 << n), 1 << n
     lin = sum((x | (x ^ (1 << size) - 1) << width) << 2 * width * lset for lset, x in enumerate(_subset_xors(vm)))
     pair = 1 | 1 << width  # lanes 2 * lset and 2 * lset + 1
     has = tuple(sum(pair << 2 * width * lset for lset in range(size) if lset >> t & 1) for t in range(n))
@@ -385,7 +386,7 @@ def _deg2_blocks(n: int, lo: int, hi: int):
     part q is the XOR of the pairs x_s*x_t (s < t, lex order) at the set
     bits of q + 1, read ten bits at a time from tables of at most 1024
     XORs, built once per call."""
-    # 2**n linear parts times 2 constants; each lane holds a table and as many padding bits.
+    # 2**n linear parts times 2 constants, each lane a table and its guard bits.
     lanes = 2 << n
     ones = _layout(2, 1, n, lanes)[3]
     vm, lin = _deg2_layout(n)[:2]
@@ -404,7 +405,7 @@ def _deg2_flags(n: int, support: int, least: int):
     part has the variables in support (bit (2**n + 1) * t for x_{t+1}, as
     _deg2_lanes reads it): those are essential in every lane, any other in
     the lanes whose linear part holds it."""
-    ones, slot = _spaced_ones(2 << n, 2 << n), (1 << n) + 1
+    ones, slot = _spaced_ones(2 << n, _lane_width(1 << n)), (1 << n) + 1
     e = tuple(ones if support >> slot * t & 1 else h for t, h in enumerate(_deg2_layout(n)[2]))
     return e, _ess_lanes(e, ones, least)
 
@@ -497,7 +498,7 @@ def _thm1_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> t
     Such an f has ess f = n iff it is not constant: a rainbow row unlike
     row 0 changes value when any one of its coordinates copies another."""
     w, size = field_width(b), k**n * field_width(b)
-    ones = _spaced_ones(lanes, 2 * size)
+    ones = _spaced_ones(lanes, _lane_width(size))
     fill, field = (ones << size) - ones, (1 << w) - 1
     _, repeated, fields = _diagonal_shape(k, n)
     # Each lane less its row 0 in every field: the product stays in the lane.
@@ -539,13 +540,13 @@ def _run_range(args):
     0) up to min(hi - start, lanes) - 1, the kernel decides them at once, and
     popcounts count them.  Under rejection, the members that miss the
     hypothesis are redrawn in their lanes, attempt a of all of them one
-    random_lanes call, until each meets it (10000 draws at most).  A
-    function is built only for a recorded hit, in index order: a block
-    without a hit, or one past a full record, reads no lane."""
+    random_lanes call on one pass of their seeds, until each meets it (10000
+    draws at most).  A function is built only for a recorded hit, in index
+    order: a block without a hit, or one past a full record, reads no lane."""
     key, pop, budget, lo, hi, max_recorded = args
     spec, k, b, n = _THEOREMS[key], pop.k, pop.b, pop.n
     size = k**n * field_width(b)
-    width, table, least = 2 * size, (1 << size) - 1, spec.min_ess(k, n)
+    width, table, least = _lane_width(size), (1 << size) - 1, spec.min_ess(k, n)
     reject = isinstance(pop, Sampled) and pop.reject_until_hypothesis
     checked = skipped = hits = 0
     recorded: list[FiniteFunction] = []
@@ -557,14 +558,16 @@ def _run_range(args):
             members = (1 << end * width) - (1 << first * width)
             meets, holds = meets & members, holds & members
         pending = _layout(k, field_width(b), n, lanes)[3] & members & ~meets if reject else 0
+        bases = _substream_seeds(pop.seed, start, end, False).to_bytes(16 * end, "little") if pending else b""
         attempt = 0  # the block drew attempt 0
         while pending:
             attempt += 1
             if attempt == 10000:
                 raise HypothesisNotMet(f"rejection sampling found no function satisfying {key.value} in 10000 draws")
             redraw = list(_set_lanes(pending, width))
-            drawn = random_lanes(k, b, n, sum(substream_seed(substream_seed(pop.seed, start + m), attempt) << 128 * j
-                                              for j, m in enumerate(redraw)), len(redraw), budget)
+            seeds = int.from_bytes(b"".join([bases[16 * m : 16 * m + 16] for m in redraw]), "little")
+            seeds, masks = _mixed(seeds + attempt * GOLDEN * _spaced_ones(len(redraw), 128), len(redraw), 1)
+            drawn = random_lanes(k, b, n, seeds & masks, len(redraw), budget)
             drawn = sum((drawn >> j * width & table) << m * width for j, m in enumerate(redraw))
             now, ok = spec.lanes(drawn, k, b, n, lanes, least)
             now &= pending

@@ -22,7 +22,8 @@ from aritygap import (
     make_function,
 )
 from aritygap.core import (
-    _dependence, _depends, _ess_lanes, _gap1_lanes, _gap_at_most, _identified, _layout, field_width,
+    _dependence, _depends, _ess_lanes, _gap1_lanes, _gap_at_most, _identified, _lane_width, _layout,
+    field_width,
 )
 from aritygap.errors import (
     ArityMismatch,
@@ -333,7 +334,7 @@ class TestGap1Lanes:
     @staticmethod
     def _run(n, tables, least):
         """The kernel's (meets, gap1) and the oracle's, at the floor least."""
-        width = 2 << n
+        width = _lane_width(1 << n)
         fs = [make_function(2, 2, n, t) for t in tables]
         block = sum(f.bits << m * width for m, f in enumerate(fs))
         got = _gap1_lanes(block, 2, 2, n, len(fs), least)
@@ -351,7 +352,7 @@ class TestGap1Lanes:
         # Random tables, then the gap-2 shapes and constants in the same block.
         tables = [naive_random_table(2, 2, n, 100 * n + s) for s in range(12)]
         tables += gap_two_tables(n) + [[0] * (1 << n), poly_table(n, [{1}])]
-        width = 2 << n
+        width = _lane_width(1 << n)
         got, expected = self._run(n, tables, 2)
         assert got == expected
         assert expected[1] != expected[0]  # some lane meeting ess >= 2 is not gap 1
@@ -364,7 +365,7 @@ class TestGap1Lanes:
         # Only gap-2 lanes: the kernel must scan every pair and return none.
         for n in (3, 4, 5):
             tables = gap_two_tables(n)
-            width = 2 << n
+            width = _lane_width(1 << n)
             got, expected = self._run(n, tables, 2)
             assert got == expected == (sum(1 << m * width for m in range(len(tables))), 0)
 
@@ -374,7 +375,7 @@ class TestGap1Lanes:
         # within the lane (a bit position from n alone fails at n = 1, least 3).
         tables = [naive_random_table(2, 2, n, 50 * n + s) for s in range(8)]
         tables += gap_two_tables(n) + [[0] * (1 << n), [1] * (1 << n), poly_table(n, [{n}])]
-        width, lanes = 2 << n, len(tables)
+        width, lanes = _lane_width(1 << n), len(tables)
         block = sum(make_function(2, 2, n, t).bits << m * width for m, t in enumerate(tables))
         counts = [naive_ess(make_function(2, 2, n, t)) for t in tables]
         _, strides, lower, ones, fill = _layout(2, 1, n, lanes)
@@ -421,7 +422,7 @@ class TestGapAtMost:
     def test_lanes_match_the_oracle(self, k, n):
         # At n = 7 and 8 the counter's bit p = n.bit_length() steps from 3 to 4.
         fs = [make_function(k, k, n, t) for t in self._tables(k, n)]
-        lanes, width = len(fs), 2 * k**n * field_width(k)
+        lanes, width = len(fs), _lane_width(k**n * field_width(k))
         block = sum(f.bits << m * width for m, f in enumerate(fs))
         e, everyone = _dependence(block, k, k, n, lanes), sum(1 << m * width for m in range(lanes))
         losses = [self._losses(f) for f in fs]
@@ -447,7 +448,7 @@ class TestBlockLayout:
         # lane's minor is the point oracle's and the padding stays zero.
         w, lanes = field_width(b), 9
         size = k**n * w
-        width = 2 * size
+        width = _lane_width(size)
         fs = [make_function(k, b, n, naive_random_table(k, b, n, 60 * k + s)) for s in range(lanes - 1)]
         # The last lane repeats one table of x2..xn k times: x1 is inessential there.
         fs.append(make_function(k, b, n, naive_random_table(k, b, n - 1, 60 * k) * k))
@@ -489,7 +490,7 @@ class TestBlockLayout:
     def test_lower_masks_at_k3_are_full_minus_the_top_digit(self, w, n, lanes):
         # lower[t] from its definition: every row of each lane but those
         # whose digit t is k - 1 = 2, row 0 in the most significant field.
-        size, field, width = 3**n, (1 << w) - 1, 2 * 3**n * w
+        size, field, width = 3**n, (1 << w) - 1, _lane_width(3**n * w)
         for t in range(n):
             one = sum(field << (size - 1 - r) * w for r in range(size) if r // 3 ** (n - 1 - t) % 3 != 2)
             assert _layout(3, w, n, lanes)[2][t] == sum(one << m * width for m in range(lanes))

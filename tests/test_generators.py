@@ -32,7 +32,7 @@ from aritygap.errors import (
     SpecInvalid,
     ValueOutOfRange,
 )
-from aritygap.core import field_width
+from aritygap.core import _lane_width, field_width
 import aritygap.generators as generators
 from aritygap.generators import _BLOCK, random_lanes
 
@@ -188,8 +188,9 @@ def _lane_tables(k, b, n, block, count):
     """The count tables in the lanes of a random_lanes block, after checking
     that each lane's padding and every bit above the last lane are zero."""
     bits = k**n * field_width(b)
-    tables = [block >> 2 * m * bits & (1 << 2 * bits) - 1 for m in range(count)]
-    assert all(t >> bits == 0 for t in tables) and block >> 2 * count * bits == 0
+    width = _lane_width(bits)
+    tables = [block >> m * width & (1 << width) - 1 for m in range(count)]
+    assert all(t >> bits == 0 for t in tables) and block >> count * width == 0
     return tables
 
 

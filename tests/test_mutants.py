@@ -1,12 +1,16 @@
 """The mutation catalogue in scripts/mutants.py must stay in step with the
 code: every catalogued text still occurs exactly once in its file, and
 every selection names a test file that defines the classes and tests it
-names.  The mutants themselves run outside this suite (python
-scripts/mutants.py)."""
+names, and --only refuses a name outside the catalogue.  The mutants
+themselves run outside this suite (python scripts/mutants.py)."""
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,3 +50,10 @@ def test_every_selection_names_a_defined_test():
             tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
             # A parametrized id, test[5], is defined by its function.
             assert _defines(tree.body, [name.split("[")[0] for name in names]), (m.name, selection)
+
+
+@pytest.mark.parametrize("names", [["no-such-mutant"], ["gap1-kernel-returns-meets", "no-such-mutant"]])
+def test_only_an_unknown_name_exits_2_before_running_anything(names):
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "mutants.py"), "--only", *names],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2 and "no-such-mutant" in run.stderr and run.stdout == ""

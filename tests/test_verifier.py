@@ -40,7 +40,7 @@ from aritygap.errors import (
     ValueOutOfRange,
 )
 from aritygap.classify import _coef_gap
-from aritygap.core import FiniteFunction, _gap1_lanes, field_width
+from aritygap.core import FiniteFunction, _gap1_lanes, _lane_width, field_width
 from aritygap.generators import DEFAULT_BUDGET
 from aritygap.verifier import _var_masks
 
@@ -578,7 +578,7 @@ def _lane_claim_functions(n):
 def _lane_results(kernel, n, fs):
     """The kernel's verdict per function, fs packed 1024 >> n to a block;
     every function has ess >= 2, so every lane meets the hypothesis."""
-    lanes, width = max(1, verifier._BLOCK >> n), 2 << n
+    lanes, width = max(1, verifier._BLOCK >> n), _lane_width(1 << n)
     got = []
     for a in range(0, len(fs), lanes):
         part = fs[a : a + lanes]
@@ -709,7 +709,7 @@ class TestLaneClaims:
             calls.append(block)
             if len(calls) < runs:
                 return 0, 0
-            every = _lanes(2 << n, [True] * lanes)
+            every = _lanes(_lane_width(1 << n), [True] * lanes)
             return every, every
 
         spec = verifier._THEOREMS[TheoremId.THM_STR]
@@ -764,7 +764,7 @@ class TestLaneRules:
         fs = [make_function(2, 2, n, t) for t in tables]
         cubic = [any(len(m) >= 3 for m in naive_anf_monomials_packed(f)) for f in fs]
         assert False in cubic and (True in cubic) == (n >= 3)
-        lanes, width = max(1, verifier._BLOCK >> n), 2 << n
+        lanes, width = max(1, verifier._BLOCK >> n), _lane_width(1 << n)
         assert len(fs) % lanes  # the last block is partial, its lanes above zero
         for a in range(0, len(fs), lanes):
             block = sum(f.bits << m * width for m, f in enumerate(fs[a : a + lanes]))
@@ -850,7 +850,7 @@ def _diagonal_tables(k, n):
 def _block(fs):
     """fs, of one shape, as the lanes of a block, and the lane width."""
     f = fs[0]
-    width = 2 * f.k**f.n * field_width(f.b)
+    width = _lane_width(f.k**f.n * field_width(f.b))
     return sum(g.bits << m * width for m, g in enumerate(fs)), width
 
 
@@ -1158,7 +1158,7 @@ class TestDeg2Kernel:
         total = ((1 << len(pairs)) - 1) << n + 1
         for _, lanes, block in verifier._deg2_blocks(n, 0, total):
             verifier._deg2_lanes(block, 2, 2, n, lanes, 4)
-        ones = verifier._spaced_ones(2 << n, 2 << n)
+        ones = verifier._spaced_ones(2 << n, _lane_width(1 << n))
         assert len(flags) == (1 << len(pairs)) - 1
         for q, (e, _) in enumerate(flags):
             occurring = {v for a, p in enumerate(pairs) if (q + 1) >> a & 1 for v in p}
