@@ -195,65 +195,86 @@ MUTANTS = [
     Mutant(
         "redraw-hit-uncounted",
         "src/aritygap/verifier.py",
-        "holds | ok & now",
-        "holds | now",
+        "_set_lanes(now & ~ok, width)",
+        "_set_lanes(0, width)",
         ("tests/test_verifier.py::TestLaneClaims::test_redraws_that_fail_the_claim_are_counted",),
     ),
     Mutant(
         "walker-builds-unrecorded-hits",
         "src/aritygap/verifier.py",
-        "islice(_set_lanes(fails, width), max_recorded - len(recorded))",
-        "islice(_set_lanes(fails, width), None)",
+        "islice(_set_lanes(fails, width), room), *redrawn])[:room]",
+        "islice(_set_lanes(fails, width), None), *redrawn])",
         ("tests/test_verifier.py::TestSweep::test_thm1_builds_only_the_recorded_witnesses",),
     ),
     Mutant(
         "walker-skips-at-one-free-slot",
         "src/aritygap/verifier.py",
-        "if fails and len(recorded) < max_recorded:",
-        "if fails and len(recorded) < max_recorded - 1:",
+        "if (fails or redrawn) and len(recorded) < max_recorded:",
+        "if (fails or redrawn) and len(recorded) < max_recorded - 1:",
         ("tests/test_verifier.py::TestDeg2Walk::test_hits_are_built_in_index_order",),
     ),
     Mutant(
         "exhaustive-tables-in-wrong-lanes",
         "src/aritygap/verifier.py",
-        "sum(m << m * width for m in range(lanes))",
-        "sum(m << (lanes - 1 - m) * width for m in range(lanes))",
+        "ones * (ones << width)",
+        "((lanes - 1) * ones - (ones * (ones << width) & (1 << lanes * width) - 1))",
         ("tests/test_verifier.py::TestLaneClaims::test_exhaustive_sweep_counts_and_records_in_code_order",),
     ),
     Mutant(
         "redraw-from-attempt-0",
         "src/aritygap/verifier.py",
-        "attempt = 0  # the block drew attempt 0",
-        "attempt = -1",
+        "range(1, 10000):  # the block drew attempt 0",
+        "range(0, 10000):",
         ("tests/test_verifier.py::TestLaneClaims::test_rejection_draws_each_attempt_once",),
     ),
     Mutant(
         "redraw-in-its-compact-lane",
         "src/aritygap/verifier.py",
-        "(drawn >> j * width & table) << m * width",
-        "(drawn >> j * width & table) << j * width",
+        "(pending[j], drawn >> j * width & table)",
+        "(j, drawn >> j * width & table)",
         ("tests/test_verifier.py::TestLaneClaims::test_sweep_records_the_failing_samples_in_index_order",),
     ),
     Mutant(
         "rejection-cap-one-draw-early",
         "src/aritygap/verifier.py",
-        "if attempt == 10000:",
-        "if attempt == 9999:",
+        "range(1, 10000)",
+        "range(1, 9999)",
         ("tests/test_verifier.py::TestLaneClaims::test_rejection_stops_after_ten_thousand_draws",),
     ),
     Mutant(
         "redraw-counts-padding-lanes",
         "src/aritygap/verifier.py",
-        "now &= pending",
-        "now &= -1",
-        ("tests/test_verifier.py::TestLaneClaims::test_rejection_stops_after_ten_thousand_draws",),
+        "& members & ~meets",
+        "& ~meets",
+        ("tests/test_verifier.py::TestKernelBlocks::test_chunks_cutting_blocks_of_a_rejecting_sweep_add_up",),
     ),
     Mutant(
         "redraw-keeps-attempt-0-table",
         "src/aritygap/verifier.py",
-        "block ^= (block ^ drawn) & now * table",
-        "block ^= 0",
+        "redrawn[m] if m in redrawn else block >> m * width & table",
+        "block >> m * width & table",
         ("tests/test_verifier.py::TestLaneClaims::test_sweep_records_the_failing_samples_in_index_order",),
+    ),
+    Mutant(
+        "set-lanes-one-lane-off",
+        "src/aritygap/verifier.py",
+        "yield (8 * at + data[at].bit_length() - 1) // width",
+        "yield (8 * at + data[at].bit_length() - 1) // width + 1",
+        ("tests/test_verifier.py::TestKernelBlocks::test_set_lanes_is_the_bit_loop",),
+    ),
+    Mutant(
+        "redrawn-hits-without-lane-merge",
+        "src/aritygap/verifier.py",
+        "sorted([*islice(",
+        "([*islice(",
+        ("tests/test_verifier.py::TestLaneClaims::test_sweep_records_the_failing_samples_in_index_order",),
+    ),
+    Mutant(
+        "pack-halves-swapped",
+        "src/aritygap/verifier.py",
+        "lo | hi << width",
+        "hi | lo << width",
+        ("tests/test_verifier.py::TestKernelBlocks::test_pack_is_the_sum",),
     ),
     Mutant(
         "fallback-gap-fixed-at-2",

@@ -48,7 +48,7 @@ from .errors import (
     SpecInvalid,
     ValueOutOfRange,
 )
-from .generators import _BLOCK, GOLDEN, SplitMix64, _mixed, _substream_seeds, random_lanes, substream_seed
+from .generators import GOLDEN, SplitMix64, _mixed, _substream_seeds, random_lanes, substream_seed
 
 
 class TheoremId(Enum):
@@ -269,38 +269,52 @@ def _table_walk(key, pop, budget: int):
 
 
 def _table_blocks(pop, budget: int, lo: int, hi: int, table=None):
-    """Tables lo..hi-1 as blocks (start, lanes, block) of 1024 // k**n (at
-    least one) lanes, as in core._layout: lane m holds member start + m, and
-    no table past hi is drawn, so a last block's lanes there are zero.
-    Member i is table(i) if given, else exhaustive codes are the tables for
-    b a power of two or from_code decodes them, and the samples of a block
-    (attempt 0 of each rejection stream) are one random_lanes call.  A k = 1
-    lane is too narrow for _ess_lanes: alone."""
+    """Tables lo..hi-1 as blocks (start, lanes, block) of _KERNEL_BLOCK // k**n
+    lanes, or hi - lo if fewer, as in core._layout: lane m holds member
+    start + m, and no table past hi is drawn, so a last block's lanes there
+    are zero.  Member i is table(i) if given, else exhaustive codes are the
+    tables for b a power of two or from_code decodes them, and the samples
+    of a block (attempt 0 of each rejection stream) are one random_lanes
+    call of several shared passes.  A k = 1 lane is too narrow for _ess_lanes: alone."""
     k, b, n = pop.k, pop.b, pop.n
-    lanes, width = max(1, _BLOCK // k**n) if k > 1 else 1, _lane_width(k**n * field_width(b))
+    lanes, width = max(1, min(_KERNEL_BLOCK // k**n, hi - lo)) if k > 1 else 1, _lane_width(k**n * field_width(b))
     ones = _spaced_ones(lanes, width)
     sampled = isinstance(pop, Sampled)
     reject = sampled and pop.reject_until_hypothesis
-    ramp = sum(m << m * width for m in range(lanes))  # lane m holds m
+    # Lane m of the product counts the pairs i + j + 1 = m: m < lanes <= b**k**n, no carry.
+    ramp = 0 if table or sampled or b & (b - 1) else ones * (ones << width)
     for start in range(lo, hi, lanes):
         count = min(lanes, hi - start)
         if table:
-            block = sum(table(start + m) << m * width for m in range(count))
+            block = _pack([table(start + m) for m in range(count)], width)
         elif sampled:
             block = random_lanes(k, b, n, _substream_seeds(pop.seed, start, count, reject), count, budget)
         elif b & (b - 1):
-            block = sum(from_code(k, b, n, start + m).bits << m * width for m in range(count))
+            block = _pack([from_code(k, b, n, start + m).bits for m in range(count)], width)
         else:
             block = (start * ones + ramp) & (1 << count * width) - 1
         yield start, lanes, block
 
 
+def _pack(values, width: int) -> int:
+    """sum(v << m * width for m, v in enumerate(values)), built by joining
+    neighbours pairwise into lanes twice as wide: linear time per round."""
+    values = list(values)
+    while len(values) > 1:
+        values = [lo | hi << width for lo, hi in zip(values[::2], values[1::2] + [0])]
+        width *= 2
+    return values[0] if values else 0
+
+
 def _set_lanes(x: int, width: int):
-    """The lanes, ascending, whose bottom bit is set in x."""
-    while x:
-        low = x & -x
-        yield (low.bit_length() - 1) // width
-        x ^= low
+    """The lanes, ascending, whose bottom bit is set in x, x holding no other bit: one
+    scan of its bytes, each holding one bottom bit at most, as lanes are 8 bits wide at least."""
+    data = x.to_bytes(-(-x.bit_length() // 8), "little")
+    flags = data.translate(_NONZERO)
+    at = flags.find(b"1")
+    while at >= 0:
+        yield (8 * at + data[at].bit_length() - 1) // width
+        at = flags.find(b"1", at + 1)
 
 
 def _gap_lanes(claim, block: int, k: int, b: int, n: int, lanes: int, least: int, settle=None) -> tuple[int, int]:
@@ -538,11 +552,10 @@ def _run_range(args):
     lo..hi-1.  The record's walk yields blocks (start, lanes, block), lane m
     holding member start + m; a block's members are its lanes max(lo - start,
     0) up to min(hi - start, lanes) - 1, the kernel decides them at once, and
-    popcounts count them.  Under rejection, the members that miss the
-    hypothesis are redrawn in their lanes, attempt a of all of them one
-    random_lanes call on one pass of their seeds, until each meets it (10000
-    draws at most).  A function is built only for a recorded hit, in index
-    order: a block without a hit, or one past a full record, reads no lane."""
+    popcounts count them.  Under rejection, _redraw redraws the members that
+    miss the hypothesis until each meets it.  A function is built only for a
+    recorded hit, in index order, the block's fails merged by lane with its
+    redrawn ones: a block without a hit, or one past a full record, reads no lane."""
     key, pop, budget, lo, hi, max_recorded = args
     spec, k, b, n = _THEOREMS[key], pop.k, pop.b, pop.n
     size = k**n * field_width(b)
@@ -558,29 +571,39 @@ def _run_range(args):
             members = (1 << end * width) - (1 << first * width)
             meets, holds = meets & members, holds & members
         pending = _layout(k, field_width(b), n, lanes)[3] & members & ~meets if reject else 0
-        bases = _substream_seeds(pop.seed, start, end, False).to_bytes(16 * end, "little") if pending else b""
-        attempt = 0  # the block drew attempt 0
-        while pending:
-            attempt += 1
-            if attempt == 10000:
-                raise HypothesisNotMet(f"rejection sampling found no function satisfying {key.value} in 10000 draws")
-            redraw = list(_set_lanes(pending, width))
-            seeds = int.from_bytes(b"".join([bases[16 * m : 16 * m + 16] for m in redraw]), "little")
-            seeds, masks = _mixed(seeds + attempt * GOLDEN * _spaced_ones(len(redraw), 128), len(redraw), 1)
-            drawn = random_lanes(k, b, n, seeds & masks, len(redraw), budget)
-            drawn = sum((drawn >> j * width & table) << m * width for j, m in enumerate(redraw))
-            now, ok = spec.lanes(drawn, k, b, n, lanes, least)
-            now &= pending
-            block ^= (block ^ drawn) & now * table
-            meets, holds, pending = meets | now, holds | ok & now, pending & ~now
-        fails = meets & ~holds
+        fails, redrawn = meets & ~holds, ()
+        if pending:
+            redrawn = _redraw(key, pop, budget, start, end, pending, width, least)
+            meets |= pending  # each pending member meets the hypothesis now
+            hits += len(redrawn)
         checked += meets.bit_count()
         skipped += end - first - meets.bit_count()
         hits += fails.bit_count()
-        if fails and len(recorded) < max_recorded:
-            for m in islice(_set_lanes(fails, width), max_recorded - len(recorded)):
-                recorded.append(FiniteFunction(k, b, n, block >> m * width & table))
+        if (fails or redrawn) and len(recorded) < max_recorded:
+            room = max_recorded - len(recorded)
+            for m in sorted([*islice(_set_lanes(fails, width), room), *redrawn])[:room]:
+                recorded.append(FiniteFunction(k, b, n, redrawn[m] if m in redrawn else block >> m * width & table))
     return checked, skipped, hits, recorded
+
+
+def _redraw(key, pop, budget: int, start: int, end: int, pending: int, width: int, least: int) -> dict:
+    """{lane: table} of a block's pending lanes whose redraw fails the claim.  Attempt
+    a of those lanes (10000 draws at most) is one mix pass of their samples' seeds and
+    one random_lanes call, decided as a compact block whose lane j is lane pending[j];
+    a lane leaves once it meets the hypothesis."""
+    spec, k, b, n = _THEOREMS[key], pop.k, pop.b, pop.n
+    table, pending = (1 << k**n * field_width(b)) - 1, list(_set_lanes(pending, width))
+    bases, redrawn = _substream_seeds(pop.seed, start, end, False).to_bytes(16 * end, "little"), {}
+    for attempt in range(1, 10000):  # the block drew attempt 0
+        seeds = int.from_bytes(b"".join([bases[16 * m : 16 * m + 16] for m in pending]), "little")
+        seeds, masks = _mixed(seeds + attempt * GOLDEN * _spaced_ones(len(pending), 128), len(pending), 1)
+        drawn = random_lanes(k, b, n, seeds & masks, len(pending), budget)
+        now, ok = spec.lanes(drawn, k, b, n, len(pending), least)
+        redrawn.update((pending[j], drawn >> j * width & table) for j in _set_lanes(now & ~ok, width))
+        pending = [pending[j] for j in _set_lanes(_spaced_ones(len(pending), width) & ~now, width)]
+        if not pending:
+            return redrawn
+    raise HypothesisNotMet(f"rejection sampling found no function satisfying {key.value} in 10000 draws")
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +611,8 @@ def _run_range(args):
 # ---------------------------------------------------------------------------
 
 _PARALLEL_THRESHOLD = 200_000
+_KERNEL_BLOCK = 8192  # table entries per block of a table walk; generators._BLOCK is a draw pass's rows
+_NONZERO = bytes([48] + [49] * 255)  # a byte's flag for _set_lanes: b"1" unless it is zero
 
 
 def sweep(

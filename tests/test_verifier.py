@@ -30,7 +30,7 @@ from aritygap import (
     sweep,
     to_anf,
 )
-from aritygap.generators import random_lanes
+from aritygap.generators import _BLOCK, random_lanes
 from aritygap.errors import (
     BudgetExceeded,
     HypothesisNotMet,
@@ -309,14 +309,14 @@ class TestSweep:
         "theorem,pop",
         [
             (TheoremId.LEM_DEG2, Exhaustive(2, 2, 4)),
-            # Chunks of 38 samples against blocks of 128 lanes; many arity-3
+            # Chunks of 38 samples, each one block of 38 lanes; many arity-3
             # samples have ess < 2 at attempt 0 and are redrawn.
             (TheoremId.THM_STR, Sampled(2, 2, 3, 300, 4, reject_until_hypothesis=True)),
-            # Chunks of 75 samples against blocks of 256 lanes; over a third
+            # Chunks of 75 samples, each one block of 75 lanes; over a third
             # of arity-2 samples are redrawn, some over several rounds.
             (TheoremId.THM_SALOMAA_MAIN, Sampled(2, 2, 2, 600, 5, reject_until_hypothesis=True)),
-            # Full and diagonal Thm1 searches: chunks of 2,461 and 274 members
-            # against blocks of 113 and 37 lanes.
+            # Full and diagonal Thm1 searches: chunks of 2,461 members against
+            # blocks of 910 lanes, and of 274 members, each one block.
             (TheoremId.THM1, Exhaustive(3, 3, 2)),
             (TheoremId.THM1, Exhaustive(3, 3, 3)),
         ],
@@ -509,7 +509,7 @@ class TestSweep:
             return random_lanes(k, b, n, lanes, count, budget)
 
         monkeypatch.setattr(verifier, "random_lanes", spy_lanes)
-        # 300 Boolean samples of arity 3 fill three blocks of 128 lanes.
+        # 300 Boolean samples of arity 3 fill one block of 300 lanes.
         firsts = [substream_seed(7, i) for i in range(300)]
         sweep(theorem, Sampled(*shape, 300, 7), budget=1 << 30, workers=1)
         assert seeds == firsts
@@ -533,7 +533,7 @@ class TestSweep:
         assert not hasattr(verifier, "random_function")
         monkeypatch.setattr(verifier, "random_lanes", spy_lanes)
         k, b, n = shape
-        lanes = max(1, 1024 // k**n) if k > 1 else 1
+        lanes = max(1, verifier._KERNEL_BLOCK // k**n) if k > 1 else 1
         r = sweep(TheoremId.THM_GEN, Sampled(*shape, 2 * lanes + 1, 3), workers=1)
         assert [len(c) for c in calls] == [lanes, lanes, 1]
         assert sum(calls, []) == [substream_seed(3, i) for i in range(2 * lanes + 1)]
@@ -578,7 +578,7 @@ def _lane_claim_functions(n):
 def _lane_results(kernel, n, fs):
     """The kernel's verdict per function, fs packed 1024 >> n to a block;
     every function has ess >= 2, so every lane meets the hypothesis."""
-    lanes, width = max(1, verifier._BLOCK >> n), _lane_width(1 << n)
+    lanes, width = max(1, _BLOCK >> n), _lane_width(1 << n)
     got = []
     for a in range(0, len(fs), lanes):
         part = fs[a : a + lanes]
@@ -764,7 +764,7 @@ class TestLaneRules:
         fs = [make_function(2, 2, n, t) for t in tables]
         cubic = [any(len(m) >= 3 for m in naive_anf_monomials_packed(f)) for f in fs]
         assert False in cubic and (True in cubic) == (n >= 3)
-        lanes, width = max(1, verifier._BLOCK >> n), _lane_width(1 << n)
+        lanes, width = max(1, _BLOCK >> n), _lane_width(1 << n)
         assert len(fs) % lanes  # the last block is partial, its lanes above zero
         for a in range(0, len(fs), lanes):
             block = sum(f.bits << m * width for m, f in enumerate(fs[a : a + lanes]))
@@ -985,6 +985,87 @@ def test_chunk_bounds_partition_exactly():
             assert bounds[0][0] == 0 and bounds[-1][1] == total
             for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
                 assert hi == lo
+
+
+def _spy_redraws(monkeypatch):
+    """A list that collects every _redraw result, the redrawn members that fail the claim."""
+    seen, real = [], verifier._redraw
+    monkeypatch.setattr(verifier, "_redraw", lambda *args: seen.append(real(*args)) or seen[-1])
+    return seen
+
+
+class TestKernelBlocks:
+    """A table walk's block size changes no report, and the per-lane helpers
+    are the bit loop and the sum they stand for."""
+
+    @pytest.mark.parametrize(
+        "theorem,pop",
+        [
+            # With a classifier that says gap 1, the gap-2 samples fail; at
+            # arity 2 some are redrawn, and the record keeps them in index order.
+            (TheoremId.THM_STR, Sampled(2, 2, 3, 300, 8, True)),
+            (TheoremId.THM_STR, Sampled(2, 2, 2, 300, 8, True)),
+            (TheoremId.THM_SALOMAA_MAIN, Sampled(2, 2, 2, 600, 5, True)),
+            (TheoremId.THM1, Exhaustive(3, 3, 2)),  # from_code decodes the tables
+            (TheoremId.THM1, Exhaustive(3, 3, 3)),  # diagonal codes
+            (TheoremId.THM_SALOMAA_AUX, Exhaustive(2, 2, 4)),
+            (TheoremId.LEM_KPLUS1, Exhaustive(2, 2, 4)),
+        ],
+        ids=["thmstr", "thmstr-arity2", "salomaamain", "thm1-full", "thm1-diagonal", "salomaaaux", "lemkplus1"],
+    )
+    def test_reports_do_not_depend_on_the_block_size(self, theorem, pop, monkeypatch):
+        monkeypatch.setattr(verifier, "_coef_gap", lambda coef, n: 1)
+        redrawn = _spy_redraws(monkeypatch)
+        reports = []
+        for size in (verifier._KERNEL_BLOCK, 1024):
+            monkeypatch.setattr(verifier, "_KERNEL_BLOCK", size)
+            d = sweep(theorem, pop, workers=1, max_recorded=300).to_dict()
+            d.pop("elapsed_s")
+            reports.append(d)
+        assert reports[0] == reports[1] and reports[0]["checked"] > 0
+        if theorem is TheoremId.THM_STR:
+            assert 0 < reports[0]["violation_count"] <= 300
+            assert any(redrawn) or pop.n > 2  # the arity-2 sweep records redrawn hits
+
+    def test_chunks_cutting_blocks_of_a_rejecting_sweep_add_up(self, monkeypatch):
+        # Chunks of 1,429 arity-3 samples, each a block of 1,024 lanes and one
+        # of 405 with padding above; the whole range's blocks start at
+        # multiples of 1,024, so every chunk bound cuts one.
+        monkeypatch.setattr(verifier, "_coef_gap", lambda coef, n: 1)
+        redrawn = _spy_redraws(monkeypatch)
+        key, pop, total = TheoremId.THM_STR, Sampled(2, 2, 3, 10000, 8, True), 10000
+        bounds = verifier._chunk_bounds(total, 7)
+        lanes = verifier._KERNEL_BLOCK // 8
+        assert all(lo % lanes for lo, _ in bounds[1:]) and all(hi - lo > lanes for lo, hi in bounds)
+        parts = [verifier._run_range((key, pop, DEFAULT_BUDGET, lo, hi, total)) for lo, hi in bounds]
+        whole = verifier._run_range((key, pop, DEFAULT_BUDGET, 0, total, total))
+        assert tuple(sum(p[i] for p in parts) for i in range(3)) == whole[:3]
+        assert whole[:2] == (total, 0) and whole[2] > 0 and any(redrawn)
+        assert [f for p in parts for f in p[3]] == whole[3] and len(whole[3]) == whole[2]
+
+    @pytest.mark.parametrize("width", [8, 65])
+    def test_set_lanes_is_the_bit_loop(self, width):
+        def bit_loop(x):
+            out = []
+            while x:
+                low = x & -x
+                out.append((low.bit_length() - 1) // width)
+                x ^= low
+            return out
+
+        top = 129
+        for chosen in ([], [0], [top], [0, top], [1, 2, 40, top - 1], list(range(0, top + 1, 3)), list(range(top + 1))):
+            x = _lanes(width, [m in chosen for m in range(top + 1)])
+            assert list(verifier._set_lanes(x, width)) == bit_loop(x) == chosen
+
+    @pytest.mark.parametrize("width", [8, 65])
+    def test_pack_is_the_sum(self, width):
+        full = (1 << width) - 1
+        for count in (0, 1, 2, 3, 7, 64, 130):
+            values = [(m * 0x9E3779B97F4A7C15 >> 7) & full for m in range(count)]
+            values[-1:] = [full] * min(count, 1)  # the top lane filled
+            assert verifier._pack(values, width) == sum(v << m * width for m, v in enumerate(values))
+            assert verifier._pack(iter(values), width) == verifier._pack(values, width)
 
 
 class TestDeg2MaskEngine:
