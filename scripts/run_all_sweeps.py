@@ -2,12 +2,13 @@
 """Run every theorem sweep at desk scale and print the reports.
 
 Mirrors the acceptance suite but as a plain script with progress output.
-With one worker expect 3 to 6 s on a shared 2-vCPU host with Python 3.11,
-most of it in the degree-2 enumeration and the two sampled ThmStr sweeps;
-the exhaustive SalomaaAux and LemKplus1 sweeps, checked as lanes, take
-about 0.01 s each.  The sampled SalomaaMain sweep on arity 2 is the one
-whose rejection sampling redraws: about 7,400 of its 20,000 samples miss
-ess f >= 2 at their first draw and are redrawn in their blocks' lanes.
+With one worker expect about 1.5 s on a shared 2-vCPU host with Python
+3.11, most of it in the degree-2 enumeration (0.6 s) and the two sampled
+ThmStr sweeps (0.19 and 0.36 s); the exhaustive SalomaaAux and LemKplus1
+sweeps, checked as lanes, take about 0.003 s each.  The sampled
+SalomaaMain sweep on arity 2 is the one whose rejection sampling redraws:
+about 7,400 of its 20,000 samples miss ess f >= 2 at their first draw and
+are redrawn as compact blocks of their own.
 """
 
 import argparse

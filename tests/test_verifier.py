@@ -1028,9 +1028,9 @@ class TestKernelBlocks:
             assert any(redrawn) or pop.n > 2  # the arity-2 sweep records redrawn hits
 
     def test_chunks_cutting_blocks_of_a_rejecting_sweep_add_up(self, monkeypatch):
-        # Chunks of 1,429 arity-3 samples, each a block of 1,024 lanes and one
-        # of 405 with padding above; the whole range's blocks start at
-        # multiples of 1,024, so every chunk bound cuts one.
+        # Chunks of about 1,429 arity-3 samples, each a block of 1,024 lanes
+        # and one of about 400 with padding above; the whole range's blocks
+        # start at multiples of 1,024, so every chunk bound cuts one.
         monkeypatch.setattr(verifier, "_coef_gap", lambda coef, n: 1)
         redrawn = _spy_redraws(monkeypatch)
         key, pop, total = TheoremId.THM_STR, Sampled(2, 2, 3, 10000, 8, True), 10000
