@@ -48,15 +48,22 @@ MUTANTS = [
     Mutant(
         "gap1-kernel-returns-meets",
         "src/aritygap/core.py",
-        "return meets, _gap_at_most(block, k, b, n, lanes, e, meets, 1)[0]",
+        "return meets, _gap_at_most(block, k, b, n, lanes, e, meets, gap)[0]",
         "return meets, meets",
         ("tests/test_core.py::TestGap1Lanes",),
     ),
     Mutant(
+        "gap-scan-bound-not-cut-to-n",
+        "src/aritygap/core.py",
+        "((1 << p) - min(gap, n)) * ones",
+        "((1 << p) - gap) * ones",
+        ("tests/test_verifier.py::TestTableKernels::test_gap_kernels_match_the_oracle",),
+    ),
+    Mutant(
         "gap-scan-bias-one-high",
         "src/aritygap/core.py",
-        "bias = ((1 << p) - gap) * ones",
-        "bias = ((1 << p) - gap + 1) * ones",
+        "bias = ((1 << p) - min(gap, n)) * ones",
+        "bias = ((1 << p) - min(gap, n) + 1) * ones",
         ("tests/test_core.py::TestGapAtMost::test_lanes_match_the_oracle",),
     ),
     Mutant(
@@ -279,15 +286,29 @@ MUTANTS = [
     Mutant(
         "fallback-gap-fixed-at-2",
         "src/aritygap/verifier.py",
-        "else gap_report(f).gap, f)",
-        "else 2, f)",
+        "good | _gap_lanes(block, k, b, n, lanes, least, (e, two), gap=2)[1] if two",
+        "good | two if two",
+        ("tests/test_verifier.py::TestLaneClaims::test_kernels_and_check_follow_the_claims",),
+    ),
+    Mutant(
+        "thm-str-second-scan-at-gap-1",
+        "src/aritygap/verifier.py",
+        "(e, two), gap=2)",
+        "(e, two), gap=1)",
         ("tests/test_verifier.py::TestLaneClaims::test_kernels_and_check_follow_the_claims",),
     ),
     Mutant(
         "thmgen-claim-gap-below-2",
         "src/aritygap/verifier.py",
-        "lambda gap, f: gap <= f.k",
-        "lambda gap, f: gap < 2",
+        "_gap_lanes(block, k, *a, gap=k)",
+        "_gap_lanes(block, k, *a, gap=1)",
+        ("tests/test_verifier.py::TestTableKernels::test_gap_kernels_match_the_oracle",),
+    ),
+    Mutant(
+        "thmgen-bound-at-2",
+        "src/aritygap/verifier.py",
+        "_gap_lanes(block, k, *a, gap=k)",
+        "_gap_lanes(block, k, *a, gap=2)",
         ("tests/test_verifier.py::TestTableKernels::test_gap_kernels_match_the_oracle",),
     ),
     Mutant(
@@ -454,16 +475,16 @@ MUTANTS = [
     Mutant(
         "thm-str-settles-every-gap1-lane",
         "src/aritygap/verifier.py",
-        "settle=_cubic_lanes",
-        "settle=None",
+        "good, two = gap1 & _cubic_lanes(block, n, lanes), 0",
+        "good, two = gap1, 0",
         ("tests/test_census.py::test_thm_str_asks_the_classifier_on_the_degree_two_polynomials",),
     ),
     Mutant(
-        "gap-bounds-settle-every-lane",
+        "search-bound-one-high",
         "src/aritygap/verifier.py",
-        "good = gap1 if settle is None",
-        "good = meets if settle is None",
-        ("tests/test_verifier.py::TestLaneRules::test_gap_bounds_hand_the_claim_no_gap1_lane",),
+        "_replace(lanes=partial(_gap_lanes, gap=2))",
+        "_replace(lanes=partial(_gap_lanes, gap=3))",
+        ("tests/test_verifier.py::TestTableKernels::test_gap_kernels_match_the_oracle",),
     ),
     Mutant(
         "cli-imports-the-sweep-engine",

@@ -2,13 +2,19 @@
 """Run every theorem sweep at desk scale and print the reports.
 
 Mirrors the acceptance suite but as a plain script with progress output.
-With one worker expect about 1.5 s on a shared 2-vCPU host with Python
-3.11, most of it in the degree-2 enumeration (0.6 s) and the two sampled
-ThmStr sweeps (0.19 and 0.36 s); the exhaustive SalomaaAux and LemKplus1
-sweeps, checked as lanes, take about 0.003 s each.  The sampled
-SalomaaMain sweep on arity 2 is the one whose rejection sampling redraws:
-about 7,400 of its 20,000 samples miss ess f >= 2 at their first draw and
-are redrawn as compact blocks of their own.
+What each sweep exercises:
+- Thm1: the full and diagonal witness searches;
+- SalomaaMain: the gap scan at bound 2, on every table of arity 2 to 4
+  and on 20,000 samples of arity 2, the sweep whose rejection sampling
+  redraws: about 7,400 samples miss ess f >= 2 at their first draw and
+  are redrawn as compact blocks of their own;
+- ThmStr: the cubic rule and the classifier, on every table of arity 4
+  and on samples of arity 5 and 6;
+- ThmGen: the gap scan at bound k on samples of shape (3, 3, 4);
+- SalomaaAux and LemKplus1: the restriction and pair scans;
+- LemDeg2: the walk of the degree-2 polynomials on 6 variables.
+Most of the time goes to that walk and to the sampled ThmStr sweeps.
+Timings are recorded in CHANGES.md and the BENCH_*.json files.
 """
 
 import argparse

@@ -253,13 +253,13 @@ def _ess_lanes(flags, ones: int, least: int) -> int:
     return (sum(flags) + ((1 << p) - least) * ones) >> p & ones
 
 
-def _gap1_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int, flags=None) -> tuple[int, int]:
-    """(meets, gap1): the lanes (bottom bits, as in _layout) with ess >=
-    least, and those of them of gap 1; flags = (e, meets), e[t] the lanes
-    that depend on t, are read if given, not computed."""
+def _gap_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int, flags=None, gap=1) -> tuple[int, int]:
+    """(meets, held): the lanes (bottom bits, as in _layout) with ess >=
+    least, and those of them of gap <= gap; flags = (e, meets), e[t] the
+    lanes that depend on t, are read if given, not computed."""
     e = _dependence(block, k, b, n, lanes) if flags is None else flags[0]
     meets = _ess_lanes(e, _layout(k, field_width(b), n, lanes)[3], least) if flags is None else flags[1]
-    return meets, _gap_at_most(block, k, b, n, lanes, e, meets, 1)[0]
+    return meets, _gap_at_most(block, k, b, n, lanes, e, meets, gap)[0]
 
 
 def _gap_at_most(block: int, k: int, b: int, n: int, lanes: int, e, pending: int, gap: int):
@@ -267,11 +267,12 @@ def _gap_at_most(block: int, k: int, b: int, n: int, lanes: int, e, pending: int
     gap <= gap, e[t] the lanes that depend on x_{t+1}, and the 1-based pair
     that held the last lane if all are, else None.  A lane is held at its
     first pair i < j of essential variables whose minor loses fewer than
-    gap essential t != i, counted up from 2**p - gap as in _ess_lanes."""
+    gap essential t != i, counted up from 2**p - gap as in _ess_lanes, gap
+    cut to n, exact as gap <= ess <= n, so that 2**p - gap stays positive."""
     w = field_width(b)
     zeros, strides, lower, ones, fill = _layout(k, w, n, lanes)
     size, p = k**n * w, n.bit_length()
-    bias = ((1 << p) - gap) * ones if gap > 1 else 0  # unread at gap 1; count < 2**(p+1) as gap <= n
+    bias = ((1 << p) - min(gap, n)) * ones if gap > 1 else 0  # unread at gap 1; count < 2**(p+1)
     rest = pending
     for i in range(n):
         for j in range(i + 1, n):

@@ -26,7 +26,7 @@ from .core import (
     _dependence,
     _depends,
     _ess_lanes,
-    _gap1_lanes,
+    _gap_lanes,
     _identified,
     _lane_width,
     _layout,
@@ -36,7 +36,6 @@ from .core import (
     ess,
     field_width,
     from_code,
-    gap_report,
     power_exceeds,
     table_size,
 )
@@ -317,22 +316,6 @@ def _set_lanes(x: int, width: int):
         at = flags.find(b"1", at + 1)
 
 
-def _gap_lanes(claim, block: int, k: int, b: int, n: int, lanes: int, least: int, settle=None) -> tuple[int, int]:
-    """The kernel of claim(gap, f): a lane's gap is 1 on the lanes the gap-1
-    kernel returns, and gap_report measures the rest.  The claim holds
-    without a call on the gap-1 lanes that settle(block, n, lanes) returns,
-    or on all of them, as it does for a gap bound, if settle is None."""
-    meets, gap1 = _gap1_lanes(block, k, b, n, lanes, least)
-    size = k**n * field_width(b)
-    width, table = _lane_width(size), (1 << size) - 1
-    good = gap1 if settle is None else gap1 & settle(block, n, lanes)
-    for m in _set_lanes(meets & ~good, width):
-        f = FiniteFunction(k, b, n, block >> m * width & table)
-        if claim(1 if gap1 >> m * width & 1 else gap_report(f).gap, f):
-            good |= 1 << m * width
-    return meets, good
-
-
 def _cubic_lanes(block: int, n: int, lanes: int) -> int:
     """The lanes (bottom bits, as in _layout) of a block of Boolean tables
     of arity n with a monomial of >= 3 variables, gap 1 at the classifier's
@@ -340,6 +323,24 @@ def _cubic_lanes(block: int, n: int, lanes: int) -> int:
     carries each nonzero lane into its bit 2**n, as in core._depends."""
     _, _, _, ones, fill = _layout(2, 1, n, lanes)
     return ((_moebius(block, n, lanes) & _cubic(n) * ones) + fill) >> (1 << n) & ones
+
+
+def _str_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
+    """ThmStr's kernel: the classifier's gap is the gap.  A gap-1 lane with a
+    cubic monomial holds without a call; the classifier reads every other
+    lane's coefficient table.  Its gap 1 holds iff the lane has gap 1, and
+    its gap 2 iff the gap-2 scan holds the lane, a scan of just the lanes
+    the classifier calls 2 that the gap-1 scan left, on the same flags."""
+    e = _dependence(block, k, b, n, lanes)
+    meets, gap1 = _gap_lanes(block, k, b, n, lanes, least, (e, _ess_lanes(e, _layout(2, 1, n, lanes)[3], least)))
+    width, table = _lane_width(1 << n), (1 << (1 << n)) - 1
+    good, two = gap1 & _cubic_lanes(block, n, lanes), 0
+    for m in _set_lanes(meets & ~good, width):
+        if _coef_gap(_moebius(block >> m * width & table, n), n) == 1:
+            good |= gap1 & 1 << m * width
+        else:
+            two |= ~gap1 & 1 << m * width
+    return meets, good | _gap_lanes(block, k, b, n, lanes, least, (e, two), gap=2)[1] if two else good
 
 
 def _var_masks(n: int) -> tuple[int, ...]:
@@ -415,7 +416,7 @@ def _deg2_blocks(n: int, lo: int, hi: int):
 
 @lru_cache(maxsize=None)
 def _deg2_flags(n: int, support: int, least: int):
-    """_gap1_lanes' flags (e, meets) on a whole degree-2 block whose quadratic
+    """_gap_lanes' flags (e, meets) on a whole degree-2 block whose quadratic
     part has the variables in support (bit (2**n + 1) * t for x_{t+1}, as
     _deg2_lanes reads it): those are essential in every lane, any other in
     the lanes whose linear part holds it."""
@@ -426,18 +427,18 @@ def _deg2_flags(n: int, support: int, least: int):
 
 def _deg2_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
     """LemDeg2's kernel on a whole degree-2 block, as _deg2_blocks yields
-    it, or on one Boolean table: the gap-1 kernel, on a block with every
+    it, or on one Boolean table: the gap-1 scan, on a block with every
     lane's essential variables, those of its polynomial, read from the
     support of lane 0's, the bare quadratic part.  The support is one
     carry per slot of _deg2_layout, as in core._depends: slot t of
     coef * rep is a copy of lane 0's coefficients, and masked to the
     monomials that hold x_{t+1} it carries into bit 2**n iff one does."""
     if lanes == 1:
-        return _gap1_lanes(block, k, b, n, 1, least)
+        return _gap_lanes(block, k, b, n, 1, least)
     rep, spread, fill = _deg2_layout(n)[3]
     coef = _moebius(block & (1 << (1 << n)) - 1, n)
     support = ((coef * rep & spread) + fill) >> (1 << n) & rep
-    return _gap1_lanes(block, k, b, n, lanes, least, _deg2_flags(n, support, least))
+    return _gap_lanes(block, k, b, n, lanes, least, _deg2_flags(n, support, least))
 
 
 # Thm1 asks for operations with ess f = n whose identification minors are all
@@ -526,25 +527,22 @@ def _thm1_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> t
 
 # _Theorem(above_k, total, boolean, walk, lanes, ...) per statement.  Thm1 is
 # existential: its kernel checks every member, and its hits are the witnesses.
+# Every gap claim is a bound, decided by the gap scan at that bound.
 _THEOREMS = {
     TheoremId.THM1: _Theorem(False, True, False, _thm1_walk, _thm1_lanes),
-    TheoremId.THM_SALOMAA_MAIN: _Theorem(False, False, True, _table_walk,
-                                         partial(_gap_lanes, lambda gap, f: gap <= 2)),
-    TheoremId.THM_GEN: _Theorem(True, False, False, _table_walk, partial(_gap_lanes, lambda gap, f: gap <= f.k)),
+    TheoremId.THM_SALOMAA_MAIN: _Theorem(False, False, True, _table_walk, partial(_gap_lanes, gap=2)),
+    TheoremId.THM_GEN: _Theorem(True, False, False, _table_walk, lambda block, k, *a: _gap_lanes(block, k, *a, gap=k)),
     TheoremId.THM_SALOMAA_AUX: _Theorem(False, True, False, _table_walk,
                                         partial(_scan_lanes, _restriction_scan)),
     TheoremId.LEM_KPLUS1: _Theorem(True, True, False, _table_walk, partial(_scan_lanes, _kplus1_scan)),
-    # The classifier's gap, read from the coefficient table, is the gap.
-    TheoremId.THM_STR: _Theorem(False, False, True, _table_walk,
-                                partial(_gap_lanes, lambda gap, f: _coef_gap(_moebius(f.bits, f.n), f.n) == gap,
-                                        settle=_cubic_lanes)),
+    TheoremId.THM_STR: _Theorem(False, False, True, _table_walk, _str_lanes),
     # A polynomial of degree 2 with at least four essential variables has gap 1.
     TheoremId.LEM_DEG2: _Theorem(False, False, True, _deg2_walk, _deg2_lanes, 4, 2),
 }
 # The gap >= 3 search, keyed apart from the theorems: ThmGen's hypothesis,
-# and its hits are the functions that fail the claim.
+# and its hits are the functions that fail the claim gap <= 2.
 _Search = Enum("_Search", {"GAP3": "search"})
-_THEOREMS[_Search.GAP3] = _THEOREMS[TheoremId.THM_GEN]._replace(lanes=partial(_gap_lanes, lambda gap, f: gap < 3))
+_THEOREMS[_Search.GAP3] = _THEOREMS[TheoremId.THM_GEN]._replace(lanes=partial(_gap_lanes, gap=2))
 
 
 def _run_range(args):

@@ -12,7 +12,7 @@ import pytest
 
 import aritygap.verifier as verifier
 from aritygap import DEFAULT_BUDGET, Exhaustive, TheoremId, sweep
-from aritygap.core import _dependence, _gap1_lanes, _gap_at_most
+from aritygap.core import _dependence, _gap_at_most, _gap_lanes
 
 
 def depending_on_all(k, b, m):
@@ -109,15 +109,12 @@ def test_thm_str_asks_the_classifier_on_the_degree_two_polynomials(n, monkeypatc
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_salomaa_main_measures_exactly_the_gap_two_functions(n, monkeypatch):
-    # Every gap-1 lane is settled, so gap_report sees the gap-2 lanes alone.
-    seen = []
-    gap_report = verifier.gap_report
-    monkeypatch.setattr(verifier, "gap_report", lambda f: seen.append(f) or gap_report(f))
+def test_salomaa_main_measures_exactly_the_gap_two_functions(n):
+    # The lanes of SalomaaMain's walk of gap 2 are the paper's four forms, and none has gap 3.
     r = sweep(TheoremId.THM_SALOMAA_MAIN, Exhaustive(2, 2, n), workers=1)
-    assert r.passed
-    assert r.checked == sum(comb(n, m) * depending_on_all(2, 2, m) for m in range(2, n + 1))
-    assert len(seen) == len(set(seen)) == boolean_gap_two(n)
+    checked, gap2 = sum(comb(n, m) * depending_on_all(2, 2, m) for m in range(2, n + 1)), boolean_gap_two(n)
+    assert r.passed and r.checked == checked
+    assert gap_scan_census(TheoremId.THM_SALOMAA_MAIN, 2, 2, n) == [checked - gap2, gap2, 0]
 
 
 def thm1_witnesses_of_arity_two(k):
@@ -145,7 +142,7 @@ def gap_scan_census(key, k, b, n):
     total, _, blocks = verifier._THEOREMS[key].walk(key, Exhaustive(k, b, n), DEFAULT_BUDGET)
     counts = [0, 0, 0]
     for _, lanes, block in blocks(0, total):
-        meets, gap1 = _gap1_lanes(block, k, b, n, lanes, 2)
+        meets, gap1 = _gap_lanes(block, k, b, n, lanes, 2)
         e, pending = _dependence(block, k, b, n, lanes), meets & ~gap1
         counts[0] += gap1.bit_count()
         for gap in (2, 3):

@@ -355,7 +355,7 @@ class TestSearchCommand:
         # Random searches find no gap >= 3, so the search record is patched
         # to ess f >= 2 and gap >= 2 hits, which k=3 n=2 samples often have.
         record = verifier._THEOREMS[verifier._Search.GAP3]
-        patched = record._replace(above_k=False, lanes=partial(verifier._gap_lanes, lambda gap, *_: gap < 2))
+        patched = record._replace(above_k=False, lanes=partial(verifier._gap_lanes, gap=1))
         monkeypatch.setitem(verifier._THEOREMS, verifier._Search.GAP3, patched)
         pools = []
         if through_pool:

@@ -14,7 +14,7 @@ from itertools import product
 import pytest
 
 from aritygap import make_function, verifier
-from aritygap.core import _dependence, _ess_lanes, _gap1_lanes, _gap_at_most, _lane_width, _layout, field_width
+from aritygap.core import _dependence, _ess_lanes, _gap_lanes, _gap_at_most, _lane_width, _layout, field_width
 
 from oracles import (
     naive_anf_monomials_packed,
@@ -100,7 +100,7 @@ class TestCountKernels:
         if gap == 1:
             for least in LEASTS:
                 meets = _lanes(width, [naive_ess(f) >= least for f in fs])
-                assert _gap1_lanes(block, k, b, n, len(fs), least) == (meets, meets & held), least
+                assert _gap_lanes(block, k, b, n, len(fs), least) == (meets, meets & held), least
 
 
 class TestTableKernels:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import aritygap.core as core
 import aritygap.verifier as verifier
 from aritygap import (
     Exhaustive,
@@ -40,7 +41,7 @@ from aritygap.errors import (
     ValueOutOfRange,
 )
 from aritygap.classify import _coef_gap
-from aritygap.core import FiniteFunction, _gap1_lanes, _lane_width, field_width
+from aritygap.core import FiniteFunction, _gap_lanes, _lane_width, field_width
 from aritygap.generators import DEFAULT_BUDGET
 from aritygap.verifier import _var_masks
 
@@ -590,17 +591,19 @@ def _lane_results(kernel, n, fs):
     return got
 
 
-def _settles_nothing(block, k, b, n, lanes, least, flags=None):
-    """A gap-1 kernel that finds no lane of gap 1 but keeps the real meets."""
-    return _gap1_lanes(block, k, b, n, lanes, least, flags)[0], 0
+def _settles_nothing(block, k, b, n, lanes, least, flags=None, gap=1):
+    """A gap kernel that holds no lane but keeps the real meets."""
+    return _gap_lanes(block, k, b, n, lanes, least, flags)[0], 0
 
 
 class TestLaneClaims:
     """ThmStr's and SalomaaMain's lane kernels, which sweeps and check share,
     against their claims on one function.  Both claims hold everywhere, so
-    the kernels also run with a broken part: a classifier that always says
-    gap 1, or a gap_report that adds 1, must fail exactly the gap-2 tables;
-    a gap-1 kernel that settles nothing sends every lane to gap_report."""
+    the kernels also run with a broken part, and must fail exactly the
+    tables of the gap the part gets wrong: a classifier that always says
+    gap 1 (or 2, with every lane sent to it), or a gap scan that holds gap
+    1 alone, whatever its bound.  A cubic rule that settles nothing sends
+    every lane to the classifier and changes nothing."""
 
     @staticmethod
     def _gaps(n, fs):
@@ -621,18 +624,19 @@ class TestLaneClaims:
         gaps = self._gaps(n, fs)
         assert 2 in gaps and 1 in gaps
         gap1 = [g == 1 for g in gaps]
-        broken_gap = lambda f: gap_report(f)._replace(gap=gap_report(f).gap + 1)
+        gap_at_most, no_cubic = core._gap_at_most, (verifier, "_cubic_lanes", lambda block, n, lanes: 0)
         modes = [
-            ({}, [True] * len(fs)),
-            ({"_gap1_lanes": _settles_nothing}, [True] * len(fs)),
-            ({"_coef_gap": lambda coef, n: 1}, {TheoremId.THM_STR: gap1}),
-            ({"gap_report": broken_gap}, gap1),
+            ([], [True] * len(fs)),
+            ([no_cubic], [True] * len(fs)),
+            ([(verifier, "_coef_gap", lambda coef, n: 1)], {TheoremId.THM_STR: gap1}),
+            ([no_cubic, (verifier, "_coef_gap", lambda coef, n: 2)], {TheoremId.THM_STR: [not g for g in gap1]}),
+            ([(core, "_gap_at_most", lambda *args: gap_at_most(*args[:-1], 1))], gap1),
         ]
         step = max(1, len(fs) // 60)  # check runs on every step-th function
         for patches, expected in modes:
             with monkeypatch.context() as mp:
-                for name, fake in patches.items():
-                    mp.setattr(verifier, name, fake)
+                for module, name, fake in patches:
+                    mp.setattr(module, name, fake)
                 for key in (TheoremId.THM_STR, TheoremId.THM_SALOMAA_MAIN):
                     want = expected.get(key) if isinstance(expected, dict) else expected
                     if want is None:
@@ -733,22 +737,10 @@ class TestLaneClaims:
         assert r.violations == tuple(expected) and r.violation_count == len(expected)
 
 
-def _spy_claim(key, seen):
-    """key's record kernel with its claim recording each gap it is handed."""
-    lanes = verifier._THEOREMS[key].lanes
-    claim = lanes.args[0]
-
-    def spy(gap, *args):
-        seen.append(gap)
-        return claim(gap, *args)
-
-    return partial(lanes.func, spy, *lanes.args[1:], **lanes.keywords)
-
-
 class TestLaneRules:
-    """The claims that _gap_lanes settles for every lane at once, without
-    the per-lane call: every gap bound holds on gap 1, and the classifier
-    says gap 1 on a polynomial with a monomial of three or more variables."""
+    """The rule by which ThmStr's kernel holds a lane without the classifier:
+    the classifier says gap 1 on a polynomial with a monomial of three or
+    more variables."""
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_cubic_lanes_agree_with_a_per_lane_brute_force(self, n):
@@ -786,18 +778,6 @@ class TestLaneRules:
         assert meets == holds == _lanes(width, [True] * 16)
         assert [gap_report(f).gap for f in few] == [2, 1, 1]
         assert seen == [to_anf(f).coef for f in few[::2]]
-
-    @pytest.mark.parametrize("key, least", [(TheoremId.THM_SALOMAA_MAIN, 2), (TheoremId.THM_GEN, 3)])
-    def test_gap_bounds_hand_the_claim_no_gap1_lane(self, key, least):
-        # Every Boolean table of arity 3: the claim sees exactly the gap-2 lanes meeting the hypothesis.
-        seen = []
-        fs = [FiniteFunction(2, 2, 3, code) for code in range(256)]
-        block, width = _block(fs)
-        meets, holds = _spy_claim(key, seen)(block, 2, 2, 3, 256, least)
-        met = [ess(f) >= least for f in fs]
-        assert meets == holds == _lanes(width, met)
-        assert sorted(seen) == sorted(gap_report(f).gap for f, m in zip(fs, met) if m and gap_report(f).gap > 1)
-        assert seen and set(seen) == {2}
 
 
 def _kernel_tables(k, b, n):
@@ -871,9 +851,10 @@ def _first_steps(scan, block, f, lanes, pending, width):
     return first
 
 
-# k in {2, 3, 4} and b in {2, 3, 4, 5}, n <= k among them; k + 1 < n for LemKplus1.
+# k in {2, 3, 4, 5} and b in {2, 3, 4, 5}, n <= k among them; k + 1 < n for LemKplus1.
+# At (5, 5, 2) ThmGen's bound k = 5 lies above 2**n.bit_length() = 4: the gap scan must cut it to n.
 KERNEL_SHAPES = [(2, 2, 3), (2, 3, 4), (2, 4, 2), (2, 5, 3), (3, 2, 3), (3, 3, 2), (3, 4, 3), (3, 5, 1),
-                 (4, 2, 2), (4, 3, 3), (4, 4, 1), (4, 5, 2)]
+                 (4, 2, 2), (4, 3, 3), (4, 4, 1), (4, 5, 2), (5, 5, 2)]
 KPLUS1_SHAPES = [(2, 2, 3), (2, 3, 4), (2, 5, 3), (3, 2, 4), (3, 4, 4), (3, 5, 4), (4, 2, 5), (4, 3, 5)]
 
 
@@ -1149,7 +1130,7 @@ class TestDeg2Walk:
     def test_hits_are_built_in_index_order(self, n, lo, hi, monkeypatch):
         # With a kernel that passes no lane, every candidate checked is a
         # hit, and each is recorded in index order while there is room.
-        monkeypatch.setattr(verifier, "_gap1_lanes", _settles_nothing)
+        monkeypatch.setattr(verifier, "_gap_lanes", _settles_nothing)
         candidates = [_deg2_candidate(n, i) for i in range(lo, hi)]
         hits = [f for f, occ in candidates if occ >= 4]
         counts = (len(hits), len(candidates) - len(hits), len(hits))
@@ -1163,7 +1144,7 @@ class TestDeg2Walk:
     def test_chunks_cutting_quadratic_parts_merge_to_one_run(self, monkeypatch):
         # 65,472 candidates at n = 5 in eight chunks of 8,184: every chunk
         # boundary cuts one of the 64-lane quadratic parts.
-        monkeypatch.setattr(verifier, "_gap1_lanes", _settles_nothing)
+        monkeypatch.setattr(verifier, "_gap_lanes", _settles_nothing)
         key, pop = TheoremId.LEM_DEG2, Exhaustive(2, 2, 5)
         total = verifier._THEOREMS[key].walk(key, pop, DEFAULT_BUDGET)[0]
         bounds = verifier._chunk_bounds(total, 8)
@@ -1183,7 +1164,7 @@ class TestDeg2Walk:
         assert built == []
 
     def test_recorded_violations_are_the_first_checked(self, monkeypatch):
-        monkeypatch.setattr(verifier, "_gap1_lanes", _settles_nothing)
+        monkeypatch.setattr(verifier, "_gap_lanes", _settles_nothing)
         r = sweep(TheoremId.LEM_DEG2, Exhaustive(2, 2, 5), workers=1, max_recorded=7)
         first = [f for f, occ in map(partial(_deg2_candidate, 5), range(300)) if occ >= 4][:7]
         assert r.violations == tuple(first) and r.violation_count == r.checked == 64512
@@ -1203,7 +1184,7 @@ class TestDeg2Walk:
     def test_check_runs_the_walks_kernel(self, monkeypatch):
         f, occurring = _deg2_candidate(5, 5000)
         assert occurring == 5 and check(TheoremId.LEM_DEG2, f)
-        monkeypatch.setattr(verifier, "_gap1_lanes", _settles_nothing)
+        monkeypatch.setattr(verifier, "_gap_lanes", _settles_nothing)
         assert not check(TheoremId.LEM_DEG2, f)
 
 
@@ -1212,7 +1193,7 @@ def _deg2_kernels_agree(block, n, lanes, least):
     against the gap-1 kernel scanning the table: equal meets and holds on
     every lane, of one table or of a whole degree-2 block."""
     got = verifier._deg2_lanes(block, 2, 2, n, lanes, least)
-    assert got == _gap1_lanes(block, 2, 2, n, lanes, least), (n, block, least)
+    assert got == _gap_lanes(block, 2, 2, n, lanes, least), (n, block, least)
 
 
 class TestDeg2Kernel:
@@ -1234,7 +1215,7 @@ class TestDeg2Kernel:
         # The flags the kernel hands the gap-1 scan: a variable is essential
         # in every lane iff it occurs in the block's quadratic part.
         flags = []
-        monkeypatch.setattr(verifier, "_gap1_lanes", lambda *args: flags.append(args[-1]) or (0, 0))
+        monkeypatch.setattr(verifier, "_gap_lanes", lambda *args: flags.append(args[-1]) or (0, 0))
         pairs = list(combinations(range(n), 2))
         total = ((1 << len(pairs)) - 1) << n + 1
         for _, lanes, block in verifier._deg2_blocks(n, 0, total):
