@@ -369,7 +369,7 @@ MUTANTS = [
     ),
     Mutant(
         "cli-failed-search-reads-nothing-checked",
-        "src/aritygap/cli.py",
+        "src/aritygap/commands.py",
         "return 0 if report.passed else 1 if report.checked else 4",
         "return 0 if report.passed else 1 if report.violation_count else 4",
         ("tests/test_cli.py::TestSweepCommand::test_thm1_complete_search_without_witness_fails",),
@@ -487,12 +487,40 @@ MUTANTS = [
         ("tests/test_verifier.py::TestTableKernels::test_gap_kernels_match_the_oracle",),
     ),
     Mutant(
+        "cli-quick-path-takes-a-dash-path",
+        "src/aritygap/cli.py",
+        'if func is None or len(rest) != 1 or rest[0].startswith("-"):',
+        "if func is None or len(rest) != 1:",
+        ("tests/test_cli.py::TestFileCommandArgs::test_quick_path_reads_what_argparse_reads",),
+    ),
+    Mutant(
+        "digit-reader-takes-the-digit-b",
+        "src/aritygap/cli.py",
+        "range(48, 48 + b)",
+        "range(48, 49 + b)",
+        ("tests/test_cli.py::TestDigitReader::test_reads_as_int_and_make_function_do",),
+    ),
+    Mutant(
+        "digit-reader-skips-the-count",
+        "src/aritygap/cli.py",
+        "\n            or (k > 1 and n >= count.bit_length()) or k**n != count):",
+        "):",
+        ("tests/test_cli.py::TestDigitReader::test_reads_as_int_and_make_function_do",),
+    ),
+    Mutant(
         "cli-imports-the-sweep-engine",
         "src/aritygap/cli.py",
-        "from .errors import ArityGapError, BudgetExceeded, ParseError, ValueOutOfRange\n",
-        "from .errors import ArityGapError, BudgetExceeded, ParseError, ValueOutOfRange\n"
+        "from .errors import ArityGapError, BudgetExceeded, ParseError\n",
+        "from .errors import ArityGapError, BudgetExceeded, ParseError\n"
         "from .verifier import Exhaustive, Sampled, TheoremId, _function_dict, _Search, sweep\n",
         ("tests/test_package.py::TestCliImports",),
+    ),
+    Mutant(
+        "cli-imports-argparse",
+        "src/aritygap/cli.py",
+        "import json\nimport os\n",
+        "import argparse\nimport json\nimport os\n",
+        ("tests/test_package.py::TestCliImports::test_file_commands_load_no_argparse_or_engine_commands",),
     ),
     Mutant(
         "core-imports-dataclasses",

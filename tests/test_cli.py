@@ -1,6 +1,8 @@
+import itertools
 import json
 import multiprocessing
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -9,10 +11,12 @@ from functools import partial
 
 import pytest
 
+import aritygap.cli as cli
 import aritygap.verifier as verifier
 from aritygap import essential_vars, gap_report, make_function, random_function, substream_seed
 from aritygap.cli import function_file_text, main, parse_function_text
-from aritygap.errors import ParseError
+from aritygap.commands import _build_parser
+from aritygap.errors import ArityGapError, ParseError
 
 XOR_TEXT = "# exclusive or\n2 2 2\n0 1 1 0\n"
 MAJ_TEXT = "2 3 2\n0 0 0 1 0 1 1 1\n"
@@ -81,6 +85,125 @@ class TestFunctionFileFormat:
     def test_write_parse_round_trip(self):
         f = make_function(3, 3, 2, [0, 1, 2, 1, 2, 0, 2, 0, 1])
         assert parse_function_text(function_file_text(f, comment="latin square")) == f
+
+
+def _token_reader(text):
+    """The decimal reader without the digit path: every token through int(),
+    then make_function; a function, or the text of the ParseError raised."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    k, n, b = map(int, lines[0].split())
+    try:
+        values = list(map(int, " ".join(lines[1:]).split()))
+    except ValueError as exc:
+        return f"non-integer token in function file: {exc}"
+    try:
+        return make_function(k, b, n, values)
+    except ArityGapError as exc:
+        return str(exc)
+
+
+def _reader_cases():
+    """Decimal files around the digit path's conditions: b = 1..12, a valid
+    body, and bodies with one odd token, a wrong count or other layouts."""
+    rng = random.Random(30)
+    for b, (k, n) in itertools.product(range(1, 13), [(1, 3), (2, 1), (2, 3), (3, 2), (4, 2)]):
+        table = [str(rng.randrange(b)) for _ in range(k**n)]
+        spot = rng.randrange(len(table))
+        bodies = [table, table[:-1], table + ["0"], table[:-1] + [str(b)], table[:-1] + [str(b - 1)]]
+        for odd in ["01", "+1", "-0", "٣", "１", str(b), "00", "1_0", "x", ""]:
+            bodies.append(table[:spot] + [odd] + table[spot + 1:])
+        for body in bodies:
+            yield f"{k} {n} {b}\n" + " ".join(body) + "\n"
+            yield f"# comment\r\n{k} {n} {b}\r\n# between\r\n" + "\t".join(body) + "\r\n"
+            yield f"{k} {n} {b}\n" + "\n".join(body) + "\n# trailing\n"
+
+
+class TestDigitReader:
+    def test_reads_as_int_and_make_function_do(self):
+        cases = list(_reader_cases())
+        assert len(cases) == 12 * 5 * 15 * 3
+        read = 0
+        for text in cases:
+            expected = _token_reader(text)
+            try:
+                got = parse_function_text(text)
+            except ParseError as exc:
+                got = str(exc)
+            assert got == expected, text
+            read += not isinstance(expected, str)
+        assert read > 300
+
+    @pytest.mark.parametrize("b", range(1, 11))
+    def test_digit_path_packs_as_make_function(self, b):
+        rng = random.Random(b)
+        values = [rng.randrange(b) for _ in range(3**5)]
+        text = function_file_text(make_function(3, b, 5, values))
+        assert parse_function_text(text) == make_function(3, b, 5, values)
+
+    def test_huge_arity_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=r"expected k\*\*n = 2\*\*1000000000"):
+            parse_function_text("2 1000000000 2\n0 1 1 0\n")
+        assert time.perf_counter() - start < 1.0
+
+
+def _argv_corpus():
+    """Command lines around the quick path: each command and path with up to
+    two of --json, --, an abbreviation, -h or a second path, in every order."""
+    extras = ["--json", "--js", "--", "-h", "f"]
+    for command in ["analyze", "classify", "anf", "sweep", "analyse", ""]:
+        for path in ["f", "-", "-1", "--json", "a b", ""]:
+            for count in (0, 1, 2):
+                for added in itertools.product(extras, repeat=count):
+                    for line in sorted(set(itertools.permutations([path, *added]))):
+                        yield [command, *line]
+    yield []
+
+
+class TestFileCommandArgs:
+    def test_quick_path_reads_what_argparse_reads(self, capsys):
+        parser = _build_parser()
+        taken = 0
+        for argv in _argv_corpus():
+            quick = cli._file_command(list(argv))
+            if quick is None:
+                continue
+            try:
+                full = parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"quick path read {argv}, which argparse refuses")
+            assert vars(quick) == vars(full), argv
+            taken += 1
+        assert taken > 20
+
+    @pytest.mark.parametrize("argv", [["analyze", "f"], ["analyze", "f", "--json"], ["classify", "--json", "f"],
+                                      ["anf", "a b"], ["classify", ""]])
+    def test_quick_path_takes_the_plain_forms(self, argv):
+        assert cli._file_command(argv) is not None
+
+    @pytest.mark.parametrize("argv", [["analyze", "-"], ["anf", "f", "--json"], ["analyze", "f", "--json", "--json"],
+                                      ["classify", "--js", "f"], ["analyze", "--", "f"], ["anf", "-h"], ["analyze"],
+                                      []])
+    def test_quick_path_declines_the_rest(self, argv):
+        assert cli._file_command(argv) is None
+
+    @pytest.mark.parametrize("command", ["analyze", "classify", "anf"])
+    @pytest.mark.parametrize("flag", [[], ["--json"]])
+    @pytest.mark.parametrize("text", [MAJ_TEXT, "hex:6", "3 2 3\n0 1 2 1 2 0 2 0 1\n", "2 2 2\n0 1 2 0\n"],
+                             ids=["majority", "hex", "ternary", "malformed"])
+    def test_main_prints_as_through_argparse(self, command, flag, text, tmp_path, capsys, monkeypatch):
+        argv = [command, write(tmp_path, "f.fn", text), *flag]
+        outputs = []
+        for quick in (True, False):
+            if not quick:
+                monkeypatch.setattr(cli, "_file_command", lambda argv: None)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
 
 
 class TestAnalyze:

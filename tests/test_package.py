@@ -1,13 +1,17 @@
-"""The package surface, and what a CLI call imports.
+"""The package surface, what a CLI call imports, and the names README.md cites.
 
 `import aritygap` loads core, anf and classify; generators and verifier
-load on first access to one of their names.  Each check runs in a fresh
+load on first access to one of their names.  A plain analyze, anf or
+classify command line is read by `cli` itself, without argparse or the
+engine commands of `aritygap.commands`.  Each import check runs in a fresh
 interpreter, since this test process has long imported everything.
 """
 
+import importlib
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +41,9 @@ finally:
 """
 
 SWEEP_ENGINE = {"aritygap.verifier", "aritygap.generators", "multiprocessing"}
+
+# What only command lines other than the plain file commands load.
+PARSER = {"argparse", "gettext", "aritygap.commands"}
 
 
 # Modules a cold CLI call should not pay for; dataclasses alone loads
@@ -89,7 +96,53 @@ class TestCliImports:
         payload, modules = run_python(MODULE_RUNNER, "sweep", "--theorem", "salomaamain", "--n", "2",
                                       "--json").stdout.splitlines()
         assert json.loads(payload)["checked"] > 0
-        assert {"aritygap.verifier", "aritygap.generators"} <= set(json.loads(modules))
+        assert {"aritygap.verifier", "aritygap.generators"} | PARSER <= set(json.loads(modules))
+
+    @pytest.mark.parametrize("argv", [("analyze", "--json"), ("classify",), ("anf",)],
+                             ids=["analyze", "classify", "anf"])
+    def test_file_commands_load_no_argparse_or_engine_commands(self, tmp_path, argv):
+        path = tmp_path / "f.fn"
+        path.write_text("2 2 2\n0 1 1 1\n", encoding="utf-8")
+        lines = run_python(MODULE_RUNNER, argv[0], str(path), *argv[1:]).stdout.splitlines()
+        assert set(json.loads(lines[-1])) & PARSER == set()
+
+    @pytest.mark.parametrize("argv", [("--help",), ("analyze", "--help")], ids=["help", "analyze-help"])
+    def test_help_loads_the_parser(self, argv):
+        lines = run_python(MODULE_RUNNER, *argv).stdout.splitlines()
+        assert lines[0].startswith("usage: aritygap") and PARSER <= set(json.loads(lines[-1]))
+
+
+# A backticked `_name` or `module.name` in README.md, a call's arguments aside.
+CITED = re.compile(r"(?:(\w+)\.)?(\w+)(?:\(.*\))?")
+
+
+class TestReadme:
+    def test_every_cited_private_or_module_name_resolves(self):
+        """README.md names `_name`s and `module.name`s of aritygap; each must exist.
+        perfbench/README.md describes the benchmark and is not checked here."""
+        import aritygap
+
+        modules = {p.stem: importlib.import_module(f"aritygap.{p.stem}")
+                   for p in (SRC / "aritygap").glob("*.py") if p.stem not in ("__init__", "__main__")}
+        text = re.sub(r"```.*?```", "", (SRC.parent / "README.md").read_text(encoding="utf-8"), flags=re.S)
+        checked, missing = 0, []
+        for span in re.findall(r"`([^`]+)`", text):
+            match = CITED.fullmatch(span)
+            if match is None:
+                continue
+            owner, name = match.groups()
+            if owner is None and name.startswith("_"):
+                found = any(hasattr(m, name) for m in (aritygap, *modules.values()))
+            elif owner == "aritygap":
+                found = name in modules or hasattr(aritygap, name)
+            elif owner in modules:
+                found = hasattr(modules[owner], name)
+            else:
+                continue
+            checked += 1
+            if not found:
+                missing.append(span)
+        assert missing == [] and checked >= 8
 
 
 class TestPackageSurface:
