@@ -223,9 +223,30 @@ MUTANTS = [
     Mutant(
         "exhaustive-tables-in-wrong-lanes",
         "src/aritygap/verifier.py",
-        "ones * (ones << width)",
-        "((lanes - 1) * ones - (ones * (ones << width) & (1 << lanes * width) - 1))",
+        "yield start, lanes, bits(start) * ones + ramp",
+        "yield start, lanes, bits(start + lanes - 1) * ones - ramp",
         ("tests/test_verifier.py::TestLaneClaims::test_exhaustive_sweep_counts_and_records_in_code_order",),
+    ),
+    Mutant(
+        "code-block-start-not-aligned",
+        "src/aritygap/verifier.py",
+        "range(lo - lo % lanes, hi, lanes)",
+        "range(lo, hi, lanes)",
+        ("tests/test_verifier.py::TestCodeBlocks::test_chunks_cutting_blocks_of_a_ternary_walk_add_up",),
+    ),
+    Mutant(
+        "code-ramp-runs-reversed",
+        "src/aritygap/verifier.py",
+        "<< c * lanes * width for c in range(r))",
+        "<< (r - 1 - c) * lanes * width for c in range(r))",
+        ("tests/test_verifier.py::TestCodeBlocks::test_every_lane_holds_its_code",),
+    ),
+    Mutant(
+        "code-radix-b-for-powers-of-two",
+        "src/aritygap/verifier.py",
+        "2 if b & (b - 1) == 0 else b",
+        "b",
+        ("tests/test_verifier.py::TestCodeBlocks::test_boolean_domain_powers_of_two_keep_their_lane_count",),
     ),
     Mutant(
         "redraw-from-attempt-0",

@@ -10,7 +10,9 @@ What each sweep exercises:
   are redrawn as compact blocks of their own;
 - ThmStr: the cubic rule and the classifier, on every table of arity 4
   and on samples of arity 5 and 6;
-- ThmGen: the gap scan at bound k on samples of shape (3, 3, 4);
+- ThmGen: the gap scan at bound k on samples of shape (3, 3, 4), and on
+  all 390,625 tables of shape (2, 5, 3), a walk of base-5 codes that is
+  cut into chunks at two workers or more;
 - SalomaaAux and LemKplus1: the restriction and pair scans;
 - LemDeg2: the walk of the degree-2 polynomials on 6 variables.
 Most of the time goes to that walk and to the sampled ThmStr sweeps.
@@ -35,6 +37,7 @@ SWEEPS = [
     (TheoremId.THM_STR, Sampled(2, 2, 5, 100000, seed=20250805, reject_until_hypothesis=True)),
     (TheoremId.THM_STR, Sampled(2, 2, 6, 100000, seed=20250806, reject_until_hypothesis=True)),
     (TheoremId.THM_GEN, Sampled(3, 3, 4, 10000, seed=42, reject_until_hypothesis=True)),
+    (TheoremId.THM_GEN, Exhaustive(2, 5, 3)),
     (TheoremId.THM_SALOMAA_AUX, Exhaustive(2, 2, 4)),
     (TheoremId.LEM_KPLUS1, Exhaustive(2, 2, 4)),
     (TheoremId.LEM_DEG2, Exhaustive(2, 2, 6)),

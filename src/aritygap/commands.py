@@ -126,7 +126,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     import argparse
 
     parser = argparse.ArgumentParser(

@@ -109,7 +109,7 @@ def _function_dict(f: FiniteFunction) -> dict:
 class _Theorem(namedtuple("_Theorem", "above_k total boolean walk lanes least degree", defaults=(None, 2, None))):
     """One statement: a hypothesis on f, the lane kernel of its claim, and
     walk(key, population, budget) -> (member count, the report's population,
-    blocks(lo, hi) yielding blocks as _table_blocks does), which refuses
+    blocks(lo, hi) yielding blocks as _code_blocks does), which refuses
     what it cannot walk; _run_range runs the kernel on the blocks.
 
     lanes(block, k, b, n, lanes, least) -> (meets, holds) takes tables of
@@ -253,45 +253,53 @@ def _table_walk(key, pop, budget: int):
         if power_exceeds(b, size, budget):
             raise BudgetExceeded(f"{b}**{size} tables exceed budget {budget}; use a sampled sweep")
         total = b**size
-        desc = f"exhaustive k={k} b={b} n={n} ({total} tables)"
-    else:
-        total = _sampled_total(pop, budget)
-        # Refuse a shape where rejection sampling could never stop.
-        if pop.reject_until_hypothesis and (k < 2 or b < 2 or n < spec.min_ess(k, n)):
-            raise HypothesisNotMet(
-                f"{key.value} hypothesis holds for no function with k={k} b={b} n={n}"
-                f" (needs {spec.need()})"
-            )
-        desc = (f"sampled k={k} b={b} n={n} count={pop.count} seed={pop.seed} "
-                f"reject_until_hypothesis={pop.reject_until_hypothesis}")
-    return total, desc, partial(_table_blocks, pop, budget)
+        return total, f"exhaustive k={k} b={b} n={n} ({total} tables)", partial(_code_blocks, pop, total)
+    total = _sampled_total(pop, budget)
+    # Refuse a shape where rejection sampling could never stop.
+    if pop.reject_until_hypothesis and (k < 2 or b < 2 or n < spec.min_ess(k, n)):
+        raise HypothesisNotMet(
+            f"{key.value} hypothesis holds for no function with k={k} b={b} n={n}"
+            f" (needs {spec.need()})"
+        )
+    return total, (f"sampled k={k} b={b} n={n} count={pop.count} seed={pop.seed} "
+                   f"reject_until_hypothesis={pop.reject_until_hypothesis}"), partial(_table_blocks, pop, budget)
+
+
+def _code_blocks(pop, total: int, lo: int, hi: int, bits=None):
+    """Codes lo..hi-1 of a walk of total codes in whole blocks (start, lanes,
+    block) as in core._layout: lane m holds bits(start + m), from_code's table
+    unless bits is given.  A code's base-b digits have fields of their own, so
+    bits(start + m) = bits(start) + bits(m) for start a multiple of r**d and
+    m < r**d, r = 2 for b a power of two (a code bit is a table bit), else b.
+    A block is r**d such lanes, d the largest that min(_KERNEL_BLOCK // k**n,
+    total) admits: one decode plus the ramp of bits(m), built once per walk.
+    A k = 1 lane is too narrow for _ess_lanes: alone."""
+    k, b, n = pop.k, pop.b, pop.n
+    bits = bits or (lambda code: from_code(k, b, n, code).bits)
+    r, width = 2 if b & (b - 1) == 0 else b, _lane_width(k**n * field_width(b))
+    cap, lanes, ones, ramp = min(_KERNEL_BLOCK // k**n, total) if k > 1 else 1, 1, 1, 0
+    while lanes * r <= cap:  # run c of the next ramp is this one raised by bits(c * lanes)
+        ramp = sum((ramp + bits(c * lanes) * ones) << c * lanes * width for c in range(r))
+        ones, lanes = ones * _spaced_ones(r, lanes * width), lanes * r
+    for start in range(lo - lo % lanes, hi, lanes):
+        yield start, lanes, bits(start) * ones + ramp
 
 
 def _table_blocks(pop, budget: int, lo: int, hi: int, table=None):
-    """Tables lo..hi-1 as blocks (start, lanes, block) of _KERNEL_BLOCK // k**n
-    lanes, or hi - lo if fewer, as in core._layout: lane m holds member
-    start + m, and no table past hi is drawn, so a last block's lanes there
-    are zero.  Member i is table(i) if given, else exhaustive codes are the
-    tables for b a power of two or from_code decodes them, and the samples
-    of a block (attempt 0 of each rejection stream) are one random_lanes
-    call of several shared passes.  A k = 1 lane is too narrow for _ess_lanes: alone."""
+    """Samples lo..hi-1 as blocks (start, lanes, block) of _KERNEL_BLOCK // k**n
+    lanes, or hi - lo if fewer, as in core._layout: lane m holds sample start + m,
+    table(start + m) if given, and none past hi is drawn, so a last block's lanes
+    there are zero.  Else a block's samples (attempt 0 of each rejection stream)
+    are one random_lanes call of several shared passes.  A k = 1 sample: alone."""
     k, b, n = pop.k, pop.b, pop.n
     lanes, width = max(1, min(_KERNEL_BLOCK // k**n, hi - lo)) if k > 1 else 1, _lane_width(k**n * field_width(b))
-    ones = _spaced_ones(lanes, width)
-    sampled = isinstance(pop, Sampled)
-    reject = sampled and pop.reject_until_hypothesis
-    # Lane m of the product counts the pairs i + j + 1 = m: m < lanes <= b**k**n, no carry.
-    ramp = 0 if table or sampled or b & (b - 1) else ones * (ones << width)
     for start in range(lo, hi, lanes):
         count = min(lanes, hi - start)
         if table:
             block = _pack([table(start + m) for m in range(count)], width)
-        elif sampled:
-            block = random_lanes(k, b, n, _substream_seeds(pop.seed, start, count, reject), count, budget)
-        elif b & (b - 1):
-            block = _pack([from_code(k, b, n, start + m).bits for m in range(count)], width)
         else:
-            block = (start * ones + ramp) & (1 << count * width) - 1
+            seeds = _substream_seeds(pop.seed, start, count, pop.reject_until_hypothesis)
+            block = random_lanes(k, b, n, seeds, count, budget)
         yield start, lanes, block
 
 
@@ -394,7 +402,7 @@ def _deg2_layout(n: int):
 
 def _deg2_blocks(n: int, lo: int, hi: int):
     """Degree-2 polynomials (quadratic part, linear part, constant) by
-    candidate index, quadratic part slowest, in blocks as _table_blocks:
+    candidate index, quadratic part slowest, in blocks as _code_blocks:
     each quadratic part with a candidate in lo..hi-1 is one whole block of
     its 2**(n+1) candidates, laid out as in _deg2_layout, at a start that is
     a multiple of 2**(n+1); lane 0 is the bare quadratic part.  Quadratic
@@ -476,11 +484,13 @@ def _thm1_walk(key, pop, budget: int):
     desc = f"{mode} search k={k} n={n} space={f'{k}**{digits}' if sampled else total}"
     fill, space = _diagonal_shape(k, n)[0], k**digits
 
-    def diagonal(i: int) -> int:
-        code = SplitMix64(substream_seed(pop.seed, i)).below(space) if sampled else i
+    def diagonal(code: int) -> int:
         return fill(*decode_index(code, k, digits))
 
-    return total, desc, partial(_table_blocks, pop, budget, table=None if mode == "full" else diagonal)
+    if sampled:
+        return total, desc, partial(_table_blocks, pop, budget,
+                                    table=lambda i: diagonal(SplitMix64(substream_seed(pop.seed, i)).below(space)))
+    return total, desc, partial(_code_blocks, pop, total, bits=None if mode == "full" else diagonal)
 
 
 @lru_cache(maxsize=1)

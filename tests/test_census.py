@@ -172,3 +172,25 @@ def test_gap_three_lanes_are_the_nonconstant_diagonal_codes():
     rainbow = perm(k, n)
     assert k * (k**rainbow - 1) == 2184
     assert gap_scan_census(TheoremId.THM1, k, k, n) == [0, 0, k * (k**rainbow - 1)]
+
+
+def constant_diagonal(k, b):
+    """Functions {0..k-1}^2 -> {0..b-1} of ess 2 whose one minor, x1 = x2,
+    is constant: b constants on the k diagonal rows, any values on the
+    k**2 - k others but that constant on all of them."""
+    return b * (b ** (k * k - k) - 1)
+
+
+@pytest.mark.parametrize("b,skipped,gap2", [(3, 219, 102), (4, 724, 240), (5, 1805, 460)])
+def test_thm_gen_walks_every_boolean_arity_three_table_into_b_values(b, skipped, gap2):
+    # ThmGen skips the tables of ess <= 2 = k.  Of ess >= 2, gap 2 has each
+    # f of ess 2 whose two variables' diagonal minor is constant, and each
+    # f of ess 3 that takes two values and is one of the 10 Boolean gap-2
+    # functions on them (parity 2, triangle 2, triangle plus two 6); every
+    # other has gap 1, and none gap 3.
+    n, ess2 = 3, comb(3, 2) * depending_on_all(2, b, 2)
+    assert sum(comb(n, m) * depending_on_all(2, b, m) for m in range(3)) == skipped
+    assert comb(n, 2) * constant_diagonal(2, b) + 10 * comb(b, 2) == gap2
+    r = sweep(TheoremId.THM_GEN, Exhaustive(2, b, n), workers=1)
+    assert r.passed and (r.checked, r.skipped) == (b**8 - skipped, skipped)
+    assert gap_scan_census(TheoremId.THM_GEN, 2, b, n) == [ess2 + r.checked - gap2, gap2, 0]

@@ -8,12 +8,15 @@ interpreter, since this test process has long imported everything.
 """
 
 import importlib
+import inspect
 import json
 import os
 import pickle
+import pkgutil
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -179,6 +182,28 @@ class TestPackageSurface:
         assert aritygap.sweep is verifier.sweep
         assert aritygap.SplitMix64 is generators.SplitMix64
         assert aritygap.DEFAULT_BUDGET == generators.DEFAULT_BUDGET == 1 << 24
+
+    def test_every_function_annotation_resolves(self):
+        # Under `from __future__ import annotations` an annotation is a string;
+        # each must name what its module binds, not a name imported in a body.
+        functions = []
+        for info in pkgutil.iter_modules([str(SRC / "aritygap")]):
+            module = importlib.import_module(f"aritygap.{info.name}")
+            for obj in vars(module).values():
+                if getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                if inspect.isfunction(obj):
+                    functions.append(obj)
+                elif inspect.isclass(obj):
+                    members = [m.fget if isinstance(m, property) else m for m in vars(obj).values()]
+                    functions += [m for m in members if inspect.isfunction(m)]
+        unresolved = []
+        for f in functions:
+            try:
+                typing.get_type_hints(f)
+            except NameError as exc:
+                unresolved.append(f"{f.__module__}.{f.__qualname__}: {exc}")
+        assert unresolved == [] and len(functions) > 50
 
     @pytest.mark.parametrize("name", ["nope", "_LAZY_", "random_lanes", "_Search"])
     def test_unknown_name_raises_attribute_error(self, name):

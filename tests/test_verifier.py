@@ -987,12 +987,14 @@ class TestKernelBlocks:
             (TheoremId.THM_STR, Sampled(2, 2, 3, 300, 8, True)),
             (TheoremId.THM_STR, Sampled(2, 2, 2, 300, 8, True)),
             (TheoremId.THM_SALOMAA_MAIN, Sampled(2, 2, 2, 600, 5, True)),
-            (TheoremId.THM1, Exhaustive(3, 3, 2)),  # from_code decodes the tables
+            (TheoremId.THM1, Exhaustive(3, 3, 2)),  # base-3 codes, in blocks of 3**d lanes
             (TheoremId.THM1, Exhaustive(3, 3, 3)),  # diagonal codes
             (TheoremId.THM_SALOMAA_AUX, Exhaustive(2, 2, 4)),
             (TheoremId.LEM_KPLUS1, Exhaustive(2, 2, 4)),
+            (TheoremId.THM_GEN, Exhaustive(2, 3, 3)),
         ],
-        ids=["thmstr", "thmstr-arity2", "salomaamain", "thm1-full", "thm1-diagonal", "salomaaaux", "lemkplus1"],
+        ids=["thmstr", "thmstr-arity2", "salomaamain", "thm1-full", "thm1-diagonal", "salomaaaux", "lemkplus1",
+             "thmgen-ternary"],
     )
     def test_reports_do_not_depend_on_the_block_size(self, theorem, pop, monkeypatch):
         monkeypatch.setattr(verifier, "_coef_gap", lambda coef, n: 1)
@@ -1047,6 +1049,87 @@ class TestKernelBlocks:
             values[-1:] = [full] * min(count, 1)  # the top lane filled
             assert verifier._pack(values, width) == sum(v << m * width for m, v in enumerate(values))
             assert verifier._pack(iter(values), width) == verifier._pack(values, width)
+
+
+def _diagonal_code_table(k, n, code):
+    """Thm1's diagonal code as a table, from its definition: the first of
+    its base-k digits on the points with a repeated coordinate, the others
+    on the rainbow points in ascending row order."""
+    const, *values = decode_index(code, k, math.perm(k, n) + 1)
+    rainbow = iter(values)
+    table = [next(rainbow) if len(set(x)) == n else const for x in product(range(k), repeat=n)]
+    return make_function(k, k, n, table).bits
+
+
+class TestCodeBlocks:
+    """An exhaustive walk's blocks: r**d lanes at a multiple of r**d, lane m
+    holding the table of code start + m, built from one decode per block."""
+
+    @pytest.mark.parametrize(
+        "key,shape,lanes",
+        [
+            (TheoremId.THM_GEN, (2, 3, 3), 729),
+            (TheoremId.THM_GEN, (2, 5, 3), 625),
+            (TheoremId.THM_GEN, (2, 4, 3), 1024),
+            (TheoremId.THM_SALOMAA_AUX, (3, 3, 2), 729),
+            (TheoremId.THM_GEN, (3, 2, 2), 512),  # the walk is one block
+            (TheoremId.THM_GEN, (1, 3, 2), 1),
+            (TheoremId.THM1, (3, 3, 3), 243),  # diagonal codes
+        ],
+    )
+    def test_every_lane_holds_its_code(self, key, shape, lanes):
+        k, b, n = shape
+        total, _, blocks = verifier._THEOREMS[key].walk(key, Exhaustive(*shape), DEFAULT_BUDGET)
+        if key is TheoremId.THM1:
+            assert total == 3**7
+            bits = partial(_diagonal_code_table, k, n)
+        else:
+            assert total == b ** (k**n)
+            bits = lambda code: core.from_code(k, b, n, code).bits
+        width, table = _lane_width(k**n * field_width(b)), (1 << k**n * field_width(b)) - 1
+        third = min(total // 3 + 5, total - 1)
+        for lo, hi in [(0, min(total, 3000)), (third, min(total, third + 1500)), (max(0, total - 700), total),
+                       (min(7, total - 1), min(12, total))]:
+            got = list(blocks(lo, hi))
+            starts = [start for start, _, _ in got]
+            assert {m for _, m, _ in got} == {lanes}
+            assert starts == list(range(lo - lo % lanes, hi, lanes)) and starts[-1] + lanes <= total
+            for start, _, block in got:
+                assert [block >> m * width & table for m in range(lanes)] == [bits(start + m) for m in range(lanes)]
+
+    @pytest.mark.parametrize("b,n", [(2, n) for n in range(1, 15)] + [(4, 3), (4, 4), (8, 3), (8, 4)])
+    def test_boolean_domain_powers_of_two_keep_their_lane_count(self, b, n):
+        # r = 2: a block fills min(_KERNEL_BLOCK // 2**n, total) lanes, 2**9 at (2, 4, 4) and (2, 8, 4).
+        total = b ** (2**n)
+        _, lanes, _ = next(verifier._code_blocks(Exhaustive(2, b, n), total, 0, total))
+        assert lanes == max(1, min(verifier._KERNEL_BLOCK // 2**n, total))
+
+    @pytest.mark.parametrize("key,shape,calls", [
+        (TheoremId.THM_GEN, (2, 3, 3), 9 + 6 * 3),  # 9 blocks of 3**6 lanes
+        (TheoremId.THM_GEN, (2, 5, 3), 625 + 4 * 5),  # 625 blocks of 5**4
+        (TheoremId.THM1, (3, 3, 2), 27 + 6 * 3),  # the full search's 3**9 tables
+        (TheoremId.THM_STR, (2, 2, 4), 128 + 9 * 2),  # 128 blocks of 2**9
+    ])
+    def test_a_walk_decodes_once_per_block_and_for_its_ramp(self, key, shape, calls, monkeypatch):
+        count = []
+        real = verifier.from_code
+        monkeypatch.setattr(verifier, "from_code", lambda *args: count.append(args) or real(*args))
+        assert sweep(key, Exhaustive(*shape), workers=1).checked > 0
+        assert len(count) == calls
+        # Samples are drawn, never decoded.
+        monkeypatch.setattr(verifier, "from_code", None)
+        assert sweep(key, Sampled(*shape, 300, 2), workers=1).checked > 0
+
+    def test_chunks_cutting_blocks_of_a_ternary_walk_add_up(self):
+        # Thm1's full search of the 3**9 tables, in blocks of 729 lanes: seven
+        # chunks start off a block, and the parts' witnesses are the whole's.
+        key, pop, total = TheoremId.THM1, Exhaustive(3, 3, 2), 3**9
+        bounds = verifier._chunk_bounds(total, 7)
+        assert all(lo % 729 for lo, _ in bounds[1:])
+        parts = [verifier._run_range((key, pop, DEFAULT_BUDGET, lo, hi, total)) for lo, hi in bounds]
+        whole = verifier._run_range((key, pop, DEFAULT_BUDGET, 0, total, total))
+        assert tuple(sum(p[i] for p in parts) for i in range(3)) == whole[:3] == (total, 0, 2184)
+        assert [f for p in parts for f in p[3]] == whole[3] and all(naive_total_collapse(f) for f in whole[3])
 
 
 class TestDeg2MaskEngine:
