@@ -558,6 +558,27 @@ MUTANTS = [
         ("tests/test_package.py::TestPackageSurface",),
     ),
     Mutant(
+        "compare-reports-keys-not-values",
+        "scripts/compare.py",
+        "elif not _untimed(report).items() <= now.items():",
+        "elif not _untimed(report).keys() <= now.keys():",
+        ("tests/test_compare.py::test_each_difference_is_one_line_that_names_it[changed-checked]",),
+    ),
+    Mutant(
+        "compare-empty-base-passes",
+        "scripts/compare.py",
+        'return ["REV gave no sweep report"]',
+        "return []",
+        ("tests/test_compare.py::test_each_difference_is_one_line_that_names_it[empty-base]",),
+    ),
+    Mutant(
+        "compare-skips-worker-comparison",
+        "scripts/compare.py",
+        "lines += worker_differences(_reports(one), _reports(head[TWO]))",
+        "lines += []",
+        ("tests/test_compare.py::test_each_difference_is_one_line_that_names_it[one-and-two-workers-differ]",),
+    ),
+    Mutant(
         "oracles-import-the-package",
         "tests/oracles.py",
         "from itertools import product\n",

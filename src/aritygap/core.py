@@ -180,13 +180,14 @@ def _layout(k: int, w: int, n: int, lanes: int):
     total = k**n * w
     full = (1 << total) - 1
     strides = tuple(k ** (n - 1 - t) * w for t in range(n))
-    zeros = ()
+    zeros = []
     for run in strides:
         pattern, length = ((1 << run) - 1) << ((k - 1) * run), k * run
         while length < total:
             pattern |= pattern << length
             length *= 2
-        zeros += (pattern & full,)
+        zeros.append(pattern & full)
+    zeros = tuple(zeros)
     lower = zeros if k == 2 else tuple(full ^ (z >> (k - 1) * run) for z, run in zip(zeros, strides))
     return zeros, strides, lower, 1, full
 
@@ -269,6 +270,8 @@ def _gap_at_most(block: int, k: int, b: int, n: int, lanes: int, e, pending: int
     first pair i < j of essential variables whose minor loses fewer than
     gap essential t != i, counted up from 2**p - gap as in _ess_lanes, gap
     cut to n, exact as gap <= ess <= n, so that 2**p - gap stays positive."""
+    if not pending:
+        return 0, None
     w = field_width(b)
     zeros, strides, lower, ones, fill = _layout(k, w, n, lanes)
     size, p = k**n * w, n.bit_length()

@@ -181,13 +181,15 @@ def constant_diagonal(k, b):
     return b * (b ** (k * k - k) - 1)
 
 
-@pytest.mark.parametrize("b,skipped,gap2", [(3, 219, 102), (4, 724, 240), (5, 1805, 460)])
+@pytest.mark.parametrize("b,skipped,gap2", [(3, 219, 102), (4, 724, 240), (5, 1805, 460), (8, 12104, 1792)])
 def test_thm_gen_walks_every_boolean_arity_three_table_into_b_values(b, skipped, gap2):
     # ThmGen skips the tables of ess <= 2 = k.  Of ess >= 2, gap 2 has each
     # f of ess 2 whose two variables' diagonal minor is constant, and each
     # f of ess 3 that takes two values and is one of the 10 Boolean gap-2
     # functions on them (parity 2, triangle 2, triangle plus two 6); every
-    # other has gap 1, and none gap 3.
+    # other has gap 1, and none gap 3.  A table on {0,1}^3 takes at most 8
+    # values, and relabelling values injectively keeps ess and the gap, so
+    # b = 8 settles arity 3 for every b.
     n, ess2 = 3, comb(3, 2) * depending_on_all(2, b, 2)
     assert sum(comb(n, m) * depending_on_all(2, b, m) for m in range(3)) == skipped
     assert comb(n, 2) * constant_diagonal(2, b) + 10 * comb(b, 2) == gap2

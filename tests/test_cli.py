@@ -692,3 +692,21 @@ def test_thm1_k3_n15_in_bounded_memory():
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["population"] == "diagonal search k=3 n=15 space=3"
+
+
+def test_one_element_domain_at_huge_arity_in_bounded_time(tmp_path):
+    # At k = 1 the budget admits any n, as 1**n = 1: a layout of n masks
+    # and a gap scan with nothing pending must each stay linear in n.  Each
+    # call ran for minutes while these were quadratic.
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    path = tmp_path / "k1.fn"
+    path.write_text("1 1000000 2\n0\n", encoding="utf-8")
+    lines = [["analyze", str(path), "--json"],
+             ["sweep", "--theorem", "thmgen", "--k", "1", "--b", "2", "--n", "100000", "--json"]]
+    results = [subprocess.run([sys.executable, "-m", "aritygap", *argv], capture_output=True, text=True,
+                              preexec_fn=limit_address_space, timeout=10) for argv in lines]
+    assert [r.returncode for r in results] == [0, 4], [r.stderr for r in results]
+    assert json.loads(results[0].stdout)["ess"] == 0
+    assert (json.loads(results[1].stdout)["checked"], json.loads(results[1].stdout)["skipped"]) == (0, 2)
