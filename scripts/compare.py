@@ -14,10 +14,10 @@ __pycache__.  The checks:
 - every report of REV reappears at head with each of REV's keys unchanged
   but elapsed_s; added keys and added reports pass, and a missing report,
   or no report at all from REV, fails;
-- `generate --random` prints the same file in both trees for five shapes,
+- `generate --random` prints the same file in both trees for eight shapes,
   and a generate that fails at head is a difference even where REV fails
   alike;
-- analyze, classify (each with and without --json) and anf on those five
+- analyze, classify (each with and without --json) and anf on those eight
   files, a hex: file and two malformed ones, the help texts, a bare
   analyze, `anf FILE --json` and one small gap >= 3 search give the same
   (exit code, stdout, stderr) in both trees.
@@ -46,7 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ONE = ("run_all_sweeps.py", "--json", "--workers", "1")
 TWO = ("run_all_sweeps.py", "--json", "--workers", "2")
-SHAPES = ("2 2 6 1", "2 2 10 2", "3 3 4 3", "3 2 5 4", "3 5 3 5")  # generate --random K B N SEED
+# generate --random K B N SEED; b = 4, 32 and 64 draw fields of 2, 5 and 6 bits.
+SHAPES = ("2 2 6 1", "2 2 10 2", "3 3 4 3", "3 2 5 4", "3 5 3 5", "2 4 5 6", "2 32 4 7", "2 64 3 8")
 SEARCH = ("search", "--k", "3", "--n", "4", "--count", "2000", "--seed", "0", "--json")
 PARTS = ("exit code", "stdout", "stderr")
 

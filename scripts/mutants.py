@@ -445,6 +445,34 @@ MUTANTS = [
         ("tests/test_generators.py::TestRandomLanes::test_mixed_lanes_of_row_counts_the_doubling_overshoots",),
     ),
     Mutant(
+        "mix-first-cut-one-bit-short",
+        "src/aritygap/generators.py",
+        "for c in (64, t + 58, t + 31)",
+        "for c in (64, t + 57, t + 31)",
+        ("tests/test_generators.py::TestRandomLanes::test_a_mix_cut_to_w_bits_is_the_low_w_bits_of_the_whole_mix",),
+    ),
+    Mutant(
+        "mix-second-cut-one-bit-short",
+        "src/aritygap/generators.py",
+        "for c in (64, t + 58, t + 31)",
+        "for c in (64, t + 58, t + 30)",
+        ("tests/test_generators.py::TestRandomLanes::test_a_mix_cut_to_w_bits_is_the_low_w_bits_of_the_whole_mix",),
+    ),
+    Mutant(
+        "mix-second-product-spills-into-the-next-lane",
+        "src/aritygap/generators.py",
+        "z = ((z ^ z >> 27) & low) * (",
+        "z = (z ^ z >> 27) * (",
+        ("tests/test_generators.py::TestRandomLanes::test_a_mix_cut_to_w_bits_is_the_low_w_bits_of_the_whole_mix",),
+    ),
+    Mutant(
+        "mix-cut-for-b-not-a-power-of-two",
+        "src/aritygap/generators.py",
+        "w if b & b - 1 == 0 and w < 6 else 64",
+        "w if w < 6 else 64",
+        ("tests/test_generators.py::TestRandomFunction::test_golden_tables",),
+    ),
+    Mutant(
         "lane-width-drops-guard",
         "src/aritygap/core.py",
         "return max(size + 1, 8)",
@@ -577,6 +605,13 @@ MUTANTS = [
         "lines += worker_differences(_reports(one), _reports(head[TWO]))",
         "lines += []",
         ("tests/test_compare.py::test_each_difference_is_one_line_that_names_it[one-and-two-workers-differ]",),
+    ),
+    Mutant(
+        "pairs-summary-swaps-base-and-change",
+        "scripts/pairs.py",
+        'metric_summary(values("base", m["name"]), values("change", m["name"]),',
+        'metric_summary(values("change", m["name"]), values("base", m["name"]),',
+        ("tests/test_pairs.py::test_the_change_is_the_second_side_of_every_figure",),
     ),
     Mutant(
         "oracles-import-the-package",

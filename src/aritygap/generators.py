@@ -13,12 +13,16 @@ core._layout.  Up to b = 2**64 a candidate is one output, and _mix_lanes
 mixes up to 1,024 outputs in the 128-bit lanes of one int.  A pass of g
 tables is row-major, lane j * g + i holding row j of table i: its counters
 are the seed lanes plus GOLDEN, copied by doubling, plus j * GOLDEN.  An
-entry is an output's low bits for b a power of two, else the outputs under
-below's threshold are kept in order, mod b.  1024 // k**n tables share a
-pass while it expects under one rejection, 1024 * (2**64 mod b) < 2**64,
-and if it rejects are drawn alone, in passes of g = 1, as are tables of
-other b or more rows; b > 2**64 draws row by row.  The seed of sample i of
-a sweep is output i of SplitMix64(seed), so a block's are a pass too.
+entry is an output's low w bits for b a power of two, else the outputs
+under below's threshold are kept in order, mod b.  Low bits of a product,
+xor or sum depend on its inputs' low bits alone (Warren, Hacker's Delight,
+2-3), so t output bits need the first product mod 2**(t + 58) and the
+second mod 2**(t + 31): a pass of b = 2**w <= 32 mixes only those.
+1024 // k**n tables share a pass while it expects under one rejection,
+1024 * (2**64 mod b) < 2**64, and if it rejects are drawn alone, in passes
+of g = 1, as are tables of other b or more rows; b > 2**64 draws row by
+row.  The seed of sample i of a sweep is output i of SplitMix64(seed), so
+a block's are a pass too.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .errors import (
 )
 
 GOLDEN = 0x9E3779B97F4A7C15
+_C1, _C2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB  # mix64's multipliers
 _MASK64 = (1 << 64) - 1
 _BLOCK = 1024  # rows mixed per pass: 128 Kibit ints at any table size
 _DIGITS = (b"0" * 256, b"01" * 128)  # a byte's entry for b = 1 and b = 2: its low bit
@@ -55,17 +60,21 @@ _STEP = 1 if sys.byteorder == "little" else -1  # the end a pass's native words 
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer."""
-    return _mix_lanes(z & _MASK64, _MASK64) & _MASK64
+    return _mix_lanes(z & _MASK64, (_MASK64,) * 3, 64) & _MASK64
 
 
-def _mix_lanes(z: int, lanes: int) -> int:
-    """mix64 of the 64-bit value at the bottom of each 128-bit lane of z,
-    lanes being their 64-bit masks, in the low 64 bits of its lane.  A lane
-    holds its 64-bit by 64-bit product, and the masks after the first two
-    right shifts drop the bits they bring down from the lane above; the
-    caller masks off what the last one brings."""
-    z = ((z ^ z >> 30 & lanes) * 0xBF58476D1CE4E5B9) & lanes
-    z = ((z ^ z >> 27 & lanes) * 0x94D049BB133111EB) & lanes
+def _mix_lanes(z: int, masks: tuple[int, int, int], t: int) -> int:
+    """mix64 of the 64-bit value at the bottom of each 128-bit lane of z, in
+    the low t bits of its lane, 1 <= t <= 64.  masks are the lanes' 64-bit
+    masks and those cut to t + 58 and t + 31 bits: t output bits need the
+    first product mod 2**(t + 58) and the second mod 2**(t + 31), and at
+    t = 64 every cut is whole.  A lane holds its 64-bit by (t + 58)-bit
+    product, and the masks after the first two right shifts drop the bits
+    they bring down from the lane above; the caller masks off what the
+    last one brings."""
+    lanes, high, low = masks
+    z = ((z ^ z >> 30 & lanes) * (_C1 & (1 << t + 58) - 1)) & high
+    z = ((z ^ z >> 27) & low) * (_C2 & (1 << t + 31) - 1) & low
     return z ^ z >> 31
 
 
@@ -151,31 +160,35 @@ def _table_text(seed: int, size: int, b: int, w: int) -> str:
 
 
 @lru_cache(maxsize=128)
-def _lanes(rows: int, g: int):
+def _lanes(rows: int, g: int, t: int):
     """GOLDEN in g lanes, then over rows * g lanes j * GOLDEN mod 2**64 in lane
-    j * g + i and the 64-bit masks.  Keyed by shape: redraws keep a block's."""
+    j * g + i, and _mix_lanes' masks for t bits: the lanes' 64-bit masks and
+    those cut to t + 58 and t + 31 bits.  Keyed by shape: redraws keep a block's."""
     steps = b"".join((j * GOLDEN & _MASK64).to_bytes(16, "little") * g for j in range(rows))
-    return GOLDEN * _spaced_ones(g, 128), int.from_bytes(steps, "little"), _MASK64 * _spaced_ones(rows * g, 128)
+    ones = _spaced_ones(rows * g, 128)
+    return GOLDEN * _spaced_ones(g, 128), int.from_bytes(steps, "little"), tuple(
+        ((1 << min(64, c)) - 1) * ones for c in (64, t + 58, t + 31))
 
 
-def _mixed(seeds: int, g: int, rows: int) -> tuple[int, int]:
+def _mixed(seeds: int, g: int, rows: int, t: int = 64) -> tuple[int, int]:
     """(z, lanes): lane j * g + i of z holds mix64 of seed i + (j + 1) *
-    GOLDEN, for the g seeds in the lanes of seeds, lanes being the 64-bit
-    masks of the rows * g lanes.  The seeds plus GOLDEN are copied by
-    doubling (Knuth, TAOCP 4A, 7.1.3); the mask drops what overshoots."""
-    golden, steps, lanes = _lanes(rows, g)
+    GOLDEN in its low t bits, for the g seeds in the lanes of seeds, lanes
+    being the 64-bit masks of the rows * g lanes.  The seeds plus GOLDEN are
+    copied by doubling (Knuth, TAOCP 4A, 7.1.3); the mask drops what overshoots."""
+    golden, steps, masks = _lanes(rows, g, t)
     x = seeds + golden
     for e in range((rows - 1).bit_length()):
         x |= x << (128 * g << e)
-    return _mix_lanes(x + steps & lanes, lanes), lanes
+    return _mix_lanes(x + steps & masks[0], masks, t), masks[0]
 
 
 def _pass(seeds: int, g: int, rows: int, b: int, w: int) -> tuple[list[str], int]:
     """(texts, kept): the binary text of the entries below(b) reads from
     rows outputs of each of g seeds, and their count: the outputs under its
     threshold, in order, mod b.  Text i is every g-th kept output from
-    output i, a table unless g > 1 and an output is rejected."""
-    data = _mixed(seeds, g, rows)[0].to_bytes(16 * rows * g, sys.byteorder)
+    output i, a table unless g > 1 and an output is rejected.  b = 2**w
+    reads the low w bits of an output, all _mixed computes while w + 58 < 64."""
+    data = _mixed(seeds, g, rows, w if b & b - 1 == 0 and w < 6 else 64)[0].to_bytes(16 * rows * g, sys.byteorder)
     if w == 1:
         digits = data[:: 16 * _STEP].translate(_DIGITS[b - 1]).decode()
         return [digits[i::g] for i in range(g)], rows * g

@@ -36,7 +36,7 @@ from aritygap.core import _lane_width, field_width
 import aritygap.generators as generators
 from aritygap.generators import _BLOCK, random_lanes
 
-from oracles import SplitMix64Stream, naive_random_table, seed_lanes
+from oracles import SplitMix64Stream, lane_seeds, naive_random_table, seed_lanes
 
 XOR = make_function(2, 2, 2, [0, 1, 1, 0])
 
@@ -152,7 +152,7 @@ ORACLE_SHAPES = [(2, 3), (3, 2), (1, 1), (_BLOCK - 1, 1), (_BLOCK, 1), (_BLOCK +
 
 class TestRandomFunctionOracle:
     @pytest.mark.parametrize("shape", ORACLE_SHAPES)
-    @pytest.mark.parametrize("b", [1, 2, 3, 4, 8, 10, 256, 2**63 + 1, 2**64, 2**65])
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 8, 10, 32, 64, 256, 2**63 + 1, 2**64, 2**65])
     def test_table_is_below_b_drawn_row_by_row(self, b, shape):
         k, n = shape
         for seed in (0, 2**64 - 1, 2**64 + 5, -1):
@@ -170,12 +170,13 @@ class TestRandomFunctionOracle:
 
 
 # (k, b, n): Boolean arities on both sides of one pass; b = 3, 10 and
-# powers of two in shared passes; b = 2**63 + 1, which rejects about half of
-# the outputs, so nearly every shared pass falls back to drawing its tables
-# alone; 2**64, the widest shared b; 2**65, drawn row by row; k = 1; and
-# tables over 1,024 rows, drawn alone.
+# powers of two in shared passes, 32 the widest whose mix is cut to its
+# fields' bits and 64 the first mixed whole; b = 2**63 + 1, which rejects
+# about half of the outputs, so nearly every shared pass falls back to
+# drawing its tables alone; 2**64, the widest shared b; 2**65, drawn row by
+# row; k = 1; and tables over 1,024 rows, drawn alone.
 LANE_SHAPES = [(2, 2, n) for n in range(1, 12)] + [
-    (3, 3, 2), (3, 3, 4), (3, 10, 3), (2, 10, 6), (5, 3, 4), (4, 4, 5), (2, 16, 6),
+    (3, 3, 2), (3, 3, 4), (3, 10, 3), (2, 10, 6), (5, 3, 4), (4, 4, 5), (2, 16, 6), (2, 32, 6), (2, 64, 6),
     (3, 2**63 + 1, 2), (2, 2**63 + 1, 5), (3, 2**64, 3), (2, 2**65, 3),
     # The most often rejecting b whose passes are still shared (about one in 1,024 outputs).
     (3, 2**64 - 2**54 + 1, 2), (2, 2**64 - 2**54 + 1, 5),
@@ -301,18 +302,37 @@ class TestRandomLanes:
 
     def test_a_boolean_block_is_one_mix_of_1024_lanes(self, monkeypatch):
         seeds = [substream_seed(4, i) for i in range(16)]
-        mixes, real = [], generators._mix_lanes
+        mixes, cuts, real = [], [], generators._mix_lanes
 
-        def spy(z, lanes):
-            mixes.append(lanes.bit_count() // 64)
-            return real(z, lanes)
+        def spy(z, masks, t):
+            mixes.append(masks[0].bit_count() // 64)
+            cuts.append(t)
+            return real(z, masks, t)
 
         monkeypatch.setattr(generators, "_mix_lanes", spy)
         block = random_lanes(2, 2, 6, seed_lanes(seeds), 16)
-        assert mixes == [1024]
+        assert mixes == [1024] and cuts == [1]
         monkeypatch.undo()
         tables = _lane_tables(2, 2, 6, block, 16)
         assert tables == [make_function(2, 2, 6, naive_random_table(2, 2, 6, s)).bits for s in seeds]
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 5, 6, 64])
+    def test_a_mix_cut_to_w_bits_is_the_low_w_bits_of_the_whole_mix(self, w):
+        # Inputs at the carry edges (0, 2**64 - 1 and 2**64 - GOLDEN, which
+        # plus GOLDEN wraps to 0) and random ones, mixed alone and in passes.
+        edges = [0, 2**64 - 1, 2**64 - generators.GOLDEN]
+        values = edges * 3 + [substream_seed(w, i) for i in range(55)]
+        low = (1 << w) - 1
+        masks = generators._lanes(len(values), 1, w)[2]
+        cut = generators._mix_lanes(seed_lanes(values), masks, w)
+        whole = [SplitMix64Stream((v - generators.GOLDEN) % 2**64).next() for v in values]
+        assert [x & low for x in lane_seeds(cut, len(values))] == [x & low for x in whole]
+        for rows, g in ((1, 64), (9, 7), (64, 16)):
+            seeds = (edges + values)[:g]
+            z, _ = generators._mixed(seed_lanes(seeds), g, rows, w)
+            streams = [SplitMix64Stream(s) for s in seeds]
+            expected = [stream.next() & low for _ in range(rows) for stream in streams]
+            assert [x & low for x in lane_seeds(z, rows * g)] == expected
 
     def test_shape_is_checked_before_drawing(self):
         assert random_lanes(3, 3, 3, 0, 0) == 0
