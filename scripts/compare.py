@@ -18,8 +18,9 @@ __pycache__.  The checks:
   and a generate that fails at head is a difference even where REV fails
   alike;
 - analyze, classify (each with and without --json) and anf on those eight
-  files, a hex: file and two malformed ones, the help texts, a bare
-  analyze, `anf FILE --json` and one small gap >= 3 search give the same
+  files, the three files of gap 2, 3 and 4 that ladder_files() writes, a
+  hex: file and two malformed ones, the help texts, a bare analyze,
+  `anf FILE --json` and one small gap >= 3 search give the same
   (exit code, stdout, stderr) in both trees.
 
 Prints one line per difference and exits 1, or exits 0 when there is none,
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import os
 import random
@@ -50,6 +52,18 @@ TWO = ("run_all_sweeps.py", "--json", "--workers", "2")
 SHAPES = ("2 2 6 1", "2 2 10 2", "3 3 4 3", "3 2 5 4", "3 5 3 5", "2 4 5 6", "2 32 4 7", "2 64 3 8")
 SEARCH = ("search", "--k", "3", "--n", "4", "--count", "2000", "--seed", "0", "--json")
 PARTS = ("exit code", "stdout", "stderr")
+
+
+def ladder_files() -> dict[str, str]:
+    """Function files of gap 2, 3 and 4, on which analyze climbs gap_report's
+    ladder past its first rung: parity at n = 8, and at k = n = 3 and 4 the
+    table that is x1 where the coordinates are pairwise distinct and 0
+    elsewhere (every variable essential, every identification minor constant)."""
+    files = {"parity-8.fn": "2 8 2\n" + " ".join(str(bin(r).count("1") % 2) for r in range(256)) + "\n"}
+    for k in (3, 4):
+        rows = (p[0] if len(set(p)) == k else 0 for p in itertools.product(range(k), repeat=k))
+        files[f"diagonal-{k}.fn"] = f"{k} {k} {k}\n" + " ".join(map(str, rows)) + "\n"
+    return files
 
 
 def _name(report: dict) -> str:
@@ -140,6 +154,8 @@ def main() -> int:
         base, head = _runs(tree, files, [ONE, *generates]), _runs(ROOT, files, [ONE, TWO, *generates])
         for argv in generates:
             (files / f"random-{'-'.join(argv[2:])}.fn").write_bytes(head[argv][1])
+        for name, text in ladder_files().items():
+            (files / name).write_text(text)
         (files / "hex.fn").write_text("hex:%064x\n" % random.Random(6).getrandbits(256))
         (files / "out-of-range.fn").write_text("2 2 2\n0 1 2 0\n")
         (files / "short.fn").write_text("3 2 3\n0 1 2\n")

@@ -118,9 +118,51 @@ MUTANTS = [
     Mutant(
         "gap-scan-counts-survivors-of-f",
         "src/aritygap/core.py",
-        "survives = _depends(minor, ",
-        "survives = _depends(block, ",
+        "survives = ((((minor << stride) ^ minor) & low)",
+        "survives = ((((block << stride) ^ block) & low)",
         ("tests/test_core.py::TestGapReport", "tests/test_core.py::TestGap1Lanes"),
+    ),
+    Mutant(
+        "gap-scan-carry-without-fill",
+        "src/aritygap/core.py",
+        "& low) + fill) >> size",
+        "& low) + 0) >> size",
+        ("tests/test_core.py::TestGapReport::test_and",),
+    ),
+    Mutant(
+        "gap-plan-others-include-i",
+        "src/aritygap/core.py",
+        "for t in range(n) if t != i)",
+        "for t in range(n))",
+        ("tests/test_core.py::TestGapAtMost::test_lanes_match_the_oracle",),
+    ),
+    Mutant(
+        "gap-plan-drops-the-last-variable",
+        "src/aritygap/core.py",
+        "for t in range(n) if t != i)",
+        "for t in range(n - 1) if t != i)",
+        ("tests/test_core.py::TestGapAtMost::test_lanes_match_the_oracle",),
+    ),
+    Mutant(
+        "gap-plan-next-variables-stride",
+        "src/aritygap/core.py",
+        "tuple((t, strides[t], lower[t])",
+        "tuple((t, strides[(t + 1) % n], lower[t])",
+        ("tests/test_core.py::TestGapAtMost::test_lanes_match_the_oracle",),
+    ),
+    Mutant(
+        "gap-plan-next-variables-lower-mask",
+        "src/aritygap/core.py",
+        "tuple((t, strides[t], lower[t])",
+        "tuple((t, strides[t], lower[(t + 1) % n])",
+        ("tests/test_core.py::TestGapAtMost::test_lanes_match_the_oracle",),
+    ),
+    Mutant(
+        "gap-plan-pairs-in-colex-order",
+        "src/aritygap/core.py",
+        "for i, row in enumerate(others) for j in range(i + 1, n)",
+        "for j in range(n) for i, row in enumerate(others[:j])",
+        ("tests/test_core.py::TestGapAtMost::test_lanes_match_the_oracle",),
     ),
     Mutant(
         "is-essential-reads-the-next-flag",
@@ -503,8 +545,8 @@ MUTANTS = [
     Mutant(
         "layout-shares-zero-masks-at-k3",
         "src/aritygap/core.py",
-        "lower = zeros if k == 2 else",
-        "lower = zeros if k <= 3 else",
+        "lower = zeros if k == 2 else tuple(fill ^",
+        "lower = zeros if k <= 3 else tuple(fill ^",
         ("tests/test_core.py::TestBlockLayout::test_lower_masks_at_k3_are_full_minus_the_top_digit",),
     ),
     Mutant(

@@ -56,7 +56,7 @@ def _moebius(bits: int, n: int, lanes: int = 1) -> int:
     coefficient of the monomial whose index is r.  With lanes > 1, bits is
     a block laid out as in core._layout, and every lane is transformed
     with the masks repeated in every lane."""
-    zeros, strides, _, _, _ = _layout(2, 1, n, lanes)
+    zeros, strides, *_ = _layout(2, 1, n, lanes)
     for z, s in zip(zeros, strides):
         # Each row with x_t = 0 adds its value to the row with x_t = 1.
         bits ^= (bits & z) >> s
@@ -95,7 +95,7 @@ def occurs(p: ZhegalkinPolynomial, i: int) -> bool:
     whether a set coefficient lies on a row of the table of x_i."""
     if not 1 <= i <= p.arity:
         raise IndexOutOfRange(f"variable index {i} not in 1..{p.arity}")
-    zeros, strides, _, _, _ = _layout(2, 1, p.arity, 1)
+    zeros, strides, *_ = _layout(2, 1, p.arity, 1)
     return bool(p.coef & (zeros[i - 1] >> strides[i - 1]))
 
 

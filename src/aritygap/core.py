@@ -162,40 +162,47 @@ def _layout(k: int, w: int, n: int, lanes: int):
     t+1.  zeros[t] is D_{t+1}(0); every other digit mask is a shift of it,
     D_{t+1}(c) = zeros[t] >> c * strides[t], since within each block of
     k * strides[t] bits the run of digit c lies c runs below that of digit
-    0.  lower[t] = full ^ D_{t+1}(k-1) marks the rows whose digit t+1 is
+    0.  lower[t] = fill ^ D_{t+1}(k-1) marks the rows whose digit t+1 is
     below k-1 (digit 0 at k = 2, where lower is zeros).  zeros[t] repeats
     one block and is built by doubling a bit string, O(k**n * w).
 
-    Returns (zeros, strides, lower, ones, fill), repeated in `lanes` lanes of
-    _lane_width(k**n * w) bits, lane 0 lowest and each table at its bottom,
-    where ones and fill are 1 and 2**(k**n * w) - 1 per lane.  A stride shift
-    keeps each table bit in its lane's rows.  lanes has no default, so a
-    shape has one cache entry, and a block multiplies its masks by ones.
+    Returns (zeros, strides, lower, ones, fill, plan), repeated in `lanes`
+    lanes of _lane_width(k**n * w) bits, lane 0 lowest and each table at its
+    bottom, where ones and fill are 1 and 2**(k**n * w) - 1 per lane.  A
+    stride shift keeps each table bit in its lane's rows.  lanes has no
+    default, so a shape has one cache entry, and a block multiplies its
+    masks by ones.  plan, _gap_at_most's walk, is (i, j, others[i]) for the
+    pairs i < j in lex order, others[i] holding (t, strides[t], lower[t]) for
+    each t != i: this entry's masks, and no pair at k = 1, where no variable
+    is essential.
     """
     if lanes > 1:
-        zeros, strides, lower, _, full = _layout(k, w, n, 1)
+        zeros, strides, lower, _, fill, _ = _layout(k, w, n, 1)
         ones = _spaced_ones(lanes, _lane_width(k**n * w))
-        zeros = tuple(z * ones for z in zeros)
-        return zeros, strides, zeros if k == 2 else tuple(m * ones for m in lower), ones, full * ones
-    total = k**n * w
-    full = (1 << total) - 1
-    strides = tuple(k ** (n - 1 - t) * w for t in range(n))
-    zeros = []
-    for run in strides:
-        pattern, length = ((1 << run) - 1) << ((k - 1) * run), k * run
-        while length < total:
-            pattern |= pattern << length
-            length *= 2
-        zeros.append(pattern & full)
-    zeros = tuple(zeros)
-    lower = zeros if k == 2 else tuple(full ^ (z >> (k - 1) * run) for z, run in zip(zeros, strides))
-    return zeros, strides, lower, 1, full
+        zeros, fill = tuple(z * ones for z in zeros), fill * ones
+        lower = zeros if k == 2 else tuple(m * ones for m in lower)
+    else:
+        total = k**n * w
+        ones, fill = 1, (1 << total) - 1
+        strides = tuple(k ** (n - 1 - t) * w for t in range(n))
+        zeros = []
+        for run in strides:
+            pattern, length = ((1 << run) - 1) << ((k - 1) * run), k * run
+            while length < total:
+                pattern |= pattern << length
+                length *= 2
+            zeros.append(pattern & fill)
+        zeros = tuple(zeros)
+        lower = zeros if k == 2 else tuple(fill ^ (z >> (k - 1) * run) for z, run in zip(zeros, strides))
+    others = [tuple((t, strides[t], lower[t]) for t in range(n) if t != i) for i in range(n if k > 1 else 0)]
+    return zeros, strides, lower, ones, fill, tuple((i, j, row) for i, row in enumerate(others) for j in range(i + 1, n))
 
 
 def _lane_width(size: int) -> int:
     """Bits per lane of size-bit tables: the table, a guard bit for carries,
-    and 8 at least, as _ess_lanes and _gap_at_most count in bits 0..p of a
-    lane, p = max(n, least).bit_length(), which is <= size for size >= 8."""
+    and 8 at least, as _ess_lanes counts essential variables, and
+    _gap_at_most a minor's lost ones, in bits 0..p of a lane, p = max(n,
+    least).bit_length() (n.bit_length() in the scan), <= size for size >= 8."""
     return max(size + 1, 8)
 
 
@@ -238,7 +245,7 @@ def _dependence(block: int, k: int, b: int, n: int, lanes: int) -> list[int]:
     _layout) whose table depends on x_{t+1}: t is inessential iff every row
     whose digit t is below k-1 equals the row one stride further."""
     w = field_width(b)
-    _, strides, lower, ones, fill = _layout(k, w, n, lanes)
+    _, strides, lower, ones, fill, _ = _layout(k, w, n, lanes)
     size = k**n * w
     return [_depends(block, size, ones, fill, s, low) for s, low in zip(strides, lower)]
 
@@ -269,33 +276,35 @@ def _gap_at_most(block: int, k: int, b: int, n: int, lanes: int, e, pending: int
     that held the last lane if all are, else None.  A lane is held at its
     first pair i < j of essential variables whose minor loses fewer than
     gap essential t != i, counted up from 2**p - gap as in _ess_lanes, gap
-    cut to n, exact as gap <= ess <= n, so that 2**p - gap stays positive."""
+    cut to n, exact as gap <= ess <= n, so that 2**p - gap stays positive.
+    One walk over _layout's pair plan; each t's test is _depends' carry,
+    inline and without its & ones, as it is read only under kept, which
+    holds bottom bits alone."""
     if not pending:
         return 0, None
     w = field_width(b)
-    zeros, strides, lower, ones, fill = _layout(k, w, n, lanes)
+    zeros, strides, _, ones, fill, plan = _layout(k, w, n, lanes)
     size, p = k**n * w, n.bit_length()
     bias = ((1 << p) - min(gap, n)) * ones if gap > 1 else 0  # unread at gap 1; count < 2**(p+1)
     rest = pending
-    for i in range(n):
-        for j in range(i + 1, n):
-            kept = e[i] & e[j] & rest
-            if not kept:
-                continue
-            minor, count = _identified(block, k, zeros, strides, i, j), bias
-            for t in range(n):
-                if t != i and e[t] & kept:
-                    survives = _depends(minor, size, ones, fill, strides[t], lower[t])
-                    if gap == 1:
-                        kept &= ~e[t] | survives
-                    else:
-                        count += e[t] & kept & ~survives
-                        kept &= ~(count >> p)
-                    if not kept:
-                        break
-            rest ^= kept
-            if not rest:
-                return pending, (i + 1, j + 1)
+    for i, j, others in plan:
+        kept = e[i] & e[j] & rest
+        if not kept:
+            continue
+        minor, count = _identified(block, k, zeros, strides, i, j), bias
+        for t, stride, low in others:
+            if e[t] & kept:
+                survives = ((((minor << stride) ^ minor) & low) + fill) >> size
+                if gap == 1:
+                    kept &= ~e[t] | survives
+                else:
+                    count += e[t] & kept & ~survives
+                    kept &= ~(count >> p)
+                if not kept:
+                    break
+        rest ^= kept
+        if not rest:
+            return pending, (i + 1, j + 1)
     return pending ^ rest, None
 
 
@@ -303,12 +312,14 @@ def is_essential(f: FiniteFunction, i: int) -> bool:
     """Whether changing only the i-th argument can change the value of f."""
     if not 1 <= i <= f.n:
         raise IndexOutOfRange(f"variable index {i} not in 1..{f.n}")
-    return bool(_dependence(f.bits, f.k, f.b, f.n, 1)[i - 1])
+    return f.k > 1 and bool(_dependence(f.bits, f.k, f.b, f.n, 1)[i - 1])
 
 
 def essential_vars(f: FiniteFunction) -> tuple[int, ...]:
-    """Indices of the essential variables of f, ascending."""
-    return tuple(t + 1 for t, lanes in enumerate(_dependence(f.bits, f.k, f.b, f.n, 1)) if lanes)
+    """Indices of the essential variables of f, ascending: none at k = 1,
+    where a table has one row, decided without masks for any n."""
+    e = _dependence(f.bits, f.k, f.b, f.n, 1) if f.k > 1 else ()
+    return tuple(t + 1 for t, lanes in enumerate(e) if lanes)
 
 
 def ess(f: FiniteFunction) -> int:
@@ -328,7 +339,7 @@ def identify(f: FiniteFunction, i: int, j: int) -> FiniteFunction:
             raise IndexOutOfRange(f"variable index {v} not in 1..{f.n}")
     if i == j:
         raise SameIndex(f"identification needs two distinct indices, got i = j = {i}")
-    zeros, strides, _, _, _ = _layout(f.k, field_width(f.b), f.n, 1)
+    zeros, strides, *_ = _layout(f.k, field_width(f.b), f.n, 1)
     return FiniteFunction(f.k, f.b, f.n, _identified(f.bits, f.k, zeros, strides, i - 1, j - 1))
 
 
@@ -340,7 +351,7 @@ def gap_report(f: FiniteFunction) -> GapReport:
     g - 1 essential variables besides x_i keeps ess - g, as it gains none,
     so the gap is the least g at which _gap_at_most holds f (g = ess does),
     and its pair is the lexicographically least attaining essl."""
-    e = _dependence(f.bits, f.k, f.b, f.n, 1)
+    e = _dependence(f.bits, f.k, f.b, f.n, 1) if f.k > 1 else ()
     count = sum(e)
     if count < 2:
         raise EssentialArityTooSmall(f"arity gap needs ess >= 2, got ess = {count}")

@@ -188,7 +188,7 @@ def _restriction_scan(block: int, k: int, b: int, n: int, lanes: int, pending: i
     whose table with x_j fixed to c still depends on the other n - 1
     variables.  A lane leaves pending at its first (j, c)."""
     w = field_width(b)
-    zeros, strides, lower, ones, fill = _layout(k, w, n, lanes)
+    zeros, strides, lower, ones, fill, _ = _layout(k, w, n, lanes)
     for j in range(n):
         for c in range(k):
             if not pending:
@@ -210,7 +210,7 @@ def _kplus1_scan(block: int, k: int, b: int, n: int, lanes: int, pending: int):
     x_{k+1} essential.  A lane leaves pending at its first pair; with none
     pending, as whenever n <= k, the scan ends before it reads a mask."""
     w = field_width(b)
-    zeros, strides, lower, ones, fill = _layout(k, w, n, lanes)
+    zeros, strides, lower, ones, fill, _ = _layout(k, w, n, lanes)
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
             if not pending:
@@ -329,7 +329,7 @@ def _cubic_lanes(block: int, n: int, lanes: int) -> int:
     of arity n with a monomial of >= 3 variables, gap 1 at the classifier's
     first clause: the block's Moebius transform, masked to those monomials,
     carries each nonzero lane into its bit 2**n, as in core._depends."""
-    _, _, _, ones, fill = _layout(2, 1, n, lanes)
+    _, _, _, ones, fill, _ = _layout(2, 1, n, lanes)
     return ((_moebius(block, n, lanes) & _cubic(n) * ones) + fill) >> (1 << n) & ones
 
 
@@ -353,7 +353,7 @@ def _str_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> tu
 
 def _var_masks(n: int) -> tuple[int, ...]:
     """For each variable t, the packed Boolean table of x_t: D_t(1)."""
-    zeros, strides, _, _, _ = _layout(2, 1, n, 1)
+    zeros, strides, *_ = _layout(2, 1, n, 1)
     return tuple(z >> s for z, s in zip(zeros, strides))
 
 

@@ -710,3 +710,21 @@ def test_one_element_domain_at_huge_arity_in_bounded_time(tmp_path):
     assert [r.returncode for r in results] == [0, 4], [r.stderr for r in results]
     assert json.loads(results[0].stdout)["ess"] == 0
     assert (json.loads(results[1].stdout)["checked"], json.loads(results[1].stdout)["skipped"]) == (0, 2)
+
+
+def test_one_element_domain_analyze_answers_without_masks(tmp_path):
+    # At k = 1 no variable is essential, so analyze builds no per-variable
+    # mask or flag: n = 10**8 fits 256 MiB, where 31 bytes a variable would not.
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    payloads = []
+    for n in (100_000_000, 3):
+        path = tmp_path / f"k1-{n}.fn"
+        path.write_text(f"1 {n} 2\n0\n", encoding="utf-8")
+        result = subprocess.run([sys.executable, "-m", "aritygap", "analyze", str(path), "--json"],
+                                capture_output=True, text=True, preexec_fn=limit_address_space, timeout=60)
+        assert result.returncode == 0, result.stderr
+        payloads.append(json.loads(result.stdout))
+    assert payloads[0].pop("n") == 100_000_000 and payloads[1].pop("n") == 3
+    assert payloads[0] == payloads[1]

@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from aritygap.cli import parse_function_text
+from aritygap.core import gap_report
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -83,3 +86,10 @@ def test_a_rev_git_cannot_export_exits_2_before_running_anything():
     run = subprocess.run([sys.executable, str(ROOT / "scripts" / "compare.py"), "no-such-rev"],
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 2 and run.stdout == "" and run.stderr.strip(), run
+
+
+def test_the_ladder_files_have_gap_2_3_and_4():
+    # analyze compares gap_report's rungs past gap 1 with REV only on these files.
+    gaps = {name: gap_report(parse_function_text(text)) for name, text in compare.ladder_files().items()}
+    assert {name: (r.ess, r.gap) for name, r in gaps.items()} == {
+        "parity-8.fn": (8, 2), "diagonal-3.fn": (3, 3), "diagonal-4.fn": (4, 4)}

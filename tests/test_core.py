@@ -378,7 +378,7 @@ class TestGap1Lanes:
         width, lanes = _lane_width(1 << n), len(tables)
         block = sum(make_function(2, 2, n, t).bits << m * width for m, t in enumerate(tables))
         counts = [naive_ess(make_function(2, 2, n, t)) for t in tables]
-        _, strides, lower, ones, fill = _layout(2, 1, n, lanes)
+        _, strides, lower, ones, fill, _ = _layout(2, 1, n, lanes)
         flags = [_depends(block, 1 << n, ones, fill, s, low) for s, low in zip(strides, lower)]
         for least in (1, 2, 3, 4):
             expected = sum(1 << m * width for m, e in enumerate(counts) if e >= least)
@@ -405,10 +405,13 @@ class TestGapAtMost:
 
     @staticmethod
     def _tables(k, n):
-        """Random tables, tables of gap 2 to min(n, k), lanes of ess 2, constants."""
+        """Random tables, tables of gap 2 to min(n, k), lanes of ess 2, constants;
+        at k = 2 also x_n + x2*x3 + x1*x2*x3, whose first pair of gap 1 is
+        (1, n) in lex order and (2, 3) in colex order."""
         tables = [naive_random_table(k, k, n, 40 * k + n + s) for s in range(3)]
         if k == 2:
             return tables + gap_two_tables(n) + [poly_table(n, [{1, 2}]), poly_table(n, [{1}, {2}]),
+                                                 poly_table(n, [{n}, {2, 3}, {1, 2, 3}]),
                                                  [0] * (1 << n), [1] * (1 << n)]
         rng = random.Random(k * n)
         for m in (2, 3, n):
@@ -428,7 +431,8 @@ class TestGapAtMost:
         losses = [self._losses(f) for f in fs]
         gaps = {min(c for _, c in pairs) + 1 for pairs in losses if pairs}
         assert gaps >= ({1, 2} if k == 2 else {1, 2, 3, min(n, k)})
-        for gap in (1, 2, 3):
+        # gap = k is ThmGen's bound and n + 1 is cut to n, as no lane loses n.
+        for gap in sorted({1, 2, 3, k, n + 1}):
             held = sum(1 << m * width for m, pairs in enumerate(losses) if any(c < gap for _, c in pairs))
             # Constant lanes are never held, so not every lane is.
             assert _gap_at_most(block, k, k, n, lanes, e, everyone, gap) == (held, None)
@@ -453,7 +457,7 @@ class TestBlockLayout:
         # The last lane repeats one table of x2..xn k times: x1 is inessential there.
         fs.append(make_function(k, b, n, naive_random_table(k, b, n - 1, 60 * k) * k))
         block = sum(f.bits << m * width for m, f in enumerate(fs))
-        zeros, strides, lower, ones, fill = _layout(k, w, n, lanes)
+        zeros, strides, lower, ones, fill, _ = _layout(k, w, n, lanes)
         assert fill == ((1 << size) - 1) * ones and ones.bit_count() == lanes
         for i in range(n):
             for j in range(n):
@@ -471,18 +475,28 @@ class TestBlockLayout:
                 assert flags[t] >> m * width & 1 == naive_essential(f, t + 1), (t, m)
 
     def test_blocks_repeat_the_one_lane_masks(self):
-        zeros, strides, lower, ones, fill = _layout(4, 2, 3, 1)
+        zeros, strides, lower, ones, fill, _ = _layout(4, 2, 3, 1)
         assert (ones, fill) == (1, (1 << 4**3 * 2) - 1)
         block = _layout(4, 2, 3, 5)
         assert block[1] is strides and block[4] == fill * block[3]
         assert block[0] == tuple(z * block[3] for z in zeros) and block[2] == tuple(m * block[3] for m in lower)
+
+    @pytest.mark.parametrize("k, w, n, lanes", [(2, 1, 5, 1), (2, 1, 6, 9), (3, 2, 4, 5), (1, 1, 7, 1)])
+    def test_the_pair_plan_walks_every_pair_in_lex_order_on_the_entry_masks(self, k, w, n, lanes):
+        # The plan holds no mask of its own: each t's stride and lower mask are the entry's.
+        _, strides, lower, _, _, plan = _layout(k, w, n, lanes)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if k > 1 else []
+        assert [(i, j) for i, j, _ in plan] == pairs
+        for i, _, others in plan:
+            assert [t for t, _, _ in others] == [t for t in range(n) if t != i]
+            assert all(s == strides[t] and low is lower[t] for t, s, low in others), i
 
     @pytest.mark.parametrize("lanes", [1, 5])
     @pytest.mark.parametrize("w", [1, 3])
     def test_boolean_lower_masks_are_the_zero_masks(self, w, lanes):
         # At k = 2 a digit below k - 1 is digit 0, so one tuple serves both.
         for n in range(1, 12):
-            zeros, _, lower, _, _ = _layout(2, w, n, lanes)
+            zeros, _, lower, *_ = _layout(2, w, n, lanes)
             assert lower is zeros
 
     @pytest.mark.parametrize("lanes", [1, 5])

@@ -113,7 +113,7 @@ class TestLayout:
         def digit_mask(t, c):
             return sum(ones << (size - 1 - r) * w for r in range(size) if r // k ** (n - 1 - t) % k == c)
 
-        zeros, strides, lower, _, _ = _layout(k, w, n, 1)
+        zeros, strides, lower, *_ = _layout(k, w, n, 1)
         assert len(zeros) == len(strides) == len(lower) == n
         for t in range(n):
             for c in range(k):
