@@ -21,7 +21,9 @@ __pycache__.  The checks:
   files, the three files of gap 2, 3 and 4 that ladder_files() writes, a
   hex: file and two malformed ones, the help texts, a bare analyze,
   `anf FILE --json` and one small gap >= 3 search give the same
-  (exit code, stdout, stderr) in both trees.
+  (exit code, stdout, stderr) in both trees;
+- the SWEEPS lines of `aritygap sweep --json` give the same exit code,
+  stderr and stdout, a JSON report compared but for elapsed_s.
 
 Prints one line per difference and exits 1, or exits 0 when there is none,
 or 2 with git's message when REV cannot be exported.  Standard library and
@@ -51,6 +53,11 @@ TWO = ("run_all_sweeps.py", "--json", "--workers", "2")
 # generate --random K B N SEED; b = 4, 32 and 64 draw fields of 2, 5 and 6 bits.
 SHAPES = ("2 2 6 1", "2 2 10 2", "3 3 4 3", "3 2 5 4", "3 5 3 5", "2 4 5 6", "2 32 4 7", "2 64 3 8")
 SEARCH = ("search", "--k", "3", "--n", "4", "--count", "2000", "--seed", "0", "--json")
+# A k = 1 table sweep that checks nothing (exit 4), Thm1's witnesses, a rejection-sampled
+# ThmStr sweep, the degree-2 walk, and a LemDeg2 sample that is refused (exit 2).
+SWEEPS = tuple(("sweep", "--theorem", *line.split(), "--json") for line in (
+    "thmgen --k 1 --b 2 --n 3", "thm1 --k 2 --n 2", "thmstr --k 2 --n 4 --count 500 --seed 3 --reject-hypothesis",
+    "lemdeg2 --k 2 --n 4", "lemdeg2 --k 2 --n 4 --count 5"))
 PARTS = ("exit code", "stdout", "stderr")
 
 
@@ -102,12 +109,22 @@ def report_differences(base: list[dict], head: list[dict]) -> list[str]:
     return lines
 
 
+def _untimed_stdout(out: bytes) -> bytes:
+    """A sweep's stdout without elapsed_s, or as it is when it holds no JSON report."""
+    try:
+        return json.dumps(_untimed(json.loads(out)), sort_keys=True).encode()
+    except ValueError:
+        return out
+
+
 def command_differences(base: dict, head: dict) -> list[str]:
     """The command lines of base whose (exit code, stdout, stderr) differ at
-    head, and each generate that fails at head."""
+    head, a sweep's stdout but for elapsed_s, and each generate that fails at head."""
     lines = []
     for argv, was in base.items():
         now, line = head[argv], "aritygap " + " ".join(argv)
+        if argv[0] == "sweep":
+            was, now = [(code, _untimed_stdout(out), err) for code, out, err in (was, now)]
         if argv[0] == "generate" and now[0]:
             lines.append(f"{line}: exits {now[0]} at head")
         elif parts := [part for part, a, b in zip(PARTS, was, now) if a != b]:
@@ -162,7 +179,7 @@ def main() -> int:
         names = sorted(path.name for path in files.iterdir())
         lines = [(c, f, *j) for f in names for c in ("analyze", "classify") for j in ((), ("--json",))]
         lines += [("anf", f) for f in names]
-        lines += [("--help",), ("analyze", "--help"), ("analyze",), ("anf", names[0], "--json"), SEARCH]
+        lines += [("--help",), ("analyze", "--help"), ("analyze",), ("anf", names[0], "--json"), SEARCH, *SWEEPS]
         base.update(_runs(tree, files, lines))
         head.update(_runs(ROOT, files, lines))
     found = differences(base, head)

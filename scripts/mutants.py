@@ -47,10 +47,24 @@ class Mutant(NamedTuple):
 MUTANTS = [
     Mutant(
         "gap1-kernel-returns-meets",
+        "src/aritygap/verifier.py",
+        "lambda *a: _gap_at_most(*a, 1)[0], 4, 2)",
+        "lambda *a: a[-1], 4, 2)",
+        ("tests/test_verifier.py::TestDeg2Kernel::test_one_lane_on_every_table",),
+    ),
+    Mutant(
+        "flags-at-k1-builds-masks",
         "src/aritygap/core.py",
-        "return meets, _gap_at_most(block, k, b, n, lanes, e, meets, gap)[0]",
-        "return meets, meets",
-        ("tests/test_core.py::TestGap1Lanes",),
+        "    if k == 1:\n        return (), 0\n",
+        "",
+        ("tests/test_verifier.py::test_one_element_domain_in_bounded_memory",),
+    ),
+    Mutant(
+        "flags-meet-every-lane",
+        "src/aritygap/core.py",
+        "return e, _ess_lanes(e, _layout(k, field_width(b), n, lanes)[3], least)",
+        "return e, _layout(k, field_width(b), n, lanes)[3]",
+        ("tests/test_verifier.py::TestOneHypothesis::test_one_table_entries_raise_iff_the_oracle_misses_the_hypothesis",),
     ),
     Mutant(
         "gap-scan-bound-not-cut-to-n",
@@ -349,36 +363,36 @@ MUTANTS = [
     Mutant(
         "fallback-gap-fixed-at-2",
         "src/aritygap/verifier.py",
-        "good | _gap_lanes(block, k, b, n, lanes, least, (e, two), gap=2)[1] if two",
-        "good | two if two",
+        "good | _gap_at_most(block, k, b, n, lanes, e, two, 2)[0]",
+        "good | two",
         ("tests/test_verifier.py::TestLaneClaims::test_kernels_and_check_follow_the_claims",),
     ),
     Mutant(
         "thm-str-second-scan-at-gap-1",
         "src/aritygap/verifier.py",
-        "(e, two), gap=2)",
-        "(e, two), gap=1)",
+        "e, two, 2)[0]",
+        "e, two, 1)[0]",
         ("tests/test_verifier.py::TestLaneClaims::test_kernels_and_check_follow_the_claims",),
     ),
     Mutant(
         "thmgen-claim-gap-below-2",
         "src/aritygap/verifier.py",
-        "_gap_lanes(block, k, *a, gap=k)",
-        "_gap_lanes(block, k, *a, gap=1)",
+        "_gap_at_most(block, k, *a, k)[0]",
+        "_gap_at_most(block, k, *a, 1)[0]",
         ("tests/test_verifier.py::TestTableKernels::test_gap_kernels_match_the_oracle",),
     ),
     Mutant(
         "thmgen-bound-at-2",
         "src/aritygap/verifier.py",
-        "_gap_lanes(block, k, *a, gap=k)",
-        "_gap_lanes(block, k, *a, gap=2)",
+        "_gap_at_most(block, k, *a, k)[0]",
+        "_gap_at_most(block, k, *a, 2)[0]",
         ("tests/test_verifier.py::TestTableKernels::test_gap_kernels_match_the_oracle",),
     ),
     Mutant(
         "scan-kernel-returns-meets",
         "src/aritygap/verifier.py",
-        "return meets, sum(kept for *_, kept in scan(block, k, b, n, lanes, meets))",
-        "return meets, meets",
+        "return sum(kept for *_, kept in scan(block, k, b, n, lanes, meets))",
+        "return meets",
         ("tests/test_verifier.py::TestTableKernels",),
     ),
     Mutant(
@@ -405,14 +419,42 @@ MUTANTS = [
     Mutant(
         "thm1-witness-without-ess-test",
         "src/aritygap/verifier.py",
-        "witness = (off + fill) >> size & ones",
-        "witness = ones",
+        "witness = (off + fill) >> size & meets",
+        "witness = meets",
         ("tests/test_verifier.py::TestSweep::test_thm1_witness_census",),
+    ),
+    Mutant(
+        "thm1-hypothesis-meets-only-total-lanes",
+        "src/aritygap/verifier.py",
+        "return (), _spaced_ones(lanes, _lane_width(k**n * field_width(b)))",
+        "return _flags(block, k, b, n, lanes, least)",
+        ("tests/test_verifier.py::TestSweep::test_thm1_witness_census",),
+    ),
+    Mutant(
+        "thm1-rainbow-permutes-past-k",
+        "src/aritygap/verifier.py",
+        "permutations(range(k), n)] if n <= k else []",
+        "permutations(range(k), n)]",
+        ("tests/test_verifier.py::test_one_element_domain_in_bounded_memory",),
+    ),
+    Mutant(
+        "run-range-claims-non-members",
+        "src/aritygap/verifier.py",
+        "            meets &= members\n",
+        "",
+        ("tests/test_verifier.py::TestOneHypothesis::test_claims_see_only_lanes_that_meet",),
+    ),
+    Mutant(
+        "deg2-flags-on-a-table-walk",
+        "src/aritygap/verifier.py",
+        "TheoremId.THM_STR: _Theorem(False, False, True, _table_walk, _str_claim),",
+        "TheoremId.THM_STR: _Theorem(False, False, True, _deg2_walk, _str_claim),",
+        ("tests/test_verifier.py::TestOneHypothesis::test_claims_see_only_lanes_that_meet",),
     ),
     Mutant(
         "thm1-witness-without-collapse-test",
         "src/aritygap/verifier.py",
-        "~(((off & repeated * ones) + fill) >> size)",
+        "~(((off & repeated * meets) + fill) >> size)",
         "~(((off & 0) + fill) >> size)",
         ("tests/test_verifier.py::TestSweep::test_thm1_witness_census",),
     ),
@@ -573,8 +615,8 @@ MUTANTS = [
     Mutant(
         "search-bound-one-high",
         "src/aritygap/verifier.py",
-        "_replace(lanes=partial(_gap_lanes, gap=2))",
-        "_replace(lanes=partial(_gap_lanes, gap=3))",
+        "_replace(claim=lambda *a: _gap_at_most(*a, 2)[0])",
+        "_replace(claim=lambda *a: _gap_at_most(*a, 3)[0])",
         ("tests/test_verifier.py::TestTableKernels::test_gap_kernels_match_the_oracle",),
     ),
     Mutant(
@@ -647,6 +689,13 @@ MUTANTS = [
         "lines += worker_differences(_reports(one), _reports(head[TWO]))",
         "lines += []",
         ("tests/test_compare.py::test_each_difference_is_one_line_that_names_it[one-and-two-workers-differ]",),
+    ),
+    Mutant(
+        "compare-sweep-lines-keep-elapsed",
+        "scripts/compare.py",
+        "(code, _untimed_stdout(out), err)",
+        "(code, out, err)",
+        ("tests/test_compare.py::test_a_sweep_line_is_compared_but_for_elapsed_s",),
     ),
     Mutant(
         "pairs-summary-swaps-base-and-change",

@@ -261,13 +261,14 @@ def _ess_lanes(flags, ones: int, least: int) -> int:
     return (sum(flags) + ((1 << p) - least) * ones) >> p & ones
 
 
-def _gap_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int, flags=None, gap=1) -> tuple[int, int]:
-    """(meets, held): the lanes (bottom bits, as in _layout) with ess >=
-    least, and those of them of gap <= gap; flags = (e, meets), e[t] the
-    lanes that depend on t, are read if given, not computed."""
-    e = _dependence(block, k, b, n, lanes) if flags is None else flags[0]
-    meets = _ess_lanes(e, _layout(k, field_width(b), n, lanes)[3], least) if flags is None else flags[1]
-    return meets, _gap_at_most(block, k, b, n, lanes, e, meets, gap)[0]
+def _flags(block: int, k: int, b: int, n: int, lanes: int, least: int):
+    """(e, meets), a table statement's hypothesis: e[t] the lanes (bottom
+    bits, as in _layout) that depend on x_{t+1}, and meets those with ess >=
+    least; ((), 0) at k = 1, where no variable is essential, without masks."""
+    if k == 1:
+        return (), 0
+    e = _dependence(block, k, b, n, lanes)
+    return e, _ess_lanes(e, _layout(k, field_width(b), n, lanes)[3], least)
 
 
 def _gap_at_most(block: int, k: int, b: int, n: int, lanes: int, e, pending: int, gap: int):

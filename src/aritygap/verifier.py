@@ -1,8 +1,8 @@
 """Exhaustive and sampled sweeps checking each statement of the theory.
 
 Every sweep walks a deterministic population (all tables of a shape, all
-degree-2 polynomials, or seeded samples), decides each member's hypothesis
-and claim by one lane kernel per statement, and reports counterexamples.
+degree-2 polynomials, or seeded samples), whose walk decides each member's
+hypothesis and a lane kernel per statement its claim, and reports counterexamples.
 Populations are indexable, so large sweeps partition the index range
 across worker processes and merge chunk results in order; reports are
 bit-identical across runs except for the elapsed time.
@@ -23,17 +23,16 @@ from .classify import _coef_gap, _cubic
 from .core import (
     DEFAULT_BUDGET,
     FiniteFunction,
-    _dependence,
     _depends,
     _ess_lanes,
-    _gap_lanes,
+    _flags,
+    _gap_at_most,
     _identified,
     _lane_width,
     _layout,
     _spaced_ones,
     decode_index,
     encode_point,
-    ess,
     field_width,
     from_code,
     power_exceeds,
@@ -106,17 +105,17 @@ def _function_dict(f: FiniteFunction) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class _Theorem(namedtuple("_Theorem", "above_k total boolean walk lanes least degree", defaults=(None, 2, None))):
+class _Theorem(namedtuple("_Theorem", "above_k total boolean walk claim least degree", defaults=(None, 2, None))):
     """One statement: a hypothesis on f, the lane kernel of its claim, and
     walk(key, population, budget) -> (member count, the report's population,
-    blocks(lo, hi) yielding blocks as _code_blocks does), which refuses
-    what it cannot walk; _run_range runs the kernel on the blocks.
+    blocks(lo, hi) yielding blocks as _code_blocks does, flags), which
+    refuses what it cannot walk; _run_range runs both on the blocks.
 
-    lanes(block, k, b, n, lanes, least) -> (meets, holds) takes tables of
-    shape (k, b, n) laid out as in core._layout and returns the lanes with
-    ess f >= least and those of them where the claim holds: on blocks in
-    sweeps, on one lane for one f.  Thm1's meets are all lanes; LemDeg2's
-    blocks are its walk's, each lane a polynomial of one quadratic part.
+    Blocks hold tables of shape (k, b, n) laid out as in core._layout.  The
+    walk's flags(block, k, b, n, lanes, least) -> (e, meets) decide the
+    hypothesis as core._flags does, and claim(block, k, b, n, lanes, e,
+    meets) -> holds the claim on the lanes of meets, never 0: on blocks in
+    sweeps, on one lane for one f.
 
     The hypothesis is ess f >= min_ess(k, n), plus k = b = 2 when boolean
     and a polynomial of that degree when degree is set.  A shape is feasible
@@ -138,19 +137,17 @@ class _Theorem(namedtuple("_Theorem", "above_k total boolean walk lanes least de
             raise NotBoolean(f"{name} needs k = b = 2, got k={k} b={b}")
 
 
-def _require(key, f: FiniteFunction, claim: bool = True) -> bool:
-    """Whether f's claim holds under key's record, its kernel on one lane, once
-    f is found to meet its hypothesis; without claim, True then, and the claim
-    is left undecided."""
+def _require(key, f: FiniteFunction):
+    """f's flags (e, meets) on one lane, as core._flags gives them, once f is
+    found to meet key's hypothesis."""
     spec = _THEOREMS[key]
     spec.require_shape(key.value, f.k, f.b)
-    least = spec.min_ess(f.k, f.n)
-    meets, holds = spec.lanes(f.bits, f.k, f.b, f.n, 1, least) if claim else (ess(f) >= least, True)
+    e, meets = _flags(f.bits, f.k, f.b, f.n, 1, spec.min_ess(f.k, f.n))
     if not meets or spec.degree is not None and degree(to_anf(f)) != spec.degree:
         error = NotTotallyEssential if spec.total else HypothesisNotMet
-        got = f"ess={ess(f)} n={f.n} k={f.k}" + (f" degree={degree(to_anf(f))}" if spec.degree else "")
+        got = f"ess={sum(e)} n={f.n} k={f.k}" + (f" degree={degree(to_anf(f))}" if spec.degree else "")
         raise error(f"{key.value} needs {spec.need()}, got {got}")
-    return bool(holds)
+    return e, meets
 
 
 def check(theorem: TheoremId, f: FiniteFunction) -> bool:
@@ -161,7 +158,7 @@ def check(theorem: TheoremId, f: FiniteFunction) -> bool:
     """
     if theorem is TheoremId.THM1:
         raise SpecInvalid(f"{theorem.value} has no per-function check; sweep it")
-    return _require(theorem, f)
+    return bool(_THEOREMS[theorem].claim(f.bits, f.k, f.b, f.n, 1, *_require(theorem, f)))
 
 
 def find_restriction_witness(f: FiniteFunction) -> tuple[int, int] | None:
@@ -171,15 +168,14 @@ def find_restriction_witness(f: FiniteFunction) -> tuple[int, int] | None:
     None means every restriction was tried without a hit, which would
     contradict the theory; sweeps record that as a violation.
     """
-    # The hypothesis alone, so that the scan runs once.
-    _require(TheoremId.THM_SALOMAA_AUX, f, claim=False)
+    _require(TheoremId.THM_SALOMAA_AUX, f)
     return next(((j, c) for j, c, _ in _restriction_scan(f.bits, f.k, f.b, f.n, 1, 1)), None)
 
 
 def check_kplus1_lemma(f: FiniteFunction) -> tuple[int, int] | None:
     """First pair 1 <= i < j <= k+1 whose identification minor keeps one of
     the first k+1 variables essential; None would contradict the lemma."""
-    _require(TheoremId.LEM_KPLUS1, f, claim=False)
+    _require(TheoremId.LEM_KPLUS1, f)
     return next(((i, j) for i, j, _ in _kplus1_scan(f.bits, f.k, f.b, f.n, 1, 1)), None)
 
 
@@ -208,7 +204,7 @@ def _kplus1_scan(block: int, k: int, b: int, n: int, lanes: int, pending: int):
     """(i, j, kept), pairs 1 <= i < j <= k+1 in lex order: the lanes of
     pending whose minor identifying x_i with x_j keeps one of x_1, ...,
     x_{k+1} essential.  A lane leaves pending at its first pair; with none
-    pending, as whenever n <= k, the scan ends before it reads a mask."""
+    pending the scan builds its layout, then yields nothing and indexes no mask."""
     w = field_width(b)
     zeros, strides, lower, ones, fill, _ = _layout(k, w, n, lanes)
     for i in range(k + 1):
@@ -223,12 +219,10 @@ def _kplus1_scan(block: int, k: int, b: int, n: int, lanes: int, pending: int):
                 pending &= ~kept
 
 
-def _scan_lanes(scan, block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
+def _scan_claim(scan, block: int, k: int, b: int, n: int, lanes: int, e, meets: int) -> int:
     """The kernel of the claim that some step of the scan keeps f: the scan
     keeps each lane at one step at most, so its kept lanes add up."""
-    flags = _dependence(block, k, b, n, lanes)
-    meets = _ess_lanes(flags, _layout(k, field_width(b), n, lanes)[3], least)
-    return meets, sum(kept for *_, kept in scan(block, k, b, n, lanes, meets))
+    return sum(kept for *_, kept in scan(block, k, b, n, lanes, meets))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +239,7 @@ def _sampled_total(pop: Sampled, budget: int) -> int:
 
 
 def _table_walk(key, pop, budget: int):
-    """Every table of the shape by code, or the samples by index, in blocks."""
+    """Every table of the shape by code, or the samples by index, in blocks; core._flags is the hypothesis."""
     k, b, n = pop.k, pop.b, pop.n
     spec = _THEOREMS[key]
     if isinstance(pop, Exhaustive):
@@ -253,7 +247,7 @@ def _table_walk(key, pop, budget: int):
         if power_exceeds(b, size, budget):
             raise BudgetExceeded(f"{b}**{size} tables exceed budget {budget}; use a sampled sweep")
         total = b**size
-        return total, f"exhaustive k={k} b={b} n={n} ({total} tables)", partial(_code_blocks, pop, total)
+        return total, f"exhaustive k={k} b={b} n={n} ({total} tables)", partial(_code_blocks, pop, total), _flags
     total = _sampled_total(pop, budget)
     # Refuse a shape where rejection sampling could never stop.
     if pop.reject_until_hypothesis and (k < 2 or b < 2 or n < spec.min_ess(k, n)):
@@ -261,8 +255,8 @@ def _table_walk(key, pop, budget: int):
             f"{key.value} hypothesis holds for no function with k={k} b={b} n={n}"
             f" (needs {spec.need()})"
         )
-    return total, (f"sampled k={k} b={b} n={n} count={pop.count} seed={pop.seed} "
-                   f"reject_until_hypothesis={pop.reject_until_hypothesis}"), partial(_table_blocks, pop, budget)
+    return total, (f"sampled k={k} b={b} n={n} count={pop.count} seed={pop.seed} reject_until_hypothesis="
+                   f"{pop.reject_until_hypothesis}"), partial(_table_blocks, pop, budget), _flags
 
 
 def _code_blocks(pop, total: int, lo: int, hi: int, bits=None):
@@ -333,14 +327,13 @@ def _cubic_lanes(block: int, n: int, lanes: int) -> int:
     return ((_moebius(block, n, lanes) & _cubic(n) * ones) + fill) >> (1 << n) & ones
 
 
-def _str_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
+def _str_claim(block: int, k: int, b: int, n: int, lanes: int, e, meets: int) -> int:
     """ThmStr's kernel: the classifier's gap is the gap.  A gap-1 lane with a
     cubic monomial holds without a call; the classifier reads every other
     lane's coefficient table.  Its gap 1 holds iff the lane has gap 1, and
     its gap 2 iff the gap-2 scan holds the lane, a scan of just the lanes
     the classifier calls 2 that the gap-1 scan left, on the same flags."""
-    e = _dependence(block, k, b, n, lanes)
-    meets, gap1 = _gap_lanes(block, k, b, n, lanes, least, (e, _ess_lanes(e, _layout(2, 1, n, lanes)[3], least)))
+    gap1 = _gap_at_most(block, k, b, n, lanes, e, meets, 1)[0]
     width, table = _lane_width(1 << n), (1 << (1 << n)) - 1
     good, two = gap1 & _cubic_lanes(block, n, lanes), 0
     for m in _set_lanes(meets & ~good, width):
@@ -348,7 +341,7 @@ def _str_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> tu
             good |= gap1 & 1 << m * width
         else:
             two |= ~gap1 & 1 << m * width
-    return meets, good | _gap_lanes(block, k, b, n, lanes, least, (e, two), gap=2)[1] if two else good
+    return good | _gap_at_most(block, k, b, n, lanes, e, two, 2)[0]
 
 
 def _var_masks(n: int) -> tuple[int, ...]:
@@ -358,7 +351,7 @@ def _var_masks(n: int) -> tuple[int, ...]:
 
 
 def _deg2_walk(key, pop, budget: int):
-    """Every degree-2 polynomial on n variables by candidate index."""
+    """Every degree-2 polynomial on n variables by candidate index; _deg2_flags is the hypothesis."""
     if isinstance(pop, Sampled):
         raise SpecInvalid("LemDeg2 sweeps enumerate polynomials; use Exhaustive")
     n = pop.n
@@ -370,7 +363,7 @@ def _deg2_walk(key, pop, budget: int):
     if total > budget:
         raise BudgetExceeded(f"{total} polynomials exceed budget {budget}")
     desc = f"exhaustive degree-2 polynomials on n={n} variables ({total} candidates)"
-    return total, desc, partial(_deg2_blocks, n)
+    return total, desc, partial(_deg2_blocks, n), _deg2_flags
 
 
 def _subset_xors(masks) -> list[int]:
@@ -423,30 +416,26 @@ def _deg2_blocks(n: int, lo: int, hi: int):
 
 
 @lru_cache(maxsize=None)
-def _deg2_flags(n: int, support: int, least: int):
-    """_gap_lanes' flags (e, meets) on a whole degree-2 block whose quadratic
-    part has the variables in support (bit (2**n + 1) * t for x_{t+1}, as
-    _deg2_lanes reads it): those are essential in every lane, any other in
+def _support_flags(n: int, support: int, least: int):
+    """The flags (e, meets) of a whole degree-2 block whose quadratic part
+    has the variables in support (bit (2**n + 1) * t for x_{t+1}, as
+    _deg2_flags reads it): those are essential in every lane, any other in
     the lanes whose linear part holds it."""
     ones, slot = _spaced_ones(2 << n, _lane_width(1 << n)), (1 << n) + 1
     e = tuple(ones if support >> slot * t & 1 else h for t, h in enumerate(_deg2_layout(n)[2]))
     return e, _ess_lanes(e, ones, least)
 
 
-def _deg2_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
-    """LemDeg2's kernel on a whole degree-2 block, as _deg2_blocks yields
-    it, or on one Boolean table: the gap-1 scan, on a block with every
-    lane's essential variables, those of its polynomial, read from the
-    support of lane 0's, the bare quadratic part.  The support is one
-    carry per slot of _deg2_layout, as in core._depends: slot t of
-    coef * rep is a copy of lane 0's coefficients, and masked to the
-    monomials that hold x_{t+1} it carries into bit 2**n iff one does."""
-    if lanes == 1:
-        return _gap_lanes(block, k, b, n, 1, least)
+def _deg2_flags(block: int, k: int, b: int, n: int, lanes: int, least: int):
+    """LemDeg2's hypothesis on a whole degree-2 block, as _deg2_blocks yields
+    it and on no other: every lane's essential variables are those of its
+    polynomial, read from the support of lane 0's, the bare quadratic part.
+    The support is one carry per slot of _deg2_layout, as in core._depends:
+    slot t of coef * rep is a copy of lane 0's coefficients, and masked to
+    the monomials that hold x_{t+1} it carries into bit 2**n iff one does."""
     rep, spread, fill = _deg2_layout(n)[3]
     coef = _moebius(block & (1 << (1 << n)) - 1, n)
-    support = ((coef * rep & spread) + fill) >> (1 << n) & rep
-    return _gap_lanes(block, k, b, n, lanes, least, _deg2_flags(n, support, least))
+    return _support_flags(n, ((coef * rep & spread) + fill) >> (1 << n) & rep, least)
 
 
 # Thm1 asks for operations with ess f = n whose identification minors are all
@@ -457,10 +446,15 @@ def _deg2_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> t
 # digits, constant most significant, rainbow points in ascending row order.
 
 
+def _every_lane(block: int, k: int, b: int, n: int, lanes: int, least: int):
+    """Thm1's flags: it has no hypothesis, so every lane meets it."""
+    return (), _spaced_ones(lanes, _lane_width(k**n * field_width(b)))
+
+
 def _thm1_walk(key, pop, budget: int):
     """Thm1's codes, each of `digits` base-k digits: member i is table code i
     in a full search, diagonal code i in a diagonal one and a drawn diagonal
-    code in a diagonal-sampled one."""
+    code in a diagonal-sampled one, with _every_lane as the hypothesis."""
     k, n = pop.k, pop.n
     sampled = isinstance(pop, Sampled)
     if sampled:
@@ -488,9 +482,9 @@ def _thm1_walk(key, pop, budget: int):
         return fill(*decode_index(code, k, digits))
 
     if sampled:
-        return total, desc, partial(_table_blocks, pop, budget,
-                                    table=lambda i: diagonal(SplitMix64(substream_seed(pop.seed, i)).below(space)))
-    return total, desc, partial(_code_blocks, pop, total, bits=None if mode == "full" else diagonal)
+        draw = lambda i: diagonal(SplitMix64(substream_seed(pop.seed, i)).below(space))
+        return total, desc, partial(_table_blocks, pop, budget, table=draw), _every_lane
+    return total, desc, partial(_code_blocks, pop, total, bits=None if mode == "full" else diagonal), _every_lane
 
 
 @lru_cache(maxsize=1)
@@ -501,8 +495,9 @@ def _diagonal_shape(k: int, n: int):
     fields has a 1 in every field of a table."""
     size, w = k**n, field_width(k)
     fields = _spaced_ones(size, w)
-    # The rainbow rows' offsets in the table's binary text, and each value's field.
-    rainbow = [encode_point(p, k) * w for p in permutations(range(k), n)]
+    # The rainbow rows' offsets in the table's binary text (none for n > k, not asked of
+    # permutations, which allocates n indices first), and each value's field.
+    rainbow = [encode_point(p, k) * w for p in permutations(range(k), n)] if n <= k else []
     text = [format(v, f"0{w}b").encode() for v in range(k)]
 
     def fill(const: int, *values: int) -> int:
@@ -516,54 +511,53 @@ def _diagonal_shape(k: int, n: int):
     return fill, fill((1 << w) - 1, *[0] * len(rainbow)), fields
 
 
-def _thm1_lanes(block: int, k: int, b: int, n: int, lanes: int, least: int) -> tuple[int, int]:
-    """Thm1's kernel (b = k): every lane meets the hypothesis, none, and the
-    claim fails on the witnesses, the lanes with ess f = n (least is unread)
-    equal to their row 0 on the rows with a repeated coordinate, if any.
-    Such an f has ess f = n iff it is not constant: a rainbow row unlike
-    row 0 changes value when any one of its coordinates copies another."""
+def _thm1_claim(block: int, k: int, b: int, n: int, lanes: int, e, meets: int) -> int:
+    """Thm1's kernel (b = k): the claim fails on the witnesses among the
+    lanes of meets, those with ess f = n equal to their row 0 on the rows
+    with a repeated coordinate, if any.  Such an f has ess f = n iff it is
+    not constant: a rainbow row unlike row 0 changes value when any one of
+    its coordinates copies another."""
     w, size = field_width(b), k**n * field_width(b)
-    ones = _spaced_ones(lanes, _lane_width(size))
-    fill, field = (ones << size) - ones, (1 << w) - 1
+    fill, field = (meets << size) - meets, (1 << w) - 1
     _, repeated, fields = _diagonal_shape(k, n)
     # Each lane less its row 0 in every field: the product stays in the lane.
-    off = block ^ (block >> size - w & field * ones) * fields
+    off = block ^ (block >> size - w & field * meets) * fields
     # A witness is not constant, so its off is nonzero and the sum carries,
-    witness = (off + fill) >> size & ones
+    witness = (off + fill) >> size & meets
     if witness:  # but its off is zero on the rows with a repeated coordinate.
-        witness &= ~(((off & repeated * ones) + fill) >> size)
-    return ones, ones ^ witness
+        witness &= ~(((off & repeated * meets) + fill) >> size)
+    return meets ^ witness
 
 
-# _Theorem(above_k, total, boolean, walk, lanes, ...) per statement.  Thm1 is
+# _Theorem(above_k, total, boolean, walk, claim, ...) per statement.  Thm1 is
 # existential: its kernel checks every member, and its hits are the witnesses.
 # Every gap claim is a bound, decided by the gap scan at that bound.
 _THEOREMS = {
-    TheoremId.THM1: _Theorem(False, True, False, _thm1_walk, _thm1_lanes),
-    TheoremId.THM_SALOMAA_MAIN: _Theorem(False, False, True, _table_walk, partial(_gap_lanes, gap=2)),
-    TheoremId.THM_GEN: _Theorem(True, False, False, _table_walk, lambda block, k, *a: _gap_lanes(block, k, *a, gap=k)),
-    TheoremId.THM_SALOMAA_AUX: _Theorem(False, True, False, _table_walk,
-                                        partial(_scan_lanes, _restriction_scan)),
-    TheoremId.LEM_KPLUS1: _Theorem(True, True, False, _table_walk, partial(_scan_lanes, _kplus1_scan)),
-    TheoremId.THM_STR: _Theorem(False, False, True, _table_walk, _str_lanes),
+    TheoremId.THM1: _Theorem(False, True, False, _thm1_walk, _thm1_claim),
+    TheoremId.THM_SALOMAA_MAIN: _Theorem(False, False, True, _table_walk, lambda *a: _gap_at_most(*a, 2)[0]),
+    TheoremId.THM_GEN: _Theorem(True, False, False, _table_walk, lambda block, k, *a: _gap_at_most(block, k, *a, k)[0]),
+    TheoremId.THM_SALOMAA_AUX: _Theorem(False, True, False, _table_walk, partial(_scan_claim, _restriction_scan)),
+    TheoremId.LEM_KPLUS1: _Theorem(True, True, False, _table_walk, partial(_scan_claim, _kplus1_scan)),
+    TheoremId.THM_STR: _Theorem(False, False, True, _table_walk, _str_claim),
     # A polynomial of degree 2 with at least four essential variables has gap 1.
-    TheoremId.LEM_DEG2: _Theorem(False, False, True, _deg2_walk, _deg2_lanes, 4, 2),
+    TheoremId.LEM_DEG2: _Theorem(False, False, True, _deg2_walk, lambda *a: _gap_at_most(*a, 1)[0], 4, 2),
 }
 # The gap >= 3 search, keyed apart from the theorems: ThmGen's hypothesis,
 # and its hits are the functions that fail the claim gap <= 2.
 _Search = Enum("_Search", {"GAP3": "search"})
-_THEOREMS[_Search.GAP3] = _THEOREMS[TheoremId.THM_GEN]._replace(lanes=partial(_gap_lanes, gap=2))
+_THEOREMS[_Search.GAP3] = _THEOREMS[TheoremId.THM_GEN]._replace(claim=lambda *a: _gap_at_most(*a, 2)[0])
 
 
 def _run_range(args):
     """(checked, skipped, hits, the first max_recorded hits) of members
     lo..hi-1.  The record's walk yields blocks (start, lanes, block), lane m
-    holding member start + m; a block's members are its lanes max(lo - start,
-    0) up to min(hi - start, lanes) - 1, the kernel decides them at once, and
-    popcounts count them.  Under rejection, _redraw redraws the members that
-    miss the hypothesis until each meets it.  A function is built only for a
-    recorded hit, in index order, the block's fails merged by lane with its
-    redrawn ones: a block without a hit, or one past a full record, reads no lane."""
+    holding member start + m, and their flags; a block's members are its lanes
+    max(lo - start, 0) up to min(hi - start, lanes) - 1, the claim decides
+    those that meet the hypothesis at once, if any, and popcounts count them.
+    Under rejection, _redraw redraws the members that miss the hypothesis
+    until each meets it.  A function is built only for a recorded hit, in
+    index order, the block's fails merged by lane with its redrawn ones: a
+    block without a hit, or one past a full record, reads no lane."""
     key, pop, budget, lo, hi, max_recorded = args
     spec, k, b, n = _THEOREMS[key], pop.k, pop.b, pop.n
     size = k**n * field_width(b)
@@ -571,14 +565,16 @@ def _run_range(args):
     reject = isinstance(pop, Sampled) and pop.reject_until_hypothesis
     checked = skipped = hits = 0
     recorded: list[FiniteFunction] = []
-    for start, lanes, block in spec.walk(key, pop, budget)[2](lo, hi):
+    _, _, blocks, flags = spec.walk(key, pop, budget)
+    for start, lanes, block in blocks(lo, hi):
         first, end = max(lo - start, 0), min(hi - start, lanes)
-        meets, holds = spec.lanes(block, k, b, n, lanes, least)
+        e, meets = flags(block, k, b, n, lanes, least)
         members = -1
         if first or end < lanes:  # lo..hi cuts the block: its padding or other candidates count for nothing
             members = (1 << end * width) - (1 << first * width)
-            meets, holds = meets & members, holds & members
-        pending = _layout(k, field_width(b), n, lanes)[3] & members & ~meets if reject else 0
+            meets &= members
+        holds = meets and spec.claim(block, k, b, n, lanes, e, meets)
+        pending = _spaced_ones(lanes, width) & members & ~meets if reject else 0
         fails, redrawn = meets & ~holds, ()
         if pending:
             redrawn = _redraw(key, pop, budget, start, end, pending, width, least)
@@ -606,7 +602,8 @@ def _redraw(key, pop, budget: int, start: int, end: int, pending: int, width: in
         seeds = int.from_bytes(b"".join([bases[16 * m : 16 * m + 16] for m in pending]), "little")
         seeds, masks = _mixed(seeds + attempt * GOLDEN * _spaced_ones(len(pending), 128), len(pending), 1)
         drawn = random_lanes(k, b, n, seeds & masks, len(pending), budget)
-        now, ok = spec.lanes(drawn, k, b, n, len(pending), least)
+        e, now = _flags(drawn, k, b, n, len(pending), least)
+        ok = now and spec.claim(drawn, k, b, n, len(pending), e, now)
         redrawn.update((pending[j], drawn >> j * width & table) for j in _set_lanes(now & ~ok, width))
         pending = [pending[j] for j in _set_lanes(_spaced_ones(len(pending), width) & ~now, width)]
         if not pending:
@@ -651,7 +648,7 @@ def sweep(
         raise SpecInvalid(f"workers must be >= 1, got {workers}")
     spec = _THEOREMS[theorem]
     spec.require_shape(theorem.value, k, b)
-    total, desc, _ = spec.walk(theorem, population, budget)
+    total, desc, *_ = spec.walk(theorem, population, budget)
 
     nworkers = workers if workers is not None else max(1, min(os.cpu_count() or 1, 8))
     if total >= _PARALLEL_THRESHOLD and nworkers > 1:

@@ -1,10 +1,12 @@
-"""Shared hypothesis strategies for drawing small finite functions, and
-families of Boolean tables with known gap."""
+"""Shared hypothesis strategies for drawing small finite functions,
+families of Boolean tables with known gap, and a record's hypothesis and
+claim run together on a block."""
 
 from itertools import product
 
 import hypothesis.strategies as st
 
+import aritygap.core as core
 from aritygap import make_function
 
 
@@ -48,3 +50,16 @@ def gap_two_tables(n):
                poly_table(n, [{1, n}, {n}, set()])]
     tables.append(poly_table(n, [{t} for t in range(1, n + 1)]))  # parity of all n
     return tables
+
+
+def decided(claim, block, k, b, n, lanes, least, flags=None):
+    """(meets, holds) of a block, as a sweep decides them: flags (core._flags
+    unless given) yield the lanes with ess f >= least, and claim, run only
+    when some lane meets, the lanes of those where the claim holds."""
+    e, meets = (flags or core._flags)(block, k, b, n, lanes, least)
+    return meets, claim(block, k, b, n, lanes, e, meets) if meets else 0
+
+
+def gap_claim(gap):
+    """The claim gap f <= gap: one gap scan of the lanes that meet."""
+    return lambda *args: core._gap_at_most(*args, gap)[0]

@@ -12,7 +12,7 @@ import pytest
 
 import aritygap.verifier as verifier
 from aritygap import DEFAULT_BUDGET, Exhaustive, TheoremId, sweep
-from aritygap.core import _dependence, _gap_at_most, _gap_lanes
+from aritygap.core import _flags, _gap_at_most
 
 
 def depending_on_all(k, b, m):
@@ -139,11 +139,12 @@ def gap_scan_census(key, k, b, n):
     """Lanes of gap 1, 2 and 3 over the blocks of key's walk of every table
     (Thm1: every diagonal code) of shape (k, b, n): the gap-1 kernel's, then
     the gap scan's on each block's lanes of ess >= 2 not yet held."""
-    total, _, blocks = verifier._THEOREMS[key].walk(key, Exhaustive(k, b, n), DEFAULT_BUDGET)
+    total, _, blocks, _ = verifier._THEOREMS[key].walk(key, Exhaustive(k, b, n), DEFAULT_BUDGET)
     counts = [0, 0, 0]
     for _, lanes, block in blocks(0, total):
-        meets, gap1 = _gap_lanes(block, k, b, n, lanes, 2)
-        e, pending = _dependence(block, k, b, n, lanes), meets & ~gap1
+        e, meets = _flags(block, k, b, n, lanes, 2)
+        gap1 = _gap_at_most(block, k, b, n, lanes, e, meets, 1)[0]
+        pending = meets & ~gap1
         counts[0] += gap1.bit_count()
         for gap in (2, 3):
             held = _gap_at_most(block, k, b, n, lanes, e, pending, gap)[0]

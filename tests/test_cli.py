@@ -7,7 +7,6 @@ import resource
 import subprocess
 import sys
 import time
-from functools import partial
 
 import pytest
 
@@ -318,7 +317,7 @@ class TestSweepCommand:
         # so the report fails rather than checking nothing.
         spec = verifier._THEOREMS[verifier.TheoremId.THM1]
         monkeypatch.setitem(verifier._THEOREMS, verifier.TheoremId.THM1,
-                            spec._replace(lanes=lambda *args: (spec.lanes(*args)[0],) * 2))
+                            spec._replace(claim=lambda *args: args[-1]))
         assert main(["sweep", "--theorem", "thm1", "--k", "2", "--n", "2"]) == 1
         out = capsys.readouterr().out
         assert "checked: 16  skipped: 0" in out and "witness:" not in out and "result: FAIL" in out
@@ -473,7 +472,7 @@ class TestSearchCommand:
         # Random searches find no gap >= 3, so the search record is patched
         # to ess f >= 2 and gap >= 2 hits, which k=3 n=2 samples often have.
         record = verifier._THEOREMS[verifier._Search.GAP3]
-        patched = record._replace(above_k=False, lanes=partial(verifier._gap_lanes, gap=1))
+        patched = record._replace(above_k=False, claim=lambda *args: verifier._gap_at_most(*args, 1)[0])
         monkeypatch.setitem(verifier._THEOREMS, verifier._Search.GAP3, patched)
         pools = []
         if through_pool:
@@ -728,3 +727,16 @@ def test_one_element_domain_analyze_answers_without_masks(tmp_path):
         payloads.append(json.loads(result.stdout))
     assert payloads[0].pop("n") == 100_000_000 and payloads[1].pop("n") == 3
     assert payloads[0] == payloads[1]
+
+
+def test_one_element_domain_sweep_checks_nothing_in_bounded_memory():
+    # A k = 1 table sweep skips both tables of n = 10**8 variables without a
+    # mask, and exits 4 as a sweep that checked nothing.
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    argv = ["sweep", "--theorem", "thmgen", "--k", "1", "--b", "2", "--n", "100000000"]
+    result = subprocess.run([sys.executable, "-m", "aritygap", *argv], capture_output=True, text=True,
+                            preexec_fn=limit_address_space, timeout=60)
+    assert result.returncode == 4, result.stderr
+    assert "checked: 0  skipped: 2" in result.stdout and "result: nothing checked" in result.stdout

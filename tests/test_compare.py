@@ -93,3 +93,16 @@ def test_the_ladder_files_have_gap_2_3_and_4():
     gaps = {name: gap_report(parse_function_text(text)) for name, text in compare.ladder_files().items()}
     assert {name: (r.ess, r.gap) for name, r in gaps.items()} == {
         "parity-8.fn": (8, 2), "diagonal-3.fn": (3, 3), "diagonal-4.fn": (4, 4)}
+
+
+@pytest.mark.parametrize("report,same", [
+    ({**MAIN, "elapsed_s": 9.5}, True),
+    ({**MAIN, "checked": 247}, False),
+], ids=["changed-elapsed_s", "changed-checked"])
+def test_a_sweep_line_is_compared_but_for_elapsed_s(report, same):
+    # A sweep line's stdout is one JSON report; a refused sweep prints none.
+    line, refused = compare.SWEEPS[1], compare.SWEEPS[-1]
+    was = {line: (0, json.dumps(MAIN).encode(), b""), refused: (2, b"", b"error: use Exhaustive\n")}
+    now = {**was, line: (0, json.dumps(report, indent=1).encode(), b"")}
+    lines = compare.command_differences(was, now)
+    assert lines == ([] if same else [f"aritygap {' '.join(line)}: differs from REV in stdout"])

@@ -22,7 +22,7 @@ from aritygap import (
     make_function,
 )
 from aritygap.core import (
-    _dependence, _depends, _ess_lanes, _gap_lanes, _gap_at_most, _identified, _lane_width, _layout,
+    _dependence, _depends, _ess_lanes, _flags, _gap_at_most, _identified, _lane_width, _layout,
     field_width,
 )
 from aritygap.errors import (
@@ -44,7 +44,7 @@ from oracles import (
     naive_random_table,
     naive_substitute,
 )
-from strategies import finite_functions, gap_two_tables, poly_table
+from strategies import decided, finite_functions, gap_claim, gap_two_tables, poly_table
 
 XOR = make_function(2, 2, 2, [0, 1, 1, 0])
 AND = make_function(2, 2, 2, [0, 0, 0, 1])
@@ -337,7 +337,7 @@ class TestGap1Lanes:
         width = _lane_width(1 << n)
         fs = [make_function(2, 2, n, t) for t in tables]
         block = sum(f.bits << m * width for m, f in enumerate(fs))
-        got = _gap_lanes(block, 2, 2, n, len(fs), least)
+        got = decided(gap_claim(1), block, 2, 2, n, len(fs), least)
         meets = gap1 = 0
         for m, f in enumerate(fs):
             e = naive_ess(f)
@@ -383,13 +383,13 @@ class TestGap1Lanes:
         for least in (1, 2, 3, 4):
             expected = sum(1 << m * width for m, e in enumerate(counts) if e >= least)
             assert _ess_lanes(flags, ones, least) == expected
-            assert _gap_lanes(block, 2, 2, n, lanes, least)[0] == expected
+            assert _flags(block, 2, 2, n, lanes, least)[1] == expected
 
     def test_one_lane_is_gap_report(self):
         for code in range(1 << 8):
             f = make_function(2, 2, 3, [code >> (7 - r) & 1 for r in range(8)])
             if len(essential_vars(f)) >= 2:
-                assert _gap_lanes(f.bits, 2, 2, 3, 1, 2) == (1, int(gap_report(f).gap == 1))
+                assert decided(gap_claim(1), f.bits, 2, 2, 3, 1, 2) == (1, int(gap_report(f).gap == 1))
 
 
 class TestGapAtMost:

@@ -14,7 +14,7 @@ from itertools import product
 import pytest
 
 from aritygap import make_function, verifier
-from aritygap.core import _dependence, _ess_lanes, _gap_lanes, _gap_at_most, _lane_width, _layout, field_width
+from aritygap.core import _dependence, _ess_lanes, _gap_at_most, _lane_width, _layout, field_width
 
 from oracles import (
     naive_anf_monomials_packed,
@@ -26,7 +26,7 @@ from oracles import (
     naive_restriction_witness,
     naive_total_collapse,
 )
-from strategies import gap_two_tables, poly_table
+from strategies import decided, gap_claim, gap_two_tables, poly_table
 
 SHAPES = [(2, 2, 1), (2, 2, 2), (7, 2, 1), (2, 2, 3), (2, 2, 4), (2, 2, 7), (2, 2, 8)]
 BOOLEAN = [s for s in SHAPES if s[:2] == (2, 2)]
@@ -100,7 +100,7 @@ class TestCountKernels:
         if gap == 1:
             for least in LEASTS:
                 meets = _lanes(width, [naive_ess(f) >= least for f in fs])
-                assert _gap_lanes(block, k, b, n, len(fs), least) == (meets, meets & held), least
+                assert decided(gap_claim(1), block, k, b, n, len(fs), least) == (meets, meets & held), least
 
 
 class TestTableKernels:
@@ -118,7 +118,8 @@ class TestTableKernels:
         everyone, witnesses = _lanes(width, [True] * len(fs)), [naive_total_collapse(f) for f in fs]
         assert any(witnesses) == (n <= k)
         witness = _lanes(width, witnesses)
-        assert verifier._thm1_lanes(block, k, b, n, len(fs), n) == (everyone, everyone ^ witness)
+        got = decided(verifier._thm1_claim, block, k, b, n, len(fs), n, verifier._every_lane)
+        assert got == (everyone, everyone ^ witness)
 
     @pytest.mark.parametrize("k,b,n", SHAPES)
     def test_restriction_scan(self, k, b, n):

@@ -41,7 +41,7 @@ from aritygap.errors import (
     ValueOutOfRange,
 )
 from aritygap.classify import _coef_gap
-from aritygap.core import FiniteFunction, _gap_lanes, _lane_width, field_width
+from aritygap.core import FiniteFunction, _lane_width, field_width
 from aritygap.generators import DEFAULT_BUDGET
 from aritygap.verifier import _var_masks
 
@@ -56,7 +56,7 @@ from oracles import (
     naive_restriction_witness,
     naive_total_collapse,
 )
-from strategies import gap_two_tables, poly_table
+from strategies import decided, gap_claim, gap_two_tables, poly_table
 
 XOR = make_function(2, 2, 2, [0, 1, 1, 0])
 AND = make_function(2, 2, 2, [0, 0, 0, 1])
@@ -256,7 +256,7 @@ class TestWitnessScansRunOnce:
 
         calls = []
         real = getattr(verifier, scan)
-        monkeypatch.setitem(verifier._THEOREMS, key, verifier._THEOREMS[key]._replace(lanes=no_kernel))
+        monkeypatch.setitem(verifier._THEOREMS, key, verifier._THEOREMS[key]._replace(claim=no_kernel))
         monkeypatch.setattr(verifier, scan, lambda *args: calls.append(args) or real(*args))
         for f in (XOR3, MAJ3, random_function(3, 3, 4, 5)):
             expected = naive_restriction_witness(f) if key is TheoremId.THM_SALOMAA_AUX else naive_kplus1_pair(f)
@@ -267,7 +267,7 @@ class TestWitnessScansRunOnce:
     @pytest.mark.parametrize("public, key, scan", PUBLIC)
     @pytest.mark.parametrize("k, b, n", [(2, 2, 1), (2, 2, 2), (2, 2, 3), (3, 3, 2), (3, 2, 2), (1, 2, 3), (2, 1, 2)])
     def test_hypothesis_errors_match_check(self, public, key, scan, k, b, n):
-        # check runs the record's kernel; the public function only ess f.
+        # check runs the record's claim; the public function only its hypothesis.
         for code in range(min(b ** k**n, 600)):
             f = make_function(k, b, n, decode_index(code, b, k**n))
             from_check = _outcome_or_error(partial(check, key), f)
@@ -283,6 +283,128 @@ class TestWitnessScansRunOnce:
         with pytest.raises(NotTotallyEssential) as exc:
             check_kplus1_lemma(XOR)
         assert str(exc.value) == "LemKplus1 needs ess f = n > k, got ess=2 n=2 k=2"
+
+
+
+def _record_hypothesis(key, f):
+    """Whether f meets key's hypothesis, read from the oracles alone."""
+    e, boolean = naive_ess(f), (f.k, f.b) == (2, 2)
+    return {
+        TheoremId.THM_SALOMAA_MAIN: boolean and e >= 2,
+        TheoremId.THM_GEN: e > f.k,
+        TheoremId.THM_SALOMAA_AUX: e == f.n >= 2,
+        TheoremId.LEM_KPLUS1: e == f.n > f.k,
+        TheoremId.THM_STR: boolean and e >= 2,
+        TheoremId.LEM_DEG2: boolean and e >= 4 and max(map(len, naive_anf_monomials_packed(f)), default=0) == 2,
+    }[key]
+
+
+ONE_TABLE_ENTRIES = [(partial(check, key), key) for key in TheoremId if key is not TheoremId.THM1] + [
+    (find_restriction_witness, TheoremId.THM_SALOMAA_AUX), (check_kplus1_lemma, TheoremId.LEM_KPLUS1)]
+
+
+class TestOneHypothesis:
+    """Each statement's hypothesis is decided in one place: by the walk's
+    flags in sweeps and redraws, by core._flags in the one-table entries;
+    a claim sees only lanes that meet it."""
+
+    @pytest.mark.parametrize("k, b, n", [(1, 2, 1), (1, 2, 3), (1, 3, 2), (2, 2, 1), (2, 2, 2), (2, 2, 3),
+                                         (2, 3, 2), (2, 4, 2), (3, 2, 1), (3, 2, 2), (3, 3, 1)])
+    def test_one_table_entries_raise_iff_the_oracle_misses_the_hypothesis(self, k, b, n):
+        fs = [make_function(k, b, n, decode_index(code, b, k**n)) for code in range(b ** k**n)]
+        for entry, key in ONE_TABLE_ENTRIES:
+            for f in fs:
+                try:
+                    entry(f)
+                    raised = False
+                except HypothesisNotMet:
+                    raised = True
+                assert raised != _record_hypothesis(key, f), (key, entry, f)
+
+    def test_deg2_entry_raises_iff_the_oracle_misses_the_hypothesis(self):
+        # Every 7th table of arity 4, where ess 4 and degree 2 first meet.
+        fs = [FiniteFunction(2, 2, 4, code) for code in range(0, 1 << 16, 7)]
+        met = [_record_hypothesis(TheoremId.LEM_DEG2, f) for f in fs]
+        assert True in met
+        for f, meets in zip(fs, met):
+            try:
+                check(TheoremId.LEM_DEG2, f)
+                raised = False
+            except HypothesisNotMet:
+                raised = True
+            assert raised != meets, f
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Spies on every flags rule, walk and claim.  Each claim call must see
+        meets != 0 within the meets its flags gave the same block, and within
+        the members of the walk's block it decides; each call of the degree-2
+        flags must be on the block that LemDeg2's walk just yielded."""
+        walked, flagged, log = [None], {}, {"claims": [], "deg2": 0, "redrawn": 0}
+
+        def flags_spy(name):
+            real = getattr(verifier, name)
+
+            def spy(block, k, b, n, lanes, least):
+                if name == "_deg2_flags":
+                    assert walked[0] and walked[0][0] is TheoremId.LEM_DEG2 and walked[0][-1] == block
+                    log["deg2"] += 1
+                e, flagged[block, lanes] = real(block, k, b, n, lanes, least)
+                return e, flagged[block, lanes]
+
+            monkeypatch.setattr(verifier, name, spy)
+
+        for name in ("_flags", "_deg2_flags", "_every_lane"):
+            flags_spy(name)
+        for key, spec in list(verifier._THEOREMS.items()):
+            def walk(key, pop, budget, real=spec.walk):
+                total, desc, blocks, flags = real(key, pop, budget)
+
+                def walked_blocks(lo, hi):
+                    for start, lanes, block in blocks(lo, hi):
+                        walked[0] = (key, lo, hi, start, lanes, block)
+                        yield start, lanes, block
+                    walked[0] = None
+
+                return total, desc, walked_blocks, flags
+
+            def claim(block, k, b, n, lanes, e, meets, key=key, real=spec.claim):
+                assert meets and meets & ~flagged[block, lanes] == 0, key
+                if walked[0] and walked[0][-2:] == (lanes, block):
+                    _, lo, hi, start, _, _ = walked[0]
+                    width = _lane_width(k**n * field_width(b))
+                    assert meets & ~_lanes(width, [lo <= start + m < hi for m in range(lanes)]) == 0, key
+                elif walked[0]:
+                    log["redrawn"] += 1
+                log["claims"].append(key)
+                return real(block, k, b, n, lanes, e, meets)
+
+            monkeypatch.setitem(verifier._THEOREMS, key, spec._replace(walk=walk, claim=claim))
+        return log
+
+    def test_claims_see_only_lanes_that_meet(self, monkeypatch):
+        log = self._spy(monkeypatch)
+        # Each range cuts a block: lanes below lo and from hi on are no members.
+        ranges = [(TheoremId.THM_STR, Exhaustive(2, 2, 3), 5, 200), (TheoremId.THM_GEN, Exhaustive(2, 3, 3), 7, 70),
+                  (TheoremId.LEM_KPLUS1, Exhaustive(2, 2, 3), 1, 250), (TheoremId.THM1, Exhaustive(2, 2, 2), 3, 11),
+                  (TheoremId.LEM_DEG2, Exhaustive(2, 2, 4), 10, 100),
+                  (TheoremId.THM_SALOMAA_MAIN, Sampled(2, 2, 3, 90, 4), 2, 80),
+                  (TheoremId.THM_SALOMAA_AUX, Sampled(2, 3, 2, 300, 8, True), 10, 290),
+                  (verifier._Search.GAP3, Sampled(3, 3, 4, 40, 1, True), 3, 37)]
+        for key, pop, lo, hi in ranges:
+            verifier._run_range((key, pop, DEFAULT_BUDGET, lo, hi, 5))
+        assert set(log["claims"]) == {key for key, *_ in ranges} and log["deg2"] == 4 and log["redrawn"] > 2
+        # Chunked sweeps, whole, and check: the degree-2 flags stay on the degree-2 walk.
+        sweep(TheoremId.LEM_DEG2, Exhaustive(2, 2, 4), workers=1)
+        assert log["deg2"] == 4 + 63
+        del log["claims"][:]
+        for entry, _ in ONE_TABLE_ENTRIES:
+            for f in (XOR3, MAJ3, from_anf(make_polynomial(4, [(1, 2), (3,), (4,)]))):
+                try:
+                    entry(f)
+                except HypothesisNotMet:
+                    pass
+        assert log["deg2"] == 4 + 63 and TheoremId.LEM_DEG2 in log["claims"] and len(set(log["claims"])) == 6
 
 
 class TestSweep:
@@ -576,24 +698,24 @@ def _lane_claim_functions(n):
     return [f for f in fs if ess(f) >= 2]
 
 
-def _lane_results(kernel, n, fs):
-    """The kernel's verdict per function, fs packed 1024 >> n to a block;
+def _lane_results(claim, n, fs):
+    """The claim's verdict per function, fs packed 1024 >> n to a block;
     every function has ess >= 2, so every lane meets the hypothesis."""
     lanes, width = max(1, _BLOCK >> n), _lane_width(1 << n)
     got = []
     for a in range(0, len(fs), lanes):
         part = fs[a : a + lanes]
         block = sum(f.bits << m * width for m, f in enumerate(part))
-        meets, holds = kernel(block, 2, 2, n, lanes, 2)
+        meets, holds = decided(claim, block, 2, 2, n, lanes, 2)
         assert meets == sum(1 << m * width for m in range(len(part)))
         assert holds & ~meets == 0
         got += [bool(holds >> m * width & 1) for m in range(len(part))]
     return got
 
 
-def _settles_nothing(block, k, b, n, lanes, least, flags=None, gap=1):
-    """A gap kernel that holds no lane but keeps the real meets."""
-    return _gap_lanes(block, k, b, n, lanes, least, flags)[0], 0
+def _settles_nothing(block, k, b, n, lanes, e, pending, gap):
+    """A gap scan that holds no lane."""
+    return 0, None
 
 
 class TestLaneClaims:
@@ -630,7 +752,7 @@ class TestLaneClaims:
             ([no_cubic], [True] * len(fs)),
             ([(verifier, "_coef_gap", lambda coef, n: 1)], {TheoremId.THM_STR: gap1}),
             ([no_cubic, (verifier, "_coef_gap", lambda coef, n: 2)], {TheoremId.THM_STR: [not g for g in gap1]}),
-            ([(core, "_gap_at_most", lambda *args: gap_at_most(*args[:-1], 1))], gap1),
+            ([(verifier, "_gap_at_most", lambda *args: gap_at_most(*args[:-1], 1))], gap1),
         ]
         step = max(1, len(fs) // 60)  # check runs on every step-th function
         for patches, expected in modes:
@@ -641,7 +763,7 @@ class TestLaneClaims:
                     want = expected.get(key) if isinstance(expected, dict) else expected
                     if want is None:
                         continue
-                    assert _lane_results(verifier._THEOREMS[key].lanes, n, fs) == want, (key, patches)
+                    assert _lane_results(verifier._THEOREMS[key].claim, n, fs) == want, (key, patches)
                     # check is the same kernel on one lane.
                     assert [check(key, f) for f in fs[::step]] == want[::step], (key, patches)
 
@@ -667,8 +789,7 @@ class TestLaneClaims:
         # With a claim that fails on every member, every sample is a
         # violation, those redrawn after attempt 0 too, recorded or not.
         spec = verifier._THEOREMS[TheoremId.THM_STR]
-        fails = lambda block, k, b, n, lanes, least: (spec.lanes(block, k, b, n, lanes, least)[0], 0)
-        monkeypatch.setitem(verifier._THEOREMS, TheoremId.THM_STR, spec._replace(lanes=fails))
+        monkeypatch.setitem(verifier._THEOREMS, TheoremId.THM_STR, spec._replace(claim=lambda *args: 0))
         # Sample i's attempt 0 is drawn from the first output of the stream
         # seeded by output i of the stream seeded 8.
         stream = SplitMix64Stream(8)
@@ -704,20 +825,20 @@ class TestLaneClaims:
 
     @pytest.mark.parametrize("runs", [10000, 10001])
     def test_rejection_stops_after_ten_thousand_draws(self, runs, monkeypatch):
-        # One sample whose kernel first meets the hypothesis on its runs-th
+        # One sample whose flags first meet the hypothesis on their runs-th
         # call, at attempt runs - 1: attempt 9,999 is the last one drawn.
-        # The kernel then says every lane meets it; only the sample's counts.
+        # The flags then say every lane meets it; only the sample's counts.
         calls = []
 
         def late(block, k, b, n, lanes, least):
             calls.append(block)
             if len(calls) < runs:
-                return 0, 0
-            every = _lanes(_lane_width(1 << n), [True] * lanes)
-            return every, every
+                return (), 0
+            return (), _lanes(_lane_width(1 << n), [True] * lanes)
 
         spec = verifier._THEOREMS[TheoremId.THM_STR]
-        monkeypatch.setitem(verifier._THEOREMS, TheoremId.THM_STR, spec._replace(lanes=late))
+        monkeypatch.setattr(verifier, "_flags", late)
+        monkeypatch.setitem(verifier._THEOREMS, TheoremId.THM_STR, spec._replace(claim=lambda *args: args[-1]))
         pop = Sampled(2, 2, 3, 1, 7, True)
         if runs > 10000:
             with pytest.raises(HypothesisNotMet, match="^rejection sampling found no function satisfying ThmStr"
@@ -774,7 +895,7 @@ class TestLaneRules:
         few = [make_function(2, 2, 6, t) for t in (gap_two_tables(6)[-1], poly_table(6, [{1, 2, 3}]),
                                                    poly_table(6, [{1, 2}]))]
         block, width = _block(fs + few)
-        meets, holds = verifier._THEOREMS[TheoremId.THM_STR].lanes(block, 2, 2, 6, 16, 2)
+        meets, holds = decided(verifier._THEOREMS[TheoremId.THM_STR].claim, block, 2, 2, 6, 16, 2)
         assert meets == holds == _lanes(width, [True] * 16)
         assert [gap_report(f).gap for f in few] == [2, 1, 1]
         assert seen == [to_anf(f).coef for f in few[::2]]
@@ -876,7 +997,7 @@ class TestTableKernels:
             for least in sorted({2, 3, spec.min_ess(k, n)}):
                 meets = _lanes(width, [r[0] >= least for r in reports])
                 holds = _lanes(width, [r[0] >= least and claim(r[2]) for r in reports])
-                assert spec.lanes(block, k, b, n, len(fs), least) == (meets, holds), (key, least)
+                assert decided(spec.claim, block, k, b, n, len(fs), least) == (meets, holds), (key, least)
 
     @pytest.mark.parametrize("k,b,n", KERNEL_SHAPES)
     def test_restriction_scan_and_kernel_match_the_oracle(self, k, b, n):
@@ -892,7 +1013,7 @@ class TestTableKernels:
             first = _first_steps(verifier._restriction_scan, block, fs[0], len(fs), meets, width)
             assert first == {m: w for m, w in enumerate(witnesses) if w and counts[m] >= least}, least
             holds = _lanes(width, [m in first for m in range(len(fs))])
-            assert spec.lanes(block, k, b, n, len(fs), least) == (meets, holds), least
+            assert decided(spec.claim, block, k, b, n, len(fs), least) == (meets, holds), least
 
     @pytest.mark.parametrize("k,b,n", KPLUS1_SHAPES)
     def test_kplus1_scan_and_kernel_match_the_oracle(self, k, b, n):
@@ -908,7 +1029,7 @@ class TestTableKernels:
             first = _first_steps(verifier._kplus1_scan, block, fs[0], len(fs), meets, width)
             assert first == {m: p for m, p in enumerate(pairs) if p and counts[m] >= least}, least
             holds = _lanes(width, [m in first for m in range(len(fs))])
-            assert spec.lanes(block, k, b, n, len(fs), least) == (meets, holds), least
+            assert decided(spec.claim, block, k, b, n, len(fs), least) == (meets, holds), least
 
     @pytest.mark.parametrize("k,b,n", [(2, 3, 2), (2, 2, 1), (3, 3, 3), (3, 2, 2), (4, 5, 3), (4, 4, 1)])
     def test_kplus1_with_n_at_most_k_ends_before_reading_a_mask(self, k, b, n):
@@ -917,7 +1038,7 @@ class TestTableKernels:
         fs = _kernel_tables(k, b, n)
         block, _ = _block(fs)
         spec = verifier._THEOREMS[TheoremId.LEM_KPLUS1]
-        assert spec.lanes(block, k, b, n, len(fs), spec.min_ess(k, n)) == (0, 0)
+        assert decided(spec.claim, block, k, b, n, len(fs), spec.min_ess(k, n)) == (0, 0)
         assert list(verifier._kplus1_scan(block, k, b, n, len(fs), 0)) == []
 
     @pytest.mark.parametrize("k,n", [(k, n) for k in (2, 3, 4) for n in (1, 2, 3)])
@@ -928,12 +1049,13 @@ class TestTableKernels:
         assert any(witness) == (n <= k) and not all(witness)
         key, pop = TheoremId.THM1, Exhaustive(k, k, n)
         every, least = _lanes(width, [True] * len(fs)), verifier._THEOREMS[key].min_ess(k, n)
-        assert verifier._thm1_lanes(block, k, k, n, len(fs), least) == (every, every ^ _lanes(width, witness))
+        got = decided(verifier._thm1_claim, block, k, k, n, len(fs), least, verifier._every_lane)
+        assert got == (every, every ^ _lanes(width, witness))
         # One block starting three lanes below lo and running five past hi:
         # lanes outside lo..hi, witnesses or tables of any kind, are no members.
         outside = fs[-3:] + fs[:2] + [_diagonal_tables(k, n)[0]] * 3
         cut, _ = _block(outside[:3] + fs + outside[3:])
-        walk = lambda key, pop, budget: (None, None, lambda lo, hi: [(7, len(fs) + 8, cut)])
+        walk = lambda key, pop, budget: (None, None, lambda lo, hi: [(7, len(fs) + 8, cut)], verifier._every_lane)
         monkeypatch.setitem(verifier._THEOREMS, key, verifier._THEOREMS[key]._replace(walk=walk))
         hits = [f for f, w in zip(fs, witness) if w]
         for room in (len(fs), 1, 0):
@@ -956,7 +1078,39 @@ class TestTableKernels:
             assert first == {m: w for m, w in enumerate(witnesses) if w and counts[m] >= 1}
             meets = _lanes(width, [e == n for e in counts])
             holds = _lanes(width, [e == n and w is not None for e, w in zip(counts, witnesses)])
-            assert spec.lanes(block, k, b, n, len(group), spec.min_ess(k, n)) == (meets, holds)
+            assert decided(spec.claim, block, k, b, n, len(group), spec.min_ess(k, n)) == (meets, holds)
+
+
+def test_one_element_domain_in_bounded_memory():
+    # At k = 1 no variable is essential, so the flags build no mask and no
+    # claim runs: n = 10**8 fits 256 MiB, where a mask per variable would not.
+    # Thm1 checks its one table (or samples) with no rainbow point to permute.
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    code = (
+        "from aritygap import Exhaustive, FiniteFunction, Sampled, TheoremId, check, sweep\n"
+        "from aritygap import check_kplus1_lemma, find_restriction_witness\n"
+        "from aritygap.errors import HypothesisNotMet\n"
+        "n = 10**8\n"
+        "for entry in (lambda f: check(TheoremId.THM_GEN, f), find_restriction_witness, check_kplus1_lemma):\n"
+        "    try:\n"
+        "        entry(FiniteFunction(1, 2, n, 0))\n"
+        "    except HypothesisNotMet as e:\n"
+        "        print(type(e).__name__)\n"
+        "for theorem in (TheoremId.THM_GEN, TheoremId.THM_SALOMAA_AUX):\n"
+        "    for pop in (Exhaustive(1, 2, n), Sampled(1, 2, n, 3, 0)):\n"
+        "        r = sweep(theorem, pop)\n"
+        "        print(r.checked, r.skipped, r.passed)\n"
+        "for pop in (Exhaustive(1, 1, n), Sampled(1, 1, n, 3, 0)):\n"
+        "    r = sweep(TheoremId.THM1, pop)\n"
+        "    print(r.checked, r.skipped, r.passed)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            preexec_fn=limit_address_space, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:-1] == ["HypothesisNotMet", "NotTotallyEssential", "NotTotallyEssential"] + [
+        "0 2 False", "0 3 False"] * 2 + ["1 0 True", "3 0 True"]
 
 
 def test_chunk_bounds_partition_exactly():
@@ -1079,7 +1233,7 @@ class TestCodeBlocks:
     )
     def test_every_lane_holds_its_code(self, key, shape, lanes):
         k, b, n = shape
-        total, _, blocks = verifier._THEOREMS[key].walk(key, Exhaustive(*shape), DEFAULT_BUDGET)
+        total, _, blocks, _ = verifier._THEOREMS[key].walk(key, Exhaustive(*shape), DEFAULT_BUDGET)
         if key is TheoremId.THM1:
             assert total == 3**7
             bits = partial(_diagonal_code_table, k, n)
@@ -1213,7 +1367,7 @@ class TestDeg2Walk:
     def test_hits_are_built_in_index_order(self, n, lo, hi, monkeypatch):
         # With a kernel that passes no lane, every candidate checked is a
         # hit, and each is recorded in index order while there is room.
-        monkeypatch.setattr(verifier, "_gap_lanes", _settles_nothing)
+        monkeypatch.setattr(verifier, "_gap_at_most", _settles_nothing)
         candidates = [_deg2_candidate(n, i) for i in range(lo, hi)]
         hits = [f for f, occ in candidates if occ >= 4]
         counts = (len(hits), len(candidates) - len(hits), len(hits))
@@ -1227,7 +1381,7 @@ class TestDeg2Walk:
     def test_chunks_cutting_quadratic_parts_merge_to_one_run(self, monkeypatch):
         # 65,472 candidates at n = 5 in eight chunks of 8,184: every chunk
         # boundary cuts one of the 64-lane quadratic parts.
-        monkeypatch.setattr(verifier, "_gap_lanes", _settles_nothing)
+        monkeypatch.setattr(verifier, "_gap_at_most", _settles_nothing)
         key, pop = TheoremId.LEM_DEG2, Exhaustive(2, 2, 5)
         total = verifier._THEOREMS[key].walk(key, pop, DEFAULT_BUDGET)[0]
         bounds = verifier._chunk_bounds(total, 8)
@@ -1247,7 +1401,7 @@ class TestDeg2Walk:
         assert built == []
 
     def test_recorded_violations_are_the_first_checked(self, monkeypatch):
-        monkeypatch.setattr(verifier, "_gap_lanes", _settles_nothing)
+        monkeypatch.setattr(verifier, "_gap_at_most", _settles_nothing)
         r = sweep(TheoremId.LEM_DEG2, Exhaustive(2, 2, 5), workers=1, max_recorded=7)
         first = [f for f, occ in map(partial(_deg2_candidate, 5), range(300)) if occ >= 4][:7]
         assert r.violations == tuple(first) and r.violation_count == r.checked == 64512
@@ -1267,16 +1421,16 @@ class TestDeg2Walk:
     def test_check_runs_the_walks_kernel(self, monkeypatch):
         f, occurring = _deg2_candidate(5, 5000)
         assert occurring == 5 and check(TheoremId.LEM_DEG2, f)
-        monkeypatch.setattr(verifier, "_gap_lanes", _settles_nothing)
+        monkeypatch.setattr(verifier, "_gap_at_most", _settles_nothing)
         assert not check(TheoremId.LEM_DEG2, f)
 
 
 def _deg2_kernels_agree(block, n, lanes, least):
-    """LemDeg2's kernel, which reads the flags from lane 0's polynomial,
-    against the gap-1 kernel scanning the table: equal meets and holds on
-    every lane, of one table or of a whole degree-2 block."""
-    got = verifier._deg2_lanes(block, 2, 2, n, lanes, least)
-    assert got == _gap_lanes(block, 2, 2, n, lanes, least), (n, block, least)
+    """LemDeg2's claim on its walk's flags, read from lane 0's polynomial,
+    against the gap-1 scan on the table's flags: equal meets and holds on
+    every lane of a whole degree-2 block."""
+    got = decided(verifier._THEOREMS[TheoremId.LEM_DEG2].claim, block, 2, 2, n, lanes, least, verifier._deg2_flags)
+    assert got == decided(gap_claim(1), block, 2, 2, n, lanes, least), (n, block, least)
 
 
 class TestDeg2Kernel:
@@ -1294,15 +1448,13 @@ class TestDeg2Kernel:
             _deg2_kernels_agree(block, n, lanes, 4)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_support_is_the_variables_of_the_quadratic_part(self, n, monkeypatch):
-        # The flags the kernel hands the gap-1 scan: a variable is essential
+    def test_support_is_the_variables_of_the_quadratic_part(self, n):
+        # The flags the walk hands the gap-1 scan: a variable is essential
         # in every lane iff it occurs in the block's quadratic part.
-        flags = []
-        monkeypatch.setattr(verifier, "_gap_lanes", lambda *args: flags.append(args[-1]) or (0, 0))
         pairs = list(combinations(range(n), 2))
         total = ((1 << len(pairs)) - 1) << n + 1
-        for _, lanes, block in verifier._deg2_blocks(n, 0, total):
-            verifier._deg2_lanes(block, 2, 2, n, lanes, 4)
+        blocks = verifier._deg2_blocks(n, 0, total)
+        flags = [verifier._deg2_flags(block, 2, 2, n, lanes, 4) for _, lanes, block in blocks]
         ones = verifier._spaced_ones(2 << n, _lane_width(1 << n))
         assert len(flags) == (1 << len(pairs)) - 1
         for q, (e, _) in enumerate(flags):
@@ -1311,12 +1463,17 @@ class TestDeg2Kernel:
 
     @pytest.mark.parametrize("n,least", [(4, 2), (4, 4)] + [(n, least) for n in (1, 2, 3) for least in range(5)])
     def test_one_lane_on_every_table(self, n, least):
-        # Every degree up to n: a table's essential variables are its polynomial's.
+        # Every degree up to n, on the table's own flags, as check decides
+        # them: the lanes of ess >= least meet, and those of gap 1 hold.
+        claim = verifier._THEOREMS[TheoremId.LEM_DEG2].claim
         for code in range(1 << (1 << n)):
-            _deg2_kernels_agree(code, n, 1, least)
+            f = FiniteFunction(2, 2, n, code)
+            meets = int(ess(f) >= least)
+            holds = int(meets and ess(f) >= 2 and gap_report(f).gap == 1)
+            assert decided(claim, code, 2, 2, n, 1, least) == (meets, holds), code
 
     def test_check_on_a_wide_table_in_bounded_memory(self):
-        # check runs the kernel on one lane before it reads the degree, so a
+        # check decides the flags on one lane before it reads the degree, so a
         # table of any degree must cost no block masks: 4**17 bits each at n = 16.
         def limit_address_space():
             # Applies in the child only, between fork and exec.
@@ -1351,7 +1508,8 @@ class TestDeg2Kernel:
         code = (
             "from aritygap import verifier\n"
             "(_, lanes, block), = verifier._deg2_blocks(10, 0, 2048)\n"
-            "meets, holds = verifier._deg2_lanes(block, 2, 2, 10, lanes, 4)\n"
+            "e, meets = verifier._deg2_flags(block, 2, 2, 10, lanes, 4)\n"
+            "holds = verifier._THEOREMS[verifier.TheoremId.LEM_DEG2].claim(block, 2, 2, 10, lanes, e, meets)\n"
             "print(lanes, meets.bit_count(), holds == meets)\n"
         )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
