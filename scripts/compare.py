@@ -50,8 +50,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ONE = ("run_all_sweeps.py", "--json", "--workers", "1")
 TWO = ("run_all_sweeps.py", "--json", "--workers", "2")
-# generate --random K B N SEED; b = 4, 32 and 64 draw fields of 2, 5 and 6 bits.
-SHAPES = ("2 2 6 1", "2 2 10 2", "3 3 4 3", "3 2 5 4", "3 5 3 5", "2 4 5 6", "2 32 4 7", "2 64 3 8")
+# generate --random K B N SEED; b = 4, 32 and 64 draw fields of 2, 5 and 6 bits, and
+# 2 2 12 a Boolean table of 4,096 rows, drawn alone in four passes.
+SHAPES = ("2 2 6 1", "2 2 10 2", "3 3 4 3", "3 2 5 4", "3 5 3 5", "2 4 5 6", "2 32 4 7", "2 64 3 8", "2 2 12 9")
 SEARCH = ("search", "--k", "3", "--n", "4", "--count", "2000", "--seed", "0", "--json")
 # A k = 1 table sweep that checks nothing (exit 4), Thm1's witnesses, a rejection-sampled
 # ThmStr sweep, the degree-2 walk, and a LemDeg2 sample that is refused (exit 2).

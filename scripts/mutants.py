@@ -489,8 +489,8 @@ MUTANTS = [
     Mutant(
         "shared-pass-bases-one-counter-late",
         "src/aritygap/generators.py",
-        "GOLDEN * _spaced_ones(g, 128)",
-        "2 * GOLDEN * _spaced_ones(g, 128)",
+        "_copies(seeds, g, rows, 128) + steps",
+        "_copies(seeds + GOLDEN, g, rows, 128) + steps",
         ("tests/test_generators.py::TestRandomFunction::test_golden_tables",),
     ),
     Mutant(
@@ -524,23 +524,65 @@ MUTANTS = [
     Mutant(
         "pass-steps-start-one-row-late",
         "src/aritygap/generators.py",
-        "(j * GOLDEN & _MASK64)",
-        "((j + 1) * GOLDEN & _MASK64)",
+        "for j in range(rows))",
+        "for j in range(1, rows + 1))",
         ("tests/test_generators.py::TestRandomLanes::test_mixed_lanes_of_row_counts_the_doubling_overshoots",),
     ),
     Mutant(
         "mix-first-cut-one-bit-short",
         "src/aritygap/generators.py",
-        "for c in (64, t + 58, t + 31)",
-        "for c in (64, t + 57, t + 31)",
+        "(64, min(64, t + 58), min(64, t + 31))",
+        "(64, min(64, t + 57), min(64, t + 31))",
         ("tests/test_generators.py::TestRandomLanes::test_a_mix_cut_to_w_bits_is_the_low_w_bits_of_the_whole_mix",),
     ),
     Mutant(
         "mix-second-cut-one-bit-short",
         "src/aritygap/generators.py",
-        "for c in (64, t + 58, t + 31)",
-        "for c in (64, t + 58, t + 30)",
+        "(64, min(64, t + 58), min(64, t + 31))",
+        "(64, min(64, t + 58), min(64, t + 30))",
         ("tests/test_generators.py::TestRandomLanes::test_a_mix_cut_to_w_bits_is_the_low_w_bits_of_the_whole_mix",),
+    ),
+    Mutant(
+        "bit-lanes-add-drops-top-bit-term",
+        "src/aritygap/generators.py",
+        "((x & low) + (steps & low)) ^ (x ^ steps) & (lanes ^ low)",
+        "((x & low) + (steps & low))",
+        ("tests/test_generators.py::TestRandomLanes::test_boolean_lanes_are_the_low_bits_of_the_oracle_stream",),
+    ),
+    Mutant(
+        "bit-lanes-split-read-at-bit-29",
+        "src/aritygap/generators.py",
+        "a, b = z & m30, z >> 30 & m30",
+        "a, b = z & m30, z >> 29 & m30",
+        ("tests/test_generators.py::TestRandomLanes::test_boolean_lanes_are_the_low_bits_of_the_oracle_stream",),
+    ),
+    Mutant(
+        "bit-lanes-high-half-unmasked",
+        "src/aritygap/generators.py",
+        "a, b = z & m30, z >> 30 & m30",
+        "a, b = z & m30, z >> 30",
+        ("tests/test_generators.py::TestRandomLanes::test_boolean_lanes_are_the_low_bits_of_the_oracle_stream",),
+    ),
+    Mutant(
+        "bit-lanes-cross-term-unmasked",
+        "src/aritygap/generators.py",
+        "b * _C1_LOW & m30)",
+        "b * _C1_LOW)",
+        ("tests/test_generators.py::TestRandomLanes::test_boolean_lanes_are_the_low_bits_of_the_oracle_stream",),
+    ),
+    Mutant(
+        "bit-lanes-second-product-unmasked",
+        "src/aritygap/generators.py",
+        "z = ((z ^ z >> 27) & m32) * (",
+        "z = (z ^ z >> 27) * (",
+        ("tests/test_generators.py::TestRandomLanes::test_boolean_lanes_are_the_low_bits_of_the_oracle_stream",),
+    ),
+    Mutant(
+        "identify-k1-return-removed",
+        "src/aritygap/core.py",
+        "    if f.k == 1:  # the one row's minor is that row\n        return f\n",
+        "",
+        ("tests/test_core.py::TestIdentify::test_one_element_domain_in_bounded_memory",),
     ),
     Mutant(
         "mix-second-product-spills-into-the-next-lane",

@@ -340,6 +340,8 @@ def identify(f: FiniteFunction, i: int, j: int) -> FiniteFunction:
             raise IndexOutOfRange(f"variable index {v} not in 1..{f.n}")
     if i == j:
         raise SameIndex(f"identification needs two distinct indices, got i = j = {i}")
+    if f.k == 1:  # the one row's minor is that row
+        return f
     zeros, strides, *_ = _layout(f.k, field_width(f.b), f.n, 1)
     return FiniteFunction(f.k, f.b, f.n, _identified(f.bits, f.k, zeros, strides, i - 1, j - 1))
 

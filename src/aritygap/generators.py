@@ -9,15 +9,16 @@ outputs are frozen in the test suite.
 random_lanes(k, b, n, seeds, count) is the one table draw: table m fills
 its rows in order by SplitMix64(seed m).below(b), seed m (mod 2**64) being
 the 128-bit lane m of seeds, and lies in lane m of the result as in
-core._layout.  Up to b = 2**64 a candidate is one output, and _mix_lanes
-mixes up to 1,024 outputs in the 128-bit lanes of one int.  A pass of g
-tables is row-major, lane j * g + i holding row j of table i: its counters
-are the seed lanes plus GOLDEN, copied by doubling, plus j * GOLDEN.  An
-entry is an output's low w bits for b a power of two, else the outputs
-under below's threshold are kept in order, mod b.  Low bits of a product,
-xor or sum depend on its inputs' low bits alone (Warren, Hacker's Delight,
-2-3), so t output bits need the first product mod 2**(t + 58) and the
-second mod 2**(t + 31): a pass of b = 2**w <= 32 mixes only those.
+core._layout.  Up to b = 2**64 a candidate is one output, and a pass mixes
+up to 1,024 outputs in the lanes of one int.  A pass of g tables is
+row-major, lane j * g + i holding row j of table i: its counters are the
+seed lanes, copied by doubling, plus (j + 1) * GOLDEN.  An entry is an
+output's low w bits for b a power of two, else the outputs under below's
+threshold are kept in order, mod b.  Low bits of a product, xor or sum
+depend on its inputs' low bits alone (Warren, Hacker's Delight, 2-3), so t
+output bits need the first product mod 2**(t + 58) and the second mod
+2**(t + 31): _mix_lanes mixes only those in 128-bit lanes, and for b <= 2,
+one bit, _low_bits mixes in 64-bit lanes, half the width.
 1024 // k**n tables share a pass while it expects under one rejection,
 1024 * (2**64 mod b) < 2**64, and if it rejects are drawn alone, in passes
 of g = 1, as are tables of other b or more rows; b > 2**64 draws row by
@@ -52,8 +53,9 @@ from .errors import (
 
 GOLDEN = 0x9E3779B97F4A7C15
 _C1, _C2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB  # mix64's multipliers
+_C1_LOW, _C1_HIGH = _C1 & (1 << 30) - 1, _C1 >> 30 & (1 << 29) - 1  # C1 mod 2**59 split at bit 30
 _MASK64 = (1 << 64) - 1
-_BLOCK = 1024  # rows mixed per pass: 128 Kibit ints at any table size
+_BLOCK = 1024  # rows mixed per pass: 128 Kibit ints at any table size, 64 Kibit for b <= 2
 _DIGITS = (b"0" * 256, b"01" * 128)  # a byte's entry for b = 1 and b = 2: its low bit
 _STEP = 1 if sys.byteorder == "little" else -1  # the end a pass's native words count from
 
@@ -160,26 +162,49 @@ def _table_text(seed: int, size: int, b: int, w: int) -> str:
 
 
 @lru_cache(maxsize=128)
-def _lanes(rows: int, g: int, t: int):
-    """GOLDEN in g lanes, then over rows * g lanes j * GOLDEN mod 2**64 in lane
-    j * g + i, and _mix_lanes' masks for t bits: the lanes' 64-bit masks and
-    those cut to t + 58 and t + 31 bits.  Keyed by shape: redraws keep a block's."""
-    steps = b"".join((j * GOLDEN & _MASK64).to_bytes(16, "little") * g for j in range(rows))
-    ones = _spaced_ones(rows * g, 128)
-    return GOLDEN * _spaced_ones(g, 128), int.from_bytes(steps, "little"), tuple(
-        ((1 << min(64, c)) - 1) * ones for c in (64, t + 58, t + 31))
+def _lanes(rows: int, g: int, width: int, cuts: tuple[int, ...]):
+    """(j + 1) * GOLDEN mod 2**64 in lane j * g + i of rows * g lanes of width
+    bits, and the lanes' masks of each number of bits in cuts.  Keyed by
+    shape: redraws keep a block's."""
+    steps = b"".join(((j + 1) * GOLDEN & _MASK64).to_bytes(width // 8, "little") * g for j in range(rows))
+    ones = _spaced_ones(rows * g, width)
+    return int.from_bytes(steps, "little"), tuple(((1 << c) - 1) * ones for c in cuts)
+
+
+def _copies(x: int, g: int, rows: int, width: int) -> int:
+    """The g lanes of width bits at the bottom of x copied to rows * g lanes by
+    doubling (Knuth, TAOCP 4A, 7.1.3); lanes past them may hold more copies."""
+    for e in range((rows - 1).bit_length()):
+        x |= x << (width * g << e)
+    return x
 
 
 def _mixed(seeds: int, g: int, rows: int, t: int = 64) -> tuple[int, int]:
     """(z, lanes): lane j * g + i of z holds mix64 of seed i + (j + 1) *
-    GOLDEN in its low t bits, for the g seeds in the lanes of seeds, lanes
-    being the 64-bit masks of the rows * g lanes.  The seeds plus GOLDEN are
-    copied by doubling (Knuth, TAOCP 4A, 7.1.3); the mask drops what overshoots."""
-    golden, steps, masks = _lanes(rows, g, t)
-    x = seeds + golden
-    for e in range((rows - 1).bit_length()):
-        x |= x << (128 * g << e)
-    return _mix_lanes(x + steps & masks[0], masks, t), masks[0]
+    GOLDEN in its low t bits, for the g seeds in the 128-bit lanes of seeds,
+    lanes being the 64-bit masks of the rows * g lanes, which drop the
+    copies that overshoot and the counters' carries."""
+    steps, masks = _lanes(rows, g, 128, (64, min(64, t + 58), min(64, t + 31)))
+    return _mix_lanes(_copies(seeds, g, rows, 128) + steps & masks[0], masks, t), masks[0]
+
+
+def _low_bits(seeds: int, g: int, rows: int) -> int:
+    """Bit 0 of 64-bit lane j * g + i is the low bit of mix64 of seed i +
+    (j + 1) * GOLDEN, for the g seeds in the 64-bit lanes of seeds.  The
+    counters add mod 2**64 per lane without carries between lanes (Warren,
+    2-18).  That bit is bits 0 and 31 of the second product, which read the
+    first product mod 2**59.  With u = a + b * 2**30 and C1 = c0 + c1 * 2**30,
+    a, b and c0 of 30 bits and c1 of 29, a * c0 + (a * c1 + b * c0 mod 2**30)
+    * 2**30 is that product mod 2**59 and under 2**61, and C2 mod 2**32 is
+    under 2**29, so every product fits its lane."""
+    steps, (lanes, low, m34, m32, m30) = _lanes(rows, g, 64, (64, 63, 34, 32, 30))
+    x = _copies(seeds, g, rows, 64)
+    z = ((x & low) + (steps & low)) ^ (x ^ steps) & (lanes ^ low)
+    z ^= z >> 30 & m34
+    a, b = z & m30, z >> 30 & m30
+    z = a * _C1_LOW + ((a * _C1_HIGH + b * _C1_LOW & m30) << 30)
+    z = ((z ^ z >> 27) & m32) * (_C2 & 0xFFFFFFFF)
+    return z ^ z >> 31
 
 
 def _pass(seeds: int, g: int, rows: int, b: int, w: int) -> tuple[list[str], int]:
@@ -187,11 +212,14 @@ def _pass(seeds: int, g: int, rows: int, b: int, w: int) -> tuple[list[str], int
     rows outputs of each of g seeds, and their count: the outputs under its
     threshold, in order, mod b.  Text i is every g-th kept output from
     output i, a table unless g > 1 and an output is rejected.  b = 2**w
-    reads the low w bits of an output, all _mixed computes while w + 58 < 64."""
-    data = _mixed(seeds, g, rows, w if b & b - 1 == 0 and w < 6 else 64)[0].to_bytes(16 * rows * g, sys.byteorder)
+    reads the low w bits of an output, all _mixed computes while w + 58 < 64,
+    and b <= 2 bit 0 of _low_bits' 64-bit lanes, fed the seeds' low words."""
     if w == 1:
-        digits = data[:: 16 * _STEP].translate(_DIGITS[b - 1]).decode()
+        seeds = int.from_bytes(memoryview(seeds.to_bytes(16 * g, "little")).cast("Q")[::2], "little")
+        data = _low_bits(seeds, g, rows).to_bytes(8 * rows * g, sys.byteorder)
+        digits = data[:: 8 * _STEP].translate(_DIGITS[b - 1]).decode()
         return [digits[i::g] for i in range(g)], rows * g
+    data = _mixed(seeds, g, rows, w if b & b - 1 == 0 and w < 6 else 64)[0].to_bytes(16 * rows * g, sys.byteorder)
     words, limit = memoryview(data).cast("Q")[:: 2 * _STEP], (1 << 64) - (1 << 64) % b
     field = _FIELDS[w] if w < len(_FIELDS) else None  # each value's text
     fields = ([field[z % b] for z in words if z < limit] if field

@@ -186,7 +186,7 @@ class TestIdentify:
         with pytest.raises(IndexOutOfRange):
             identify(XOR, 1, 3)
 
-    @pytest.mark.parametrize("k,b,n", [(2, 2, 4), (3, 5, 3), (4, 3, 3), (7, 16, 2), (10, 16, 2)])
+    @pytest.mark.parametrize("k,b,n", [(1, 3, 4), (2, 2, 4), (3, 5, 3), (4, 3, 3), (7, 16, 2), (10, 16, 2)])
     def test_every_pair_matches_point_oracle(self, k, b, n):
         # k > 2 reads every digit mask D_t(c) as a shift of D_t(0).
         f = make_function(k, b, n, naive_random_table(k, b, n, seed=k))
@@ -194,6 +194,23 @@ class TestIdentify:
             for j in range(1, n + 1):
                 if i != j:
                     assert identify(f, i, j).table == naive_identify(f, i, j)
+
+    def test_one_element_domain_in_bounded_memory(self):
+        # At k = 1 the one row's minor is f itself: no mask per variable, so
+        # n = 10**8 fits 256 MiB.
+        def limit_address_space():
+            # Applies in the child only, between fork and exec.
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        code = (
+            "from aritygap import FiniteFunction, identify\n"
+            "f = FiniteFunction(1, 2, 10**8, 1)\n"
+            "print(identify(f, 1, 2) == f, identify(f, 10**8, 3).table)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                preexec_fn=limit_address_space, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True", "(1,)"]
 
     @given(finite_functions(max_n=4), st.data())
     def test_identified_variable_inessential(self, f, data):

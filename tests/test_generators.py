@@ -301,20 +301,47 @@ class TestRandomLanes:
         assert tables == [make_function(2, b, 5, naive_random_table(2, b, 5, s)).bits for s in seeds]
 
     def test_a_boolean_block_is_one_mix_of_1024_lanes(self, monkeypatch):
+        # 16 tables of 64 rows: one _low_bits call over 1,024 64-bit lanes,
+        # and no 128-bit mix.
         seeds = [substream_seed(4, i) for i in range(16)]
-        mixes, cuts, real = [], [], generators._mix_lanes
+        mixes, real = [], generators._low_bits
 
-        def spy(z, masks, t):
-            mixes.append(masks[0].bit_count() // 64)
-            cuts.append(t)
-            return real(z, masks, t)
+        def spy(lanes, g, rows):
+            mixes.append(g * rows)
+            return real(lanes, g, rows)
 
-        monkeypatch.setattr(generators, "_mix_lanes", spy)
+        monkeypatch.setattr(generators, "_low_bits", spy)
+        monkeypatch.setattr(generators, "_mix_lanes", None)
         block = random_lanes(2, 2, 6, seed_lanes(seeds), 16)
-        assert mixes == [1024] and cuts == [1]
+        assert mixes == [1024]
         monkeypatch.undo()
         tables = _lane_tables(2, 2, 6, block, 16)
         assert tables == [make_function(2, 2, 6, naive_random_table(2, 2, 6, s)).bits for s in seeds]
+
+    @pytest.mark.parametrize("g", [1, 3, 16])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 64, 1024])
+    def test_boolean_lanes_are_the_low_bits_of_the_oracle_stream(self, g, rows):
+        # Seeds at the carry edges (0, 2**64 - 1 and 2**64 - GOLDEN, whose
+        # first counter wraps to 0), each in lane 0 of some group, and random ones.
+        edges = [0, 2**64 - 1, 2**64 - generators.GOLDEN]
+        pool = edges + [substream_seed(rows, i) for i in range(g)]
+        for seeds in [pool[r : r + g] for r in range(3)] if g < 16 else [pool[:g]]:
+            streams = [SplitMix64Stream(s) for s in seeds]
+            low = [stream.next() & 1 for _ in range(rows) for stream in streams]
+            z = generators._low_bits(sum(s << 64 * i for i, s in enumerate(seeds)), g, rows)
+            assert [z >> 64 * m & 1 for m in range(rows * g)] == low and z >> 64 * rows * g == 0
+            for b in (1, 2):
+                texts, kept = generators._pass(seed_lanes(seeds), g, rows, b, 1)
+                assert kept == rows * g
+                assert texts == ["".join(str(bit * (b - 1)) for bit in low[i::g]) for i in range(g)]
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_a_boolean_table_over_1024_rows_is_drawn_alone(self, b):
+        # 4,096 rows: four passes of one table, each 1,024 counters on; the
+        # last two seeds put the second pass's seed and first counter at 0.
+        golden = generators.GOLDEN
+        for seed in (0, 2**64 - 1, 2**64 - golden, 9, -1024 * golden % 2**64, -1025 * golden % 2**64):
+            assert random_function(2, b, 12, seed).table == naive_random_table(2, b, 12, seed)
 
     @pytest.mark.parametrize("w", [1, 2, 3, 4, 5, 6, 64])
     def test_a_mix_cut_to_w_bits_is_the_low_w_bits_of_the_whole_mix(self, w):
@@ -323,7 +350,7 @@ class TestRandomLanes:
         edges = [0, 2**64 - 1, 2**64 - generators.GOLDEN]
         values = edges * 3 + [substream_seed(w, i) for i in range(55)]
         low = (1 << w) - 1
-        masks = generators._lanes(len(values), 1, w)[2]
+        masks = generators._lanes(len(values), 1, 128, (64, min(64, w + 58), min(64, w + 31)))[1]
         cut = generators._mix_lanes(seed_lanes(values), masks, w)
         whole = [SplitMix64Stream((v - generators.GOLDEN) % 2**64).next() for v in values]
         assert [x & low for x in lane_seeds(cut, len(values))] == [x & low for x in whole]
