@@ -179,6 +179,13 @@ MUTANTS = [
         ("tests/test_core.py::TestGapAtMost::test_lanes_match_the_oracle",),
     ),
     Mutant(
+        "gap-plan-drops-the-partner",
+        "src/aritygap/core.py",
+        "row[j - 1 : j] + row[: j - 1] + row[j:]",
+        "row[: j - 1] + row[j:]",
+        ("tests/test_core.py::TestGapAtMost::test_lanes_match_the_oracle",),
+    ),
+    Mutant(
         "is-essential-reads-the-next-flag",
         "src/aritygap/core.py",
         "_dependence(f.bits, f.k, f.b, f.n, 1)[i - 1]",
@@ -221,17 +228,31 @@ MUTANTS = [
         ("tests/test_verifier.py::TestDeg2Kernel::test_blocks_of_the_n6_ranges",),
     ),
     Mutant(
+        "deg2-lane0-transform-skips-the-last-variable",
+        "src/aritygap/verifier.py",
+        "tuple(zip(zeros, strides))",
+        "tuple(zip(zeros, strides))[:-1]",
+        ("tests/test_verifier.py::TestDeg2Kernel::test_support_is_the_variables_of_the_quadratic_part",),
+    ),
+    Mutant(
+        "monomial-indices-miss-index-0",
+        "src/aritygap/anf.py",
+        '    at = text.find("1")\n',
+        '    at = text.find("1", 1)\n',
+        ("tests/test_anf.py::TestPolynomialStr::test_constants",),
+    ),
+    Mutant(
         "skip-count-off-by-one",
         "src/aritygap/verifier.py",
-        "skipped += end - first - meets.bit_count()",
-        "skipped += end - first - meets.bit_count() + 1",
+        "return checked, hi - lo - checked, hits, recorded",
+        "return checked, hi - lo - checked + 1, hits, recorded",
         ("tests/test_verifier.py::TestDeg2Walk",),
     ),
     Mutant(
         "walker-ignores-lower-member-bound",
         "src/aritygap/verifier.py",
-        "first, end = max(lo - start, 0), ",
-        "first, end = 0, ",
+        "- (1 << max(lo - start, 0) * width)",
+        "- (1 << 0 * width)",
         ("tests/test_verifier.py::TestDeg2Walk",),
     ),
     Mutant(
@@ -272,8 +293,8 @@ MUTANTS = [
     Mutant(
         "walker-skips-at-one-free-slot",
         "src/aritygap/verifier.py",
-        "if (fails or redrawn) and len(recorded) < max_recorded:",
-        "if (fails or redrawn) and len(recorded) < max_recorded - 1:",
+        "if len(recorded) < max_recorded:",
+        "if len(recorded) < max_recorded - 1:",
         ("tests/test_verifier.py::TestDeg2Walk::test_hits_are_built_in_index_order",),
     ),
     Mutant(
@@ -461,7 +482,7 @@ MUTANTS = [
     Mutant(
         "walker-counts-padding-lanes",
         "src/aritygap/verifier.py",
-        "        if first or end < lanes:",
+        "        if start < lo or hi - start < lanes:",
         "        if False:",
         ("tests/test_verifier.py::TestTableKernels::test_thm1_kernel_and_walker_match_the_oracle",),
     ),

@@ -50,14 +50,14 @@ def make_polynomial(arity: int, monomials) -> ZhegalkinPolynomial:
     return ZhegalkinPolynomial(arity, coef)
 
 
-def _moebius(bits: int, n: int, lanes: int = 1) -> int:
+def _moebius(bits: int, n: int, lanes: int = 1, steps=None) -> int:
     """Subset XOR transform of a packed Boolean table, n masked shift-XORs;
     self-inverse over GF(2).  Bit r of the result (row order) is the
     coefficient of the monomial whose index is r.  With lanes > 1, bits is
     a block laid out as in core._layout, and every lane is transformed
-    with the masks repeated in every lane."""
-    zeros, strides, *_ = _layout(2, 1, n, lanes)
-    for z, s in zip(zeros, strides):
+    with the masks repeated in every lane.  steps, if given, are the
+    (zeros[t], strides[t]) pairs of that layout, bound by the caller."""
+    for z, s in steps or zip(*_layout(2, 1, n, lanes)[:2]):
         # Each row with x_t = 0 adds its value to the row with x_t = 1.
         bits ^= (bits & z) >> s
     return bits
@@ -69,8 +69,14 @@ def _variables(idx: int, n: int) -> tuple[int, ...]:
 
 
 def _monomial_indices(coef: int, n: int) -> list[int]:
-    """Indices of the monomials whose coefficient bit is set, ascending."""
-    return [idx for idx, bit in enumerate(format(coef, f"0{1 << n}b")) if bit == "1"]
+    """Indices of the monomials whose coefficient bit is set, ascending: one
+    find per set bit of the table's text, as in verifier._set_lanes."""
+    text, out = format(coef, f"0{1 << n}b"), []
+    at = text.find("1")
+    while at >= 0:
+        out.append(at)
+        at = text.find("1", at + 1)
+    return out
 
 
 def to_anf(f: FiniteFunction) -> ZhegalkinPolynomial:

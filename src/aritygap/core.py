@@ -171,10 +171,11 @@ def _layout(k: int, w: int, n: int, lanes: int):
     bottom, where ones and fill are 1 and 2**(k**n * w) - 1 per lane.  A
     stride shift keeps each table bit in its lane's rows.  lanes has no
     default, so a shape has one cache entry, and a block multiplies its
-    masks by ones.  plan, _gap_at_most's walk, is (i, j, others[i]) for the
-    pairs i < j in lex order, others[i] holding (t, strides[t], lower[t]) for
-    each t != i: this entry's masks, and no pair at k = 1, where no variable
-    is essential.
+    masks by ones.  plan, _gap_at_most's walk, is (i, j, tests) for the pairs
+    i < j in lex order, tests holding (t, strides[t], lower[t]) for each t !=
+    i, the partner t = j first, which a structured minor most often loses,
+    then the rest ascending: this entry's masks, and no pair at k = 1, where
+    no variable is essential.
     """
     if lanes > 1:
         zeros, strides, lower, _, fill, _ = _layout(k, w, n, 1)
@@ -195,7 +196,10 @@ def _layout(k: int, w: int, n: int, lanes: int):
         zeros = tuple(zeros)
         lower = zeros if k == 2 else tuple(fill ^ (z >> (k - 1) * run) for z, run in zip(zeros, strides))
     others = [tuple((t, strides[t], lower[t]) for t in range(n) if t != i) for i in range(n if k > 1 else 0)]
-    return zeros, strides, lower, ones, fill, tuple((i, j, row) for i, row in enumerate(others) for j in range(i + 1, n))
+    # others[i] lists t != i ascending, so the partner j > i is row[j - 1].
+    plan = tuple((i, j, row[j - 1 : j] + row[: j - 1] + row[j:])
+                 for i, row in enumerate(others) for j in range(i + 1, n))
+    return zeros, strides, lower, ones, fill, plan
 
 
 def _lane_width(size: int) -> int:
@@ -288,12 +292,12 @@ def _gap_at_most(block: int, k: int, b: int, n: int, lanes: int, e, pending: int
     size, p = k**n * w, n.bit_length()
     bias = ((1 << p) - min(gap, n)) * ones if gap > 1 else 0  # unread at gap 1; count < 2**(p+1)
     rest = pending
-    for i, j, others in plan:
+    for i, j, tests in plan:
         kept = e[i] & e[j] & rest
         if not kept:
             continue
         minor, count = _identified(block, k, zeros, strides, i, j), bias
-        for t, stride, low in others:
+        for t, stride, low in tests:
             if e[t] & kept:
                 survives = ((((minor << stride) ^ minor) & low) + fill) >> size
                 if gap == 1:

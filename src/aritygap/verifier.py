@@ -376,21 +376,28 @@ def _subset_xors(masks) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _deg2_layout(n: int):
-    """The 2**(n+1) lanes of _lane_width(2**n) bits of a degree-2 block:
-    lane 2 * lset + c holds the quadratic part plus linear part lset (bit t
-    for x_{t+1}) plus constant c.  (vm, lin, has, slots) are _var_masks(n),
-    the block of every linear part and constant, each variable's lanes whose
-    linear part holds it, and (rep, spread, fill) on n slots of 2**n + 1
-    bits, slot t for x_{t+1}: a 1 at the bottom of each slot, the monomials
-    that hold x_{t+1} (vm[t]) in slot t, and 2**n - 1 in each slot."""
+    """The per-n constants of a degree-2 walk, bound once.  Its blocks are
+    2**(n+1) lanes of _lane_width(2**n) bits: lane 2 * lset + c holds the
+    quadratic part plus linear part lset (bit t for x_{t+1}) plus constant
+    c.  (lin, has, xors, (low, steps, rep, spread, fill)) are the block of
+    every linear part and constant; each variable's lanes whose linear part
+    holds it; for each run of ten pairs x_s*x_t (s < t, lex order) from pair
+    `at` on, (at, the XORs of each subset of the run); lane 0's bits, and
+    the (zeros[t], strides[t]) of its Moebius transform; and (rep, spread,
+    fill) on n slots of 2**n + 1 bits, slot t for x_{t+1}: a 1 at the
+    bottom of each slot, the monomials that hold x_{t+1} in slot t, and
+    2**n - 1 in each slot."""
     vm, width, size = _var_masks(n), _lane_width(1 << n), 1 << n
     lin = sum((x | (x ^ (1 << size) - 1) << width) << 2 * width * lset for lset, x in enumerate(_subset_xors(vm)))
     pair = 1 | 1 << width  # lanes 2 * lset and 2 * lset + 1
     has = tuple(sum(pair << 2 * width * lset for lset in range(size) if lset >> t & 1) for t in range(n))
+    pairs = [vm[s] & vm[t] for s in range(n) for t in range(s + 1, n)]  # x_s*x_t, lex order
+    xors = tuple((at, _subset_xors(pairs[at : at + 10])) for at in range(0, len(pairs), 10))
+    zeros, strides, *_ = _layout(2, 1, n, 1)
     slot = size + 1  # a coefficient table and its carry bit
-    rep = _spaced_ones(n, slot)
+    rep, low = _spaced_ones(n, slot), (1 << size) - 1  # low: lane 0's table
     spread = sum(m << slot * t for t, m in enumerate(vm))
-    return vm, lin, has, (rep, spread, ((1 << size) - 1) * rep)
+    return lin, has, xors, (low, tuple(zip(zeros, strides)), rep, spread, low * rep)
 
 
 def _deg2_blocks(n: int, lo: int, hi: int):
@@ -399,18 +406,15 @@ def _deg2_blocks(n: int, lo: int, hi: int):
     each quadratic part with a candidate in lo..hi-1 is one whole block of
     its 2**(n+1) candidates, laid out as in _deg2_layout, at a start that is
     a multiple of 2**(n+1); lane 0 is the bare quadratic part.  Quadratic
-    part q is the XOR of the pairs x_s*x_t (s < t, lex order) at the set
-    bits of q + 1, read ten bits at a time from tables of at most 1024
-    XORs, built once per call."""
+    part q is the XOR of the pairs at the set bits of q + 1, read ten bits
+    at a time from _deg2_layout's tables of at most 1024 XORs."""
     # 2**n linear parts times 2 constants, each lane a table and its guard bits.
     lanes = 2 << n
     ones = _layout(2, 1, n, lanes)[3]
-    vm, lin = _deg2_layout(n)[:2]
-    pairs = [vm[s] & vm[t] for s in range(n) for t in range(s + 1, n)]  # x_s*x_t, lex order
-    tables = [(at, _subset_xors(pairs[at : at + 10])) for at in range(0, len(pairs), 10)]
+    lin, _, xors, _ = _deg2_layout(n)
     for q in range(lo // lanes, -(-hi // lanes)):
         q_mask = 0
-        for at, table in tables:
+        for at, table in xors:
             q_mask ^= table[(q + 1) >> at & 1023]
         yield q * lanes, lanes, q_mask * ones ^ lin
 
@@ -422,7 +426,7 @@ def _support_flags(n: int, support: int, least: int):
     _deg2_flags reads it): those are essential in every lane, any other in
     the lanes whose linear part holds it."""
     ones, slot = _spaced_ones(2 << n, _lane_width(1 << n)), (1 << n) + 1
-    e = tuple(ones if support >> slot * t & 1 else h for t, h in enumerate(_deg2_layout(n)[2]))
+    e = tuple(ones if support >> slot * t & 1 else h for t, h in enumerate(_deg2_layout(n)[1]))
     return e, _ess_lanes(e, ones, least)
 
 
@@ -433,8 +437,8 @@ def _deg2_flags(block: int, k: int, b: int, n: int, lanes: int, least: int):
     The support is one carry per slot of _deg2_layout, as in core._depends:
     slot t of coef * rep is a copy of lane 0's coefficients, and masked to
     the monomials that hold x_{t+1} it carries into bit 2**n iff one does."""
-    rep, spread, fill = _deg2_layout(n)[3]
-    coef = _moebius(block & (1 << (1 << n)) - 1, n)
+    low, steps, rep, spread, fill = _deg2_layout(n)[3]
+    coef = _moebius(block & low, n, 1, steps)
     return _support_flags(n, ((coef * rep & spread) + fill) >> (1 << n) & rep, least)
 
 
@@ -553,41 +557,40 @@ def _run_range(args):
     lo..hi-1.  The record's walk yields blocks (start, lanes, block), lane m
     holding member start + m, and their flags; a block's members are its lanes
     max(lo - start, 0) up to min(hi - start, lanes) - 1, the claim decides
-    those that meet the hypothesis at once, if any, and popcounts count them.
-    Under rejection, _redraw redraws the members that miss the hypothesis
-    until each meets it.  A function is built only for a recorded hit, in
-    index order, the block's fails merged by lane with its redrawn ones: a
-    block without a hit, or one past a full record, reads no lane."""
+    those that meet the hypothesis at once, if any, and one popcount counts
+    them: the blocks tile lo..hi, so every other member is skipped.  Under
+    rejection, _redraw redraws the members that miss the hypothesis until
+    each meets it.  Hits are counted on the blocks that have some, and a
+    function is built only for a recorded hit, in index order, the block's
+    fails merged by lane with its redrawn ones: a block without a hit, or
+    one past a full record, reads no lane."""
     key, pop, budget, lo, hi, max_recorded = args
     spec, k, b, n = _THEOREMS[key], pop.k, pop.b, pop.n
     size = k**n * field_width(b)
-    width, table, least = _lane_width(size), (1 << size) - 1, spec.min_ess(k, n)
+    width, table, least, claim = _lane_width(size), (1 << size) - 1, spec.min_ess(k, n), spec.claim
     reject = isinstance(pop, Sampled) and pop.reject_until_hypothesis
-    checked = skipped = hits = 0
+    checked = hits = 0
     recorded: list[FiniteFunction] = []
     _, _, blocks, flags = spec.walk(key, pop, budget)
     for start, lanes, block in blocks(lo, hi):
-        first, end = max(lo - start, 0), min(hi - start, lanes)
         e, meets = flags(block, k, b, n, lanes, least)
         members = -1
-        if first or end < lanes:  # lo..hi cuts the block: its padding or other candidates count for nothing
-            members = (1 << end * width) - (1 << first * width)
+        if start < lo or hi - start < lanes:  # lo..hi cuts the block: its padding or other candidates count for nothing
+            members = (1 << min(hi - start, lanes) * width) - (1 << max(lo - start, 0) * width)
             meets &= members
-        holds = meets and spec.claim(block, k, b, n, lanes, e, meets)
-        pending = _spaced_ones(lanes, width) & members & ~meets if reject else 0
-        fails, redrawn = meets & ~holds, ()
-        if pending:
-            redrawn = _redraw(key, pop, budget, start, end, pending, width, least)
+        fails, redrawn = meets and meets & ~claim(block, k, b, n, lanes, e, meets), ()
+        if reject and (pending := _spaced_ones(lanes, width) & members & ~meets):
+            redrawn = _redraw(key, pop, budget, start, min(hi - start, lanes), pending, width, least)
             meets |= pending  # each pending member meets the hypothesis now
             hits += len(redrawn)
         checked += meets.bit_count()
-        skipped += end - first - meets.bit_count()
-        hits += fails.bit_count()
-        if (fails or redrawn) and len(recorded) < max_recorded:
-            room = max_recorded - len(recorded)
-            for m in sorted([*islice(_set_lanes(fails, width), room), *redrawn])[:room]:
-                recorded.append(FiniteFunction(k, b, n, redrawn[m] if m in redrawn else block >> m * width & table))
-    return checked, skipped, hits, recorded
+        if fails or redrawn:
+            hits += fails.bit_count()
+            if len(recorded) < max_recorded:
+                room = max_recorded - len(recorded)
+                for m in sorted([*islice(_set_lanes(fails, width), room), *redrawn])[:room]:
+                    recorded.append(FiniteFunction(k, b, n, redrawn[m] if m in redrawn else block >> m * width & table))
+    return checked, hi - lo - checked, hits, recorded
 
 
 def _redraw(key, pop, budget: int, start: int, end: int, pending: int, width: int, least: int) -> dict:

@@ -501,12 +501,13 @@ class TestBlockLayout:
     @pytest.mark.parametrize("k, w, n, lanes", [(2, 1, 5, 1), (2, 1, 6, 9), (3, 2, 4, 5), (1, 1, 7, 1)])
     def test_the_pair_plan_walks_every_pair_in_lex_order_on_the_entry_masks(self, k, w, n, lanes):
         # The plan holds no mask of its own: each t's stride and lower mask are the entry's.
+        # A pair (i, j) tests its partner x_j first, then every other t != i ascending.
         _, strides, lower, _, _, plan = _layout(k, w, n, lanes)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if k > 1 else []
         assert [(i, j) for i, j, _ in plan] == pairs
-        for i, _, others in plan:
-            assert [t for t, _, _ in others] == [t for t in range(n) if t != i]
-            assert all(s == strides[t] and low is lower[t] for t, s, low in others), i
+        for i, j, tests in plan:
+            assert [t for t, _, _ in tests] == [j] + [t for t in range(n) if t not in (i, j)]
+            assert all(s == strides[t] and low is lower[t] for t, s, low in tests), (i, j)
 
     @pytest.mark.parametrize("lanes", [1, 5])
     @pytest.mark.parametrize("w", [1, 3])
