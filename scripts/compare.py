@@ -18,7 +18,7 @@ __pycache__.  The checks:
   and a generate that fails at head is a difference even where REV fails
   alike;
 - analyze, classify (each with and without --json) and anf on those eight
-  files, the three files of gap 2, 3 and 4 that ladder_files() writes, a
+  files, the five files of gap 1 to 5 that ladder_files() writes, a
   hex: file and two malformed ones, the help texts, a bare analyze,
   `anf FILE --json` and one small gap >= 3 search give the same
   (exit code, stdout, stderr) in both trees;
@@ -63,14 +63,18 @@ PARTS = ("exit code", "stdout", "stderr")
 
 
 def ladder_files() -> dict[str, str]:
-    """Function files of gap 2, 3 and 4, on which analyze climbs gap_report's
-    ladder past its first rung: parity at n = 8, and at k = n = 3 and 4 the
-    table that is x1 where the coordinates are pairwise distinct and 0
-    elsewhere (every variable essential, every identification minor constant)."""
+    """Function files on which gap_report's scan lowers a cut past its first
+    pair: parity at n = 8 (gap 2); at k = n = 3, 4 and 5 the table that is
+    x1 where the coordinates are pairwise distinct and 0 elsewhere (every
+    variable essential, every identification minor constant, gap n); and the
+    Boolean x4 + x2*x3 + x1*x2*x3, whose first pair loses 2 and whose
+    witness, at gap 1, is (1, 4)."""
     files = {"parity-8.fn": "2 8 2\n" + " ".join(str(bin(r).count("1") % 2) for r in range(256)) + "\n"}
-    for k in (3, 4):
+    for k in (3, 4, 5):
         rows = (p[0] if len(set(p)) == k else 0 for p in itertools.product(range(k), repeat=k))
         files[f"diagonal-{k}.fn"] = f"{k} {k} {k}\n" + " ".join(map(str, rows)) + "\n"
+    late = (x4 ^ x2 & x3 ^ x1 & x2 & x3 for x1, x2, x3, x4 in itertools.product(range(2), repeat=4))
+    files["late-witness-4.fn"] = "2 4 2\n" + " ".join(map(str, late)) + "\n"
     return files
 
 

@@ -76,8 +76,8 @@ MUTANTS = [
     Mutant(
         "gap-scan-bias-one-high",
         "src/aritygap/core.py",
-        "bias = ((1 << p) - min(gap, n)) * ones",
-        "bias = ((1 << p) - min(gap, n) + 1) * ones",
+        "bias = (ones << p) - sum(e) if not gap else ((1 << p) - min(gap, n)) * ones",
+        "bias = (ones << p) + ones - sum(e) if not gap else ((1 << p) - min(gap, n) + 1) * ones",
         ("tests/test_core.py::TestGapAtMost::test_lanes_match_the_oracle",),
     ),
     Mutant(
@@ -85,7 +85,7 @@ MUTANTS = [
         "src/aritygap/core.py",
         "if gap == 1:",
         "if gap >= 1:",
-        ("tests/test_core.py::TestGapReport::test_majority",),
+        ("tests/test_core.py::TestGapAtMost::test_lanes_match_the_oracle",),
     ),
     Mutant(
         "gap-scan-ignores-the-count",
@@ -95,11 +95,25 @@ MUTANTS = [
         ("tests/test_core.py::TestGapReport::test_gaps_three_and_four_match_the_oracle_with_witness",),
     ),
     Mutant(
-        "gap-ladder-starts-at-2",
+        "gap-report-reads-the-cut-as-the-gap",
         "src/aritygap/core.py",
-        "for gap in range(1, count + 1):",
-        "for gap in range(2, count + 1):",
+        "count - 1 - least, 1 + least, witness)",
+        "count - 1 - least, least, witness)",
         ("tests/test_core.py::TestGapReport::test_and",),
+    ),
+    Mutant(
+        "gap-scan-leaves-at-count-1",
+        "src/aritygap/core.py",
+        "kept & bias >> p, (i + 1, j + 1)",
+        "kept & (bias + ones) >> p, (i + 1, j + 1)",
+        ("tests/test_core.py::TestGapAtMost::test_lanes_match_the_oracle",),
+    ),
+    Mutant(
+        "gap-witness-moves-on-a-tie",
+        "src/aritygap/core.py",
+        "kept &= ~(count >> p)",
+        "kept &= ~((count - (0 if gap else ones)) >> p)",
+        ("tests/test_core.py::TestGapReport::test_majority",),
     ),
     Mutant(
         "carry-constant-off-by-one",

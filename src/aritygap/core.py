@@ -278,20 +278,19 @@ def _flags(block: int, k: int, b: int, n: int, lanes: int, least: int):
 def _gap_at_most(block: int, k: int, b: int, n: int, lanes: int, e, pending: int, gap: int):
     """(held, pair): the lanes of pending (bottom bits, as in _layout) of
     gap <= gap, e[t] the lanes that depend on x_{t+1}, and the 1-based pair
-    that held the last lane if all are, else None.  A lane is held at its
-    first pair i < j of essential variables whose minor loses fewer than
-    gap essential t != i, counted up from 2**p - gap as in _ess_lanes, gap
-    cut to n, exact as gap <= ess <= n, so that 2**p - gap stays positive.
-    One walk over _layout's pair plan; each t's test is _depends' carry,
-    inline and without its & ones, as it is read only under kept, which
-    holds bottom bits alone."""
+    that held the last lane if all are, else None; at gap 0, (least, pair):
+    each lane's cut in bits 0..p (ess off pending), and the last pair that
+    lowered one.  A pair i < j of essential variables counts the essential t
+    != i its minor loses up from 2**p less a lane's cut, p = n.bit_length(),
+    as _ess_lanes does, and drops the lane at the cut: gap, cut to n as gap
+    <= ess <= n, holding it at its first kept pair; or ess at gap 0, then each
+    kept pair's count, to 0.  Tests are _depends' carry, & ones left to kept."""
     if not pending:
         return 0, None
     w = field_width(b)
     zeros, strides, _, ones, fill, plan = _layout(k, w, n, lanes)
-    size, p = k**n * w, n.bit_length()
-    bias = ((1 << p) - min(gap, n)) * ones if gap > 1 else 0  # unread at gap 1; count < 2**(p+1)
-    rest = pending
+    size, p, rest, witness = k**n * w, n.bit_length(), pending, None
+    bias = (ones << p) - sum(e) if not gap else ((1 << p) - min(gap, n)) * ones if gap > 1 else 0
     for i, j, tests in plan:
         kept = e[i] & e[j] & rest
         if not kept:
@@ -307,10 +306,13 @@ def _gap_at_most(block: int, k: int, b: int, n: int, lanes: int, e, pending: int
                     kept &= ~(count >> p)
                 if not kept:
                     break
+        if not gap and kept:  # the cut falls to the count
+            bias += ((ones << p) - count) & kept * ((2 << p) - 1)
+            kept, witness = kept & bias >> p, (i + 1, j + 1)
         rest ^= kept
         if not rest:
-            return pending, (i + 1, j + 1)
-    return pending ^ rest, None
+            return (pending if gap else (ones << p) - bias), (i + 1, j + 1)
+    return (pending ^ rest if gap else (ones << p) - bias), witness
 
 
 def is_essential(f: FiniteFunction, i: int) -> bool:
@@ -355,17 +357,15 @@ def gap_report(f: FiniteFunction) -> GapReport:
 
     essl is the maximum essential arity over minors f with x_j substituted
     for x_i, over pairs i < j of essential variables.  A minor that loses
-    g - 1 essential variables besides x_i keeps ess - g, as it gains none,
-    so the gap is the least g at which _gap_at_most holds f (g = ess does),
-    and its pair is the lexicographically least attaining essl."""
+    c essential variables besides x_i keeps ess - 1 - c, as it gains none,
+    so the gap is 1 + the least c, which _gap_at_most finds at gap 0, with
+    the pair that last lowered it, the lexicographically least attaining essl."""
     e = _dependence(f.bits, f.k, f.b, f.n, 1) if f.k > 1 else ()
     count = sum(e)
     if count < 2:
         raise EssentialArityTooSmall(f"arity gap needs ess >= 2, got ess = {count}")
-    for gap in range(1, count + 1):
-        held, witness = _gap_at_most(f.bits, f.k, f.b, f.n, 1, e, 1, gap)
-        if held:
-            return GapReport(count, count - gap, gap, witness)
+    least, witness = _gap_at_most(f.bits, f.k, f.b, f.n, 1, e, 1, 0)
+    return GapReport(count, count - 1 - least, 1 + least, witness)
 
 
 def essl(f: FiniteFunction) -> int:

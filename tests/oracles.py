@@ -107,6 +107,14 @@ def naive_gap_report(f):
     return len(ev), best, len(ev) - best, witness
 
 
+def naive_losses(f):
+    """f's essential pairs i < j in lex order, each with the number of
+    essential t != i that its minor loses."""
+    ev = [t for t in range(1, f.n + 1) if naive_essential(f, t)]
+    return [((i, j), len(ev) - 1 - naive_ess(Table(f.k, f.b, f.n, naive_identify(f, i, j))))
+            for a, i in enumerate(ev) for j in ev[a + 1 :]]
+
+
 def naive_anf_monomials(f):
     """Subset-sum Moebius oracle: the coefficient of a variable subset S is
     the XOR of f over all points whose support lies inside S."""

@@ -6,13 +6,14 @@ aritygap enters them, so they are independent of both the fast paths and
 tests/oracles.py.
 """
 
+from collections import Counter
 from math import comb, perm
 
 import pytest
 
 import aritygap.verifier as verifier
 from aritygap import DEFAULT_BUDGET, Exhaustive, TheoremId, sweep
-from aritygap.core import _flags, _gap_at_most
+from aritygap.core import _flags, _gap_at_most, _lane_width, field_width
 
 
 def depending_on_all(k, b, m):
@@ -173,6 +174,40 @@ def test_gap_three_lanes_are_the_nonconstant_diagonal_codes():
     rainbow = perm(k, n)
     assert k * (k**rainbow - 1) == 2184
     assert gap_scan_census(TheoremId.THM1, k, k, n) == [0, 0, k * (k**rainbow - 1)]
+
+
+def one_scan_census(key, k, b, n):
+    """Lanes of each gap over the blocks of key's walk of every table (Thm1:
+    every diagonal code) of shape (k, b, n), from one unbounded gap scan
+    per block of its lanes of ess >= 2: a lane's gap is 1 + its cut."""
+    total, _, blocks, _ = verifier._THEOREMS[key].walk(key, Exhaustive(k, b, n), DEFAULT_BUDGET)
+    width = _lane_width(k**n * field_width(b))
+    gaps = Counter()
+    for _, lanes, block in blocks(0, total):
+        e, meets = _flags(block, k, b, n, lanes, 2)
+        least = _gap_at_most(block, k, b, n, lanes, e, meets, 0)[0]
+        gaps.update(1 + (least >> m * width & (1 << width) - 1) for m in range(lanes) if meets >> m * width & 1)
+    return gaps
+
+
+def boolean_gap_two(n):
+    """Boolean functions of arity n and gap 2 (Salomaa): on each m of the n
+    variables, 6 of ess 2 (a constant diagonal x1 = x2), 10 of ess 3 and,
+    for m >= 4, parity and its negation."""
+    return 6 * comb(n, 2) + 10 * comb(n, 3) + 2 * sum(comb(n, m) for m in range(4, n + 1))
+
+
+@pytest.mark.parametrize("n,expected", [(2, 6), (3, 28), (4, 78)])
+def test_one_scan_finds_the_boolean_gap_two_census(n, expected):
+    # SalomaaMain walks every Boolean table of arity n.
+    assert boolean_gap_two(n) == expected
+    assert one_scan_census(TheoremId.THM_SALOMAA_MAIN, 2, 2, n)[2] == expected
+
+
+def test_one_scan_finds_gap_three_on_every_nonconstant_diagonal_code():
+    k = n = 3
+    assert k * (k ** perm(k, n) - 1) == 2184
+    assert one_scan_census(TheoremId.THM1, k, k, n) == {3: 2184}
 
 
 def constant_diagonal(k, b):

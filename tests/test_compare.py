@@ -89,10 +89,12 @@ def test_a_rev_git_cannot_export_exits_2_before_running_anything():
 
 
 def test_the_ladder_files_have_gap_2_3_and_4():
-    # analyze compares gap_report's rungs past gap 1 with REV only on these files.
+    # analyze compares gap_report's cuts past its first pair with REV only on these files.
     gaps = {name: gap_report(parse_function_text(text)) for name, text in compare.ladder_files().items()}
     assert {name: (r.ess, r.gap) for name, r in gaps.items()} == {
-        "parity-8.fn": (8, 2), "diagonal-3.fn": (3, 3), "diagonal-4.fn": (4, 4)}
+        "parity-8.fn": (8, 2), "diagonal-3.fn": (3, 3), "diagonal-4.fn": (4, 4),
+        "diagonal-5.fn": (5, 5), "late-witness-4.fn": (4, 1)}
+    assert gaps["late-witness-4.fn"].witness == (1, 4)
 
 
 @pytest.mark.parametrize("report,same", [

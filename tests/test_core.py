@@ -35,12 +35,12 @@ from aritygap.errors import (
 )
 
 from oracles import (
-    Table,
     max_ess_over_strict_minors,
     naive_ess,
     naive_essential,
     naive_gap_report,
     naive_identify,
+    naive_losses,
     naive_random_table,
     naive_substitute,
 )
@@ -413,22 +413,16 @@ class TestGapAtMost:
     """The gap scan on blocks, lane by lane, against the point oracle."""
 
     @staticmethod
-    def _losses(f):
-        """f's essential pairs i < j in lex order, each with the number of
-        essential t != i that its minor loses."""
-        ev = [t for t in range(1, f.n + 1) if naive_essential(f, t)]
-        return [((i, j), len(ev) - 1 - naive_ess(Table(f.k, f.b, f.n, naive_identify(f, i, j))))
-                for a, i in enumerate(ev) for j in ev[a + 1 :]]
-
-    @staticmethod
     def _tables(k, n):
         """Random tables, tables of gap 2 to min(n, k), lanes of ess 2, constants;
         at k = 2 also x_n + x2*x3 + x1*x2*x3, whose first pair of gap 1 is
-        (1, n) in lex order and (2, 3) in colex order."""
+        (1, n) in lex order and (2, 3) in colex order, and x1 + x2 + x3*x4,
+        whose pair (1, 2) loses 1 and (1, 3) none."""
         tables = [naive_random_table(k, k, n, 40 * k + n + s) for s in range(3)]
         if k == 2:
             return tables + gap_two_tables(n) + [poly_table(n, [{1, 2}]), poly_table(n, [{1}, {2}]),
                                                  poly_table(n, [{n}, {2, 3}, {1, 2, 3}]),
+                                                 poly_table(n, [{1}, {2}, {3, 4}]),
                                                  [0] * (1 << n), [1] * (1 << n)]
         rng = random.Random(k * n)
         for m in (2, 3, n):
@@ -445,7 +439,7 @@ class TestGapAtMost:
         lanes, width = len(fs), _lane_width(k**n * field_width(k))
         block = sum(f.bits << m * width for m, f in enumerate(fs))
         e, everyone = _dependence(block, k, k, n, lanes), sum(1 << m * width for m in range(lanes))
-        losses = [self._losses(f) for f in fs]
+        losses = [naive_losses(f) for f in fs]
         gaps = {min(c for _, c in pairs) + 1 for pairs in losses if pairs}
         assert gaps >= ({1, 2} if k == 2 else {1, 2, 3, min(n, k)})
         # gap = k is ThmGen's bound and n + 1 is cut to n, as no lane loses n.
@@ -458,6 +452,16 @@ class TestGapAtMost:
                 # On one pending lane, pair is its least pair that loses fewer than gap.
                 lane, pair = 1 << m * width, next((p for p, c in pairs if c < gap), None)
                 assert _gap_at_most(block, k, k, n, lanes, e, lane, gap) == (lane if pair else 0, pair), (gap, m)
+        # At gap 0, no bound, each lane's cut ends at its least loss (ess with
+        # no pair), and on one lane the pair is the first attaining it.
+        field = (1 << width) - 1
+        least, _ = _gap_at_most(block, k, k, n, lanes, e, everyone, 0)
+        for m, (f, pairs) in enumerate(zip(fs, losses)):
+            low = min((c for _, c in pairs), default=naive_ess(f))
+            assert least >> m * width & field == low, m
+            if pairs:
+                one, pair = _gap_at_most(block, k, k, n, lanes, e, 1 << m * width, 0)
+                assert (one >> m * width & field, pair) == (low, next(p for p, c in pairs if c == low)), m
 
 
 class TestBlockLayout:

@@ -22,6 +22,7 @@ from oracles import (
     naive_essential,
     naive_gap_report,
     naive_kplus1_pair,
+    naive_losses,
     naive_random_table,
     naive_restriction_witness,
     naive_total_collapse,
@@ -89,12 +90,18 @@ class TestCountKernels:
         for least in LEASTS:
             assert _ess_lanes(flags, ones, least) == _lanes(width, [c >= least for c in counts]), least
 
-    @pytest.mark.parametrize("gap", [1, 2])
+    @pytest.mark.parametrize("gap", [0, 1, 2])
     def test_gap_at_most(self, k, b, n, gap):
         fs, block, width = _guarded(k, b, n)
+        e, everyone = _dependence(block, k, b, n, len(fs)), _lanes(width, [True] * len(fs))
+        if gap == 0:
+            # No bound: each lane's cut ends at its least loss, ess where it has no pair.
+            least = _gap_at_most(block, k, b, n, len(fs), e, everyone, 0)[0]
+            lows = [min((c for _, c in naive_losses(f)), default=naive_ess(f)) for f in fs]
+            assert [least >> m * width & (1 << width) - 1 for m in range(len(fs))] == lows
+            return
         gaps = [naive_gap_report(f)[2] if naive_ess(f) >= 2 else None for f in fs]
         held = _lanes(width, [g is not None and g <= gap for g in gaps])
-        e, everyone = _dependence(block, k, b, n, len(fs)), _lanes(width, [True] * len(fs))
         # The all-max lanes are constant, never held: no pair is returned.
         assert _gap_at_most(block, k, b, n, len(fs), e, everyone, gap) == (held, None)
         if gap == 1:
